@@ -20,7 +20,7 @@
 use mpps_core::{
     bucket_activity, bucket_skew_factor, load_skew, AdaptOptions, Partition, ThreadedMatcher,
 };
-use mpps_ops::{sort_conflict_set, Instantiation, Interpreter, Matcher, Strategy, Wme};
+use mpps_ops::{Instantiation, Interpreter, Matcher, Strategy, Wme};
 use mpps_rete::{
     kernel, suggest_plan, CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SuggestOptions,
 };
@@ -168,8 +168,7 @@ fn drive<M: Matcher>(sc: &AdaptScenario, matcher: M) -> (Observed, Interpreter<M
         .map(|(_, w)| w.clone())
         .collect();
     wm.sort_by_key(|w| w.to_string());
-    let mut conflict = interp.matcher().conflict_set();
-    sort_conflict_set(&mut conflict);
+    let conflict = interp.matcher().conflict_set();
     (
         Observed {
             fired,

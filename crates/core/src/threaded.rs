@@ -51,8 +51,8 @@
 use crate::partition::Partition;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mpps_ops::{
-    sort_conflict_set, Instantiation, MatchError, Matcher, OpsError, ProductionId, Program, Sign,
-    Value, Wme, WmeChange, WmeId,
+    Instantiation, MatchError, Matcher, OpsError, ProductionId, Program, Sign, Value, Wme,
+    WmeChange, WmeId,
 };
 use mpps_rete::kernel::{self, Kernel, RootWork, Work};
 use mpps_rete::{
@@ -60,8 +60,8 @@ use mpps_rete::{
 };
 use mpps_telemetry::recorder::THREADED_PID;
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics, Recorder, TraceRecorder, Track};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -676,7 +676,7 @@ pub struct ThreadedMatcher {
     workers: Vec<Sender<ToWorker>>,
     from_workers: Receiver<ToCoordinator>,
     outstanding: Arc<AtomicI64>,
-    conflict: HashMap<(ProductionId, Vec<WmeId>), (Instantiation, i64)>,
+    conflict: BTreeMap<Instantiation, i64>,
     handles: Vec<JoinHandle<()>>,
     counters: Vec<Arc<WorkerCounters>>,
     cycles: u64,
@@ -814,7 +814,7 @@ impl ThreadedMatcher {
             workers: senders,
             from_workers,
             outstanding,
-            conflict: HashMap::new(),
+            conflict: BTreeMap::new(),
             handles,
             counters,
             cycles: 0,
@@ -873,11 +873,7 @@ impl ThreadedMatcher {
                 })
                 .collect(),
             cycles: self.cycles,
-            conflict_entries: self
-                .conflict
-                .values()
-                .filter(|(_, count)| *count > 0)
-                .count(),
+            conflict_entries: self.conflict.values().filter(|&&count| count > 0).count(),
         }
     }
 
@@ -1205,11 +1201,10 @@ impl ThreadedMatcher {
         wme_id: WmeId,
         vals: &[Value],
     ) -> Instantiation {
-        Instantiation {
+        Instantiation::new(
             production,
-            wme_ids: vec![wme_id],
-            bindings: self
-                .network
+            &[wme_id],
+            self.network
                 .layout(node)
                 .vars
                 .iter()
@@ -1218,7 +1213,7 @@ impl ThreadedMatcher {
                     (s, vals[r.slot as usize])
                 })
                 .collect(),
-        }
+        )
     }
 
     /// The fallible cycle driver behind both `Matcher::process` and
@@ -1391,20 +1386,19 @@ impl ThreadedMatcher {
     /// direction). This replaces the historical
     /// `expect("retracting unknown instantiation")` panic.
     fn apply_production(&mut self, sign: Sign, inst: Instantiation) {
-        let key = inst.key();
         let delta: i64 = match sign {
             Sign::Plus => 1,
             Sign::Minus => -1,
         };
-        match self.conflict.entry(key) {
+        match self.conflict.entry(inst) {
             Entry::Occupied(mut slot) => {
-                slot.get_mut().1 += delta;
-                if slot.get().1 == 0 {
+                *slot.get_mut() += delta;
+                if *slot.get() == 0 {
                     slot.remove();
                 }
             }
             Entry::Vacant(slot) => {
-                slot.insert((inst, delta));
+                slot.insert(delta);
             }
         }
     }
@@ -1438,14 +1432,11 @@ impl Matcher for ThreadedMatcher {
     }
 
     fn conflict_set(&self) -> Vec<Instantiation> {
-        let mut out: Vec<Instantiation> = self
-            .conflict
-            .values()
-            .filter(|(_, count)| *count > 0)
+        self.conflict
+            .iter()
+            .filter(|&(_, &count)| count > 0)
             .map(|(inst, _)| inst.clone())
-            .collect();
-        sort_conflict_set(&mut out);
-        out
+            .collect()
     }
 }
 

@@ -17,7 +17,7 @@
 use crate::gen::{FuzzCase, ScheduleOp};
 use crate::MatcherKind;
 use mpps_ops::interpreter::StepOutcome;
-use mpps_ops::{sort_conflict_set, Instantiation, Interpreter, Matcher, Wme, WmeId};
+use mpps_ops::{Instantiation, Interpreter, Matcher, Wme, WmeId};
 use std::fmt;
 
 /// Fire at most this many cycles after each schedule round (generated
@@ -70,12 +70,6 @@ fn show_insts(set: &[Instantiation]) -> String {
 fn show_wm(wm: &[(WmeId, Wme)]) -> String {
     let items: Vec<String> = wm.iter().map(|(id, w)| format!("{id}:{w}")).collect();
     format!("{{{}}}", items.join(" "))
-}
-
-fn sorted_conflict_set(m: &dyn Matcher) -> Vec<Instantiation> {
-    let mut cs = m.conflict_set();
-    sort_conflict_set(&mut cs);
-    cs
 }
 
 fn wm_snapshot(interp: &Interpreter<Box<dyn Matcher>>) -> Vec<(WmeId, Wme)> {
@@ -234,8 +228,9 @@ fn compare_cycle(
         }
     }
 
-    let ref_cs = sorted_conflict_set(reference.matcher());
-    let lane_cs = sorted_conflict_set(lane.interp.matcher());
+    // Compared as returned: canonical order is part of the contract.
+    let ref_cs = reference.matcher().conflict_set();
+    let lane_cs = lane.interp.matcher().conflict_set();
     if ref_cs != lane_cs {
         return Some(clip(format!(
             "conflict set {} but naive has {}",

@@ -8,7 +8,7 @@
 
 use mpps_difftest::{generate_case, FuzzCase, GenConfig, ScheduleOp};
 use mpps_ops::interpreter::StepOutcome;
-use mpps_ops::{sort_conflict_set, Interpreter, Matcher, Program, WmeId};
+use mpps_ops::{Interpreter, Matcher, Program, WmeId};
 use mpps_rete::{CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
 use proptest::prelude::*;
 
@@ -110,10 +110,8 @@ fn assert_equivalent_on(program: &Program, plan: &TransformPlan, case: &FuzzCase
                 (Err(_), Err(_)) => {}
                 _ => prop_assert!(false, "one matcher errored: base {a:?}, transformed {b:?}"),
             }
-            let mut cs_a = base.matcher().conflict_set();
-            let mut cs_b = xform.matcher().conflict_set();
-            sort_conflict_set(&mut cs_a);
-            sort_conflict_set(&mut cs_b);
+            let cs_a = base.matcher().conflict_set();
+            let cs_b = xform.matcher().conflict_set();
             prop_assert_eq!(cs_a, cs_b, "conflict sets diverged");
             let wm_a: Vec<_> = base.working_memory().iter().collect();
             let wm_b: Vec<_> = xform.working_memory().iter().collect();

@@ -2,7 +2,8 @@
 //!
 //! Implements the two standard OPS5 strategies. Both start from
 //! *refraction* (an instantiation never fires twice), which the
-//! [`crate::Interpreter`] enforces by filtering before calling [`resolve`].
+//! [`crate::Interpreter`] enforces through the predicate it hands
+//! [`select`].
 //!
 //! * **LEX** — order instantiations by recency: compare the time tags of
 //!   their WMEs sorted in descending order, lexicographically; if one
@@ -45,17 +46,16 @@ fn compare_recency(a: &[WmeId], b: &[WmeId]) -> Ordering {
 
 /// Full LEX dominance test. Returns `Greater` when `a` should fire over `b`.
 fn lex_cmp(program: &Program, a: &Instantiation, b: &Instantiation) -> Ordering {
-    compare_recency(&a.recency_vector(), &b.recency_vector())
+    compare_recency(a.recency(), b.recency())
         .then_with(|| {
             program
-                .get(a.production)
+                .get(a.production())
                 .specificity()
-                .cmp(&program.get(b.production).specificity())
+                .cmp(&program.get(b.production()).specificity())
         })
         // Deterministic final tie-break (OPS5: arbitrary). Reversed so that
         // the *lowest* production id / WME ids win, matching textual order.
-        .then_with(|| b.production.cmp(&a.production))
-        .then_with(|| b.wme_ids.cmp(&a.wme_ids))
+        .then_with(|| b.cmp(a))
 }
 
 /// The MEA goal element: the WME matching the production's first
@@ -66,7 +66,7 @@ fn lex_cmp(program: &Program, a: &Instantiation, b: &Instantiation) -> Ordering 
 /// for hand-built values; validation requires a positive CE) compares
 /// below every real one via `None < Some`.
 fn mea_goal(inst: &Instantiation) -> Option<WmeId> {
-    inst.wme_ids.first().copied()
+    inst.wme_ids().first().copied()
 }
 
 /// MEA dominance: first-positive-CE recency first, then LEX.
@@ -77,10 +77,12 @@ fn mea_cmp(program: &Program, a: &Instantiation, b: &Instantiation) -> Ordering 
 }
 
 /// Compare two instantiations under `strategy`; `Greater` means `a` fires
-/// over `b`. This is the exact comparator [`resolve`] maximizes with, made
-/// public so tests can check it is a total order (antisymmetric and
-/// transitive, with `Equal` only for identical `(production, wme_ids)`
-/// keys) — the contract `max_by` and sort-based callers rely on.
+/// over `b`. This is the exact comparator [`select`] and [`resolve`]
+/// maximize with, made public so tests can check it is a total order
+/// (antisymmetric and transitive, with `Equal` only for identical
+/// `(production, wme_ids)` keys) — the contract `max_by` and sort-based
+/// callers rely on. It allocates nothing: the recency vectors were sorted
+/// when the instantiations were built.
 pub fn compare(
     program: &Program,
     strategy: Strategy,
@@ -105,6 +107,29 @@ pub fn resolve<'a>(
         .max_by(|a, b| compare(program, strategy, a, b))
 }
 
+/// Select the instantiation that fires from a whole conflict set: the
+/// maximum under [`compare`] among the candidates that are not `refracted`.
+/// One pass, and `refracted` is consulted only for a candidate that would
+/// displace the running best — on a conflict set of hundreds that is a
+/// handful of refraction probes per cycle instead of one per entry.
+/// Equivalent to filtering by `refracted` and then calling [`resolve`].
+pub fn select<'a>(
+    program: &Program,
+    strategy: Strategy,
+    conflict_set: impl IntoIterator<Item = &'a Instantiation>,
+    refracted: impl Fn(&Instantiation) -> bool,
+) -> Option<&'a Instantiation> {
+    let mut best: Option<&'a Instantiation> = None;
+    for cand in conflict_set {
+        let displaces =
+            best.is_none_or(|b| compare(program, strategy, cand, b) == Ordering::Greater);
+        if displaces && !refracted(cand) {
+            best = Some(cand);
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,11 +139,8 @@ mod tests {
     use std::collections::HashMap;
 
     fn inst(p: u32, ids: &[u64]) -> Instantiation {
-        Instantiation {
-            production: ProductionId(p),
-            wme_ids: ids.iter().map(|&i| WmeId(i)).collect(),
-            bindings: HashMap::new(),
-        }
+        let ids: Vec<WmeId> = ids.iter().map(|&i| WmeId(i)).collect();
+        Instantiation::new(ProductionId(p), &ids, HashMap::new())
     }
 
     /// A program with two productions: p0 with one CE (specificity 1),
@@ -259,11 +281,11 @@ mod tests {
         assert_eq!(cs.len(), 2);
         // Every instantiation's first id is a goal WME (the negated CE
         // added nothing in front of it).
-        assert!(cs.iter().all(|i| i.wme_ids[0] <= WmeId(2)));
+        assert!(cs.iter().all(|i| i.wme_ids()[0] <= WmeId(2)));
         let mea = resolve(&prog, Strategy::Mea, cs.iter()).unwrap();
-        assert_eq!(mea.wme_ids, vec![WmeId(2), WmeId(3)], "goal recency rules");
+        assert_eq!(mea.wme_ids(), [WmeId(2), WmeId(3)], "goal recency rules");
         let lex = resolve(&prog, Strategy::Lex, cs.iter()).unwrap();
-        assert_eq!(lex.wme_ids, vec![WmeId(1), WmeId(4)], "global recency");
+        assert_eq!(lex.wme_ids(), [WmeId(1), WmeId(4)], "global recency");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! [`Matcher`] through the classic OPS5 cycle:
 //!
 //! 1. **match** — hand the previous cycle's WM changes to the matcher;
-//! 2. **resolve** — filter refracted instantiations and pick a winner with
-//!    the configured [`Strategy`];
+//! 2. **resolve** — pick the winner among the instantiations that have not
+//!    fired yet (refraction) with the configured [`Strategy`], in one pass
+//!    over the matcher's conflict set;
 //! 3. **act** — execute the winner's RHS, queuing the resulting WM changes
 //!    for the next cycle's match phase.
 //!
@@ -14,7 +15,7 @@
 //! activation traces, and the property-test suites replay them into
 //! different matchers to prove equivalence.
 
-use crate::conflict::{resolve, Strategy};
+use crate::conflict::{compare, select, Strategy};
 use crate::error::OpsError;
 use crate::matcher::{Instantiation, Matcher, WmeChange};
 use crate::naive::NaiveMatcher;
@@ -22,6 +23,7 @@ use crate::production::{Action, Production, ProductionId, Program};
 use crate::symbol::Symbol;
 use crate::value::Value;
 use crate::wme::{Wme, WmeId, WorkingMemory};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -112,8 +114,11 @@ pub struct Interpreter<M: Matcher = NaiveMatcher> {
     strategy: Strategy,
     wm: WorkingMemory,
     matcher: M,
-    /// Refraction memory: instantiations that have fired.
-    fired_keys: HashSet<(ProductionId, Vec<WmeId>)>,
+    /// Refraction memory: the keys of the instantiations that have fired,
+    /// per production. Keys only — holding the records would pin every
+    /// fired instantiation's bindings for the life of the session — and
+    /// shaped so that a probe borrows the candidate's `wme_ids`.
+    fired_keys: HashMap<ProductionId, HashSet<Box<[WmeId]>>>,
     /// WM changes produced since the last match phase.
     pending: Vec<WmeChange>,
     /// Per-cycle batches actually handed to the matcher.
@@ -154,7 +159,7 @@ impl<M: Matcher> Interpreter<M> {
             strategy,
             wm: WorkingMemory::new(),
             matcher,
-            fired_keys: HashSet::new(),
+            fired_keys: HashMap::new(),
             pending: Vec::new(),
             change_log: Vec::new(),
             output: Vec::new(),
@@ -170,8 +175,11 @@ impl<M: Matcher> Interpreter<M> {
     /// refraction keys, pending changes and outputs; the matcher and the
     /// per-cycle change log are excluded by design.
     pub fn export_state(&self) -> InterpreterState {
-        let mut fired_keys: Vec<(ProductionId, Vec<WmeId>)> =
-            self.fired_keys.iter().cloned().collect();
+        let mut fired_keys: Vec<(ProductionId, Vec<WmeId>)> = self
+            .fired_keys
+            .iter()
+            .flat_map(|(&p, keys)| keys.iter().map(move |ids| (p, ids.to_vec())))
+            .collect();
         fired_keys.sort();
         InterpreterState {
             strategy: self.strategy,
@@ -232,12 +240,16 @@ impl<M: Matcher> Interpreter<M> {
             .map(|(id, wme)| WmeChange::add(id, wme))
             .collect();
         matcher.try_process(&batch).map_err(OpsError::Match)?;
+        let mut fired_keys: HashMap<ProductionId, HashSet<Box<[WmeId]>>> = HashMap::new();
+        for (production, ids) in state.fired_keys {
+            fired_keys.entry(production).or_default().insert(ids.into());
+        }
         Ok(Interpreter {
             program,
             strategy: state.strategy,
             wm: WorkingMemory::from_parts(state.wm, state.next_id),
             matcher,
-            fired_keys: state.fired_keys.into_iter().collect(),
+            fired_keys,
             pending: state.pending,
             change_log: vec![batch],
             output: state.output,
@@ -315,43 +327,47 @@ impl<M: Matcher> Interpreter<M> {
         self.matcher
             .try_process(self.change_log.last().expect("batch just pushed"))?;
 
-        let mut conflict_set = self.matcher.conflict_set();
-        let candidates: Vec<&Instantiation> = conflict_set
-            .iter()
-            .filter(|i| !self.fired_keys.contains(&i.key()))
-            .collect();
-        let Some(winner) = resolve(&self.program, self.strategy, candidates) else {
-            return Ok(StepOutcome::Quiescent);
-        };
-        // `resolve` hands back a reference into `conflict_set`; take the
-        // winner by position instead of cloning its bindings.
-        let widx = conflict_set
-            .iter()
-            .position(|i| std::ptr::eq(i, winner))
-            .expect("winner borrowed from the conflict set");
-        let winner = conflict_set.swap_remove(widx);
-        self.fired_keys.insert(winner.key());
-        let record = FiredRecord {
-            cycle: self.cycle,
-            production: winner.production,
-            name: self.program.get(winner.production).name,
-            wme_ids: winner.wme_ids.clone(),
-        };
-        self.fire(&winner)?;
-        self.fired.push(record.clone());
-        Ok(StepOutcome::Fired(record))
+        let conflict_set = self.matcher.conflict_set();
+        let winner = select(&self.program, self.strategy, &conflict_set, |i| {
+            self.refracted(i)
+        });
+        match winner.cloned() {
+            Some(winner) => Ok(StepOutcome::Fired(self.fire(&winner)?)),
+            None => Ok(StepOutcome::Quiescent),
+        }
     }
 
-    /// Execute the RHS of `inst`, queuing WM changes.
+    /// Has `inst` fired before?
+    fn refracted(&self, inst: &Instantiation) -> bool {
+        self.fired_keys
+            .get(&inst.production())
+            .is_some_and(|keys| keys.contains(inst.wme_ids()))
+    }
+
+    /// Fire `inst`: enter it into the refraction memory, execute its RHS
+    /// (queuing WM changes) and record the firing.
     ///
     /// A second `Arc` handle to the program is taken for the duration of
     /// the firing so the RHS can be walked by reference while actions
     /// mutate the interpreter — no per-firing clone of the action list.
     /// Nothing an action can reach reads `self.program` (user functions
     /// only see the working memory).
-    fn fire(&mut self, inst: &Instantiation) -> Result<(), OpsError> {
+    fn fire(&mut self, inst: &Instantiation) -> Result<FiredRecord, OpsError> {
+        self.fired_keys
+            .entry(inst.production())
+            .or_default()
+            .insert(inst.wme_ids().into());
         let program = Arc::clone(&self.program);
-        self.fire_actions(program.get(inst.production), inst)
+        let production = program.get(inst.production());
+        let record = FiredRecord {
+            cycle: self.cycle,
+            production: inst.production(),
+            name: production.name,
+            wme_ids: inst.wme_ids().to_vec(),
+        };
+        self.fire_actions(production, inst)?;
+        self.fired.push(record.clone());
+        Ok(record)
     }
 
     fn fire_actions(
@@ -359,8 +375,9 @@ impl<M: Matcher> Interpreter<M> {
         production: &Production,
         inst: &Instantiation,
     ) -> Result<(), OpsError> {
-        // `(bind …)` actions extend the bindings for later actions.
-        let mut bindings = inst.bindings.clone();
+        // `(bind …)` actions extend the bindings for later actions; a RHS
+        // without one evaluates against the instantiation's own map.
+        let mut bindings = Cow::Borrowed(inst.bindings());
         for action in &production.rhs {
             match action {
                 Action::Make { class, attrs } => {
@@ -371,7 +388,7 @@ impl<M: Matcher> Interpreter<M> {
                     self.add_wme(wme);
                 }
                 Action::Remove(k) => {
-                    let id = inst.wme_ids[*k - 1];
+                    let id = inst.wme_ids()[*k - 1];
                     // The WME may already be gone if a previous action of
                     // this same RHS removed it; OPS5 treats that as a no-op.
                     if self.wm.get(id).is_some() {
@@ -379,7 +396,7 @@ impl<M: Matcher> Interpreter<M> {
                     }
                 }
                 Action::Modify { ce, attrs } => {
-                    let id = inst.wme_ids[*ce - 1];
+                    let id = inst.wme_ids()[*ce - 1];
                     let Some(old) = self.wm.get(id).cloned() else {
                         return Err(OpsError::StaleWme(format!(
                             "(modify {ce}) of {id}: element already removed this firing"
@@ -401,7 +418,7 @@ impl<M: Matcher> Interpreter<M> {
                 }
                 Action::Bind(var, expr) => {
                     let value = expr.eval(&bindings)?;
-                    bindings.insert(*var, value);
+                    bindings.to_mut().insert(*var, value);
                 }
                 Action::Call(name, args) => {
                     let values = args
@@ -442,21 +459,11 @@ impl<M: Matcher> Interpreter<M> {
             .try_process(self.change_log.last().expect("batch just pushed"))?;
 
         let conflict_set = self.matcher.conflict_set();
-        let mut candidates: Vec<&Instantiation> = conflict_set
-            .iter()
-            .filter(|i| !self.fired_keys.contains(&i.key()))
-            .collect();
-        // Conflict-resolution order: repeatedly extract the winner (by
-        // position, preserving candidate order for deterministic ties —
-        // no instantiation clones and no per-comparison key allocation).
-        let mut ordered: Vec<&Instantiation> = Vec::new();
-        while let Some(winner) = resolve(&self.program, self.strategy, candidates.iter().copied()) {
-            let widx = candidates
-                .iter()
-                .position(|c| std::ptr::eq(*c, winner))
-                .expect("winner borrowed from the candidate list");
-            ordered.push(candidates.remove(widx));
-        }
+        // Conflict-resolution order, serial winner first. `compare` is a
+        // total order, so one sort equals repeated winner extraction.
+        let mut ordered: Vec<&Instantiation> =
+            conflict_set.iter().filter(|i| !self.refracted(i)).collect();
+        ordered.sort_by(|a, b| compare(&self.program, self.strategy, b, a));
         // Greedy compatible set: an instantiation joins if the WMEs it
         // deletes/modifies are untouched and unmatched by those selected
         // before it, and nothing it matched is deleted by them.
@@ -464,15 +471,15 @@ impl<M: Matcher> Interpreter<M> {
         let mut matched: HashSet<WmeId> = HashSet::new();
         let mut selected: Vec<&Instantiation> = Vec::new();
         for inst in ordered {
-            let production = self.program.get(inst.production);
+            let production = self.program.get(inst.production());
             let mut my_deletes: HashSet<WmeId> = HashSet::new();
             for a in &production.rhs {
                 match a {
                     Action::Remove(k) => {
-                        my_deletes.insert(inst.wme_ids[*k - 1]);
+                        my_deletes.insert(inst.wme_ids()[*k - 1]);
                     }
                     Action::Modify { ce, .. } => {
-                        my_deletes.insert(inst.wme_ids[*ce - 1]);
+                        my_deletes.insert(inst.wme_ids()[*ce - 1]);
                     }
                     _ => {}
                 }
@@ -480,27 +487,14 @@ impl<M: Matcher> Interpreter<M> {
             let compatible = my_deletes
                 .iter()
                 .all(|id| !deleted.contains(id) && !matched.contains(id))
-                && inst.wme_ids.iter().all(|id| !deleted.contains(id));
+                && inst.wme_ids().iter().all(|id| !deleted.contains(id));
             if compatible {
                 deleted.extend(my_deletes);
-                matched.extend(inst.wme_ids.iter().copied());
+                matched.extend(inst.wme_ids().iter().copied());
                 selected.push(inst);
             }
         }
-        let mut records = Vec::with_capacity(selected.len());
-        for inst in selected {
-            self.fired_keys.insert(inst.key());
-            let record = FiredRecord {
-                cycle: self.cycle,
-                production: inst.production,
-                name: self.program.get(inst.production).name,
-                wme_ids: inst.wme_ids.clone(),
-            };
-            self.fire(inst)?;
-            self.fired.push(record.clone());
-            records.push(record);
-        }
-        Ok(records)
+        selected.into_iter().map(|inst| self.fire(inst)).collect()
     }
 
     /// Run in parallel-firing mode until quiescence, halt, or `max_cycles`.

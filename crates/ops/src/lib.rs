@@ -61,10 +61,10 @@ pub mod wme;
 
 pub use builder::ProductionBuilder;
 pub use cond::{AttrTest, ConditionElement, Predicate, TestKind};
-pub use conflict::{compare, resolve, Strategy};
+pub use conflict::{compare, resolve, select, Strategy};
 pub use error::{MatchError, OpsError, ParseError};
 pub use interpreter::{FiredRecord, Interpreter, InterpreterState, RunOutcome, RunResult};
-pub use matcher::{sort_conflict_set, Instantiation, Matcher, WmeChange};
+pub use matcher::{Instantiation, InstantiationKey, Matcher, WmeChange};
 pub use naive::NaiveMatcher;
 pub use parser::{parse_production, parse_program, parse_wme};
 pub use production::{Action, Production, ProductionId, Program, RhsOp, RhsValue};

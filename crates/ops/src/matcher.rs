@@ -20,8 +20,11 @@ use crate::production::ProductionId;
 use crate::symbol::Symbol;
 use crate::value::Value;
 use crate::wme::{Sign, Wme, WmeId};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One working-memory change: an addition or deletion of a concrete WME.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -57,35 +60,122 @@ impl WmeChange {
 
 /// A production instantiation: the WMEs that conjunctively satisfy a
 /// production, plus the variable bindings they induce.
+///
+/// An immutable shared record: `clone()` is a reference-count bump, so a
+/// conflict store can hand out its whole conflict set every cycle without
+/// copying a single id vector or binding map. Identity — `Eq`, `Hash` and
+/// `Ord` — is `(production, wme_ids)`; the `Ord` order is the canonical
+/// order [`Matcher::conflict_set`] returns.
 #[derive(Clone, Debug)]
-pub struct Instantiation {
-    /// Which production is satisfied.
-    pub production: ProductionId,
-    /// Time tags of the WMEs matching the non-negated CEs, in CE order.
-    pub wme_ids: Vec<WmeId>,
-    /// Variable bindings induced by the match.
-    pub bindings: HashMap<Symbol, Value>,
+pub struct Instantiation(Arc<Record>);
+
+#[derive(Debug)]
+struct Record {
+    production: ProductionId,
+    /// `wme_ids` followed by the same tags sorted descending (the LEX
+    /// recency vector), in one allocation; each half is `ids.len() / 2` long.
+    ids: Vec<WmeId>,
+    bindings: HashMap<Symbol, Value>,
 }
 
 impl Instantiation {
+    /// Build the record for `production` satisfied by `wme_ids` (time tags
+    /// of the WMEs matching the non-negated CEs, in CE order) under
+    /// `bindings`. The recency vector is computed here, once.
+    pub fn new(
+        production: ProductionId,
+        wme_ids: &[WmeId],
+        bindings: HashMap<Symbol, Value>,
+    ) -> Self {
+        let n = wme_ids.len();
+        let mut ids = Vec::with_capacity(2 * n);
+        ids.extend_from_slice(wme_ids);
+        ids.extend_from_slice(wme_ids);
+        ids[n..].sort_unstable_by(|a, b| b.cmp(a));
+        Instantiation(Arc::new(Record {
+            production,
+            ids,
+            bindings,
+        }))
+    }
+
+    /// Which production is satisfied.
+    pub fn production(&self) -> ProductionId {
+        self.0.production
+    }
+
+    /// Time tags of the WMEs matching the non-negated CEs, in CE order.
+    pub fn wme_ids(&self) -> &[WmeId] {
+        &self.0.ids[..self.0.ids.len() / 2]
+    }
+
+    /// The same time tags sorted descending — the LEX recency vector.
+    pub fn recency(&self) -> &[WmeId] {
+        &self.0.ids[self.0.ids.len() / 2..]
+    }
+
+    /// Variable bindings induced by the match.
+    pub fn bindings(&self) -> &HashMap<Symbol, Value> {
+        &self.0.bindings
+    }
+
     /// Identity key for refraction and set comparison: a production fired
     /// with the same WME combination is the same instantiation regardless
     /// of how the matcher derived it.
     pub fn key(&self) -> (ProductionId, Vec<WmeId>) {
-        (self.production, self.wme_ids.clone())
+        (self.production(), self.wme_ids().to_vec())
     }
+}
 
-    /// Time tags sorted descending — the LEX recency vector.
-    pub fn recency_vector(&self) -> Vec<WmeId> {
-        let mut v = self.wme_ids.clone();
-        v.sort_unstable_by(|a, b| b.cmp(a));
-        v
+/// The identity of an instantiation, borrowed: what an ordered store keyed
+/// by [`Instantiation`] is probed with when only the production and the
+/// time tags are at hand (a retraction), so that the probe builds no record.
+pub trait InstantiationKey {
+    /// [`Instantiation::key`] without the copy.
+    fn key_ref(&self) -> (ProductionId, &[WmeId]);
+}
+
+impl InstantiationKey for Instantiation {
+    fn key_ref(&self) -> (ProductionId, &[WmeId]) {
+        (self.production(), self.wme_ids())
+    }
+}
+
+impl InstantiationKey for (ProductionId, &[WmeId]) {
+    fn key_ref(&self) -> (ProductionId, &[WmeId]) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn InstantiationKey + 'a> for Instantiation {
+    fn borrow(&self) -> &(dyn InstantiationKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn InstantiationKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_ref() == other.key_ref()
+    }
+}
+
+impl Eq for dyn InstantiationKey + '_ {}
+
+impl PartialOrd for dyn InstantiationKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn InstantiationKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key_ref().cmp(&other.key_ref())
     }
 }
 
 impl PartialEq for Instantiation {
     fn eq(&self, other: &Self) -> bool {
-        self.production == other.production && self.wme_ids == other.wme_ids
+        self.key_ref() == other.key_ref()
     }
 }
 
@@ -93,15 +183,26 @@ impl Eq for Instantiation {}
 
 impl std::hash::Hash for Instantiation {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.production.hash(state);
-        self.wme_ids.hash(state);
+        self.key_ref().hash(state);
+    }
+}
+
+impl PartialOrd for Instantiation {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Instantiation {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key_ref().cmp(&other.key_ref())
     }
 }
 
 impl fmt::Display for Instantiation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[", self.production)?;
-        for (i, id) in self.wme_ids.iter().enumerate() {
+        write!(f, "{}[", self.production())?;
+        for (i, id) in self.wme_ids().iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -130,8 +231,11 @@ pub trait Matcher {
         Ok(())
     }
 
-    /// The current conflict set, sorted by `(production, wme_ids)` so that
-    /// different matchers are directly comparable.
+    /// The current conflict set, in [`Instantiation`]'s `Ord` order —
+    /// ascending `(production, wme_ids)` — so that different matchers are
+    /// directly comparable. Called once per cycle: implementations keep
+    /// their store in that order and return clones (reference-count bumps),
+    /// not a freshly sorted copy.
     fn conflict_set(&self) -> Vec<Instantiation>;
 }
 
@@ -151,46 +255,65 @@ impl Matcher for Box<dyn Matcher> {
     }
 }
 
-/// Sort instantiations into the canonical comparison order.
-pub fn sort_conflict_set(set: &mut [Instantiation]) {
-    set.sort_by(|a, b| {
-        a.production
-            .cmp(&b.production)
-            .then_with(|| a.wme_ids.cmp(&b.wme_ids))
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn inst(p: u32, ids: &[u64]) -> Instantiation {
-        Instantiation {
-            production: ProductionId(p),
-            wme_ids: ids.iter().map(|&i| WmeId(i)).collect(),
-            bindings: HashMap::new(),
-        }
+        let ids: Vec<WmeId> = ids.iter().map(|&i| WmeId(i)).collect();
+        Instantiation::new(ProductionId(p), &ids, HashMap::new())
     }
 
     #[test]
     fn equality_ignores_bindings() {
-        let mut a = inst(0, &[1, 2]);
-        let b = inst(0, &[1, 2]);
-        a.bindings.insert(crate::intern("x"), Value::Int(1));
-        assert_eq!(a, b);
+        let a = Instantiation::new(
+            ProductionId(0),
+            &[WmeId(1), WmeId(2)],
+            HashMap::from([(crate::intern("x"), Value::Int(1))]),
+        );
+        assert_eq!(a, inst(0, &[1, 2]));
     }
 
     #[test]
-    fn recency_vector_sorted_descending() {
+    fn recency_sorted_descending_and_wme_ids_kept_in_ce_order() {
         let i = inst(0, &[3, 9, 1]);
-        assert_eq!(i.recency_vector(), vec![WmeId(9), WmeId(3), WmeId(1)]);
+        assert_eq!(i.wme_ids(), [WmeId(3), WmeId(9), WmeId(1)]);
+        assert_eq!(i.recency(), [WmeId(9), WmeId(3), WmeId(1)]);
+        assert_eq!(
+            i.key(),
+            (ProductionId(0), vec![WmeId(3), WmeId(9), WmeId(1)])
+        );
     }
 
     #[test]
-    fn sorting_is_by_production_then_ids() {
+    fn clone_shares_the_record() {
+        // `conflict_set()` clones every entry every cycle: a clone must
+        // stay a reference-count bump, never a copy of ids and bindings.
+        let a = inst(0, &[1, 2]);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+    }
+
+    #[test]
+    fn order_is_by_production_then_ids() {
         let mut v = vec![inst(1, &[1]), inst(0, &[9]), inst(0, &[2])];
-        sort_conflict_set(&mut v);
+        v.sort();
         assert_eq!(v, vec![inst(0, &[2]), inst(0, &[9]), inst(1, &[1])]);
+    }
+
+    #[test]
+    fn ordered_store_is_probed_by_borrowed_key() {
+        let mut store: BTreeMap<Instantiation, i64> = BTreeMap::new();
+        for i in [inst(1, &[1]), inst(0, &[9, 4]), inst(0, &[2])] {
+            store.insert(i, 1);
+        }
+        let ids = [WmeId(9), WmeId(4)];
+        let key: &dyn InstantiationKey = &(ProductionId(0), &ids[..]);
+        let (found, _) = store.remove_entry(key).expect("present");
+        assert_eq!(found, inst(0, &[9, 4]));
+        assert!(!store.contains_key(key));
+        assert_eq!(store.len(), 2);
     }
 
     #[test]

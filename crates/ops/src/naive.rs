@@ -6,7 +6,7 @@
 //! are transparently correct, which makes it the oracle every other matcher
 //! in the workspace is property-tested against.
 
-use crate::matcher::{sort_conflict_set, Instantiation, Matcher, WmeChange};
+use crate::matcher::{Instantiation, Matcher, WmeChange};
 use crate::production::{Production, Program};
 use crate::symbol::Symbol;
 use crate::value::Value;
@@ -41,15 +41,13 @@ impl NaiveMatcher {
                 &mut partial,
                 &HashMap::new(),
                 &mut |wme_ids, bindings| {
-                    out.push(Instantiation {
-                        production: pid,
-                        wme_ids: wme_ids.to_vec(),
-                        bindings: bindings.clone(),
-                    });
+                    out.push(Instantiation::new(pid, wme_ids, bindings.clone()));
                 },
             );
         }
-        sort_conflict_set(&mut out);
+        // The enumeration is unordered; the trait's contract is canonical
+        // order, and `NaiveMatcher` pays for it once per rebuild.
+        out.sort();
         out.dedup();
         self.conflict_set = out;
     }
@@ -159,9 +157,9 @@ mod tests {
         ));
         let cs = m.conflict_set();
         assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].wme_ids, vec![WmeId(1), WmeId(2), WmeId(3)]);
-        assert_eq!(cs[0].bindings[&intern("b2")], Value::sym("b1"));
-        assert_eq!(cs[0].bindings[&intern("b1")], Value::sym("table"));
+        assert_eq!(cs[0].wme_ids(), [WmeId(1), WmeId(2), WmeId(3)]);
+        assert_eq!(cs[0].bindings()[&intern("b2")], Value::sym("b1"));
+        assert_eq!(cs[0].bindings()[&intern("b1")], Value::sym("table"));
     }
 
     #[test]
@@ -242,7 +240,7 @@ mod tests {
         let cs = m.conflict_set();
         // Only the red block survives the negation.
         assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].bindings[&intern("c")], Value::sym("red"));
+        assert_eq!(cs[0].bindings()[&intern("c")], Value::sym("red"));
     }
 
     #[test]
@@ -291,7 +289,7 @@ mod tests {
         let mut m = NaiveMatcher::new(prog);
         m.process(&changes_add(1, vec![Wme::new("node", &[("id", 1.into())])]));
         assert_eq!(m.conflict_set().len(), 1);
-        assert_eq!(m.conflict_set()[0].wme_ids, vec![WmeId(1), WmeId(1)]);
+        assert_eq!(m.conflict_set()[0].wme_ids(), [WmeId(1), WmeId(1)]);
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //! with it, so every combination is generated at exactly one seed.
 
 use crate::cond::{ConditionElement, TestKind};
-use crate::matcher::{sort_conflict_set, Instantiation, Matcher, WmeChange};
+use crate::matcher::{Instantiation, Matcher, WmeChange};
 use crate::production::{Production, ProductionId, Program};
 use crate::symbol::Symbol;
 use crate::value::Value;
 use crate::wme::{Sign, Wme, WmeId};
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Metric names emitted by the TREAT profiling hooks — the per-rule
@@ -127,7 +127,8 @@ pub struct TreatMatcher<M: MetricSink = NullMetrics> {
     productions: Vec<CompiledProduction>,
     /// `memories[p]` maps an LHS index to its alpha memory.
     memories: Vec<HashMap<usize, AlphaMemory>>,
-    conflict: HashMap<(ProductionId, Vec<WmeId>), Instantiation>,
+    /// The conflict set, kept in canonical order as it changes.
+    conflict: BTreeSet<Instantiation>,
     metrics: M,
     sample_tick: u32,
 }
@@ -157,7 +158,7 @@ impl<M: MetricSink> TreatMatcher<M> {
         TreatMatcher {
             productions,
             memories,
-            conflict: HashMap::new(),
+            conflict: BTreeSet::new(),
             metrics,
             sample_tick: 0,
         }
@@ -207,11 +208,11 @@ impl<M: MetricSink> TreatMatcher<M> {
         if pos == compiled.positive.len() {
             // All positive CEs satisfied; check the negated ones.
             if self.negations_clear(p, bindings) {
-                out.push(Instantiation {
-                    production: ProductionId(p as u32),
-                    wme_ids: chosen.clone(),
-                    bindings: bindings.clone(),
-                });
+                out.push(Instantiation::new(
+                    ProductionId(p as u32),
+                    chosen,
+                    bindings.clone(),
+                ));
             }
             return;
         }
@@ -344,11 +345,11 @@ impl<M: MetricSink> TreatMatcher<M> {
             if !neg_hits.is_empty() {
                 let negative = &self.productions[p].negative;
                 let metrics = &mut self.metrics;
-                self.conflict.retain(|(pid, _), inst| {
-                    let keep = pid.0 as usize != p
+                self.conflict.retain(|inst| {
+                    let keep = inst.production().0 as usize != p
                         || !neg_hits
                             .iter()
-                            .any(|&k| negative[k].blocked_by(wme, &inst.bindings));
+                            .any(|&k| negative[k].blocked_by(wme, inst.bindings()));
                     if M::ENABLED && !keep {
                         metrics.add(metric::RULE_RETRACTIONS, p as u64, 1);
                     }
@@ -375,9 +376,7 @@ impl<M: MetricSink> TreatMatcher<M> {
                 self.metrics
                     .add(metric::RULE_ACTIVATIONS, p as u64, found.len() as u64);
             }
-            for inst in found {
-                self.conflict.insert(inst.key(), inst);
-            }
+            self.conflict.extend(found);
             self.record_sample(p, timer);
         }
     }
@@ -386,10 +385,10 @@ impl<M: MetricSink> TreatMatcher<M> {
         // Drop every instantiation containing the WME: TREAT's cheap path.
         {
             let metrics = &mut self.metrics;
-            self.conflict.retain(|(pid, ids), _| {
-                let keep = !ids.contains(&id);
+            self.conflict.retain(|inst| {
+                let keep = !inst.wme_ids().contains(&id);
                 if M::ENABLED && !keep {
-                    metrics.add(metric::RULE_RETRACTIONS, pid.0 as u64, 1);
+                    metrics.add(metric::RULE_RETRACTIONS, inst.production().0 as u64, 1);
                 }
                 keep
             });
@@ -413,14 +412,8 @@ impl<M: MetricSink> TreatMatcher<M> {
             // re-derive this production.
             if unblocked {
                 for inst in self.all_instantiations(p) {
-                    match self.conflict.entry(inst.key()) {
-                        std::collections::hash_map::Entry::Occupied(_) => {}
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            if M::ENABLED {
-                                self.metrics.add(metric::RULE_ACTIVATIONS, p as u64, 1);
-                            }
-                            v.insert(inst);
-                        }
+                    if self.conflict.insert(inst) && M::ENABLED {
+                        self.metrics.add(metric::RULE_ACTIVATIONS, p as u64, 1);
                     }
                 }
             }
@@ -466,9 +459,7 @@ impl<M: MetricSink> Matcher for TreatMatcher<M> {
     }
 
     fn conflict_set(&self) -> Vec<Instantiation> {
-        let mut out: Vec<Instantiation> = self.conflict.values().cloned().collect();
-        sort_conflict_set(&mut out);
-        out
+        self.conflict.iter().cloned().collect()
     }
 }
 

@@ -10,9 +10,9 @@ use crate::kernel::{self, metric, Kernel, RootWork, Work};
 use crate::memory::GlobalMemories;
 use crate::network::{NodeId, ReteNetwork, Side};
 use crate::trace::{ActKind, ActivationRecord, Trace, TraceCycle};
-use mpps_ops::{sort_conflict_set, Instantiation, Matcher, ProductionId, Sign, WmeChange, WmeId};
+use mpps_ops::{Instantiation, InstantiationKey, Matcher, ProductionId, Sign, WmeChange};
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics};
-use std::collections::{hash_map::Entry, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -43,7 +43,8 @@ impl Default for EngineConfig {
 pub struct ReteMatcher<M: MetricSink = NullMetrics> {
     network: Arc<ReteNetwork>,
     kernel: Kernel<GlobalMemories, M>,
-    conflict: HashMap<(ProductionId, Vec<WmeId>), (Instantiation, i64)>,
+    /// Derivation count per instantiation, in canonical conflict-set order.
+    conflict: BTreeMap<Instantiation, i64>,
     config: EngineConfig,
     trace: Option<Trace>,
     queue: VecDeque<(Work, Option<u32>)>,
@@ -93,7 +94,7 @@ impl<M: MetricSink> ReteMatcher<M> {
         ReteMatcher {
             kernel: Kernel::with_metrics(GlobalMemories::new(config.table_size), metrics),
             network,
-            conflict: HashMap::new(),
+            conflict: BTreeMap::new(),
             config,
             trace,
             queue: VecDeque::new(),
@@ -178,40 +179,25 @@ impl<M: MetricSink> ReteMatcher<M> {
         sign: Sign,
         token: crate::token::TokenId,
     ) {
-        let key = (production, self.kernel.arena.wme_ids(token));
         match sign {
-            Sign::Plus => match self.conflict.entry(key) {
-                Entry::Occupied(mut e) => {
-                    e.get_mut().1 += 1;
-                    debug_assert!(e.get().1 <= 1, "duplicate instantiation derivation");
-                }
-                Entry::Vacant(v) => {
-                    let inst = Instantiation {
-                        production,
-                        wme_ids: v.key().1.clone(),
-                        bindings: self
-                            .network
-                            .layout(node)
-                            .vars
-                            .iter()
-                            .map(|&(s, r)| (s, self.kernel.arena.value(token, r)))
-                            .collect(),
-                    };
-                    v.insert((inst, 1));
-                }
-            },
+            Sign::Plus => {
+                let inst = self
+                    .kernel
+                    .instantiation(&self.network, node, production, token);
+                let count = self.conflict.entry(inst).or_insert(0);
+                *count += 1;
+                debug_assert!(*count <= 1, "duplicate instantiation derivation");
+            }
             Sign::Minus => {
-                let count = {
-                    let entry = self
-                        .conflict
-                        .get_mut(&key)
-                        .expect("retracting unknown instantiation");
-                    entry.1 -= 1;
-                    entry.1
-                };
-                debug_assert!(count >= 0, "instantiation count underflow");
-                if count <= 0 {
-                    self.conflict.remove(&key);
+                // Probe by borrowed key: a retraction builds no record.
+                let key: &dyn InstantiationKey = &(production, self.kernel.wme_ids(token));
+                let (inst, count) = self
+                    .conflict
+                    .remove_entry(key)
+                    .expect("retracting unknown instantiation");
+                debug_assert!(count >= 1, "instantiation count underflow");
+                if count > 1 {
+                    self.conflict.insert(inst, count - 1);
                 }
             }
         }
@@ -314,14 +300,7 @@ impl<M: MetricSink> Matcher for ReteMatcher<M> {
     }
 
     fn conflict_set(&self) -> Vec<Instantiation> {
-        let mut out: Vec<Instantiation> = self
-            .conflict
-            .values()
-            .filter(|(_, count)| *count > 0)
-            .map(|(inst, _)| inst.clone())
-            .collect();
-        sort_conflict_set(&mut out);
-        out
+        self.conflict.keys().cloned().collect()
     }
 }
 
@@ -329,7 +308,7 @@ impl<M: MetricSink> Matcher for ReteMatcher<M> {
 mod tests {
     use super::*;
     use crate::network::ReteNetwork;
-    use mpps_ops::{parse_program, NaiveMatcher, Value, Wme};
+    use mpps_ops::{parse_program, NaiveMatcher, Value, Wme, WmeId};
 
     fn add(id: u64, wme: Wme) -> WmeChange {
         WmeChange::add(WmeId(id), wme)
@@ -383,8 +362,11 @@ mod tests {
         m.process(&blue_wmes());
         let cs = m.conflict_set();
         assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].wme_ids, vec![WmeId(1), WmeId(2), WmeId(3)]);
-        assert_eq!(cs[0].bindings[&mpps_ops::intern("b1")], Value::sym("table"));
+        assert_eq!(cs[0].wme_ids(), [WmeId(1), WmeId(2), WmeId(3)]);
+        assert_eq!(
+            cs[0].bindings()[&mpps_ops::intern("b1")],
+            Value::sym("table")
+        );
     }
 
     #[test]
@@ -409,8 +391,8 @@ mod tests {
         m.process(&[add(4, Wme::new("hand", &[("state", "free".into())]))]);
         assert_eq!(m.conflict_set().len(), 1);
         assert_eq!(
-            m.conflict_set()[0].wme_ids,
-            vec![WmeId(1), WmeId(2), WmeId(4)]
+            m.conflict_set()[0].wme_ids(),
+            [WmeId(1), WmeId(2), WmeId(4)]
         );
     }
 
@@ -593,7 +575,7 @@ mod tests {
         ]);
         let cs = m.conflict_set();
         assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].wme_ids, vec![WmeId(1), WmeId(2)]);
+        assert_eq!(cs[0].wme_ids(), [WmeId(1), WmeId(2)]);
     }
 
     #[test]
@@ -632,7 +614,7 @@ mod tests {
         ]);
         let cs = m.conflict_set();
         assert_eq!(cs.len(), 2);
-        assert_ne!(cs[0].production, cs[1].production);
+        assert_ne!(cs[0].production(), cs[1].production());
     }
 
     /// Run the same batches through Rete and Naive, asserting identical
@@ -731,7 +713,7 @@ mod tests {
 #[cfg(test)]
 mod disjunction_tests {
     use super::*;
-    use mpps_ops::{parse_program, NaiveMatcher, Wme};
+    use mpps_ops::{parse_program, NaiveMatcher, Wme, WmeId};
 
     #[test]
     fn disjunction_filters_at_alpha_and_agrees_with_naive() {

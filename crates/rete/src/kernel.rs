@@ -287,6 +287,7 @@ pub struct Kernel<S, M = NullMetrics> {
     pred_vals: Vec<Value>,
     bind_vals: Vec<Value>,
     transitions: Vec<TokenId>,
+    wme_ids: Vec<WmeId>,
 }
 
 impl<S: TokenStore> Kernel<S> {
@@ -309,6 +310,7 @@ impl<S: TokenStore, M: MetricSink> Kernel<S, M> {
             pred_vals: Vec::new(),
             bind_vals: Vec::new(),
             transitions: Vec::new(),
+            wme_ids: Vec::new(),
         }
     }
 
@@ -347,25 +349,33 @@ impl<S: TokenStore, M: MetricSink> Kernel<S, M> {
         t
     }
 
+    /// The matched WME ids of `token`, root first, in the kernel's scratch
+    /// buffer: the borrowed identity a retraction probes the conflict
+    /// store with, without allocating.
+    pub fn wme_ids(&mut self, token: TokenId) -> &[WmeId] {
+        self.arena.wme_ids_into(token, &mut self.wme_ids);
+        &self.wme_ids
+    }
+
     /// Materialize the instantiation for a complete token at production
     /// node `node` (does not consume the token's reference).
     pub fn instantiation(
-        &self,
+        &mut self,
         net: &ReteNetwork,
         node: NodeId,
         production: ProductionId,
         token: TokenId,
     ) -> Instantiation {
         let lay = net.layout(node);
-        Instantiation {
+        self.arena.wme_ids_into(token, &mut self.wme_ids);
+        Instantiation::new(
             production,
-            wme_ids: self.arena.wme_ids(token),
-            bindings: lay
-                .vars
+            &self.wme_ids,
+            lay.vars
                 .iter()
                 .map(|&(v, r)| (v, self.arena.value(token, r)))
                 .collect(),
-        }
+        )
     }
 
     /// Process one activation: update the owned bucket, probe the opposite

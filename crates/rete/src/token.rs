@@ -224,12 +224,21 @@ impl TokenArena {
 
     /// Matched WME ids of `t` in positive-CE (root-first) order.
     pub fn wme_ids(&self, t: TokenId) -> Vec<WmeId> {
+        let mut out = Vec::new();
+        self.wme_ids_into(t, &mut out);
+        out
+    }
+
+    /// [`TokenArena::wme_ids`] into a caller-owned buffer (overwritten), so
+    /// that a caller on the match path allocates nothing per token.
+    pub fn wme_ids_into(&self, t: TokenId, out: &mut Vec<WmeId>) {
         let mut rec = &self.recs[t.0 as usize];
-        let mut out = vec![WmeId(0); rec.level as usize + 1];
+        out.clear();
+        out.resize(rec.level as usize + 1, WmeId(0));
         loop {
             out[rec.level as usize] = rec.wme;
             if rec.parent == TokenId::NONE {
-                return out;
+                return;
             }
             rec = &self.recs[rec.parent.0 as usize];
         }

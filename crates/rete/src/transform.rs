@@ -769,7 +769,11 @@ mod tests {
         m_cc.process(&changes);
         // Same WME combinations match (production ids differ by design).
         let keys = |m: &ReteMatcher| {
-            let mut v: Vec<Vec<WmeId>> = m.conflict_set().into_iter().map(|i| i.wme_ids).collect();
+            let mut v: Vec<Vec<WmeId>> = m
+                .conflict_set()
+                .into_iter()
+                .map(|i| i.wme_ids().to_vec())
+                .collect();
             v.sort();
             v
         };
@@ -855,7 +859,7 @@ mod tests {
             let mut v: Vec<(u32, Vec<WmeId>)> = m
                 .conflict_set()
                 .into_iter()
-                .map(|i| (i.production.0, i.wme_ids))
+                .map(|i| (i.production().0, i.wme_ids().to_vec()))
                 .collect();
             v.sort();
             v

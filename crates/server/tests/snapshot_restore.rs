@@ -10,9 +10,7 @@
 
 use mpps_difftest::{generate_case, GenConfig, ScheduleOp};
 use mpps_ops::interpreter::StepOutcome;
-use mpps_ops::{
-    sort_conflict_set, Instantiation, Interpreter, Matcher, Program, Strategy, Wme, WmeId,
-};
+use mpps_ops::{Instantiation, Interpreter, Matcher, Program, Strategy, Wme, WmeId};
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork};
 use mpps_server::program_fingerprint;
 use mpps_server::snapshot::{decode, encode};
@@ -62,8 +60,7 @@ fn observe(i: &Interpreter<ReteMatcher>) -> Observation {
         .iter()
         .map(|(id, w)| (id, w.clone()))
         .collect();
-    let mut cs = i.matcher().conflict_set();
-    sort_conflict_set(&mut cs);
+    let cs = i.matcher().conflict_set();
     (wm, cs, i.is_halted(), i.output().len())
 }
 

@@ -1,15 +1,26 @@
-//! Conflict-resolution comparators are total orders.
+//! Conflict-resolution order, in both senses of the word.
 //!
-//! `resolve` picks the winner with `max_by(compare)`, and the difftest
-//! oracle sorts whole conflict sets with the same comparator — both are
-//! only well-defined when `compare` is a total order. These property
-//! tests pin that contract for LEX and MEA: antisymmetry, transitivity,
-//! and `Equal` exactly on identical `(production, wme_ids)` keys.
+//! * `resolve` and `select` pick the winner by maximizing `compare`, and
+//!   `step_parallel` sorts whole candidate lists with it — all only
+//!   well-defined when `compare` is a total order. The first property
+//!   tests pin that contract for LEX and MEA: antisymmetry, transitivity,
+//!   and `Equal` exactly on identical `(production, wme_ids)` keys.
+//! * The interpreter's single-pass `select` (refraction consulted lazily)
+//!   must pick what the definition picks: filter by refraction, then
+//!   `resolve`; and one `sort_by(compare)` must equal repeated winner
+//!   extraction.
+//! * Every matcher's `conflict_set()` comes back already in canonical
+//!   `(production, wme_ids)` order — the stores keep it incrementally —
+//!   and equal to the reference matcher's.
 
+use mpps::core::ThreadedMatcher;
 use mpps::ops::{
-    compare, intern, Action, AttrTest, ConditionElement, Instantiation, Production, ProductionId,
-    Program, Strategy as CrStrategy, TestKind, Value, WmeId,
+    compare, intern, resolve, select, Action, AttrTest, ConditionElement, Instantiation, Matcher,
+    NaiveMatcher, Production, ProductionId, Program, Strategy as CrStrategy, TestKind,
+    TreatMatcher, Value, WmeChange, WmeId, WorkingMemory,
 };
+use mpps::rete::{ReteMatcher, ReteNetwork};
+use mpps_difftest::{generate_case, FuzzCase, GenConfig, ScheduleOp};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -39,15 +50,92 @@ fn order_program() -> Program {
 /// 1..=6, 1–3 WMEs) so recency ties, prefix cases, and identical keys all
 /// occur with high probability.
 fn arb_inst() -> impl Strategy<Value = Instantiation> {
-    (0u32..3, proptest::collection::vec(1u64..7, 1..=3)).prop_map(|(p, ids)| Instantiation {
-        production: ProductionId(p),
-        wme_ids: ids.into_iter().map(WmeId).collect(),
-        bindings: HashMap::new(),
+    (0u32..3, proptest::collection::vec(1u64..7, 1..=3)).prop_map(|(p, ids)| {
+        let ids: Vec<WmeId> = ids.into_iter().map(WmeId).collect();
+        Instantiation::new(ProductionId(p), &ids, HashMap::new())
     })
 }
 
-fn key(i: &Instantiation) -> (ProductionId, Vec<WmeId>) {
-    (i.production, i.wme_ids.clone())
+/// A conflict set in arbitrary order (no key twice — it is a set), each
+/// entry with a refraction coin.
+fn arb_conflict_set() -> impl Strategy<Value = Vec<(Instantiation, bool)>> {
+    proptest::collection::vec((arb_inst(), any::<bool>()), 0..24).prop_map(|mut v| {
+        let mut seen = std::collections::HashSet::new();
+        v.retain(|(i, _)| seen.insert(i.clone()));
+        v
+    })
+}
+
+/// Drive `matchers` (reference first) with the external WM ops of the
+/// difftest case `case`, one batch per schedule round, and check after
+/// every batch that each conflict set is strictly increasing in canonical
+/// order and equal to the reference's.
+fn assert_canonical_after_schedule(
+    seed: u64,
+    case: &FuzzCase,
+    matchers: &mut [(String, Box<dyn Matcher>)],
+) {
+    let mut wm = WorkingMemory::new();
+    for round in &case.schedule.rounds {
+        let mut batch = Vec::new();
+        for op in round {
+            match op {
+                ScheduleOp::Make(wme) => {
+                    let id = wm.add(wme.clone());
+                    batch.push(WmeChange::add(id, wme.clone()));
+                }
+                ScheduleOp::RemoveNth(n) => {
+                    // Only WMEs older than this batch: a batch mentions
+                    // each time tag at most once.
+                    let old: Vec<WmeId> = wm
+                        .iter()
+                        .map(|(id, _)| id)
+                        .filter(|id| batch.iter().all(|c: &WmeChange| c.id != *id))
+                        .collect();
+                    if !old.is_empty() {
+                        let id = old[n % old.len()];
+                        let wme = wm.remove(id).expect("listed as live");
+                        batch.push(WmeChange::remove(id, wme));
+                    }
+                }
+            }
+        }
+        let mut reference = None;
+        for (name, m) in matchers.iter_mut() {
+            m.process(&batch);
+            let cs = m.conflict_set();
+            assert!(
+                cs.windows(2).all(|w| w[0].key() < w[1].key()),
+                "seed {seed}: {name} conflict set out of canonical order"
+            );
+            let reference = reference.get_or_insert_with(|| cs.clone());
+            assert_eq!(&cs, reference, "seed {seed}: {name} differs from naive");
+        }
+    }
+}
+
+#[test]
+fn every_matcher_returns_its_conflict_set_in_canonical_order() {
+    for seed in 0..150 {
+        let case = generate_case(seed, &GenConfig::default());
+        let program = case.program().expect("generated programs validate");
+        let mut matchers: Vec<(String, Box<dyn Matcher>)> = vec![
+            ("naive".into(), Box::new(NaiveMatcher::new(program.clone()))),
+            (
+                "rete".into(),
+                Box::new(ReteMatcher::from_program(&program).unwrap()),
+            ),
+            ("treat".into(), Box::new(TreatMatcher::new(&program))),
+        ];
+        for workers in [1, 2, 4] {
+            let network = ReteNetwork::compile(&program).unwrap();
+            matchers.push((
+                format!("threaded/{workers}"),
+                Box::new(ThreadedMatcher::new(network, workers, 64)),
+            ));
+        }
+        assert_canonical_after_schedule(seed, &case, &mut matchers);
+    }
 }
 
 proptest! {
@@ -62,7 +150,7 @@ proptest! {
             let ab = compare(&prog, strategy, &a, &b);
             let ba = compare(&prog, strategy, &b, &a);
             prop_assert_eq!(ab, ba.reverse(), "{:?}", strategy);
-            prop_assert_eq!(ab == Ordering::Equal, key(&a) == key(&b), "{:?}", strategy);
+            prop_assert_eq!(ab == Ordering::Equal, a.key() == b.key(), "{:?}", strategy);
         }
     }
 
@@ -90,6 +178,50 @@ proptest! {
         let prog = order_program();
         for strategy in [CrStrategy::Lex, CrStrategy::Mea] {
             prop_assert_eq!(compare(&prog, strategy, &a, &a), Ordering::Equal);
+        }
+    }
+
+    /// The single-pass select with lazy refraction picks exactly what the
+    /// definition picks — drop the refracted, then `resolve` — whatever
+    /// the input order, including when the overall best, or everything,
+    /// is refracted.
+    #[test]
+    fn select_equals_filter_then_resolve(set in arb_conflict_set(), mode in 0u8..4) {
+        let prog = order_program();
+        for strategy in [CrStrategy::Lex, CrStrategy::Mea] {
+            let all: Vec<&Instantiation> = set.iter().map(|(i, _)| i).collect();
+            let best = resolve(&prog, strategy, all.iter().copied());
+            let coin = |i: &Instantiation| set.iter().any(|(j, coin)| j == i && *coin);
+            let refracted = |i: &Instantiation| match mode {
+                0 => true,                       // everything
+                1 => Some(i) == best,            // exactly the best
+                2 => coin(i) || Some(i) == best, // a random subset and the best
+                _ => coin(i),                    // a random subset
+            };
+            let expected = resolve(&prog, strategy, all.iter().copied().filter(|i| !refracted(i)));
+            prop_assert_eq!(select(&prog, strategy, all.iter().copied(), refracted), expected);
+            // The same set as the matchers hand it over: canonical order.
+            let mut canonical = all.clone();
+            canonical.sort();
+            prop_assert_eq!(select(&prog, strategy, canonical, refracted), expected);
+        }
+    }
+
+    /// `step_parallel` orders its candidates with one descending sort;
+    /// that equals extracting the `resolve` winner until none is left.
+    #[test]
+    fn one_sort_equals_repeated_max_extraction(set in arb_conflict_set()) {
+        let prog = order_program();
+        for strategy in [CrStrategy::Lex, CrStrategy::Mea] {
+            let mut rest: Vec<&Instantiation> = set.iter().map(|(i, _)| i).collect();
+            let mut sorted = rest.clone();
+            sorted.sort_by(|a, b| compare(&prog, strategy, b, a));
+            let mut extracted = Vec::new();
+            while let Some(winner) = resolve(&prog, strategy, rest.iter().copied()) {
+                rest.retain(|i| *i != winner);
+                extracted.push(winner);
+            }
+            prop_assert_eq!(sorted, extracted, "{:?}", strategy);
         }
     }
 }
