@@ -5,7 +5,6 @@
 //! * multiple-granularity root handling (broadcast + duplicated constant
 //!   tests) vs central routing;
 //! * the §3.1 processor-pair variant vs the §3.2 combined variant;
-//! * the sequential Rete engine vs the threaded message-passing executor;
 //! * the discrete-event machine's raw event throughput.
 //!
 //! `cargo bench -p mpps-bench --bench components`.
@@ -14,7 +13,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpps_bench::experiments::SEED;
 use mpps_core::{
     simulate, MappingConfig, MappingVariant, OverheadSetting, Partition, RootDistribution,
-    ThreadedMatcher,
 };
 use mpps_ops::{Matcher, Wme, WmeChange, WmeId};
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork};
@@ -117,77 +115,6 @@ fn bench_pairs_ablation(c: &mut Criterion) {
         g.bench_function(label, |b| {
             b.iter(|| black_box(simulate(&trace, &config, &partition)).total)
         });
-    }
-    g.finish();
-}
-
-/// Replay-capture helper: run `program` under the interpreter and return
-/// the per-cycle WM change batches it handed the matcher.
-fn section_batches(
-    program: &mpps_ops::Program,
-    initial: Vec<Wme>,
-    cycles: usize,
-) -> Vec<Vec<WmeChange>> {
-    use mpps_ops::{Interpreter, Strategy};
-    let m = ReteMatcher::from_program(program).unwrap();
-    let mut interp = Interpreter::with_matcher(program.clone(), Strategy::Lex, m);
-    for w in initial {
-        interp.add_wme(w);
-    }
-    interp.run(cycles).unwrap();
-    interp.change_log().to_vec()
-}
-
-fn bench_sequential_vs_threaded(c: &mut Criterion) {
-    use mpps_workloads::{rubik, weaver};
-    // The three characteristic sections pull in different directions:
-    // Tourney's cross product concentrates on few buckets (little
-    // parallelism to win), Rubik is modify-heavy with wide fan-out, and
-    // Weaver sits in between.
-    let sections: Vec<(&str, mpps_ops::Program, Vec<Vec<WmeChange>>)> = vec![
-        (
-            "rubik",
-            rubik::program(),
-            section_batches(
-                &rubik::program(),
-                rubik::initial(&rubik::alternating_moves(2)),
-                10,
-            ),
-        ),
-        ("tourney", tourney::program(), vec![cross_changes(20)]),
-        (
-            "weaver",
-            weaver::program(),
-            section_batches(&weaver::program(), weaver::initial(4, 4), 12),
-        ),
-    ];
-    let mut g = c.benchmark_group("match_executors");
-    g.sample_size(20);
-    for (label, program, batches) in &sections {
-        g.bench_function(format!("{label}_sequential"), |b| {
-            b.iter(|| {
-                let mut m = ReteMatcher::from_program(program).unwrap();
-                for batch in batches {
-                    m.process(black_box(batch));
-                }
-                black_box(m.conflict_set().len())
-            })
-        });
-        for workers in [1usize, 2, 4] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("{label}_threaded"), workers),
-                &workers,
-                |b, &workers| {
-                    b.iter(|| {
-                        let mut m = ThreadedMatcher::from_program(program, workers).unwrap();
-                        for batch in batches {
-                            m.process(black_box(batch));
-                        }
-                        black_box(m.conflict_set().len())
-                    })
-                },
-            );
-        }
     }
     g.finish();
 }
@@ -383,7 +310,6 @@ criterion_group!(
     bench_rete_vs_treat,
     bench_granularity_ablation,
     bench_pairs_ablation,
-    bench_sequential_vs_threaded,
     bench_machine_throughput,
     bench_simulate_hot_loop,
     bench_telemetry_overhead,

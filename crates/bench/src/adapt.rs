@@ -1,13 +1,13 @@
 //! The closed skew loop, measured live on the Tourney cross-product.
 //!
-//! One scenario shared by the `matchkernel` manifest, the `repro adapt`
-//! figure, and the root `adapt_smoke` integration test: the pairing
-//! rule's east×west join has no equality-tested variable, so every token
-//! hashes to a single bucket and a static partition necessarily
-//! serializes the whole join on one worker (§5.2.2). The closed loop —
-//! profiled sequential pre-run → [`mpps_rete::suggest_plan`]
-//! copy-and-constraint → online bucket migration at cycle barriers —
-//! must spread that work without changing a single observable.
+//! One scenario shared by the `repro adapt` figure and the root
+//! `adapt_smoke` integration test: the pairing rule's east×west join has
+//! no equality-tested variable, so every token hashes to a single bucket
+//! and a static partition necessarily serializes the whole join on one
+//! worker (§5.2.2). The closed loop — profiled sequential pre-run →
+//! [`mpps_rete::compile_suggested`] copy-and-constraint → online bucket
+//! migration at cycle barriers — must spread that work without changing
+//! a single observable.
 //!
 //! The workload seeds every off-diagonal pairing as an already-played
 //! `game`, so pair tokens for them die at the negation after one cheap
@@ -21,9 +21,7 @@ use mpps_core::{
     bucket_activity, bucket_skew_factor, load_skew, AdaptOptions, Partition, ThreadedMatcher,
 };
 use mpps_ops::{Instantiation, Interpreter, Matcher, Strategy, Wme};
-use mpps_rete::{
-    kernel, suggest_plan, CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SuggestOptions,
-};
+use mpps_rete::{compile_suggested, kernel, EngineConfig, ReteMatcher, ReteNetwork};
 use mpps_telemetry::MetricsRegistry;
 use mpps_workloads::tourney;
 
@@ -179,8 +177,9 @@ fn drive<M: Matcher>(sc: &AdaptScenario, matcher: M) -> (Observed, Interpreter<M
     )
 }
 
-/// `mpps run --partition greedy`: traced sequential pre-run, then LPT
-/// over measured per-bucket activity.
+/// The static baseline `mpps run --partition greedy` builds: sequential
+/// pre-run, then LPT over measured per-bucket activity (read from the
+/// trace here, from the equal `bucket.activations` counter in the CLI).
 fn static_greedy_partition(sc: &AdaptScenario) -> Partition {
     let matcher = ReteMatcher::new(
         ReteNetwork::compile(&tourney::program()).unwrap(),
@@ -213,18 +212,8 @@ fn adaptive_network(sc: &AdaptScenario) -> (ReteNetwork, String) {
     let acts = reg
         .counter(kernel::metric::NODE_ACTIVATIONS)
         .unwrap_or(&empty);
-    let net = ReteNetwork::compile(&program).unwrap();
-    let plan = suggest_plan(
-        &net,
-        &program,
-        acts,
-        &initial_wm(sc),
-        &SuggestOptions::default(),
-    );
-    let summary = plan.summary(&program);
-    let transformed =
-        ReteNetwork::compile_planned(&program, CompileOptions::default(), &plan).unwrap();
-    (transformed, summary)
+    let (transformed, plan) = compile_suggested(&program, acts, &initial_wm(sc)).unwrap();
+    (transformed, plan.summary(&program))
 }
 
 /// Per-worker probe load: hash-table entries examined on each worker's

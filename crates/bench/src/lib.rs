@@ -4,8 +4,8 @@
 //! evaluation; the `repro` binary prints them and the criterion benches in
 //! `benches/` time them (plus the design-choice ablations called out in
 //! DESIGN.md). [`adapt`] is the live closed-skew-loop scenario shared by
-//! the `matchkernel` manifest, the `repro adapt` figure, and the adapt
-//! smoke test.
+//! the `repro adapt` figure and the adapt smoke test. Performance is
+//! measured elsewhere: `benchmark/run.sh` (README "Performance").
 
 pub mod adapt;
 pub mod experiments;

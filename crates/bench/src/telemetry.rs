@@ -369,216 +369,6 @@ pub fn check_profile(path: &Path) -> Result<String, String> {
     ))
 }
 
-/// One measured tier of the `server_throughput` bench.
-#[derive(Clone, Copy, Debug)]
-pub struct ServerTierRecord {
-    /// Concurrent sessions admitted.
-    pub sessions: u64,
-    /// Requests answered (creations + ingestion batches).
-    pub replies: u64,
-    /// Requests that came back `Failed`.
-    pub failures: u64,
-    /// Submissions rejected with `Overloaded` (each was retried).
-    pub overloads: u64,
-    /// Total WME changes the matchers processed.
-    pub wme_changes: u64,
-    /// Sustained WME changes per second over the run.
-    pub changes_per_sec: f64,
-    /// Sustained MRA cycles per second over the run.
-    pub cycles_per_sec: f64,
-    /// Wall-clock of the whole tier, seconds.
-    pub elapsed_s: f64,
-    /// p50 of per-cycle latency on the workers, nanoseconds.
-    pub p50_cycle_ns: u64,
-    /// p95 of per-cycle latency on the workers, nanoseconds.
-    pub p95_cycle_ns: u64,
-    /// p95 of per-batch latency on the workers, nanoseconds.
-    pub p95_batch_ns: u64,
-    /// Per-worker resident-session budget the tier ran under (`None` =
-    /// everything stayed in memory; rendered as JSON `null`).
-    pub resident_budget: Option<u64>,
-    /// Sessions snapshotted to disk by the eviction sweep.
-    pub evictions: u64,
-    /// Evicted sessions transparently faulted back in.
-    pub faultins: u64,
-    /// Sessions live-migrated between workers.
-    pub migrations: u64,
-}
-
-/// Identity and load-shape header of a server manifest.
-#[derive(Clone, Debug)]
-pub struct ServerManifestInfo {
-    /// Git commit the numbers were measured at.
-    pub commit: String,
-    /// Worker threads serving the sessions.
-    pub workers: u64,
-    /// Bounded per-worker submission-queue capacity.
-    pub queue_capacity: u64,
-    /// Ingestion rounds per session.
-    pub rounds: u64,
-    /// Request WMEs per round per session.
-    pub wmes_per_round: u64,
-}
-
-/// Render `BENCH_server.json` — the manifest [`check_server_manifest`]
-/// validates. Kept next to the checker so the writer and the schema
-/// cannot drift apart.
-pub fn render_server_manifest(info: &ServerManifestInfo, tiers: &[ServerTierRecord]) -> String {
-    let cpus = mpps_telemetry::available_cpus();
-    let rows = tiers
-        .iter()
-        .map(|t| {
-            format!(
-                "    {{\"sessions\": {}, \"replies\": {}, \"failures\": {}, \"overloads\": {}, \
-                 \"wme_changes\": {}, \"changes_per_sec\": {:.1}, \"cycles_per_sec\": {:.1}, \
-                 \"elapsed_s\": {:.3}, \"p50_cycle_ns\": {}, \"p95_cycle_ns\": {}, \
-                 \"p95_batch_ns\": {}, \"resident_budget\": {}, \"evictions\": {}, \
-                 \"faultins\": {}, \"migrations\": {}}}",
-                t.sessions,
-                t.replies,
-                t.failures,
-                t.overloads,
-                t.wme_changes,
-                t.changes_per_sec,
-                t.cycles_per_sec,
-                t.elapsed_s,
-                t.p50_cycle_ns,
-                t.p95_cycle_ns,
-                t.p95_batch_ns,
-                t.resident_budget
-                    .map_or("null".to_owned(), |b| b.to_string()),
-                t.evictions,
-                t.faultins,
-                t.migrations
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n  \"bench\": \"server\",\n  \"commit\": \"{}\",\n  \"machine\": {{\"os\": \"{}\", \
-         \"arch\": \"{}\", \"cpus\": {}}},\n  \"config\": {{\"workers\": {}, \
-         \"queue_capacity\": {}, \"rounds\": {}, \"wmes_per_round\": {}}},\n  \"tiers\": [\n{}\n  ]\n}}\n",
-        info.commit,
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        cpus,
-        info.workers,
-        info.queue_capacity,
-        info.rounds,
-        info.wmes_per_round,
-        rows
-    )
-}
-
-/// Validate a `BENCH_server.json` manifest written by the
-/// `server_throughput` bench binary: identity fields, machine info, the
-/// load shape, and per-tier throughput records with internally
-/// consistent latency percentiles. Returns a one-line description of
-/// what was validated.
-pub fn check_server_manifest(path: &Path) -> Result<String, String> {
-    let name = path.display();
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{name}: cannot read: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{name}: {e}"))?;
-    let ctx = format!("{name}");
-
-    let bench = require_str(&doc, "bench", &ctx)?;
-    if bench != "server" {
-        return Err(format!("{ctx}: unexpected bench {bench:?}"));
-    }
-    require_str(&doc, "commit", &ctx)?;
-    let machine = doc
-        .get("machine")
-        .ok_or_else(|| format!("{ctx}: missing \"machine\""))?;
-    require_str(machine, "os", &ctx)?;
-    require_str(machine, "arch", &ctx)?;
-    if require_u64(machine, "cpus", &ctx)? == 0 {
-        return Err(format!("{ctx}: machine.cpus must be at least 1"));
-    }
-    let config = doc
-        .get("config")
-        .ok_or_else(|| format!("{ctx}: missing \"config\""))?;
-    check_u64_fields(
-        config,
-        &["workers", "queue_capacity", "rounds", "wmes_per_round"],
-        &format!("{ctx}: config"),
-    )?;
-    if require_u64(config, "workers", &ctx)? == 0 {
-        return Err(format!("{ctx}: config.workers must be at least 1"));
-    }
-
-    let tiers = doc
-        .get("tiers")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"tiers\" array"))?;
-    if tiers.is_empty() {
-        return Err(format!("{ctx}: no tiers measured"));
-    }
-    let mut prev_sessions = 0u64;
-    let mut peak_changes_per_sec = 0f64;
-    for (i, tier) in tiers.iter().enumerate() {
-        let tctx = format!("{ctx}: tiers[{i}]");
-        check_u64_fields(
-            tier,
-            &[
-                "sessions",
-                "replies",
-                "failures",
-                "overloads",
-                "wme_changes",
-                "p50_cycle_ns",
-                "p95_cycle_ns",
-                "evictions",
-                "faultins",
-                "migrations",
-            ],
-            &tctx,
-        )?;
-        // `resident_budget` is null (everything resident) or a positive
-        // per-worker session count.
-        match tier.get("resident_budget") {
-            Some(Value::Null) => {}
-            Some(v) => match v.as_u64() {
-                Some(0) => return Err(format!("{tctx}: resident_budget must be at least 1")),
-                Some(_) => {}
-                None => return Err(format!("{tctx}: resident_budget must be null or integer")),
-            },
-            None => return Err(format!("{tctx}: missing \"resident_budget\"")),
-        }
-        let evictions = require_u64(tier, "evictions", &tctx)?;
-        let faultins = require_u64(tier, "faultins", &tctx)?;
-        if faultins > 0 && evictions == 0 {
-            return Err(format!(
-                "{tctx}: {faultins} fault-ins but no evictions — nothing was on disk"
-            ));
-        }
-        let sessions = require_u64(tier, "sessions", &tctx)?;
-        if sessions <= prev_sessions {
-            return Err(format!("{tctx}: tiers must grow (sessions {sessions})"));
-        }
-        prev_sessions = sessions;
-        if require_u64(tier, "failures", &tctx)? != 0 {
-            return Err(format!("{tctx}: run had failures"));
-        }
-        let changes_per_sec = require_f64(tier, "changes_per_sec", &tctx)?;
-        if changes_per_sec <= 0.0 {
-            return Err(format!("{tctx}: no sustained throughput"));
-        }
-        peak_changes_per_sec = peak_changes_per_sec.max(changes_per_sec);
-        require_f64(tier, "cycles_per_sec", &tctx)?;
-        require_f64(tier, "elapsed_s", &tctx)?;
-        let p50 = require_u64(tier, "p50_cycle_ns", &tctx)?;
-        let p95 = require_u64(tier, "p95_cycle_ns", &tctx)?;
-        if p95 < p50 {
-            return Err(format!("{tctx}: p95 {p95} below p50 {p50}"));
-        }
-    }
-    Ok(format!(
-        "server manifest ok: {} tiers up to {prev_sessions} sessions, \
-         peak {peak_changes_per_sec:.0} WME changes/s",
-        tiers.len()
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,95 +486,6 @@ mod tests {
         let path = dir.join("match_profile.json");
         std::fs::write(&path, &text).unwrap();
         check_profile(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn sample_server_manifest() -> String {
-        let info = ServerManifestInfo {
-            commit: "deadbeef".into(),
-            workers: 4,
-            queue_capacity: 64,
-            rounds: 2,
-            wmes_per_round: 2,
-        };
-        let tiers = [
-            ServerTierRecord {
-                sessions: 1000,
-                replies: 3000,
-                failures: 0,
-                overloads: 12,
-                wme_changes: 50_000,
-                changes_per_sec: 1.5e6,
-                cycles_per_sec: 4.0e5,
-                elapsed_s: 0.033,
-                p50_cycle_ns: 900,
-                p95_cycle_ns: 2100,
-                p95_batch_ns: 14_000,
-                resident_budget: None,
-                evictions: 0,
-                faultins: 0,
-                migrations: 0,
-            },
-            ServerTierRecord {
-                sessions: 10_000,
-                replies: 30_000,
-                failures: 0,
-                overloads: 310,
-                wme_changes: 500_000,
-                changes_per_sec: 1.4e6,
-                cycles_per_sec: 3.8e5,
-                elapsed_s: 0.36,
-                p50_cycle_ns: 950,
-                p95_cycle_ns: 2500,
-                p95_batch_ns: 16_000,
-                resident_budget: Some(2048),
-                evictions: 7936,
-                faultins: 5120,
-                migrations: 64,
-            },
-        ];
-        render_server_manifest(&info, &tiers)
-    }
-
-    /// The writer's output passes the checker — the two cannot drift.
-    #[test]
-    fn server_manifest_round_trips_the_check() {
-        let dir = tmp_dir("server-ok");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_server.json");
-        std::fs::write(&path, sample_server_manifest()).unwrap();
-        let report = check_server_manifest(&path).unwrap();
-        assert!(report.contains("2 tiers up to 10000 sessions"), "{report}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupted_server_manifest_fails_the_check() {
-        let dir = tmp_dir("server-bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_server.json");
-        for (mangle, expect) in [
-            (
-                ("\"bench\": \"server\"", "\"bench\": \"matchkernel\""),
-                "bench",
-            ),
-            (("\"failures\": 0,", "\"failures\": 7,"), "failures"),
-            (
-                ("\"p95_cycle_ns\": 2100", "\"p95_cycle_ns\": 10"),
-                "below p50",
-            ),
-            (("\"sessions\": 10000", "\"sessions\": 1000"), "must grow"),
-            (
-                ("\"resident_budget\": 2048", "\"resident_budget\": 0"),
-                "resident_budget",
-            ),
-            (("\"evictions\": 7936", "\"evictions\": 0"), "no evictions"),
-        ] {
-            let text = sample_server_manifest().replacen(mangle.0, mangle.1, 1);
-            std::fs::write(&path, text).unwrap();
-            let err = check_server_manifest(&path).unwrap_err();
-            assert!(err.contains(expect), "{mangle:?}: {err}");
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,7 +6,8 @@
 //! buckets that saw any work), arena occupancy, and — for the threaded
 //! executor — the per-cycle barrier-wait vs match-work phase split plus
 //! per-worker lanes. The schema is validated by
-//! `mpps_bench::telemetry::check_profile` in CI, using only the
+//! `mpps_bench::telemetry::check_profile` (run over every built-in
+//! section and profiled matcher by `tests/cli.rs`), using only the
 //! workspace's own JSON parser.
 //!
 //! Everything is derived from metric series by name (see

@@ -99,20 +99,9 @@ struct CycleSplit {
 /// seed values or [`FlatToken`]s and are adopted into the receiving
 /// worker's private arena.
 enum WireWork {
-    Right {
-        node: NodeId,
-        sign: Sign,
-        wme_id: WmeId,
-        wme: Arc<Wme>,
-        key_hash: u64,
-    },
-    Seed {
-        node: NodeId,
-        sign: Sign,
-        wme_id: WmeId,
-        vals: Vec<Value>,
-        key_hash: u64,
-    },
+    /// A root activation routed by the coordinator ([`RootWork::Right`]
+    /// or [`RootWork::Seed`]; `Prod` roots complete at the coordinator).
+    Root(RootWork),
     Left {
         node: NodeId,
         sign: Sign,
@@ -158,8 +147,10 @@ enum ToWorker {
     /// lands after the worker's own `Migrate` and before any later `Work`.
     Adopt(Vec<MigratedEntry>),
     Shutdown,
-    /// Test-only: make the receiving worker panic mid-run, simulating a
-    /// crash inside the match kernel.
+    /// Test-only: make the receiving worker panic on its *next* message,
+    /// simulating a crash inside the match kernel. Arming the trap rather
+    /// than springing it lets a test choose which request the worker dies
+    /// on, with that request's send guaranteed to have succeeded.
     #[cfg(test)]
     Poison,
 }
@@ -337,7 +328,10 @@ impl<M: MetricSink> Worker<M> {
                     }
                 }
                 #[cfg(test)]
-                ToWorker::Poison => panic!("worker {} poisoned by test hook", self.me),
+                ToWorker::Poison => {
+                    let _ = self.inbox.recv();
+                    panic!("worker {} poisoned by test hook", self.me)
+                }
                 ToWorker::Migrate {
                     partition,
                     slot_of,
@@ -400,31 +394,34 @@ impl<M: MetricSink> Worker<M> {
     /// Adopt one wire item into this worker's arena.
     fn adopt(&mut self, w: WireWork) -> Work {
         match w {
-            WireWork::Right {
+            WireWork::Root(RootWork::Right {
                 node,
                 sign,
                 wme_id,
                 wme,
                 key_hash,
-            } => Work::Right {
+            }) => Work::Right {
                 node,
                 sign,
                 wme_id,
                 wme,
                 key_hash,
             },
-            WireWork::Seed {
+            WireWork::Root(RootWork::Seed {
                 node,
                 sign,
                 wme_id,
                 vals,
                 key_hash,
-            } => Work::Left {
+            }) => Work::Left {
                 node,
                 sign,
                 token: self.kernel.seed(wme_id, &vals),
                 key_hash,
             },
+            WireWork::Root(RootWork::Prod { .. }) => {
+                unreachable!("prod work stays at the coordinator")
+            }
             WireWork::Left {
                 node,
                 sign,
@@ -925,36 +922,17 @@ impl ThreadedMatcher {
             }
         }
         let mut replies = 0;
-        while replies < self.workers.len() {
-            match self.from_workers.recv_timeout(LIVENESS_POLL) {
-                Ok(ToCoordinator::Metrics { registry }) => {
-                    merged.merge(&registry);
-                    replies += 1;
-                }
-                // No cycle is in flight, so a Prod here can only be a
-                // leftover the previous cycle already accounted for —
-                // fold it in rather than lose a conflict-set update.
-                Ok(ToCoordinator::Prod { sign, inst }) => {
-                    self.apply_production(sign, inst);
-                    self.outstanding.fetch_sub(1, Ordering::SeqCst);
-                }
-                Ok(ToCoordinator::Quiescent) => {}
-                Ok(ToCoordinator::Migrated { .. }) => {
-                    unreachable!("migration replies are consumed by migrate_to")
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(worker) = self.dead_worker() {
-                        return Err(MatchError::WorkerPanicked { worker });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(match self.dead_worker() {
-                        Some(worker) => MatchError::WorkerPanicked { worker },
-                        None => MatchError::Disconnected,
-                    });
-                }
+        self.wait_for_workers(|this, reply| match reply {
+            ToCoordinator::Metrics { registry } => {
+                merged.merge(&registry);
+                replies += 1;
+                replies == this.workers.len()
             }
-        }
+            ToCoordinator::Migrated { .. } => {
+                unreachable!("migration replies are consumed by migrate_to")
+            }
+            _ => false,
+        })?;
         Ok(merged)
     }
 
@@ -1018,41 +996,22 @@ impl ThreadedMatcher {
             (0..self.workers.len()).map(|_| Vec::new()).collect();
         let (mut moved_left, mut moved_right) = (0u64, 0u64);
         let mut replies = 0;
-        while replies < self.workers.len() {
-            match self.from_workers.recv_timeout(LIVENESS_POLL) {
-                Ok(ToCoordinator::Migrated { exports }) => {
-                    for (to, batch) in exports {
-                        for e in &batch {
-                            match e {
-                                MigratedEntry::Left { .. } => moved_left += 1,
-                                MigratedEntry::Right { .. } => moved_right += 1,
-                            }
+        self.wait_for_workers(|this, reply| match reply {
+            ToCoordinator::Migrated { exports } => {
+                for (to, batch) in exports {
+                    for e in &batch {
+                        match e {
+                            MigratedEntry::Left { .. } => moved_left += 1,
+                            MigratedEntry::Right { .. } => moved_right += 1,
                         }
-                        adopt[to].extend(batch);
                     }
-                    replies += 1;
+                    adopt[to].extend(batch);
                 }
-                // Same leftover handling as `profile_snapshot`: no cycle is
-                // in flight, so fold stray conflict-set updates in.
-                Ok(ToCoordinator::Prod { sign, inst }) => {
-                    self.apply_production(sign, inst);
-                    self.outstanding.fetch_sub(1, Ordering::SeqCst);
-                }
-                Ok(ToCoordinator::Quiescent) => {}
-                Ok(ToCoordinator::Metrics { .. }) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(worker) = self.dead_worker() {
-                        return Err(MatchError::WorkerPanicked { worker });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(match self.dead_worker() {
-                        Some(worker) => MatchError::WorkerPanicked { worker },
-                        None => MatchError::Disconnected,
-                    });
-                }
+                replies += 1;
+                replies == this.workers.len()
             }
-        }
+            _ => false,
+        })?;
         for (to, batch) in adopt.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
@@ -1278,7 +1237,7 @@ impl ThreadedMatcher {
         for change in changes {
             kernel::alpha_roots(&self.network, change, &mut roots);
             for root in roots.drain(..) {
-                match root {
+                let key_hash = match &root {
                     RootWork::Prod {
                         node,
                         production,
@@ -1288,44 +1247,15 @@ impl ThreadedMatcher {
                     } => {
                         // Single-CE productions complete at the control
                         // processor without touching the hash table.
-                        let inst = self.root_instantiation(node, production, wme_id, &vals);
-                        self.apply_production(sign, inst);
+                        let inst = self.root_instantiation(*node, *production, *wme_id, vals);
+                        self.apply_production(*sign, inst);
+                        continue;
                     }
-                    RootWork::Right {
-                        node,
-                        sign,
-                        wme_id,
-                        wme,
-                        key_hash,
-                    } => {
-                        let owner = self.partition.owner(key_hash % self.table_size);
-                        batches[owner].push(WireWork::Right {
-                            node,
-                            sign,
-                            wme_id,
-                            wme,
-                            key_hash,
-                        });
-                        total += 1;
-                    }
-                    RootWork::Seed {
-                        node,
-                        sign,
-                        wme_id,
-                        vals,
-                        key_hash,
-                    } => {
-                        let owner = self.partition.owner(key_hash % self.table_size);
-                        batches[owner].push(WireWork::Seed {
-                            node,
-                            sign,
-                            wme_id,
-                            vals,
-                            key_hash,
-                        });
-                        total += 1;
-                    }
-                }
+                    RootWork::Right { key_hash, .. } | RootWork::Seed { key_hash, .. } => *key_hash,
+                };
+                let owner = self.partition.owner(key_hash % self.table_size);
+                batches[owner].push(WireWork::Root(root));
+                total += 1;
             }
         }
         if total == 0 {
@@ -1338,42 +1268,58 @@ impl ThreadedMatcher {
                 return Err(MatchError::WorkerPanicked { worker: owner });
             }
         }
+        self.wait_for_workers(|this, reply| match reply {
+            // A stale notification from a previous cycle is harmless: the
+            // counter is non-zero while work remains.
+            ToCoordinator::Quiescent => this.outstanding.load(Ordering::SeqCst) == 0,
+            ToCoordinator::Migrated { .. } => {
+                unreachable!("migration replies are consumed by migrate_to")
+            }
+            // Metrics replies are only solicited between cycles
+            // (`profile_snapshot` drains them); a stray one here carries
+            // no work accounting and is safely dropped.
+            _ => false,
+        })
+    }
+
+    /// The one place the coordinator blocks on its workers: hands every
+    /// reply to `on_reply` until it returns `true`. Waits with a timeout
+    /// and polls the [`JoinHandle`]s, so a worker that died (and can never
+    /// reply or drain its share of the outstanding count) surfaces as a
+    /// typed error in bounded time instead of a hang.
+    ///
+    /// Instantiation reports are folded into the conflict set here,
+    /// whichever wait they arrive in, and never reach `on_reply`; the one
+    /// that takes the outstanding count to zero is delivered as
+    /// [`ToCoordinator::Quiescent`] — the coordinator made the final
+    /// decrement, so no worker will announce it.
+    fn wait_for_workers(
+        &mut self,
+        mut on_reply: impl FnMut(&Self, ToCoordinator) -> bool,
+    ) -> Result<(), MatchError> {
         loop {
-            match self.from_workers.recv_timeout(LIVENESS_POLL) {
+            let reply = match self.from_workers.recv_timeout(LIVENESS_POLL) {
                 Ok(ToCoordinator::Prod { sign, inst }) => {
                     self.apply_production(sign, inst);
-                    if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        return Ok(());
+                    if self.outstanding.fetch_sub(1, Ordering::SeqCst) != 1 {
+                        continue;
                     }
+                    ToCoordinator::Quiescent
                 }
-                Ok(ToCoordinator::Quiescent) => {
-                    // A stale notification from a previous cycle is
-                    // harmless: the counter is non-zero while work remains.
-                    if self.outstanding.load(Ordering::SeqCst) == 0 {
-                        return Ok(());
-                    }
-                }
-                Ok(ToCoordinator::Metrics { .. }) => {
-                    // Metrics replies are only solicited between cycles
-                    // (`profile_snapshot` drains them); a stray one here
-                    // carries no work accounting and is safely dropped.
-                }
-                Ok(ToCoordinator::Migrated { .. }) => {
-                    unreachable!("migration replies are consumed by migrate_to")
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // A panicked worker can never drain its share of the
-                    // outstanding count; surface it instead of hanging.
-                    if let Some(worker) = self.dead_worker() {
-                        return Err(MatchError::WorkerPanicked { worker });
-                    }
-                }
+                Ok(reply) => reply,
+                Err(RecvTimeoutError::Timeout) => match self.dead_worker() {
+                    Some(worker) => return Err(MatchError::WorkerPanicked { worker }),
+                    None => continue,
+                },
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(match self.dead_worker() {
                         Some(worker) => MatchError::WorkerPanicked { worker },
                         None => MatchError::Disconnected,
                     });
                 }
+            };
+            if on_reply(self, reply) {
+                return Ok(());
             }
         }
     }
@@ -1403,8 +1349,8 @@ impl ThreadedMatcher {
         }
     }
 
-    /// Test hook: make worker `worker` panic at its next message,
-    /// simulating a crash inside the match kernel.
+    /// Test hook: arm worker `worker` to panic on the message after this
+    /// one, simulating a crash inside the match kernel.
     #[cfg(test)]
     fn poison_worker(&self, worker: usize) {
         let _ = self.workers[worker].send(ToWorker::Poison);
@@ -1760,9 +1706,6 @@ mod tests {
         for w in 0..4 {
             par.poison_worker(w);
         }
-        // Give the panics a moment to land so the cycle reliably needs a
-        // dead worker (the error path is exercised either way).
-        std::thread::sleep(Duration::from_millis(10));
         let err = par
             .try_process(&blue_wmes())
             .expect_err("cycle over dead workers must fail");
@@ -1774,6 +1717,48 @@ mod tests {
         drop(par); // must not hang on join
     }
 
+    /// The between-cycle wait sites obey the same failure model as a
+    /// cycle. Worker 1 of a profiled matcher holding stored state dies
+    /// either on receiving `request` (its send succeeded, so only the wait
+    /// loop's liveness poll can notice) or before it (`dead_first`: the
+    /// send itself fails). Both must give the typed error in bounded time,
+    /// leave the matcher poisoned, and still drop cleanly.
+    fn assert_worker_death_surfaces(request: impl Fn(&mut ThreadedMatcher) -> Option<MatchError>) {
+        for dead_first in [false, true] {
+            let prog = parse_program(BLUE).unwrap();
+            let mut par = ThreadedMatcher::from_program_profiled(&prog, 2).unwrap();
+            par.process(&blue_wmes());
+            par.poison_worker(1);
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            if dead_first {
+                par.workers[1].send(ToWorker::Report).unwrap();
+                while !par.handles[1].is_finished() {
+                    assert!(std::time::Instant::now() < deadline, "worker never died");
+                    std::thread::yield_now();
+                }
+            }
+            let err = request(&mut par).expect("request over a dead worker must fail");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "dead worker took too long to surface (dead_first: {dead_first})"
+            );
+            assert_eq!(err, MatchError::WorkerPanicked { worker: 1 });
+            assert_eq!(request(&mut par), Some(err.clone()), "still poisoned");
+            assert_eq!(par.try_process(&blue_wmes()), Err(err));
+            drop(par); // must not hang on join
+        }
+    }
+
+    #[test]
+    fn worker_death_surfaces_error_not_hang_in_profile_snapshot() {
+        assert_worker_death_surfaces(|par| par.profile_snapshot().err());
+    }
+
+    #[test]
+    fn worker_death_surfaces_error_not_hang_in_migrate_to() {
+        assert_worker_death_surfaces(|par| par.migrate_to(Partition::random(2048, 2, 7)).err());
+    }
+
     /// The infallible `Matcher::process` entry point panics with context
     /// (never hangs) when a worker has died.
     #[test]
@@ -1782,7 +1767,6 @@ mod tests {
         let mut par = ThreadedMatcher::from_program(&prog, 2).unwrap();
         par.poison_worker(0);
         par.poison_worker(1);
-        std::thread::sleep(Duration::from_millis(10));
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             par.process(&blue_wmes());
         }))

@@ -43,6 +43,6 @@ pub use network::{
 pub use token::{BetaToken, Bindings, FlatToken, TokenArena, TokenId};
 pub use trace::{ActKind, ActivationId, ActivationRecord, Trace, TraceCycle, TraceStats};
 pub use transform::{
-    copy_and_constrain, rewrite, split_fanout, suggest_plan, unshare, SplitFanoutOptions,
-    SplitSpec, SuggestOptions, TransformPlan,
+    compile_suggested, copy_and_constrain, rewrite, split_fanout, suggest_plan, unshare,
+    SplitFanoutOptions, SplitSpec, SuggestOptions, TransformPlan,
 };

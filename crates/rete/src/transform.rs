@@ -479,6 +479,29 @@ pub fn suggest_plan(
     plan
 }
 
+/// The static half of the closed skew loop in one call: compile
+/// `program`, derive the default-options [`suggest_plan`] from the
+/// measured `node_activations` and the `wmes` sample, and recompile
+/// through it. Both inputs may be empty (nothing measured yet): every
+/// cross-product join then qualifies as hot. Returns the transformed
+/// network with the plan that shaped it.
+pub fn compile_suggested(
+    program: &Program,
+    node_activations: &BTreeMap<u64, u64>,
+    wmes: &[Wme],
+) -> Result<(ReteNetwork, TransformPlan), OpsError> {
+    let net = ReteNetwork::compile(program)?;
+    let plan = suggest_plan(
+        &net,
+        program,
+        node_activations,
+        wmes,
+        &SuggestOptions::default(),
+    );
+    let transformed = rewrite(&net, program, &plan)?;
+    Ok((transformed, plan))
+}
+
 /// Every production reachable from `node` through successor edges.
 fn downstream_productions(net: &ReteNetwork, node: NodeId) -> Vec<ProductionId> {
     let mut stack = vec![node];

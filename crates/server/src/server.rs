@@ -59,7 +59,7 @@ use crate::ServerError;
 use crossbeam::channel::{self, Receiver, Sender};
 use mpps_core::Partition;
 use mpps_ops::{Program, RunOutcome, Strategy, Wme, WmeId};
-use mpps_rete::{suggest_plan, EngineConfig, ReteNetwork, SuggestOptions};
+use mpps_rete::{EngineConfig, ReteNetwork};
 use mpps_telemetry::{MetricSink, MetricsRegistry};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -425,20 +425,13 @@ impl Server {
                 "queue capacity must be at least 1".into(),
             ));
         }
-        let engine = |e: mpps_ops::OpsError| ServerError::Engine(e.to_string());
         let network = if config.adapt {
-            let net = ReteNetwork::compile(&program).map_err(engine)?;
-            let plan = suggest_plan(
-                &net,
-                &program,
-                &std::collections::BTreeMap::new(),
-                &[],
-                &SuggestOptions::default(),
-            );
-            Arc::new(ReteNetwork::compile_planned(&program, net.options(), &plan).map_err(engine)?)
+            mpps_rete::compile_suggested(&program, &std::collections::BTreeMap::new(), &[])
+                .map(|(net, _plan)| net)
         } else {
-            Arc::new(ReteNetwork::compile(&program).map_err(engine)?)
+            ReteNetwork::compile(&program)
         };
+        let network = Arc::new(network.map_err(|e| ServerError::Engine(e.to_string()))?);
         let fingerprint = program_fingerprint(&program);
         let program = Arc::new(program);
         let workers = config.workers;

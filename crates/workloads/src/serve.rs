@@ -11,7 +11,7 @@
 //!
 //! Every ingested request costs exactly three firings (route, finish,
 //! retire), which makes sustained WME-changes/sec and cycles/sec directly
-//! comparable across session counts in `BENCH_server.json`.
+//! comparable across session counts.
 
 use mpps_ops::{parse_program, Program, Wme};
 

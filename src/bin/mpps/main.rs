@@ -59,13 +59,13 @@
 //! the recorded metrics. Neither changes the summary output.
 //!
 //! With `--matcher threaded`, `--partition` picks the bucket-ownership
-//! strategy for the real thread pool (greedy does an offline traced
+//! strategy for the real thread pool (greedy does an offline profiled
 //! sequential pre-run to measure bucket activity, as in §5.2.2), and
 //! `--stats` prints per-worker activity counters to stderr.
 //!
 //! `mpps run --matcher threaded --adapt` closes the skew loop: a profiled
 //! sequential pre-run measures per-node activations and the per-bucket
-//! activation skew, `suggest_plan` derives copy-and-constraint splits
+//! activation skew, `compile_suggested` derives copy-and-constraint splits
 //! (plus unsharing) for the hot cross-product nodes that bucket migration
 //! cannot spread, the transformed network runs under the threaded matcher
 //! with the online repartitioner enabled, and the before/after bucket
@@ -89,20 +89,17 @@ mod format;
 
 use format::{stats_block, OutputFormat, SimulateSummary};
 use mpps::core::sweep::{baseline, speedup_curve_jobs, PartitionStrategy};
-use mpps::core::{
-    bucket_activity, name_machine_tracks, simulate_recorded, AdaptOptions, MappingConfig,
-    OverheadSetting, Partition, SimScratch, ThreadedMatcher,
-};
 use mpps::core::{bucket_skew_factor, name_threaded_tracks, render_match_profile};
+use mpps::core::{
+    name_machine_tracks, simulate_recorded, AdaptOptions, MappingConfig, OverheadSetting,
+    Partition, SimScratch, ThreadedMatcher,
+};
 use mpps::difftest::{fuzz_one, write_repro, FuzzCase, GenConfig, MatcherKind, ScheduleOp};
 use mpps::ops::{
     interpreter::StepOutcome, parse_program, parse_wme, Interpreter, Matcher, NaiveMatcher,
     Program, Strategy, TreatMatcher, Wme, WmeId,
 };
-use mpps::rete::{
-    kernel, suggest_plan, CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SuggestOptions,
-    Trace,
-};
+use mpps::rete::{compile_suggested, kernel, EngineConfig, ReteMatcher, ReteNetwork, Trace};
 use mpps::server::{run_script, run_synthetic, ServerConfig, Sharding, SyntheticSpec};
 use mpps::telemetry::{chrome::chrome_trace, MetricsRegistry, TraceRecorder};
 use mpps::workloads::{rubik, serve, tourney, weaver};
@@ -290,47 +287,17 @@ fn run_with<M: Matcher>(
     interp
 }
 
-/// Offline greedy bucket partition (§5.2.2): a traced sequential pre-run
-/// measures per-bucket activity, then buckets are placed longest-first on
-/// the least-loaded worker.
-fn greedy_partition(
-    program: &mpps::ops::Program,
+/// The sequential pre-run behind `--partition greedy` and `--adapt`: one
+/// profiled run of the whole program, whose kernel counters give both the
+/// per-bucket activity greedy placement packs (§5.2.2) and the per-node
+/// activations the transform plan is suggested from.
+fn profiled_pre_run(
+    program: &Program,
     wmes: &[Wme],
     strategy: Strategy,
     cycles: usize,
     table_size: u64,
-    workers: usize,
-) -> Partition {
-    let network = ReteNetwork::compile(program).unwrap_or_else(|e| fail(e));
-    let matcher = ReteMatcher::new(
-        network,
-        EngineConfig {
-            table_size,
-            record_trace: true,
-        },
-    );
-    let mut interp = Interpreter::with_matcher(program.clone(), strategy, matcher);
-    for w in wmes {
-        interp.add_wme(w.clone());
-    }
-    interp.run(cycles).unwrap_or_else(|e| fail(e));
-    let trace = interp
-        .matcher_mut()
-        .take_trace()
-        .expect("tracing was enabled");
-    Partition::greedy(&bucket_activity(&trace), workers)
-}
-
-/// `--adapt`: profiled sequential pre-run → suggested transform plan →
-/// transformed network, plus the pre-run's bucket skew factor and a
-/// human-readable plan summary for the stderr report.
-fn adaptive_network(
-    program: &mpps::ops::Program,
-    wmes: &[Wme],
-    strategy: Strategy,
-    cycles: usize,
-    table_size: u64,
-) -> (ReteNetwork, f64, String) {
+) -> MetricsRegistry {
     let network = ReteNetwork::compile(program).unwrap_or_else(|e| fail(e));
     let matcher = ReteMatcher::with_metrics(
         network,
@@ -345,20 +312,7 @@ fn adaptive_network(
         interp.add_wme(w.clone());
     }
     interp.run(cycles).unwrap_or_else(|e| fail(e));
-    let reg = interp.matcher_mut().profile();
-    let skew_before = bucket_skew_factor(&reg).unwrap_or(0.0);
-    let empty = std::collections::BTreeMap::new();
-    let activations = reg
-        .counter(kernel::metric::NODE_ACTIVATIONS)
-        .unwrap_or(&empty);
-    // `suggest_plan` wants the network the activations were measured on;
-    // recompiling is cheap next to the pre-run itself.
-    let net = ReteNetwork::compile(program).unwrap_or_else(|e| fail(e));
-    let plan = suggest_plan(&net, program, activations, wmes, &SuggestOptions::default());
-    let summary = plan.summary(program);
-    let transformed = ReteNetwork::compile_planned(program, CompileOptions::default(), &plan)
-        .unwrap_or_else(|e| fail(e));
-    (transformed, skew_before, summary)
+    interp.matcher_mut().profile()
 }
 
 /// The builtin characteristic sections usable as `mpps run` programs:
@@ -477,11 +431,24 @@ fn cmd_run(args: &Args) {
                 usage_error("--table-size must be at least 1");
             }
             let seed = args.get_parse("seed", 1989u64);
-            let partition = match args.get("partition").unwrap_or("rr") {
+            let partition_name = args.get("partition").unwrap_or("rr");
+            let pre_run = (adapt || partition_name == "greedy")
+                .then(|| profiled_pre_run(&program, &wmes, strategy, cycles, table_size));
+            let series = |name| pre_run.as_ref().and_then(|reg| reg.counter(name));
+            let partition = match partition_name {
                 "rr" => Partition::round_robin(table_size, workers),
                 "random" => Partition::random(table_size, workers, seed),
                 "greedy" => {
-                    greedy_partition(&program, &wmes, strategy, cycles, table_size, workers)
+                    // The kernel's per-bucket counter equals the traced
+                    // `bucket_activity` (tests/profiled_equivalence.rs).
+                    let mut activity = vec![0u64; table_size as usize];
+                    for (&bucket, &n) in series(kernel::metric::BUCKET_ACTIVATIONS)
+                        .into_iter()
+                        .flatten()
+                    {
+                        activity[bucket as usize] = n;
+                    }
+                    Partition::greedy(&activity, workers)
                 }
                 other => usage_error(format!("unknown partition {other:?} (rr|random|greedy)")),
             };
@@ -489,13 +456,15 @@ fn cmd_run(args: &Args) {
             // compile, and the matcher is always profiled: the skew report
             // needs the per-bucket activation counters. Profiling never
             // changes stdout, so quiet runs stay byte-identical.
-            let (network, skew_before, plan_summary) = if adapt {
-                let (net, skew, summary) =
-                    adaptive_network(&program, &wmes, strategy, cycles, table_size);
-                (net, skew, summary)
+            let (network, plan_summary) = if adapt {
+                let empty = std::collections::BTreeMap::new();
+                let activations = series(kernel::metric::NODE_ACTIVATIONS).unwrap_or(&empty);
+                let (net, plan) =
+                    compile_suggested(&program, activations, &wmes).unwrap_or_else(|e| fail(e));
+                (net, plan.summary(&program))
             } else {
                 let net = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
-                (net, 0.0, String::new())
+                (net, String::new())
             };
             let mut m = if profile_dir.is_some() || adapt {
                 ThreadedMatcher::with_partition_profiled(network, partition)
@@ -520,6 +489,7 @@ fn cmd_run(args: &Args) {
             if adapt {
                 let matcher = interp.matcher_mut();
                 let reg = matcher.profile_snapshot().unwrap_or_else(|e| fail(e));
+                let skew_before = pre_run.as_ref().and_then(bucket_skew_factor).unwrap_or(0.0);
                 let skew_after = bucket_skew_factor(&reg).unwrap_or(0.0);
                 let events = matcher.rebalance_events();
                 let moved: u64 = events.iter().map(|e| e.moved_buckets).sum();

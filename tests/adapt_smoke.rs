@@ -8,7 +8,7 @@
 //! copy-and-constraint → online migration at cycle barriers) must spread
 //! that work. This is the acceptance configuration: 8 workers, with the
 //! scenario itself defined once in `mpps_bench::adapt` and shared with
-//! the `matchkernel` manifest and the `repro adapt` figure.
+//! the `repro adapt` figure.
 
 use mpps_bench::adapt::{measure, AdaptScenario};
 

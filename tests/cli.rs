@@ -396,51 +396,48 @@ fn threaded_stats_prints_worker_lines() {
     assert!(stderr.contains("worker 1:"), "{stderr}");
 }
 
+/// Every characteristic section under every profiled matcher: profiling
+/// leaves stdout untouched and writes a `match_profile.json` that passes
+/// the full v1 schema check (totals, hot-list ordering, skew invariants,
+/// arena, phases, worker lanes).
 #[test]
 fn run_profile_keeps_stdout_identical_and_writes_schema_valid_profile() {
     let dir = std::env::temp_dir().join(format!("mpps-cli-profile-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for matcher in ["rete", "treat", "threaded"] {
-        let base = [
-            "run",
-            "tourney",
-            "--matcher",
-            matcher,
-            "--workers",
-            "2",
-            "--quiet",
-        ];
-        let plain = mpps().args(base).output().expect("binary runs");
-        let prof_dir = dir.join(matcher);
-        let profiled = mpps()
-            .args(base)
-            .args(["--profile", prof_dir.to_str().unwrap()])
-            .output()
-            .expect("binary runs");
-        assert!(
-            plain.status.success() && profiled.status.success(),
-            "{matcher}: {}",
-            String::from_utf8_lossy(&profiled.stderr)
-        );
-        // Profiling must not change what the run prints.
-        assert_eq!(plain.stdout, profiled.stdout, "{matcher}: stdout diverged");
+    for section in ["rubik", "tourney", "weaver"] {
+        for matcher in ["rete", "treat", "threaded"] {
+            let base = ["run", section, "--matcher", matcher, "--workers", "3"];
+            let plain = mpps().args(base).arg("--quiet").output().unwrap();
+            let prof_dir = dir.join(section).join(matcher);
+            let profiled = mpps()
+                .args(base)
+                .args(["--quiet", "--profile", prof_dir.to_str().unwrap()])
+                .output()
+                .expect("binary runs");
+            assert!(
+                plain.status.success() && profiled.status.success(),
+                "{section}/{matcher}: {}",
+                String::from_utf8_lossy(&profiled.stderr)
+            );
+            // Profiling must not change what the run prints.
+            assert_eq!(
+                plain.stdout, profiled.stdout,
+                "{section}/{matcher}: stdout diverged"
+            );
 
-        let text = std::fs::read_to_string(prof_dir.join("match_profile.json")).unwrap();
-        let doc = mpps::telemetry::json::parse(&text).expect("profile parses as JSON");
-        assert_eq!(
-            doc.get("schema").and_then(|v| v.as_str()),
-            Some("mpps.match_profile.v1"),
-            "{matcher}"
-        );
-        let acts = doc
-            .get("totals")
-            .and_then(|t| t.get("activations"))
-            .and_then(|v| v.as_u64())
-            .unwrap();
-        assert!(acts > 0, "{matcher}: no activations in profile");
+            let report = mpps_bench::telemetry::check_profile(&prof_dir.join("match_profile.json"))
+                .unwrap_or_else(|e| panic!("{section}/{matcher}: {e}"));
+            assert!(
+                report.contains(&format!("matcher {matcher:?}")) && !report.contains(", 0 act"),
+                "{section}/{matcher}: {report}"
+            );
+            if matcher == "threaded" {
+                assert!(report.contains("3 worker lanes"), "{section}: {report}");
+            }
+        }
     }
     // The threaded run also exports the merged Chrome-trace lanes.
-    let trace = std::fs::read_to_string(dir.join("threaded").join("trace.json")).unwrap();
+    let trace_path = dir.join("tourney").join("threaded").join("trace.json");
+    let trace = std::fs::read_to_string(trace_path).unwrap();
     let doc = mpps::telemetry::json::parse(&trace).expect("trace parses as JSON");
     let events = doc.get("traceEvents").and_then(|v| v.as_array()).unwrap();
     let has = |name: &str| {

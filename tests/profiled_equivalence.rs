@@ -4,7 +4,7 @@
 //! conflict sets after every batch of the three characteristic workloads
 //! — on both the sequential engine and the threaded executor.
 
-use mpps::core::ThreadedMatcher;
+use mpps::core::{bucket_activity, ThreadedMatcher};
 use mpps::ops::{Interpreter, Matcher, Program, Strategy, Wme, WmeChange};
 use mpps::rete::{kernel, EngineConfig, ReteMatcher, ReteNetwork};
 use mpps::telemetry::MetricsRegistry;
@@ -12,7 +12,7 @@ use mpps::workloads::{rubik, tourney, weaver};
 
 /// Replay-capture: run `program` under the interpreter for `cycles`
 /// recognize-act cycles and return the per-cycle WM change batches it
-/// handed the matcher (same helper the matchkernel bench uses).
+/// handed the matcher.
 fn batches(program: &Program, initial: Vec<Wme>, cycles: usize) -> Vec<Vec<WmeChange>> {
     let m = ReteMatcher::from_program(program).unwrap();
     let mut interp = Interpreter::with_matcher(program.clone(), Strategy::Lex, m);
@@ -126,5 +126,36 @@ fn profiled_threaded_matches_profiled_sequential() {
             thr.conflict_set(),
             "{name}: profiled sequential vs profiled threaded diverged"
         );
+    }
+}
+
+/// The kernel's `bucket.activations` counter and the activation trace's
+/// per-bucket two-input counts are the same measurement taken two ways.
+/// `mpps run --partition greedy` packs buckets from the counter of its
+/// profiled pre-run; the paper's offline greedy (§5.2.2) and the simulator
+/// experiments pack from the trace — this pins that they cannot disagree.
+#[test]
+fn bucket_activation_counter_equals_traced_bucket_activity() {
+    for (name, program, batches) in workloads() {
+        let config = EngineConfig {
+            record_trace: true,
+            ..EngineConfig::default()
+        };
+        let mut m = ReteMatcher::with_metrics(
+            ReteNetwork::compile(&program).unwrap(),
+            config,
+            MetricsRegistry::new(),
+        );
+        for batch in &batches {
+            m.process(batch);
+        }
+        let traced = bucket_activity(&m.take_trace().unwrap());
+        let mut counted = vec![0u64; config.table_size as usize];
+        let reg = m.profile();
+        for (&bucket, &n) in reg.counter(kernel::metric::BUCKET_ACTIVATIONS).unwrap() {
+            counted[bucket as usize] = n;
+        }
+        assert!(traced.iter().sum::<u64>() > 0, "{name}: vacuous");
+        assert_eq!(counted, traced, "{name}: counter and trace disagree");
     }
 }
