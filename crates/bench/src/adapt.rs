@@ -18,7 +18,7 @@
 //! exactly the work a hot bucket concentrates on its owner.
 
 use mpps_core::{
-    bucket_activity, bucket_skew_factor, load_skew, AdaptOptions, Partition, ThreadedMatcher,
+    bucket_skew_factor, greedy_partition, load_skew, AdaptOptions, Partition, ThreadedMatcher,
 };
 use mpps_ops::{Instantiation, Interpreter, Matcher, Strategy, Wme};
 use mpps_rete::{compile_suggested, kernel, EngineConfig, ReteMatcher, ReteNetwork};
@@ -177,29 +177,13 @@ fn drive<M: Matcher>(sc: &AdaptScenario, matcher: M) -> (Observed, Interpreter<M
     )
 }
 
-/// The static baseline `mpps run --partition greedy` builds: sequential
-/// pre-run, then LPT over measured per-bucket activity (read from the
-/// trace here, from the equal `bucket.activations` counter in the CLI).
-fn static_greedy_partition(sc: &AdaptScenario) -> Partition {
-    let matcher = ReteMatcher::new(
-        ReteNetwork::compile(&tourney::program()).unwrap(),
-        EngineConfig {
-            table_size: sc.table_size,
-            record_trace: true,
-        },
-    );
-    let (_, mut interp) = drive(sc, matcher);
-    let trace = interp.matcher_mut().take_trace().unwrap();
-    Partition::greedy(&bucket_activity(&trace), sc.workers)
-}
-
-/// `mpps run --adapt`'s pre-run: profiled sequential run → suggested
-/// plan (copy-and-constraint the hot cross-product) → transformed
-/// network, plus the plan's summary.
-fn adaptive_network(sc: &AdaptScenario) -> (ReteNetwork, String) {
-    let program = tourney::program();
+/// The sequential pre-run behind both `mpps run --partition greedy` and
+/// `--adapt`: one profiled run of the scenario, whose kernel counters give
+/// the per-bucket activity greedy placement packs and the per-node
+/// activations the transform plan is suggested from.
+fn pre_run(sc: &AdaptScenario) -> MetricsRegistry {
     let matcher = ReteMatcher::with_metrics(
-        ReteNetwork::compile(&program).unwrap(),
+        ReteNetwork::compile(&tourney::program()).unwrap(),
         EngineConfig {
             table_size: sc.table_size,
             record_trace: false,
@@ -207,13 +191,7 @@ fn adaptive_network(sc: &AdaptScenario) -> (ReteNetwork, String) {
         MetricsRegistry::new(),
     );
     let (_, mut interp) = drive(sc, matcher);
-    let reg = interp.matcher_mut().profile();
-    let empty = std::collections::BTreeMap::new();
-    let acts = reg
-        .counter(kernel::metric::NODE_ACTIVATIONS)
-        .unwrap_or(&empty);
-    let (transformed, plan) = compile_suggested(&program, acts, &initial_wm(sc)).unwrap();
-    (transformed, plan.summary(&program))
+    interp.matcher_mut().profile()
 }
 
 /// Per-worker probe load: hash-table entries examined on each worker's
@@ -231,18 +209,28 @@ fn probe_loads(matcher: &ThreadedMatcher) -> Vec<u64> {
 /// greedy on the untransformed network, and the closed loop (transformed
 /// network + online migration from a plain round-robin start).
 pub fn measure(sc: &AdaptScenario) -> AdaptReport {
-    let (reference, _) = drive(sc, ReteMatcher::from_program(&tourney::program()).unwrap());
+    let program = tourney::program();
+    let (reference, _) = drive(sc, ReteMatcher::from_program(&program).unwrap());
 
+    // Static baseline: LPT over the pre-run's measured bucket activity on
+    // the untransformed network.
+    let pre = pre_run(sc);
     let static_matcher = ThreadedMatcher::with_partition_profiled(
-        ReteNetwork::compile(&tourney::program()).unwrap(),
-        static_greedy_partition(sc),
+        ReteNetwork::compile(&program).unwrap(),
+        greedy_partition(&pre, sc.table_size, sc.workers),
     );
     let (static_run, mut static_interp) = drive(sc, static_matcher);
     let static_loads = probe_loads(static_interp.matcher());
     let static_bucket_skew =
         bucket_skew_factor(&static_interp.matcher_mut().profile_snapshot().unwrap());
 
-    let (network, plan_summary) = adaptive_network(sc);
+    // Closed loop: the same pre-run's node activations suggest the plan
+    // (copy-and-constraint the hot cross-product).
+    let empty = std::collections::BTreeMap::new();
+    let acts = pre
+        .counter(kernel::metric::NODE_ACTIVATIONS)
+        .unwrap_or(&empty);
+    let (network, plan) = compile_suggested(&program, acts, &initial_wm(sc)).unwrap();
     let mut adaptive_matcher = ThreadedMatcher::with_partition_profiled(
         network,
         Partition::round_robin(sc.table_size, sc.workers),
@@ -264,7 +252,7 @@ pub fn measure(sc: &AdaptScenario) -> AdaptReport {
         adaptive_bucket_skew,
         rebalances,
         moved_buckets,
-        plan_summary,
+        plan_summary: plan.summary(&program),
         firings: reference.fired.len(),
         equivalent: static_run.same_as(&reference) && adaptive_run.same_as(&reference),
     }

@@ -1,36 +1,19 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [FIGURE] [--figures a,b,c] [--jobs N] [--bench-out PATH]
+//! repro [FIGURE|all] [--figures a,b,c] [--jobs N]
 //!       [--telemetry-out DIR] [--check-telemetry DIR]
-//!
-//! repro all            # everything below, in paper order (the default)
-//! repro fig5-1         # speedups, zero overhead
-//! repro table5-1       # overhead settings
-//! repro fig5-2         # speedups under each overhead row (+ loss summary)
-//! repro table5-2       # activation mixes
-//! repro fig5-3         # the unsharing transform, illustrated on a network
-//! repro fig5-4         # Weaver with/without unsharing
-//! repro fig5-5         # per-processor left-token counts, two Rubik cycles
-//! repro fig5-6         # Tourney with/without copy-and-constraint
-//! repro network-idle   # §5.1 interconnect idle fractions
-//! repro greedy         # §5.2.2 offline-greedy improvement
-//! repro probmodel      # §5.2.2 probabilistic model conclusions
-//! repro continuum      # §6 mapping continuum endpoints
-//! repro shared-bus     # §5.2 comparison vs the shared-bus mapping
-//! repro termination-cost # pricing ring-token termination detection
-//! repro era            # §1 motivation: first- vs new-generation MPCs
-//! repro adapt          # closed skew loop: copy-and-constraint + online migration
 //! ```
+//!
+//! `repro --help` lists the figures ([`FIGURES`] is their one
+//! declaration); no argument, or `all`, prints every one in paper order.
 //!
 //! All selected figures contribute their simulation points to **one**
 //! [`SweepPlan`]; shared points (same trace, mapping, and partition) are
 //! simulated once, and the plan executes on `--jobs` worker threads
 //! (default: available parallelism). Results are keyed by point id, so
-//! stdout is byte-identical for every `--jobs` value. A run manifest —
-//! git commit, jobs, seed, sweep configuration, dedup hits, and
-//! per-figure wall-clock histograms — is written to `BENCH_repro.json`
-//! (stderr notes the path); pass `--bench-out ''` to skip the file.
+//! stdout is byte-identical for every `--jobs` value; stderr notes the
+//! plan's size and wall-clock.
 //!
 //! `--telemetry-out DIR` runs the sweep with wall-time telemetry and
 //! writes `trace.json` (Chrome `trace_event`, one lane per worker —
@@ -41,29 +24,41 @@
 use std::time::Instant;
 
 use mpps_analysis::{render_series, render_table};
-use mpps_bench::experiments as exp;
+use mpps_bench::experiments::{self as exp, Sections};
 use mpps_bench::telemetry as tel;
 use mpps_core::sweep::{SpeedupPoint, SweepPlan, SweepResults};
-use mpps_telemetry::{Histogram, TraceRecorder};
+use mpps_telemetry::TraceRecorder;
 
-/// Canonical figure order (paper order) — also the output order.
-const FIGURES: &[&str] = &[
-    "fig5-1",
-    "table5-1",
-    "fig5-2",
-    "table5-2",
-    "fig5-3",
-    "fig5-4",
-    "fig5-5",
-    "fig5-6",
-    "network-idle",
-    "greedy",
-    "probmodel",
-    "continuum",
-    "shared-bus",
-    "termination-cost",
-    "era",
-    "adapt",
+/// A figure's second half: print it from the executed plan.
+type Print<'t> = Box<dyn FnOnce(&SweepResults) + 't>;
+
+/// A figure's first half: register its points on the shared plan (the
+/// figures that simulate nothing register none) and return the printer.
+type Figure = for<'t> fn(&'t Sections, &mut SweepPlan<'t>) -> Print<'t>;
+
+/// Every figure — name, one-line description, plan-and-print function —
+/// in canonical (paper) order, which is also the output order.
+const FIGURES: &[(&str, &str, Figure)] = &[
+    ("fig5-1", "speedups, zero overhead", fig5_1),
+    ("table5-1", "overhead settings", table5_1),
+    ("fig5-2", "speedups per overhead row, loss summary", fig5_2),
+    ("table5-2", "activation mixes", table5_2),
+    ("fig5-3", "unsharing, illustrated on a toy network", fig5_3),
+    ("fig5-4", "Weaver with/without unsharing", fig5_4),
+    ("fig5-5", "left tokens per processor, Rubik", fig5_5),
+    ("fig5-6", "Tourney with/without copy-and-constraint", fig5_6),
+    ("network-idle", "§5.1 interconnect idle time", network_idle),
+    ("greedy", "§5.2.2 offline-greedy improvement", greedy),
+    ("probmodel", "§5.2.2 probabilistic model", probmodel),
+    ("continuum", "§6 mapping continuum endpoints", continuum),
+    ("shared-bus", "§5.2 MPC vs shared-bus mapping", shared_bus),
+    (
+        "termination-cost",
+        "cost of ring-token detection",
+        termination_cost,
+    ),
+    ("era", "§1 motivation: first- vs new-generation MPCs", era),
+    ("adapt", "closed skew loop: split + online migration", adapt),
 ];
 
 fn curve_points(curve: &[SpeedupPoint]) -> Vec<(f64, f64)> {
@@ -73,398 +68,366 @@ fn curve_points(curve: &[SpeedupPoint]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Planned ids for one figure (the figures that simulate nothing at plan
-/// time hold `None`).
-enum FigPlan {
-    None,
-    F51(exp::Fig51Plan),
-    F52(exp::Fig52Plan, exp::LossesPlan),
-    F54(exp::Fig54Plan),
-    F55(exp::Fig55Plan),
-    F56(exp::Fig56Plan),
-    Idle(exp::NetworkIdlePlan),
-    Greedy(exp::GreedyPlan, exp::RandomPlan),
-    Continuum(exp::ContinuumPlan),
-    SharedBus(exp::SharedBusPlan),
-    Termination(exp::TerminationPlan),
-    Era(exp::EraPlan),
-}
-
-fn plan_figure<'t>(name: &str, s: &'t exp::Sections, plan: &mut SweepPlan<'t>) -> FigPlan {
-    match name {
-        "fig5-1" => FigPlan::F51(exp::plan_fig5_1(s, plan)),
-        "fig5-2" => FigPlan::F52(exp::plan_fig5_2(s, plan), exp::plan_fig5_2_losses(s, plan)),
-        "fig5-4" => FigPlan::F54(exp::plan_fig5_4(s, plan)),
-        "fig5-5" => FigPlan::F55(exp::plan_fig5_5(s, plan)),
-        "fig5-6" => FigPlan::F56(exp::plan_fig5_6(s, plan)),
-        "network-idle" => FigPlan::Idle(exp::plan_network_idle(s, plan)),
-        "greedy" => FigPlan::Greedy(
-            exp::plan_greedy_gains(s, plan),
-            exp::plan_random_vs_round_robin(s, plan),
-        ),
-        "continuum" => FigPlan::Continuum(exp::plan_continuum(s, plan)),
-        "shared-bus" => FigPlan::SharedBus(exp::plan_shared_bus(s, plan)),
-        "termination-cost" => FigPlan::Termination(exp::plan_termination_cost(s, plan)),
-        "era" => FigPlan::Era(exp::plan_era_comparison(s, plan)),
-        _ => FigPlan::None,
-    }
-}
-
-fn render_figure(name: &str, ids: &FigPlan, s: &exp::Sections, r: &SweepResults) {
-    match (name, ids) {
-        ("fig5-1", FigPlan::F51(p)) => fig5_1(&exp::render_fig5_1(p, r)),
-        ("table5-1", _) => table5_1(),
-        ("fig5-2", FigPlan::F52(p, losses)) => fig5_2(
-            &exp::render_fig5_2(p, r),
-            &exp::render_fig5_2_losses(losses, s, r),
-        ),
-        ("table5-2", _) => table5_2(s),
-        ("fig5-3", _) => fig5_3(),
-        ("fig5-4", FigPlan::F54(p)) => {
-            let (shared, unshared) = exp::render_fig5_4(p, r);
-            fig5_4(&shared, &unshared);
-        }
-        ("fig5-5", FigPlan::F55(p)) => fig5_5(&exp::render_fig5_5(p, r)),
-        ("fig5-6", FigPlan::F56(p)) => {
-            let (plain, cc) = exp::render_fig5_6(p, r);
-            fig5_6(&plain, &cc);
-        }
-        ("network-idle", FigPlan::Idle(p)) => network_idle(&exp::render_network_idle(p, r)),
-        ("greedy", FigPlan::Greedy(g, rnd)) => greedy(
-            &exp::render_greedy_gains(g, s, r),
-            &exp::render_random_vs_round_robin(rnd, r),
-        ),
-        ("probmodel", _) => probmodel(),
-        ("continuum", FigPlan::Continuum(p)) => continuum(&exp::render_continuum(p, s, r)),
-        ("shared-bus", FigPlan::SharedBus(p)) => shared_bus(&exp::render_shared_bus(p, s, r)),
-        ("termination-cost", FigPlan::Termination(p)) => {
-            termination_cost(&exp::render_termination_cost(p, r))
-        }
-        ("era", FigPlan::Era(p)) => era(&exp::render_era_comparison(p, r)),
-        ("adapt", _) => adapt_figure(),
-        _ => unreachable!("figure {name} planned inconsistently"),
-    }
-}
-
-fn fig5_1(curves: &[(&'static str, Vec<SpeedupPoint>)]) {
-    let series: Vec<(&str, Vec<(f64, f64)>)> = curves
-        .iter()
-        .map(|(name, c)| (*name, curve_points(c)))
-        .collect();
-    println!(
-        "{}",
-        render_series(
-            "Figure 5-1: speedups with zero message-passing overheads",
-            "P",
-            &series,
-            40,
-        )
-    );
-    // The paper's "interesting dips": report any decrease with more
-    // processors.
-    for (name, curve) in curves {
-        let pts: Vec<(usize, f64)> = curve.iter().map(|p| (p.processors, p.speedup)).collect();
-        for d in mpps_analysis::find_dips(&pts, 0.01) {
-            println!(
-                "dip ({name}): {} -> {} processors, speedup {:.2} -> {:.2}                  (uneven active-bucket distribution)",
-                d.from_procs, d.to_procs, d.before, d.after
-            );
-        }
-    }
-    println!();
-}
-
-fn table5_1() {
-    println!(
-        "{}",
-        render_table(
-            "Table 5-1: message-processing overhead settings",
-            &["Run", "Send", "Receive", "Total"],
-            &exp::table5_1(),
-        )
-    );
-}
-
-fn fig5_2(curves: &[(&'static str, exp::OverheadCurves)], losses: &[(&'static str, f64, f64)]) {
-    for (name, sweeps) in curves {
-        let series: Vec<(String, Vec<(f64, f64)>)> = sweeps
+fn fig5_1<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let data = exp::fig5_1(s, plan);
+    Box::new(move |r| {
+        let curves = data(r);
+        let series: Vec<(&str, Vec<(f64, f64)>)> = curves
             .iter()
-            .map(|(o, c)| (format!("{}:{}", name, o.name), curve_points(c)))
-            .collect();
-        let series_ref: Vec<(&str, Vec<(f64, f64)>)> = series
-            .iter()
-            .map(|(n, pts)| (n.as_str(), pts.clone()))
+            .map(|(name, c)| (*name, curve_points(c)))
             .collect();
         println!(
             "{}",
             render_series(
-                &format!("Figure 5-2 ({name}): speedups under varying overheads"),
+                "Figure 5-1: speedups with zero message-passing overheads",
                 "P",
-                &series_ref,
+                &series,
                 40,
             )
         );
-    }
-    let rows: Vec<Vec<String>> = losses
-        .iter()
-        .map(|&(name, loss, left_frac)| {
-            vec![
-                name.to_owned(),
-                format!("{:.0}%", loss * 100.0),
-                format!("{:.0}%", left_frac * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Peak-speedup loss at 32us overhead (paper: Rubik 30%, Tourney 45%, Weaver 50%)",
-            &["Section", "Speedup loss", "Left-activation share"],
-            &rows,
-        )
-    );
+        // The paper's "interesting dips": report any decrease with more
+        // processors.
+        for (name, curve) in &curves {
+            let pts: Vec<(usize, f64)> = curve.iter().map(|p| (p.processors, p.speedup)).collect();
+            for d in mpps_analysis::find_dips(&pts, 0.01) {
+                println!(
+                    "dip ({name}): {} -> {} processors, speedup {:.2} -> {:.2}                  (uneven active-bucket distribution)",
+                    d.from_procs, d.to_procs, d.before, d.after
+                );
+            }
+        }
+        println!();
+    })
 }
 
-fn table5_2(s: &exp::Sections) {
-    println!(
-        "{}",
-        render_table(
-            "Table 5-2: tokens in the sections of the three programs",
-            &["Program", "Left activations", "Right activations", "Total"],
-            &exp::table5_2_for(s),
-        )
-    );
-}
-
-fn fig5_3() {
-    use mpps_ops::parse_program;
-    use mpps_rete::{transform::unshare, ReteNetwork};
-    let src = r#"
-        (p o1 (i1 ^k <k>) (i2 ^k <k> ^tag a) --> (remove 1))
-        (p o2 (i1 ^k <k>) (i2 ^k <k> ^tag b) --> (remove 1))
-    "#;
-    let program = parse_program(src).unwrap();
-    let shared = ReteNetwork::compile(&program).unwrap();
-    let unshared = unshare(&program).unwrap();
-    println!("Figure 5-3: unsharing the Rete network (illustrative)\n");
-    println!("productions O1, O2 share the join of conditions I1 and I2\n");
-    let s = shared.stats();
-    let u = unshared.stats();
-    println!(
-        "  shared   network: {} two-input nodes ({} with multiple outputs)",
-        s.two_input, s.shared_two_input
-    );
-    println!(
-        "  unshared network: {} two-input nodes ({} with multiple outputs)",
-        u.two_input, u.shared_two_input
-    );
-    println!("\nafter unsharing, O1 and O2 generate their outputs independently\n");
-}
-
-fn fig5_4(shared: &[SpeedupPoint], unshared: &[SpeedupPoint]) {
-    println!(
-        "{}",
-        render_series(
-            "Figure 5-4: Weaver speedups with unsharing (zero overheads)",
-            "P",
-            &[
-                ("shared", curve_points(shared)),
-                ("unshared", curve_points(unshared)),
-            ],
-            40,
-        )
-    );
-}
-
-fn fig5_5(cycles: &[Vec<u64>]) {
-    for (c, loads) in cycles.iter().enumerate() {
-        let series: Vec<(f64, f64)> = loads
-            .iter()
-            .enumerate()
-            .map(|(p, &l)| (p as f64, l as f64))
-            .collect();
-        println!(
-            "{}",
-            render_series(
-                &format!("Figure 5-5 (cycle {c}): left tokens per processor, Rubik, 16 procs"),
-                "proc",
-                &[("tokens", series)],
-                40,
-            )
-        );
-    }
-}
-
-fn fig5_6(plain: &[SpeedupPoint], cc: &[SpeedupPoint]) {
-    println!(
-        "{}",
-        render_series(
-            "Figure 5-6: Tourney speedups with copy-and-constraint (zero overheads)",
-            "P",
-            &[
-                ("original", curve_points(plain)),
-                ("copy+constrain", curve_points(cc)),
-            ],
-            40,
-        )
-    );
-}
-
-fn network_idle(fractions: &[(&'static str, f64)]) {
-    let rows: Vec<Vec<String>> = fractions
-        .iter()
-        .map(|&(name, idle)| vec![name.to_owned(), format!("{:.1}%", idle * 100.0)])
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Interconnect idle time at 16 processors, 8us overheads (paper: 97-98%)",
-            &["Section", "Network idle"],
-            &rows,
-        )
-    );
-}
-
-fn greedy(gains: &[(&'static str, f64, f64)], random: &[(&'static str, f64)]) {
-    let rows: Vec<Vec<String>> = gains
-        .iter()
-        .map(|&(name, simulated, bound)| {
-            vec![
-                name.to_owned(),
-                format!("x{simulated:.2}"),
-                format!("x{bound:.2}"),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Offline greedy bucket distribution vs round-robin, 16 procs (paper: x1.4)",
-            &["Section", "Simulated speedup gain", "Load-balance bound"],
-            &rows,
-        )
-    );
-    let rows: Vec<Vec<String>> = random
-        .iter()
-        .map(|&(name, gain)| vec![name.to_owned(), format!("x{gain:.2}")])
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Random placement vs round-robin (paper: no significant improvement)",
-            &["Section", "Gain from random placement"],
-            &rows,
-        )
-    );
-}
-
-fn probmodel() {
-    use mpps_analysis::{estimate_max_load, prob_perfectly_even, prob_totally_uneven};
-    println!("Probabilistic model of active-bucket distribution (section 5.2.2)\n");
-    let (a, p) = (128u64, 16u64);
-    println!(
-        "  {a} active buckets on {p} processors: P(perfectly even) = {:.2e}, \
-         P(totally uneven) = {:.2e}  (both < 1%)",
-        prob_perfectly_even(a, p),
-        prob_totally_uneven(a, p)
-    );
-    println!("\n  relative imbalance E[max]/ideal at 8 processors:");
-    for active in [16u64, 64, 256, 1024] {
-        let est = estimate_max_load(active, 8, 0, 2000, 7);
-        println!(
-            "    {active:>5} active buckets: {:.2}",
-            est.mean_max_load / est.ideal as f64
-        );
-    }
-    println!("\n  P(near-linear speedup) with 64 active buckets (slack 1):");
-    for procs in [2usize, 4, 8, 16, 32] {
-        let est = estimate_max_load(64, procs, 1, 2000, 11);
-        println!("    {procs:>3} processors: {:.2}", est.prob_near_linear);
-    }
-    println!();
-}
-
-fn continuum(points: &[(String, f64)]) {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|(label, speedup)| vec![label.clone(), format!("{speedup:.2}x")])
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Section 6 continuum (Rubik, 16 procs, 8us overheads): match speedup vs serial",
-            &["Mapping", "Speedup"],
-            &rows,
-        )
-    );
-}
-
-fn shared_bus(sections: &exp::ComparisonRows) {
-    for (name, rows) in sections {
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|&(p, mpc, bus)| vec![format!("{p}"), format!("{mpc:.2}"), format!("{bus:.2}")])
-            .collect();
+fn table5_1<'t>(_: &'t Sections, _: &mut SweepPlan<'t>) -> Print<'t> {
+    Box::new(|_| {
         println!(
             "{}",
             render_table(
-                &format!("Section 5.2 comparison ({name}): distributed MPC vs shared-bus mapping"),
-                &["P", "MPC speedup", "Shared-bus speedup"],
-                &table,
+                "Table 5-1: message-processing overhead settings",
+                &["Run", "Send", "Receive", "Total"],
+                &exp::table5_1(),
             )
         );
-    }
+    })
 }
 
-fn termination_cost(sections: &exp::ComparisonRows) {
-    for (name, rows) in sections {
-        let table: Vec<Vec<String>> = rows
+fn fig5_2<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let curves = exp::fig5_2(s, plan);
+    let losses = exp::fig5_2_losses(s, plan);
+    Box::new(move |r| {
+        for (name, sweeps) in curves(r) {
+            let series: Vec<(String, Vec<(f64, f64)>)> = sweeps
+                .iter()
+                .map(|(o, c)| (format!("{}:{}", name, o.name), curve_points(c)))
+                .collect();
+            let series_ref: Vec<(&str, Vec<(f64, f64)>)> = series
+                .iter()
+                .map(|(n, pts)| (n.as_str(), pts.clone()))
+                .collect();
+            println!(
+                "{}",
+                render_series(
+                    &format!("Figure 5-2 ({name}): speedups under varying overheads"),
+                    "P",
+                    &series_ref,
+                    40,
+                )
+            );
+        }
+        let rows: Vec<Vec<String>> = losses(r)
             .iter()
-            .map(|&(p, omniscient, ring)| {
+            .map(|&(name, loss, left_frac)| {
                 vec![
-                    format!("{p}"),
-                    format!("{omniscient:.2}"),
-                    format!("{ring:.2}"),
-                    format!("{:.0}%", (1.0 - ring / omniscient) * 100.0),
+                    name.to_owned(),
+                    format!("{:.0}%", loss * 100.0),
+                    format!("{:.0}%", left_frac * 100.0),
                 ]
             })
             .collect();
         println!(
             "{}",
             render_table(
-                &format!(
-                    "Termination detection cost ({name}): omniscient vs ring-token, 8us overheads"
-                ),
-                &["P", "Omniscient", "Ring token", "Loss"],
-                &table,
+                "Peak-speedup loss at 32us overhead (paper: Rubik 30%, Tourney 45%, Weaver 50%)",
+                &["Section", "Speedup loss", "Left-activation share"],
+                &rows,
             )
         );
-    }
+    })
 }
 
-fn era(rows_in: &[(&'static str, f64, f64)]) {
-    let rows: Vec<Vec<String>> = rows_in
-        .iter()
-        .map(|&(name, new_gen, old)| {
-            vec![
-                name.to_owned(),
-                format!("{new_gen:.2}x"),
-                format!("{old:.2}x"),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            "Section 1 motivation: new-generation vs first-generation MPC, 16 procs",
-            &[
-                "Section",
-                "Nectar-era (8us, 0.5us)",
-                "Cosmic-Cube-era (300us, 500us/hop)"
-            ],
-            &rows,
-        )
-    );
+fn table5_2<'t>(s: &'t Sections, _: &mut SweepPlan<'t>) -> Print<'t> {
+    Box::new(move |_| {
+        println!(
+            "{}",
+            render_table(
+                "Table 5-2: tokens in the sections of the three programs",
+                &["Program", "Left activations", "Right activations", "Total"],
+                &exp::table5_2(s),
+            )
+        );
+    })
+}
+
+fn fig5_3<'t>(_: &'t Sections, _: &mut SweepPlan<'t>) -> Print<'t> {
+    use mpps_ops::parse_program;
+    use mpps_rete::{transform::unshare, ReteNetwork};
+    Box::new(|_| {
+        let src = r#"
+        (p o1 (i1 ^k <k>) (i2 ^k <k> ^tag a) --> (remove 1))
+        (p o2 (i1 ^k <k>) (i2 ^k <k> ^tag b) --> (remove 1))
+    "#;
+        let program = parse_program(src).unwrap();
+        let shared = ReteNetwork::compile(&program).unwrap();
+        let unshared = unshare(&program).unwrap();
+        println!("Figure 5-3: unsharing the Rete network (illustrative)\n");
+        println!("productions O1, O2 share the join of conditions I1 and I2\n");
+        let s = shared.stats();
+        let u = unshared.stats();
+        println!(
+            "  shared   network: {} two-input nodes ({} with multiple outputs)",
+            s.two_input, s.shared_two_input
+        );
+        println!(
+            "  unshared network: {} two-input nodes ({} with multiple outputs)",
+            u.two_input, u.shared_two_input
+        );
+        println!("\nafter unsharing, O1 and O2 generate their outputs independently\n");
+    })
+}
+
+/// Print a before/after transform figure (two curves, zero overheads).
+fn transform_pair<'t>(
+    data: impl FnOnce(&SweepResults) -> (Vec<SpeedupPoint>, Vec<SpeedupPoint>) + 't,
+    title: &'static str,
+    (before, after): (&'static str, &'static str),
+) -> Print<'t> {
+    Box::new(move |r| {
+        let (b, a) = data(r);
+        let series = [(before, curve_points(&b)), (after, curve_points(&a))];
+        println!("{}", render_series(title, "P", &series, 40));
+    })
+}
+
+fn fig5_4<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    transform_pair(
+        exp::fig5_4(s, plan),
+        "Figure 5-4: Weaver speedups with unsharing (zero overheads)",
+        ("shared", "unshared"),
+    )
+}
+
+fn fig5_5<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let data = exp::fig5_5(s, plan);
+    Box::new(move |r| {
+        for (c, loads) in data(r).iter().enumerate() {
+            let series: Vec<(f64, f64)> = loads
+                .iter()
+                .enumerate()
+                .map(|(p, &l)| (p as f64, l as f64))
+                .collect();
+            println!(
+                "{}",
+                render_series(
+                    &format!("Figure 5-5 (cycle {c}): left tokens per processor, Rubik, 16 procs"),
+                    "proc",
+                    &[("tokens", series)],
+                    40,
+                )
+            );
+        }
+    })
+}
+
+fn fig5_6<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    transform_pair(
+        exp::fig5_6(s, plan),
+        "Figure 5-6: Tourney speedups with copy-and-constraint (zero overheads)",
+        ("original", "copy+constrain"),
+    )
+}
+
+fn network_idle<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let data = exp::network_idle(s, plan);
+    Box::new(move |r| {
+        let rows: Vec<Vec<String>> = data(r)
+            .iter()
+            .map(|&(name, idle)| vec![name.to_owned(), format!("{:.1}%", idle * 100.0)])
+            .collect();
+        println!(
+            "{}",
+            render_table(
+                "Interconnect idle time at 16 processors, 8us overheads (paper: 97-98%)",
+                &["Section", "Network idle"],
+                &rows,
+            )
+        );
+    })
+}
+
+fn greedy<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let gains = exp::greedy_gains(s, plan);
+    let random = exp::random_vs_round_robin(s, plan);
+    Box::new(move |r| {
+        let rows: Vec<Vec<String>> = gains(r)
+            .iter()
+            .map(|&(name, simulated, bound)| {
+                vec![
+                    name.to_owned(),
+                    format!("x{simulated:.2}"),
+                    format!("x{bound:.2}"),
+                ]
+            })
+            .collect();
+        println!(
+            "{}",
+            render_table(
+                "Offline greedy bucket distribution vs round-robin, 16 procs (paper: x1.4)",
+                &["Section", "Simulated speedup gain", "Load-balance bound"],
+                &rows,
+            )
+        );
+        let rows: Vec<Vec<String>> = random(r)
+            .iter()
+            .map(|&(name, gain)| vec![name.to_owned(), format!("x{gain:.2}")])
+            .collect();
+        println!(
+            "{}",
+            render_table(
+                "Random placement vs round-robin (paper: no significant improvement)",
+                &["Section", "Gain from random placement"],
+                &rows,
+            )
+        );
+    })
+}
+
+fn probmodel<'t>(_: &'t Sections, _: &mut SweepPlan<'t>) -> Print<'t> {
+    use mpps_analysis::{estimate_max_load, prob_perfectly_even, prob_totally_uneven};
+    Box::new(|_| {
+        println!("Probabilistic model of active-bucket distribution (section 5.2.2)\n");
+        let (a, p) = (128u64, 16u64);
+        println!(
+            "  {a} active buckets on {p} processors: P(perfectly even) = {:.2e}, \
+             P(totally uneven) = {:.2e}  (both < 1%)",
+            prob_perfectly_even(a, p),
+            prob_totally_uneven(a, p)
+        );
+        println!("\n  relative imbalance E[max]/ideal at 8 processors:");
+        for active in [16u64, 64, 256, 1024] {
+            let est = estimate_max_load(active, 8, 0, 2000, 7);
+            println!(
+                "    {active:>5} active buckets: {:.2}",
+                est.mean_max_load / est.ideal as f64
+            );
+        }
+        println!("\n  P(near-linear speedup) with 64 active buckets (slack 1):");
+        for procs in [2usize, 4, 8, 16, 32] {
+            let est = estimate_max_load(64, procs, 1, 2000, 11);
+            println!("    {procs:>3} processors: {:.2}", est.prob_near_linear);
+        }
+        println!();
+    })
+}
+
+fn continuum<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let data = exp::continuum(s, plan);
+    Box::new(move |r| {
+        let rows: Vec<Vec<String>> = data(r)
+            .iter()
+            .map(|(label, speedup)| vec![label.clone(), format!("{speedup:.2}x")])
+            .collect();
+        println!(
+            "{}",
+            render_table(
+                "Section 6 continuum (Rubik, 16 procs, 8us overheads): match speedup vs serial",
+                &["Mapping", "Speedup"],
+                &rows,
+            )
+        );
+    })
+}
+
+fn shared_bus<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let data = exp::shared_bus(s, plan);
+    Box::new(move |r| {
+        for (name, rows) in data(r) {
+            let table: Vec<Vec<String>> = rows
+                .iter()
+                .map(|&(p, mpc, bus)| {
+                    vec![format!("{p}"), format!("{mpc:.2}"), format!("{bus:.2}")]
+                })
+                .collect();
+            println!(
+                "{}",
+                render_table(
+                    &format!(
+                        "Section 5.2 comparison ({name}): distributed MPC vs shared-bus mapping"
+                    ),
+                    &["P", "MPC speedup", "Shared-bus speedup"],
+                    &table,
+                )
+            );
+        }
+    })
+}
+
+fn termination_cost<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let data = exp::termination_cost(s, plan);
+    Box::new(move |r| {
+        for (name, rows) in data(r) {
+            let table: Vec<Vec<String>> = rows
+                .iter()
+                .map(|&(p, omniscient, ring)| {
+                    vec![
+                        format!("{p}"),
+                        format!("{omniscient:.2}"),
+                        format!("{ring:.2}"),
+                        format!("{:.0}%", (1.0 - ring / omniscient) * 100.0),
+                    ]
+                })
+                .collect();
+            println!(
+                "{}",
+                render_table(
+                    &format!(
+                        "Termination detection cost ({name}): omniscient vs ring-token, 8us overheads"
+                    ),
+                    &["P", "Omniscient", "Ring token", "Loss"],
+                    &table,
+                )
+            );
+        }
+    })
+}
+
+fn era<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
+    let data = exp::era_comparison(s, plan);
+    Box::new(move |r| {
+        let rows: Vec<Vec<String>> = data(r)
+            .iter()
+            .map(|&(name, new_gen, old)| {
+                vec![
+                    name.to_owned(),
+                    format!("{new_gen:.2}x"),
+                    format!("{old:.2}x"),
+                ]
+            })
+            .collect();
+        println!(
+            "{}",
+            render_table(
+                "Section 1 motivation: new-generation vs first-generation MPC, 16 procs",
+                &[
+                    "Section",
+                    "Nectar-era (8us, 0.5us)",
+                    "Cosmic-Cube-era (300us, 500us/hop)"
+                ],
+                &rows,
+            )
+        );
+    })
 }
 
 /// The closed skew loop, run live (no sweep points): profiled pre-run →
@@ -473,166 +436,125 @@ fn era(rows_in: &[(&'static str, f64, f64)]) {
 /// (bucket-activation counts are order-invariant; exact per-worker probe
 /// loads shift by a few entries with thread interleaving, so the precise
 /// ratio goes to stderr to keep `--jobs` diffs byte-identical).
-fn adapt_figure() {
+fn adapt<'t>(_: &'t Sections, _: &mut SweepPlan<'t>) -> Print<'t> {
     use mpps_bench::adapt::{measure, AdaptScenario};
-    let report = measure(&AdaptScenario::default());
-    println!(
-        "Closed skew loop: copy-and-constraint + online migration (Tourney cross-product, {} workers)\n",
-        report.workers
-    );
-    println!("  transform plan: {}", report.plan_summary);
-    match (report.static_bucket_skew, report.adaptive_bucket_skew) {
-        (Some(b), Some(a)) => println!("  bucket-activation skew factor: {b:.3} -> {a:.3}"),
-        _ => println!("  bucket-activation skew factor: unavailable"),
-    }
-    println!(
-        "  probe-load skew at least halved: {}",
-        if report.adaptive_skew() * 2.0 <= report.static_skew() {
-            "yes"
-        } else {
-            "NO"
+    Box::new(|_| {
+        let report = measure(&AdaptScenario::default());
+        println!(
+            "Closed skew loop: copy-and-constraint + online migration (Tourney cross-product, {} workers)\n",
+            report.workers
+        );
+        println!("  transform plan: {}", report.plan_summary);
+        match (report.static_bucket_skew, report.adaptive_bucket_skew) {
+            (Some(b), Some(a)) => println!("  bucket-activation skew factor: {b:.3} -> {a:.3}"),
+            _ => println!("  bucket-activation skew factor: unavailable"),
         }
-    );
-    println!(
-        "  online migration rebalanced the partition: {}",
-        if report.rebalances > 0 { "yes" } else { "NO" }
-    );
-    println!(
-        "  threaded == sequential: {} ({} firings)\n",
-        if report.equivalent { "yes" } else { "NO" },
-        report.firings
-    );
-    eprintln!(
-        "repro adapt: probe skew static {:.3} -> adaptive {:.3} ({:.2}x, {} rebalances, {} buckets moved)",
-        report.static_skew(),
-        report.adaptive_skew(),
-        report.reduction(),
-        report.rebalances,
-        report.moved_buckets
-    );
+        println!(
+            "  probe-load skew at least halved: {}",
+            if report.adaptive_skew() * 2.0 <= report.static_skew() {
+                "yes"
+            } else {
+                "NO"
+            }
+        );
+        println!(
+            "  online migration rebalanced the partition: {}",
+            if report.rebalances > 0 { "yes" } else { "NO" }
+        );
+        println!(
+            "  threaded == sequential: {} ({} firings)\n",
+            if report.equivalent { "yes" } else { "NO" },
+            report.firings
+        );
+        eprintln!(
+            "repro adapt: probe skew static {:.3} -> adaptive {:.3} ({:.2}x, {} rebalances, {} buckets moved)",
+            report.static_skew(),
+            report.adaptive_skew(),
+            report.reduction(),
+            report.rebalances,
+            report.moved_buckets
+        );
+    })
 }
 
 struct Args {
-    figures: Vec<&'static str>,
+    /// Indices into [`FIGURES`], ascending, once each.
+    figures: Vec<usize>,
     jobs: usize,
-    bench_out: Option<String>,
     telemetry_out: Option<String>,
     check_telemetry: Option<String>,
 }
 
-fn usage(code: i32) -> ! {
-    eprintln!(
-        "usage: repro [FIGURE|all] [--figures a,b,c] [--jobs N] [--bench-out PATH]\n\
+/// Print the usage text — to stdout for `--help` (exit 0), to stderr with
+/// `error` first for a caller mistake (exit 2).
+fn usage(error: Option<String>) -> ! {
+    let mut text = String::from(
+        "usage: repro [FIGURE|all] [--figures a,b,c] [--jobs N]\n\
          \x20            [--telemetry-out DIR] [--check-telemetry DIR]\n\
-         figures: {}",
-        FIGURES.join(", ")
+         figures (default: all, in this order):\n",
     );
-    std::process::exit(code);
-}
-
-fn canonical(name: &str) -> &'static str {
-    FIGURES
-        .iter()
-        .copied()
-        .find(|f| *f == name)
-        .unwrap_or_else(|| {
-            eprintln!("unknown experiment {name:?}; see `repro` source header for the list");
-            std::process::exit(2);
-        })
+    for (name, what, _) in FIGURES {
+        text.push_str(&format!("  {name:<17} {what}\n"));
+    }
+    match error {
+        None => {
+            print!("{text}");
+            std::process::exit(0)
+        }
+        Some(error) => {
+            eprint!("repro: {error}\n{text}");
+            std::process::exit(2)
+        }
+    }
 }
 
 fn parse_args() -> Args {
-    let mut figures: Vec<&'static str> = Vec::new();
+    let mut selected = vec![false; FIGURES.len()];
+    let mut select = |name: &str| match FIGURES.iter().position(|(f, ..)| *f == name) {
+        Some(i) => selected[i] = true,
+        None if name == "all" => selected.fill(true),
+        None => usage(Some(format!("unknown figure {name:?}"))),
+    };
     let mut jobs: Option<usize> = None;
-    let mut bench_out: Option<String> = Some("BENCH_repro.json".to_owned());
     let mut telemetry_out: Option<String> = None;
     let mut check_telemetry: Option<String> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        let mut value = |what: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                usage(2)
-            })
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage(Some(format!("{arg} requires a value"))))
         };
         match arg.as_str() {
             "--jobs" | "-j" => {
-                let v = value("--jobs");
-                jobs = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs: not a number: {v:?}");
-                    usage(2)
-                }));
+                let v = value();
+                let parsed = v.parse();
+                jobs = Some(
+                    parsed.unwrap_or_else(|_| usage(Some(format!("--jobs: not a number: {v:?}")))),
+                );
             }
-            "--figures" => {
-                let v = value("--figures");
-                for name in v.split(',').filter(|s| !s.is_empty()) {
-                    if name == "all" {
-                        figures.extend(FIGURES);
-                    } else {
-                        figures.push(canonical(name));
-                    }
-                }
-            }
-            "--bench-out" => {
-                let v = value("--bench-out");
-                bench_out = if v.is_empty() { None } else { Some(v) };
-            }
-            "--telemetry-out" => telemetry_out = Some(value("--telemetry-out")),
-            "--check-telemetry" => check_telemetry = Some(value("--check-telemetry")),
-            "--help" | "-h" => usage(0),
-            "all" => figures.extend(FIGURES),
-            name if !name.starts_with('-') => figures.push(canonical(name)),
-            _ => {
-                eprintln!("unknown flag {arg:?}");
-                usage(2)
-            }
+            "--figures" => value()
+                .split(',')
+                .filter(|s| !s.is_empty())
+                .for_each(&mut select),
+            "--telemetry-out" => telemetry_out = Some(value()),
+            "--check-telemetry" => check_telemetry = Some(value()),
+            "--help" | "-h" => usage(None),
+            name if !name.starts_with('-') => select(name),
+            _ => usage(Some(format!("unknown flag {arg:?}"))),
         }
     }
-    if figures.is_empty() {
-        figures.extend(FIGURES);
+    if !selected.contains(&true) {
+        selected.fill(true);
     }
-    // Canonical order, once each — output must not depend on request order.
-    let mut ordered: Vec<&'static str> = FIGURES
-        .iter()
-        .copied()
-        .filter(|f| figures.contains(f))
-        .collect();
-    ordered.dedup();
-    let jobs = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    });
+    let jobs = jobs.unwrap_or_else(mpps_telemetry::available_cpus);
     Args {
-        figures: ordered,
+        // Canonical order, once each — output must not depend on request
+        // order.
+        figures: (0..FIGURES.len()).filter(|&i| selected[i]).collect(),
         jobs,
-        bench_out,
         telemetry_out,
         check_telemetry,
     }
-}
-
-/// The current git commit hash, for the run manifest. `"unknown"` when
-/// the binary runs outside a git checkout.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-/// Nearest-rank summary of a slice of wall-clock samples, as JSON.
-fn wall_ns_json(samples: &[u64]) -> String {
-    let mut hist = Histogram::new();
-    for &ns in samples {
-        hist.record(ns);
-    }
-    hist.summary().to_json()
 }
 
 fn main() {
@@ -649,18 +571,16 @@ fn main() {
             }
         }
     }
-    let wall = Instant::now();
 
     // Phase 1: one shared plan across every selected figure. Identical
     // points registered by different figures are simulated once.
-    let sections = exp::Sections::generate();
+    let sections = Sections::generate();
     let mut plan = SweepPlan::new();
-    let mut planned: Vec<(&'static str, FigPlan, std::ops::Range<usize>)> = Vec::new();
-    for name in &args.figures {
-        let before = plan.point_count();
-        let ids = plan_figure(name, &sections, &mut plan);
-        planned.push((name, ids, before..plan.point_count()));
-    }
+    let printers: Vec<Print> = args
+        .figures
+        .iter()
+        .map(|&i| FIGURES[i].2(&sections, &mut plan))
+        .collect();
 
     // Phase 2: execute every point (plus one baseline per trace) on the
     // worker pool — with wall-time telemetry when requested.
@@ -670,7 +590,14 @@ fn main() {
         Some(rec) => plan.run_traced(args.jobs, rec),
         None => plan.run(args.jobs),
     };
-    let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
+    eprintln!(
+        "repro: {} points ({} traces, {} dedup hits) in {:.1} ms on {} jobs",
+        plan.point_count(),
+        plan.trace_count(),
+        plan.dedup_hits(),
+        run_start.elapsed().as_secs_f64() * 1e3,
+        args.jobs
+    );
     if let (Some(dir), Some(rec)) = (&args.telemetry_out, &recorder) {
         match tel::write_dir(std::path::Path::new(dir), rec) {
             Ok(written) => eprintln!(
@@ -684,57 +611,12 @@ fn main() {
         }
     }
 
-    // Phase 3: render in canonical order — byte-identical for any --jobs.
-    let separators = args.figures.len() > 1;
-    let mut figure_stats: Vec<(&'static str, &std::ops::Range<usize>, f64)> = Vec::new();
-    for (name, ids, points) in &planned {
+    // Phase 3: print in canonical order — byte-identical for any --jobs.
+    let separators = printers.len() > 1;
+    for print in printers {
         if separators {
             println!("==================================================================");
         }
-        let render_start = Instant::now();
-        render_figure(name, ids, &sections, &results);
-        figure_stats.push((name, points, render_start.elapsed().as_secs_f64() * 1e3));
-    }
-
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    if let Some(path) = &args.bench_out {
-        let mut per_figure = String::new();
-        for (i, (name, points, render_ms)) in figure_stats.iter().enumerate() {
-            if i > 0 {
-                per_figure.push_str(",\n");
-            }
-            per_figure.push_str(&format!(
-                "    {{\"name\": \"{name}\", \"points_added\": {}, \"render_ms\": {render_ms:.3}, \
-                 \"sim_wall_ns\": {}}}",
-                points.len(),
-                wall_ns_json(&results.point_wall_ns_all()[points.start..points.end])
-            ));
-        }
-        let procs: Vec<String> = exp::PROCS.iter().map(ToString::to_string).collect();
-        let json = format!(
-            "{{\n  \"bench\": \"repro\",\n  \"commit\": \"{}\",\n  \"jobs\": {},\n  \"seed\": {},\n  \"procs\": [{}],\n  \"default_partition\": \"round-robin\",\n  \"traces\": {},\n  \"points\": {},\n  \"baselines\": {},\n  \"dedup_hits\": {},\n  \"plan_run_ms\": {:.3},\n  \"wall_ms\": {:.3},\n  \"point_wall_ns\": {},\n  \"figures\": [\n{}\n  ]\n}}\n",
-            git_commit(),
-            args.jobs,
-            exp::SEED,
-            procs.join(", "),
-            plan.trace_count(),
-            plan.point_count(),
-            plan.trace_count(),
-            plan.dedup_hits(),
-            run_ms,
-            wall_ms,
-            wall_ns_json(results.point_wall_ns_all()),
-            per_figure
-        );
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!(
-                "repro: {} points ({} traces) in {:.1} ms on {} jobs; wrote {path}",
-                plan.point_count(),
-                plan.trace_count(),
-                run_ms,
-                args.jobs
-            ),
-            Err(e) => eprintln!("repro: cannot write {path}: {e}"),
-        }
+        print(&results);
     }
 }

@@ -1,24 +1,20 @@
 //! The experiment definitions behind every table and figure of §5.
 //!
-//! Each artifact is split into two phases so the `repro` binary can batch
-//! every figure into **one** [`SweepPlan`]:
-//!
-//! * `plan_*` registers the figure's simulation points on a shared plan
-//!   (traces registered once, identical points collapsed, baselines
-//!   memoized per trace) and returns a small id bundle;
-//! * `render_*` turns the executed [`SweepResults`] back into the figure's
-//!   data, byte-identical to the historical serial output.
-//!
-//! The original one-shot functions (`fig5_1()`, `greedy_gains()`, …) are
-//! kept as thin wrappers that build a private plan and run it serially —
-//! the integration tests and criterion benches use those.
+//! A figure is one function
+//! `fn(&Sections, &mut SweepPlan) -> impl FnOnce(&SweepResults) -> T`:
+//! calling it registers the figure's simulation points on a shared plan
+//! (traces registered once, identical points collapsed, baselines memoized
+//! per trace), and the closure it returns turns the executed
+//! [`SweepResults`] into the figure's data. The `repro` binary batches
+//! every figure into **one** [`SweepPlan`]; [`solo`] runs a single figure
+//! on a private plan, serially — the integration tests use that.
 
 use mpps_analysis::greedy_improvement_bound;
 use mpps_core::sweep::{
     PartitionSpec, PartitionStrategy, PointId, PointSpec, SpeedupPoint, SweepPlan, SweepResults,
     TraceId,
 };
-use mpps_core::{bucket_activity, MappingConfig, OverheadSetting, Partition, TerminationModel};
+use mpps_core::{MappingConfig, OverheadSetting, Partition, TerminationModel};
 use mpps_mpcsim::{NetworkModel, SimTime, Topology};
 use mpps_rete::{split_fanout, SplitFanoutOptions, Trace};
 use mpps_workloads::synth;
@@ -35,15 +31,6 @@ pub const PROCS: &[usize] = &[1, 2, 4, 8, 12, 16, 24, 32];
 /// The fixed seed of the calibrated sections (any seed reproduces the
 /// Table 5-2 mix; this one is shared by all reported artifacts).
 pub const SEED: u64 = 1989;
-
-/// The three characteristic sections, by paper name.
-pub fn sections() -> Vec<(&'static str, Trace)> {
-    vec![
-        ("Rubik", synth::rubik(SEED)),
-        ("Tourney", synth::tourney(SEED)),
-        ("Weaver", synth::weaver(SEED)),
-    ]
-}
 
 /// Every trace the figures replay, generated exactly once per run and
 /// shared by reference through the plan.
@@ -64,13 +51,7 @@ impl Sections {
     /// Generate all traces from [`SEED`].
     pub fn generate() -> Self {
         let weaver = synth::weaver(SEED);
-        let weaver_unshared = split_fanout(
-            &weaver,
-            SplitFanoutOptions {
-                threshold: 8,
-                ways: 4,
-            },
-        );
+        let weaver_unshared = split_fanout(&weaver, SplitFanoutOptions::default());
         Sections {
             rubik: synth::rubik(SEED),
             tourney: synth::tourney(SEED),
@@ -90,6 +71,17 @@ impl Sections {
     }
 }
 
+/// Run one figure on a private plan, serially, and return its data. The
+/// sections are generated once per process and shared by every call.
+pub fn solo<T, R: FnOnce(&SweepResults) -> T>(
+    fig: impl FnOnce(&'static Sections, &mut SweepPlan<'static>) -> R,
+) -> T {
+    static SECTIONS: std::sync::OnceLock<Sections> = std::sync::OnceLock::new();
+    let mut plan = SweepPlan::new();
+    let render = fig(SECTIONS.get_or_init(Sections::generate), &mut plan);
+    render(&plan.run(1))
+}
+
 /// Ids of one speedup curve: points over a processor sweep, all measured
 /// against `base`'s memoized baseline (usually the point's own trace; the
 /// transform figures measure against the *untransformed* section).
@@ -99,6 +91,19 @@ pub struct CurvePlan {
 }
 
 impl CurvePlan {
+    fn new<'t>(
+        plan: &mut SweepPlan<'t>,
+        trace: TraceId,
+        base: TraceId,
+        config: impl Fn(usize) -> MappingConfig,
+    ) -> CurvePlan {
+        let points = PROCS.iter().map(|&p| (p, point(plan, trace, config(p))));
+        CurvePlan {
+            base,
+            points: points.collect(),
+        }
+    }
+
     fn curve(&self, r: &SweepResults) -> Vec<SpeedupPoint> {
         let base = r.baseline(self.base);
         self.points
@@ -115,28 +120,38 @@ impl CurvePlan {
     }
 }
 
-fn plan_curve<'t>(
-    plan: &mut SweepPlan<'t>,
+const RR: PartitionSpec = PartitionSpec::Strategy(PartitionStrategy::RoundRobin);
+
+/// Register one round-robin point.
+fn point(plan: &mut SweepPlan<'_>, trace: TraceId, config: MappingConfig) -> PointId {
+    point_on(plan, trace, config, RR)
+}
+
+fn point_on(
+    plan: &mut SweepPlan<'_>,
     trace: TraceId,
-    base: TraceId,
-    procs: &[usize],
-    config: impl Fn(usize) -> MappingConfig,
+    config: MappingConfig,
     partition: PartitionSpec,
-) -> CurvePlan {
-    CurvePlan {
-        base,
-        points: procs
-            .iter()
-            .map(|&p| {
-                let id = plan.add_point(PointSpec {
-                    trace,
-                    config: config(p),
-                    partition,
-                });
-                (p, id)
-            })
-            .collect(),
-    }
+) -> PointId {
+    plan.add_point(PointSpec {
+        trace,
+        config,
+        partition,
+    })
+}
+
+/// Register each paper section's trace and plan it with `f`, in report
+/// order.
+fn per_section<'t, P>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+    mut f: impl FnMut(&mut SweepPlan<'t>, TraceId) -> P,
+) -> Vec<(&'static str, &'t Trace, P)> {
+    let planned = s.named().map(|(name, trace)| {
+        let t = plan.add_trace(trace);
+        (name, trace, f(plan, t))
+    });
+    planned.into()
 }
 
 /// The Figure 5-1 configuration: zero overheads *and* zero latency.
@@ -147,50 +162,28 @@ fn no_comm(p: usize) -> MappingConfig {
     }
 }
 
-const RR: PartitionSpec = PartitionSpec::Strategy(PartitionStrategy::RoundRobin);
-
-/// Build a single-figure plan, run it serially, render — the historical
-/// one-shot API.
-fn run_solo<P, T>(
-    plan_fn: impl for<'t> FnOnce(&'t Sections, &mut SweepPlan<'t>) -> P,
-    render: impl FnOnce(&P, &Sections, &SweepResults) -> T,
-) -> T {
-    let s = Sections::generate();
-    let mut plan = SweepPlan::new();
-    let ids = plan_fn(&s, &mut plan);
-    let results = plan.run(1);
-    render(&ids, &s, &results)
+/// Zero overheads at the standard (0.5 µs) network latency.
+fn zero_overhead(p: usize) -> MappingConfig {
+    MappingConfig::standard(p, OverheadSetting::ZERO)
 }
 
-// ---------------------------------------------------------------- fig 5-1
-
-/// Id bundle of Figure 5-1.
-pub struct Fig51Plan(Vec<(&'static str, CurvePlan)>);
-
-/// Register Figure 5-1's points: speedups with zero message-passing
-/// overheads (and zero latency), round-robin buckets, for all sections.
-pub fn plan_fig5_1<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Fig51Plan {
-    Fig51Plan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                (name, plan_curve(plan, t, t, PROCS, no_comm, RR))
-            })
-            .into(),
-    )
+/// The 8 µs Table 5-1 row — the Nectar-era operating point.
+fn nectar(p: usize) -> MappingConfig {
+    MappingConfig::standard(p, OverheadSetting::table_5_1()[1])
 }
 
-/// Render Figure 5-1 from executed results.
-pub fn render_fig5_1(p: &Fig51Plan, r: &SweepResults) -> Vec<(&'static str, Vec<SpeedupPoint>)> {
-    p.0.iter().map(|(name, c)| (*name, c.curve(r))).collect()
+/// Figure 5-1: speedups with zero message-passing overheads (and zero
+/// latency), round-robin buckets, for all sections.
+pub fn fig5_1<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<(&'static str, Vec<SpeedupPoint>)> + 't {
+    let curves = per_section(s, plan, |plan, t| CurvePlan::new(plan, t, t, no_comm));
+    move |r: &SweepResults| {
+        let curves = curves.iter().map(|(name, _, c)| (*name, c.curve(r)));
+        curves.collect()
+    }
 }
-
-/// Figure 5-1 (one-shot).
-pub fn fig5_1() -> Vec<(&'static str, Vec<SpeedupPoint>)> {
-    run_solo(plan_fig5_1, |p, _, r| render_fig5_1(p, r))
-}
-
-// -------------------------------------------------------------- table 5-1
 
 /// Table 5-1: the overhead settings (input parameters, echoed for
 /// completeness).
@@ -209,99 +202,51 @@ pub fn table5_1() -> Vec<Vec<String>> {
         .collect()
 }
 
-// ---------------------------------------------------------------- fig 5-2
-
-/// Id bundle of Figure 5-2.
-pub struct Fig52Plan(Vec<(&'static str, Vec<(OverheadSetting, CurvePlan)>)>);
-
-/// Register Figure 5-2's points: one curve per Table 5-1 overhead row
-/// (0.5 µs network latency), per section.
-pub fn plan_fig5_2<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Fig52Plan {
-    Fig52Plan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                let rows = OverheadSetting::table_5_1()
-                    .iter()
-                    .map(|&o| {
-                        let c =
-                            plan_curve(plan, t, t, PROCS, |p| MappingConfig::standard(p, o), RR);
-                        (o, c)
-                    })
-                    .collect();
-                (name, rows)
-            })
-            .into(),
-    )
+/// Figure 5-2: one curve per Table 5-1 overhead row (0.5 µs network
+/// latency), per section.
+pub fn fig5_2<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<(&'static str, OverheadCurves)> + 't {
+    let sections = per_section(s, plan, |plan, t| {
+        OverheadSetting::table_5_1().map(|o| {
+            let curve = CurvePlan::new(plan, t, t, |p| MappingConfig::standard(p, o));
+            (o, curve)
+        })
+    });
+    move |r: &SweepResults| {
+        let curves = sections
+            .iter()
+            .map(|(name, _, rows)| (*name, rows.iter().map(|(o, c)| (*o, c.curve(r))).collect()));
+        curves.collect()
+    }
 }
 
-/// Render Figure 5-2 from executed results.
-pub fn render_fig5_2(p: &Fig52Plan, r: &SweepResults) -> Vec<(&'static str, OverheadCurves)> {
-    p.0.iter()
-        .map(|(name, rows)| (*name, rows.iter().map(|(o, c)| (*o, c.curve(r))).collect()))
-        .collect()
-}
-
-/// Figure 5-2 (one-shot).
-pub fn fig5_2() -> Vec<(&'static str, OverheadCurves)> {
-    run_solo(plan_fig5_2, |p, _, r| render_fig5_2(p, r))
-}
-
-// ------------------------------------------------------- fig 5-2 (losses)
-
-/// Id bundle of the §5.1 loss summary.
-pub struct LossesPlan(Vec<(&'static str, CurvePlan, CurvePlan)>);
-
-/// Register the loss summary's points: zero-overhead and 32 µs curves per
-/// section (both share Figure 5-2's points when planned together).
-pub fn plan_fig5_2_losses<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> LossesPlan {
+/// §5.1's headline relative peak-speedup loss at the 32 µs overhead row
+/// (paper: Rubik ≈30%, Tourney ≈45%, Weaver ≈50%), alongside each
+/// section's left-activation fraction. Both curves share Figure 5-2's
+/// points when planned together.
+pub fn fig5_2_losses<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<(&'static str, f64, f64)> + 't {
     let heavy = OverheadSetting::table_5_1()[3];
-    LossesPlan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                let zero = plan_curve(
-                    plan,
-                    t,
-                    t,
-                    PROCS,
-                    |p| MappingConfig::standard(p, OverheadSetting::ZERO),
-                    RR,
-                );
-                let heavy =
-                    plan_curve(plan, t, t, PROCS, |p| MappingConfig::standard(p, heavy), RR);
-                (name, zero, heavy)
-            })
-            .into(),
-    )
-}
-
-/// Render the loss summary: §5.1's headline relative peak-speedup loss at
-/// the 32 µs overhead row (paper: Rubik ≈30%, Tourney ≈45%, Weaver ≈50%),
-/// alongside each section's left-activation fraction.
-pub fn render_fig5_2_losses(
-    p: &LossesPlan,
-    s: &Sections,
-    r: &SweepResults,
-) -> Vec<(&'static str, f64, f64)> {
-    p.0.iter()
-        .zip(s.named())
-        .map(|((name, zero, heavy), (_, trace))| {
+    let sections = per_section(s, plan, |plan, t| {
+        let zero = CurvePlan::new(plan, t, t, zero_overhead);
+        let heavy = CurvePlan::new(plan, t, t, |p| MappingConfig::standard(p, heavy));
+        (zero, heavy)
+    });
+    move |r: &SweepResults| {
+        let losses = sections.iter().map(|(name, trace, (zero, heavy))| {
             let loss = mpps_core::sweep::speedup_loss(&zero.curve(r), &heavy.curve(r));
             (*name, loss, trace.stats().left_fraction())
-        })
-        .collect()
+        });
+        losses.collect()
+    }
 }
 
-/// Loss summary (one-shot).
-pub fn fig5_2_losses() -> Vec<(&'static str, f64, f64)> {
-    run_solo(plan_fig5_2_losses, render_fig5_2_losses)
-}
-
-// -------------------------------------------------------------- table 5-2
-
-/// Table 5-2 rows from already-generated sections.
-pub fn table5_2_for(s: &Sections) -> Vec<Vec<String>> {
+/// Table 5-2: the activation mix of each section.
+pub fn table5_2(s: &Sections) -> Vec<Vec<String>> {
     s.named()
         .map(|(name, trace)| {
             let st = trace.stats();
@@ -315,428 +260,200 @@ pub fn table5_2_for(s: &Sections) -> Vec<Vec<String>> {
         .into()
 }
 
-/// Table 5-2: the activation mix of each section.
-pub fn table5_2() -> Vec<Vec<String>> {
-    table5_2_for(&Sections::generate())
+/// A section with and without a transform, both measured against the
+/// *untransformed* serial baseline, as in the paper (zero overheads).
+fn transform_pair<'t>(
+    plan: &mut SweepPlan<'t>,
+    original: &'t Trace,
+    transformed: &'t Trace,
+) -> impl FnOnce(&SweepResults) -> (Vec<SpeedupPoint>, Vec<SpeedupPoint>) {
+    let base = plan.add_trace(original);
+    let transformed = plan.add_trace(transformed);
+    let before = CurvePlan::new(plan, base, base, zero_overhead);
+    let after = CurvePlan::new(plan, transformed, base, zero_overhead);
+    move |r: &SweepResults| (before.curve(r), after.curve(r))
 }
 
-// ---------------------------------------------------------------- fig 5-4
-
-/// Id bundle of Figure 5-4.
-pub struct Fig54Plan {
-    shared: CurvePlan,
-    unshared: CurvePlan,
+/// Figure 5-4: Weaver with and without the unsharing / dummy-node
+/// transform, as `(shared, unshared)`.
+pub fn fig5_4<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> (Vec<SpeedupPoint>, Vec<SpeedupPoint>) {
+    transform_pair(plan, &s.weaver, &s.weaver_unshared)
 }
 
-/// Register Figure 5-4's points: Weaver with and without the unsharing /
-/// dummy-node transform. Both curves are measured against the
-/// *untransformed* serial baseline, as in the paper.
-pub fn plan_fig5_4<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Fig54Plan {
-    let weaver = plan.add_trace(&s.weaver);
-    let unshared = plan.add_trace(&s.weaver_unshared);
-    let std_cfg = |p| MappingConfig::standard(p, OverheadSetting::ZERO);
-    Fig54Plan {
-        shared: plan_curve(plan, weaver, weaver, PROCS, std_cfg, RR),
-        unshared: plan_curve(plan, unshared, weaver, PROCS, std_cfg, RR),
-    }
-}
-
-/// Render Figure 5-4 from executed results.
-pub fn render_fig5_4(p: &Fig54Plan, r: &SweepResults) -> (Vec<SpeedupPoint>, Vec<SpeedupPoint>) {
-    (p.shared.curve(r), p.unshared.curve(r))
-}
-
-/// Figure 5-4 (one-shot).
-pub fn fig5_4() -> (Vec<SpeedupPoint>, Vec<SpeedupPoint>) {
-    run_solo(plan_fig5_4, |p, _, r| render_fig5_4(p, r))
-}
-
-// ---------------------------------------------------------------- fig 5-5
-
-/// Id bundle of Figure 5-5.
-pub struct Fig55Plan(PointId);
-
-/// Register Figure 5-5's single point: Rubik on 16 processors,
-/// round-robin buckets, zero overheads.
-pub fn plan_fig5_5<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Fig55Plan {
+/// Figure 5-5: per-processor left-activation counts in the first two
+/// Rubik cycles (16 processors, round-robin buckets, zero overheads).
+pub fn fig5_5<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<Vec<u64>> {
     let t = plan.add_trace(&s.rubik);
-    Fig55Plan(plan.add_point(PointSpec {
-        trace: t,
-        config: MappingConfig::standard(16, OverheadSetting::ZERO),
-        partition: RR,
-    }))
-}
-
-/// Render Figure 5-5: per-processor left-activation counts in the first
-/// two Rubik cycles.
-pub fn render_fig5_5(p: &Fig55Plan, r: &SweepResults) -> Vec<Vec<u64>> {
-    r.report(p.0)
-        .left_load_matrix()
-        .take(2)
-        .map(<[u64]>::to_vec)
-        .collect()
-}
-
-/// Figure 5-5 (one-shot).
-pub fn fig5_5() -> Vec<Vec<u64>> {
-    run_solo(plan_fig5_5, |p, _, r| render_fig5_5(p, r))
-}
-
-// ---------------------------------------------------------------- fig 5-6
-
-/// Id bundle of Figure 5-6.
-pub struct Fig56Plan {
-    plain: CurvePlan,
-    copies: CurvePlan,
-}
-
-/// Register Figure 5-6's points: Tourney with and without
-/// copy-and-constraint (cross production split four ways), both against
-/// the original section's baseline.
-pub fn plan_fig5_6<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Fig56Plan {
-    let plain = plan.add_trace(&s.tourney);
-    let copies = plan.add_trace(&s.tourney_copies);
-    let std_cfg = |p| MappingConfig::standard(p, OverheadSetting::ZERO);
-    Fig56Plan {
-        plain: plan_curve(plan, plain, plain, PROCS, std_cfg, RR),
-        copies: plan_curve(plan, copies, plain, PROCS, std_cfg, RR),
+    let id = point(plan, t, zero_overhead(16));
+    move |r: &SweepResults| {
+        let cycles = r.report(id).left_load_matrix().take(2);
+        cycles.map(<[u64]>::to_vec).collect()
     }
 }
 
-/// Render Figure 5-6 from executed results.
-pub fn render_fig5_6(p: &Fig56Plan, r: &SweepResults) -> (Vec<SpeedupPoint>, Vec<SpeedupPoint>) {
-    (p.plain.curve(r), p.copies.curve(r))
+/// Figure 5-6: Tourney with and without copy-and-constraint (cross
+/// production split four ways), as `(original, copies)`.
+pub fn fig5_6<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> (Vec<SpeedupPoint>, Vec<SpeedupPoint>) {
+    transform_pair(plan, &s.tourney, &s.tourney_copies)
 }
 
-/// Figure 5-6 (one-shot).
-pub fn fig5_6() -> (Vec<SpeedupPoint>, Vec<SpeedupPoint>) {
-    run_solo(plan_fig5_6, |p, _, r| render_fig5_6(p, r))
+/// §5.1 network-idle fractions: 16 processors under the 8 µs overhead
+/// row, per section (paper: 97–98%).
+pub fn network_idle<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<(&'static str, f64)> + 't {
+    let points = per_section(s, plan, |plan, t| point(plan, t, nectar(16)));
+    move |r: &SweepResults| {
+        let idle = points
+            .iter()
+            .map(|&(name, _, id)| (name, r.report(id).network_idle_fraction()));
+        idle.collect()
+    }
 }
 
-// ------------------------------------------------------------ network idle
-
-/// Id bundle of the network-idle table.
-pub struct NetworkIdlePlan(Vec<(&'static str, PointId)>);
-
-/// Register the §5.1 network-idle points: 16 processors under the 8 µs
-/// overhead row, per section.
-pub fn plan_network_idle<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> NetworkIdlePlan {
-    NetworkIdlePlan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                let id = plan.add_point(PointSpec {
-                    trace: t,
-                    config: MappingConfig::standard(16, OverheadSetting::table_5_1()[1]),
-                    partition: RR,
-                });
-                (name, id)
-            })
-            .into(),
-    )
+/// Round-robin vs `other` placement at 16 processors, zero overheads, per
+/// section: the two point ids.
+fn versus_round_robin<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+    other: PartitionSpec,
+) -> Vec<(&'static str, &'t Trace, (PointId, PointId))> {
+    per_section(s, plan, |plan, t| {
+        let rr = point(plan, t, zero_overhead(16));
+        (rr, point_on(plan, t, zero_overhead(16), other))
+    })
 }
 
-/// Render the network-idle fractions (paper: 97–98%).
-pub fn render_network_idle(p: &NetworkIdlePlan, r: &SweepResults) -> Vec<(&'static str, f64)> {
-    p.0.iter()
-        .map(|&(name, id)| (name, r.report(id).network_idle_fraction()))
-        .collect()
+/// How many times faster `other` finished than `rr`.
+fn gain(r: &SweepResults, rr: PointId, other: PointId) -> f64 {
+    r.report(rr).total.as_ns() as f64 / r.report(other).total.as_ns() as f64
 }
 
-/// Network idle fractions (one-shot).
-pub fn network_idle() -> Vec<(&'static str, f64)> {
-    run_solo(plan_network_idle, |p, _, r| render_network_idle(p, r))
-}
-
-// ---------------------------------------------------------------- greedy
-
-/// Id bundle of the §5.2.2 greedy experiment.
-pub struct GreedyPlan(Vec<(&'static str, PointId, PointId)>);
-
-/// Register the greedy experiment's points: round-robin vs per-cycle
-/// offline greedy at 16 processors, zero overheads, per section.
-pub fn plan_greedy_gains<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> GreedyPlan {
-    GreedyPlan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                let config = MappingConfig::standard(16, OverheadSetting::ZERO);
-                let rr = plan.add_point(PointSpec {
-                    trace: t,
-                    config,
-                    partition: RR,
-                });
-                let greedy = plan.add_point(PointSpec {
-                    trace: t,
-                    config,
-                    partition: PartitionSpec::GreedyPerCycle,
-                });
-                (name, rr, greedy)
-            })
-            .into(),
-    )
-}
-
-/// Render the greedy experiment: simulated speedup improvement of
-/// per-cycle offline greedy over round-robin (paper: ×~1.4), plus the
-/// load-only analytical bound.
-pub fn render_greedy_gains(
-    p: &GreedyPlan,
-    s: &Sections,
-    r: &SweepResults,
-) -> Vec<(&'static str, f64, f64)> {
-    p.0.iter()
-        .zip(s.named())
-        .map(|(&(name, rr, greedy), (_, trace))| {
-            let simulated =
-                r.report(rr).total.as_ns() as f64 / r.report(greedy).total.as_ns() as f64;
+/// §5.2.2 greedy experiment: simulated speedup improvement of per-cycle
+/// offline greedy over round-robin (paper: ×~1.4), plus the load-only
+/// analytical bound.
+pub fn greedy_gains<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<(&'static str, f64, f64)> + 't {
+    let points = versus_round_robin(s, plan, PartitionSpec::GreedyPerCycle);
+    move |r: &SweepResults| {
+        let gains = points.iter().map(|&(name, trace, (rr, greedy))| {
             let bound =
                 greedy_improvement_bound(trace, &Partition::round_robin(trace.table_size, 16));
-            (name, simulated, bound)
-        })
-        .collect()
-}
-
-/// Greedy gains (one-shot).
-pub fn greedy_gains() -> Vec<(&'static str, f64, f64)> {
-    run_solo(plan_greedy_gains, render_greedy_gains)
-}
-
-// --------------------------------------------------------- random buckets
-
-/// Id bundle of the random-placement experiment.
-pub struct RandomPlan(Vec<(&'static str, PointId, PointId)>);
-
-/// Register the §5.2.2 random-distribution points: round-robin vs seeded
-/// random placement at 16 processors, zero overheads.
-pub fn plan_random_vs_round_robin<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> RandomPlan {
-    RandomPlan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                let config = MappingConfig::standard(16, OverheadSetting::ZERO);
-                let rr = plan.add_point(PointSpec {
-                    trace: t,
-                    config,
-                    partition: RR,
-                });
-                let rnd = plan.add_point(PointSpec {
-                    trace: t,
-                    config,
-                    partition: PartitionSpec::Strategy(PartitionStrategy::Random(SEED)),
-                });
-                (name, rr, rnd)
-            })
-            .into(),
-    )
-}
-
-/// Render the random-placement result: random does not significantly beat
-/// round-robin.
-pub fn render_random_vs_round_robin(p: &RandomPlan, r: &SweepResults) -> Vec<(&'static str, f64)> {
-    p.0.iter()
-        .map(|&(name, rr, rnd)| {
-            (
-                name,
-                r.report(rr).total.as_ns() as f64 / r.report(rnd).total.as_ns() as f64,
-            )
-        })
-        .collect()
-}
-
-/// Random vs round-robin (one-shot).
-pub fn random_vs_round_robin() -> Vec<(&'static str, f64)> {
-    run_solo(plan_random_vs_round_robin, |p, _, r| {
-        render_random_vs_round_robin(p, r)
-    })
-}
-
-// -------------------------------------------------------------- continuum
-
-/// Id bundle of the §6 continuum comparison.
-pub struct ContinuumPlan {
-    trace: TraceId,
-    distributed: PointId,
-}
-
-/// Register the continuum's simulated point (the distributed mapping on
-/// Rubik at 16 processors; the analytic endpoints are computed at render).
-pub fn plan_continuum<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> ContinuumPlan {
-    let t = plan.add_trace(&s.rubik);
-    ContinuumPlan {
-        trace: t,
-        distributed: plan.add_point(PointSpec {
-            trace: t,
-            config: MappingConfig::standard(16, OverheadSetting::table_5_1()[1]),
-            partition: RR,
-        }),
+            (name, gain(r, rr, greedy), bound)
+        });
+        gains.collect()
     }
 }
 
-/// Render the §6 continuum: serial vs replicated vs single-master vs the
-/// distributed mapping, on the Rubik section at 16 processors.
-pub fn render_continuum(p: &ContinuumPlan, s: &Sections, r: &SweepResults) -> Vec<(String, f64)> {
-    let cost = mpps_core::CostModel::default();
-    let overhead = OverheadSetting::table_5_1()[1];
-    let mut out: Vec<(String, f64)> =
-        mpps_core::continuum::endpoints(&s.rubik, &cost, overhead, 16)
-            .into_iter()
-            .map(|pt| (pt.label.to_owned(), pt.speedup))
-            .collect();
-    let distributed = r.report(p.distributed).speedup_vs(r.baseline(p.trace));
-    out.push(("distributed (this paper)".to_owned(), distributed));
-    out
+/// §5.2.2 random distribution: seeded random placement does not
+/// significantly beat round-robin.
+pub fn random_vs_round_robin<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<(&'static str, f64)> + 't {
+    let random = PartitionSpec::Strategy(PartitionStrategy::Random(SEED));
+    let points = versus_round_robin(s, plan, random);
+    move |r: &SweepResults| {
+        let gains = points
+            .iter()
+            .map(|&(name, _, (rr, rnd))| (name, gain(r, rr, rnd)));
+        gains.collect()
+    }
 }
 
-/// Continuum comparison (one-shot).
-pub fn continuum() -> Vec<(String, f64)> {
-    run_solo(plan_continuum, render_continuum)
+/// The §6 continuum: serial vs replicated vs single-master (analytic
+/// endpoints, computed at render) vs the distributed mapping (simulated),
+/// on the Rubik section at 16 processors.
+pub fn continuum<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<(String, f64)> + 't {
+    let t = plan.add_trace(&s.rubik);
+    let distributed = point(plan, t, nectar(16));
+    move |r: &SweepResults| {
+        let cost = mpps_core::CostModel::default();
+        let overhead = OverheadSetting::table_5_1()[1];
+        let mut out: Vec<(String, f64)> =
+            mpps_core::continuum::endpoints(&s.rubik, &cost, overhead, 16)
+                .into_iter()
+                .map(|pt| (pt.label.to_owned(), pt.speedup))
+                .collect();
+        let distributed = r.report(distributed).speedup_vs(r.baseline(t));
+        out.push(("distributed (this paper)".to_owned(), distributed));
+        out
+    }
 }
 
-/// Per-bucket activity skew of a section (drives the greedy experiment).
-pub fn activity_skew(trace: &Trace) -> (usize, u64) {
-    let act = bucket_activity(trace);
-    let active = act.iter().filter(|&&a| a > 0).count();
-    let max = act.iter().copied().max().unwrap_or(0);
-    (active, max)
-}
-
-// ------------------------------------------------------------- shared bus
-
-/// One point id per swept processor count.
-type ProcPoints = Vec<(usize, PointId)>;
-
-/// Id bundle of the §5.2 shared-bus comparison (the MPC half; the bus
-/// simulations run at render time — they use a different simulator).
-pub struct SharedBusPlan(Vec<(&'static str, TraceId, ProcPoints)>);
-
-/// Register the MPC side of the shared-bus comparison: zero message
-/// overheads at every processor count, per section.
-pub fn plan_shared_bus<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> SharedBusPlan {
-    SharedBusPlan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                let ids = PROCS
-                    .iter()
-                    .map(|&p| {
-                        let id = plan.add_point(PointSpec {
-                            trace: t,
-                            config: MappingConfig::standard(p, OverheadSetting::ZERO),
-                            partition: RR,
-                        });
-                        (p, id)
-                    })
-                    .collect();
-                (name, t, ids)
-            })
-            .into(),
-    )
-}
-
-/// Render the §5.2 comparison: the distributed (MPC) mapping vs the
-/// shared-bus mapping at each processor count (queue claims cost 4 µs on
-/// the bus).
-pub fn render_shared_bus(p: &SharedBusPlan, s: &Sections, r: &SweepResults) -> ComparisonRows {
+/// The §5.2 comparison: the distributed (MPC) mapping at zero message
+/// overheads vs the shared-bus mapping at each processor count (queue
+/// claims cost 4 µs on the bus; the bus simulations run at render time —
+/// they use a different simulator).
+pub fn shared_bus<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> ComparisonRows + 't {
     use mpps_core::continuum::serial_time;
     use mpps_core::{shared_bus_simulate, CostModel, SharedBusConfig};
-    p.0.iter()
-        .zip(s.named())
-        .map(|((name, t, ids), (_, trace))| {
+    let sections = per_section(s, plan, |plan, t| {
+        let ids = PROCS.iter().map(|&p| (p, point(plan, t, zero_overhead(p))));
+        (t, ids.collect::<Vec<_>>())
+    });
+    move |r: &SweepResults| {
+        let compared = sections.iter().map(|(name, trace, (t, ids))| {
             let serial = serial_time(trace, &CostModel::default());
             let base = r.baseline(*t);
-            let rows: Vec<(usize, f64, f64)> = ids
-                .iter()
-                .map(|&(procs, id)| {
-                    let mpc = r.report(id).speedup_vs(base);
-                    let bus = shared_bus_simulate(trace, &SharedBusConfig::new(procs))
-                        .speedup_vs_serial(serial);
-                    (procs, mpc, bus)
-                })
-                .collect();
-            (*name, rows)
-        })
-        .collect()
+            let rows = ids.iter().map(|&(procs, id)| {
+                let mpc = r.report(id).speedup_vs(base);
+                let bus = shared_bus_simulate(trace, &SharedBusConfig::new(procs))
+                    .speedup_vs_serial(serial);
+                (procs, mpc, bus)
+            });
+            (*name, rows.collect())
+        });
+        compared.collect()
+    }
 }
 
-/// Shared-bus comparison (one-shot).
-pub fn shared_bus_comparison() -> ComparisonRows {
-    run_solo(plan_shared_bus, render_shared_bus)
-}
-
-// ------------------------------------------------------- termination cost
-
-/// Per processor count: the omniscient point and the ring-token point.
-type TerminationRows = Vec<(usize, PointId, PointId)>;
-
-/// Id bundle of the termination-detection experiment.
-pub struct TerminationPlan(Vec<(&'static str, TraceId, TerminationRows)>);
-
-/// Register the termination-cost points: omniscient vs ring-token cycle
-/// boundaries at each processor count under the 8 µs overhead row.
-pub fn plan_termination_cost<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> TerminationPlan {
-    let overhead = OverheadSetting::table_5_1()[1];
-    TerminationPlan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                let rows = PROCS
-                    .iter()
-                    .map(|&p| {
-                        let omniscient = plan.add_point(PointSpec {
-                            trace: t,
-                            config: MappingConfig::standard(p, overhead),
-                            partition: RR,
-                        });
-                        let ring = plan.add_point(PointSpec {
-                            trace: t,
-                            config: MappingConfig {
-                                termination: TerminationModel::RingToken,
-                                ..MappingConfig::standard(p, overhead)
-                            },
-                            partition: RR,
-                        });
-                        (p, omniscient, ring)
-                    })
-                    .collect();
-                (name, t, rows)
-            })
-            .into(),
-    )
-}
-
-/// Render the termination-cost comparison — small cycles pay
+/// Termination-detection cost: omniscient vs ring-token cycle boundaries
+/// at each processor count under the 8 µs overhead row — small cycles pay
 /// proportionally more.
-pub fn render_termination_cost(p: &TerminationPlan, r: &SweepResults) -> ComparisonRows {
-    p.0.iter()
-        .map(|(name, t, rows)| {
-            let base = r.baseline(*t);
-            let out: Vec<(usize, f64, f64)> = rows
+pub fn termination_cost<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> ComparisonRows + 't {
+    let sections = per_section(s, plan, |plan, t| {
+        let rows = PROCS.iter().map(|&p| {
+            let ring = MappingConfig {
+                termination: TerminationModel::RingToken,
+                ..nectar(p)
+            };
+            (p, point(plan, t, nectar(p)), point(plan, t, ring))
+        });
+        (t, rows.collect::<Vec<_>>())
+    });
+    move |r: &SweepResults| {
+        let compared = sections.iter().map(|(name, _, (t, rows))| {
+            let speedup = |id| r.report(id).speedup_vs(r.baseline(*t));
+            let rows = rows
                 .iter()
-                .map(|&(procs, omniscient, ring)| {
-                    (
-                        procs,
-                        r.report(omniscient).speedup_vs(base),
-                        r.report(ring).speedup_vs(base),
-                    )
-                })
-                .collect();
-            (*name, out)
-        })
-        .collect()
+                .map(|&(p, omni, ring)| (p, speedup(omni), speedup(ring)));
+            (*name, rows.collect())
+        });
+        compared.collect()
+    }
 }
-
-/// Termination cost (one-shot).
-pub fn termination_cost() -> ComparisonRows {
-    run_solo(plan_termination_cost, |p, _, r| {
-        render_termination_cost(p, r)
-    })
-}
-
-// ------------------------------------------------------------------- eras
-
-/// Id bundle of the §1 era comparison.
-pub struct EraPlan(Vec<(&'static str, TraceId, PointId, PointId)>);
 
 /// The Cosmic-Cube-era machine model: ~2 ms store-and-forward latency
 /// (500 µs per hypercube hop), ~300 µs message handling.
@@ -755,47 +472,25 @@ fn first_gen_config(p: usize) -> MappingConfig {
     }
 }
 
-/// Register the era-comparison points: each section at 16 processors under
-/// the Nectar-era row and the Cosmic-Cube-era model.
-pub fn plan_era_comparison<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> EraPlan {
-    EraPlan(
-        s.named()
-            .map(|(name, trace)| {
-                let t = plan.add_trace(trace);
-                let new_gen = plan.add_point(PointSpec {
-                    trace: t,
-                    config: MappingConfig::standard(16, OverheadSetting::table_5_1()[1]),
-                    partition: RR,
-                });
-                let old = plan.add_point(PointSpec {
-                    trace: t,
-                    config: first_gen_config(16),
-                    partition: RR,
-                });
-                (name, t, new_gen, old)
-            })
-            .into(),
-    )
-}
-
-/// Render the era comparison: first-generation MPCs made fine-grained
-/// match parallelism impossible; the new generation makes it attractive.
-pub fn render_era_comparison(p: &EraPlan, r: &SweepResults) -> Vec<(&'static str, f64, f64)> {
-    p.0.iter()
-        .map(|&(name, t, new_gen, old)| {
-            let base = r.baseline(t);
-            (
-                name,
-                r.report(new_gen).speedup_vs(base),
-                r.report(old).speedup_vs(base),
-            )
-        })
-        .collect()
-}
-
-/// Era comparison (one-shot).
-pub fn era_comparison() -> Vec<(&'static str, f64, f64)> {
-    run_solo(plan_era_comparison, |p, _, r| render_era_comparison(p, r))
+/// The §1 era comparison: each section at 16 processors under the
+/// Nectar-era row and the Cosmic-Cube-era model. First-generation MPCs
+/// made fine-grained match parallelism impossible; the new generation
+/// makes it attractive.
+pub fn era_comparison<'t>(
+    s: &'t Sections,
+    plan: &mut SweepPlan<'t>,
+) -> impl FnOnce(&SweepResults) -> Vec<(&'static str, f64, f64)> + 't {
+    let points = per_section(s, plan, |plan, t| {
+        let new_gen = point(plan, t, nectar(16));
+        (t, new_gen, point(plan, t, first_gen_config(16)))
+    });
+    move |r: &SweepResults| {
+        let rows = points.iter().map(|&(name, _, (t, new_gen, old))| {
+            let speedup = |id| r.report(id).speedup_vs(r.baseline(t));
+            (name, speedup(new_gen), speedup(old))
+        });
+        rows.collect()
+    }
 }
 
 #[cfg(test)]
@@ -804,30 +499,30 @@ mod tests {
     use mpps_core::simulate;
     use mpps_core::sweep::baseline;
 
-    /// The one-shot wrappers and the batched plan must produce identical
-    /// figures; the batch must also be smaller than the sum of its parts
-    /// (shared points deduplicate).
+    /// A figure planned alone and the same figure batched with others must
+    /// produce identical data; the batch must also be smaller than the sum
+    /// of its parts (shared points deduplicate).
     #[test]
-    fn batched_plan_matches_one_shot_and_deduplicates() {
+    fn batched_plan_matches_solo_and_deduplicates() {
         let s = Sections::generate();
         let mut plan = SweepPlan::new();
-        let idle = plan_network_idle(&s, &mut plan);
+        let idle = network_idle(&s, &mut plan);
         let idle_points = plan.point_count();
-        let era = plan_era_comparison(&s, &mut plan);
+        let era = era_comparison(&s, &mut plan);
         // The era's new-generation points are exactly the network-idle
         // points: only the Cosmic-Cube points are new.
         assert_eq!(plan.point_count(), idle_points + 3);
         assert_eq!(plan.trace_count(), 3);
         let r = plan.run(2);
-        assert_eq!(render_network_idle(&idle, &r), network_idle());
-        assert_eq!(render_era_comparison(&era, &r), era_comparison());
+        assert_eq!(idle(&r), solo(network_idle));
+        assert_eq!(era(&r), solo(era_comparison));
     }
 
     #[test]
-    fn solo_wrappers_match_legacy_direct_simulation() {
+    fn solo_matches_direct_simulation() {
         // Spot-check one figure against a hand-rolled simulate() loop.
         let s = Sections::generate();
-        let got = fig5_5();
+        let got = solo(fig5_5);
         let report = simulate(
             &s.rubik,
             &MappingConfig::standard(16, OverheadSetting::ZERO),

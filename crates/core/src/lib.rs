@@ -37,7 +37,7 @@ pub use cost::{CostModel, OverheadSetting, NECTAR_LATENCY};
 pub use partition::{
     bucket_activity, cycle_bucket_activity, cycle_bucket_work, load_skew, Partition,
 };
-pub use profile::{bucket_skew_factor, render_match_profile, PROFILE_SCHEMA};
+pub use profile::{bucket_skew_factor, greedy_partition, render_match_profile, PROFILE_SCHEMA};
 pub use sharedbus::{shared_bus_simulate, SharedBusConfig, SharedBusReport};
 pub use simexec::{
     name_machine_tracks, simulate, simulate_in, simulate_per_cycle, simulate_per_cycle_in,

@@ -23,6 +23,7 @@ use mpps_ops::treat::metric as rmetric;
 use mpps_rete::kernel::metric as kmetric;
 
 use crate::threaded::metric as tmetric;
+use crate::Partition;
 
 /// Schema identifier written into every profile, checked by CI.
 pub const PROFILE_SCHEMA: &str = "mpps.match_profile.v1";
@@ -80,6 +81,22 @@ pub fn bucket_skew_factor(reg: &MetricsRegistry) -> Option<f64> {
     } else {
         Some(0.0)
     }
+}
+
+/// The §5.2.2 offline-greedy partition from a profiled sequential run:
+/// LPT-pack the per-bucket activation counter — equal to the traced
+/// [`crate::bucket_activity`] (`tests/profiled_equivalence.rs`) — onto
+/// `workers`. A run that recorded no bucket activity packs all zeros.
+pub fn greedy_partition(reg: &MetricsRegistry, table_size: u64, workers: usize) -> Partition {
+    let mut activity = vec![0u64; table_size as usize];
+    for (&bucket, &n) in reg
+        .counter(kmetric::BUCKET_ACTIVATIONS)
+        .into_iter()
+        .flatten()
+    {
+        activity[bucket as usize] = n;
+    }
+    Partition::greedy(&activity, workers)
 }
 
 /// The per-bucket skew block rendered into the profile document.

@@ -394,33 +394,12 @@ impl<M: MetricSink> Worker<M> {
     /// Adopt one wire item into this worker's arena.
     fn adopt(&mut self, w: WireWork) -> Work {
         match w {
-            WireWork::Root(RootWork::Right {
-                node,
-                sign,
-                wme_id,
-                wme,
-                key_hash,
-            }) => Work::Right {
-                node,
-                sign,
-                wme_id,
-                wme,
-                key_hash,
-            },
-            WireWork::Root(RootWork::Seed {
-                node,
-                sign,
-                wme_id,
-                vals,
-                key_hash,
-            }) => Work::Left {
-                node,
-                sign,
-                token: self.kernel.seed(wme_id, &vals),
-                key_hash,
-            },
-            WireWork::Root(RootWork::Prod { .. }) => {
-                unreachable!("prod work stays at the coordinator")
+            WireWork::Root(root) => {
+                debug_assert!(
+                    !matches!(root, RootWork::Prod { .. }),
+                    "prod work stays at the coordinator"
+                );
+                self.kernel.adopt_root(root)
             }
             WireWork::Left {
                 node,
@@ -689,6 +668,19 @@ pub struct ThreadedMatcher {
     adapt: Option<AdaptState>,
 }
 
+/// Dense shard layout under `partition`: each global bucket's local slot
+/// in its owner's shard, and every worker's shard length.
+fn shard_layout(partition: &Partition) -> (Arc<Vec<u32>>, Vec<usize>) {
+    let mut slot_of = vec![0u32; partition.table_size() as usize];
+    let mut shard_len = vec![0usize; partition.processors()];
+    for b in 0..partition.table_size() {
+        let w = partition.owner(b);
+        slot_of[b as usize] = shard_len[w] as u32;
+        shard_len[w] += 1;
+    }
+    (Arc::new(slot_of), shard_len)
+}
+
 impl ThreadedMatcher {
     /// Spawn `workers` match-processor threads for a compiled network with
     /// `table_size` hash buckets (buckets are assigned round-robin).
@@ -731,15 +723,7 @@ impl ThreadedMatcher {
         let workers = partition.processors();
         let network = Arc::new(network);
         let partition = Arc::new(partition);
-        // Dense shard layout: global bucket → local slot in its owner.
-        let mut slot_of = vec![0u32; table_size as usize];
-        let mut shard_len = vec![0usize; workers];
-        for b in 0..table_size {
-            let w = partition.owner(b);
-            slot_of[b as usize] = shard_len[w] as u32;
-            shard_len[w] += 1;
-        }
-        let slot_of = Arc::new(slot_of);
+        let (slot_of, shard_len) = shard_layout(&partition);
         let outstanding = Arc::new(AtomicI64::new(0));
         let (to_coord, from_workers) = unbounded();
         let channels: Vec<(Sender<ToWorker>, Receiver<ToWorker>)> =
@@ -971,15 +955,7 @@ impl ThreadedMatcher {
         if moved_buckets == 0 {
             return Ok(MigrationStats::default());
         }
-        // Dense shard layout under the new ownership (same scheme as build).
-        let mut slot_of = vec![0u32; self.table_size as usize];
-        let mut shard_len = vec![0usize; self.workers.len()];
-        for b in 0..self.table_size {
-            let w = partition.owner(b);
-            slot_of[b as usize] = shard_len[w] as u32;
-            shard_len[w] += 1;
-        }
-        let slot_of = Arc::new(slot_of);
+        let (slot_of, shard_len) = shard_layout(&partition);
         let partition = Arc::new(partition);
         for (w, tx) in self.workers.iter().enumerate() {
             let msg = ToWorker::Migrate {

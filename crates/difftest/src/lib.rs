@@ -41,12 +41,12 @@ use mpps_core::{AdaptOptions, Partition, ThreadedMatcher};
 use mpps_ops::{
     Instantiation, MatchError, Matcher, NaiveMatcher, OpsError, Program, TreatMatcher, WmeChange,
 };
-use mpps_rete::{CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
+use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
 use std::fmt;
 use std::str::FromStr;
 
 pub use gen::{generate_case, FuzzCase, GenConfig, Schedule, ScheduleOp};
-pub use oracle::{run_case, Divergence};
+pub use oracle::{replay, run_case, Divergence};
 pub use repro::{load_repro, render_ops, render_sched, write_repro};
 pub use shrink::shrink_case;
 
@@ -155,9 +155,8 @@ impl MatcherKind {
 /// generator's tiny integer vocabulary so the variants genuinely partition
 /// live values rather than degenerating to one hot range.
 pub fn transform_plan_for(program: &Program) -> TransformPlan {
-    let mut plan = TransformPlan::new();
+    let mut plan = TransformPlan::unshare_all(program);
     for (pid, prod) in program.iter() {
-        plan = plan.with_unshare(pid);
         'split: for (ci, ce) in prod.lhs.iter().enumerate() {
             if ce.negated {
                 continue;
@@ -176,7 +175,7 @@ pub fn transform_plan_for(program: &Program) -> TransformPlan {
 
 fn transformed_network(program: &Program) -> Result<ReteNetwork, OpsError> {
     let plan = transform_plan_for(program);
-    ReteNetwork::compile_planned(program, CompileOptions::default(), &plan)
+    ReteNetwork::compile_planned(program, &plan)
 }
 
 /// A profiled [`ThreadedMatcher`] with the online repartitioner armed at an

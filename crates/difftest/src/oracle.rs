@@ -17,7 +17,7 @@
 use crate::gen::{FuzzCase, ScheduleOp};
 use crate::MatcherKind;
 use mpps_ops::interpreter::StepOutcome;
-use mpps_ops::{Instantiation, Interpreter, Matcher, Wme, WmeId};
+use mpps_ops::{Instantiation, Interpreter, Matcher, Program, Wme, WmeId};
 use std::fmt;
 
 /// Fire at most this many cycles after each schedule round (generated
@@ -193,6 +193,47 @@ pub fn run_case(case: &FuzzCase, matchers: &[MatcherKind]) -> Option<Divergence>
         }
     }
     None
+}
+
+/// Drive `case`'s schedule through a single `matcher` at the oracle's
+/// cadence (same per-round and total cycle bounds) — nothing is compared;
+/// this is how profiled matchers are dragged through the generated
+/// grammar. `RemoveNth` resolves against this lane's own WM, which matches
+/// the oracle whenever the matchers agree (and is merely a different valid
+/// schedule when not).
+pub fn replay<M: Matcher>(case: &FuzzCase, program: &Program, matcher: M) -> Interpreter<M> {
+    let mut interp = Interpreter::with_matcher(program.clone(), case.strategy, matcher);
+    let mut total_cycles = 0usize;
+    'rounds: for ops in &case.schedule.rounds {
+        for op in ops {
+            match op {
+                ScheduleOp::Make(wme) => {
+                    interp.add_wme(wme.clone());
+                }
+                ScheduleOp::RemoveNth(n) => {
+                    let ids: Vec<WmeId> =
+                        interp.working_memory().iter().map(|(id, _)| id).collect();
+                    if !ids.is_empty() {
+                        let id = ids[n % ids.len()];
+                        interp.remove_wme(id).expect("id drawn from live WM");
+                    }
+                }
+            }
+        }
+        for _ in 0..MAX_STEPS_PER_ROUND {
+            if total_cycles >= MAX_TOTAL_CYCLES {
+                break 'rounds;
+            }
+            total_cycles += 1;
+            if !matches!(interp.step(), Ok(StepOutcome::Fired(_))) || interp.is_halted() {
+                break;
+            }
+        }
+        if interp.is_halted() {
+            break;
+        }
+    }
+    interp
 }
 
 /// Compare one lane against the reference after a cycle; `Some(detail)` on

@@ -9,7 +9,7 @@
 use mpps_difftest::{generate_case, FuzzCase, GenConfig, ScheduleOp};
 use mpps_ops::interpreter::StepOutcome;
 use mpps_ops::{Interpreter, Matcher, Program, WmeId};
-use mpps_rete::{CompileOptions, EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
+use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
 use proptest::prelude::*;
 
 /// Mirror the oracle's cycle bounds so generated loops stay finite.
@@ -51,7 +51,7 @@ fn random_plan(program: &Program, decisions: &[u8]) -> TransformPlan {
 }
 
 fn matcher_for(program: &Program, plan: &TransformPlan) -> ReteMatcher {
-    let network = ReteNetwork::compile_planned(program, CompileOptions::default(), plan)
+    let network = ReteNetwork::compile_planned(program, plan)
         .expect("plan was validated candidate by candidate");
     ReteMatcher::new(network, EngineConfig::default())
 }

@@ -248,11 +248,6 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
         &self.nodes[id]
     }
 
-    /// Mutable access to a node between runs.
-    pub fn node_mut(&mut self, id: ProcId) -> &mut N {
-        &mut self.nodes[id]
-    }
-
     /// The telemetry recorder.
     pub fn recorder(&self) -> &R {
         &self.recorder

@@ -148,16 +148,6 @@ impl ConditionElement {
         }
     }
 
-    /// Variables this CE *binds* (first-occurrence scan must be done at the
-    /// production level; this lists every variable the CE mentions in an
-    /// equality position).
-    pub fn equality_variables(&self) -> impl Iterator<Item = (Symbol, Symbol)> + '_ {
-        self.tests.iter().filter_map(|t| match &t.kind {
-            TestKind::Variable(v) => Some((*v, t.attr)),
-            _ => None,
-        })
-    }
-
     /// Does `wme` pass all the *constant* tests (class + literals +
     /// disjunctions) of this CE? Variable tests are ignored; they are the
     /// join tests.

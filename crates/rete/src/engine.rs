@@ -222,45 +222,7 @@ impl<M: MetricSink> Matcher for ReteMatcher<M> {
             self.roots.clear();
             kernel::alpha_roots(&self.network, change, &mut self.roots);
             for root in self.roots.drain(..) {
-                let work = match root {
-                    RootWork::Right {
-                        node,
-                        sign,
-                        wme_id,
-                        wme,
-                        key_hash,
-                    } => Work::Right {
-                        node,
-                        sign,
-                        wme_id,
-                        wme,
-                        key_hash,
-                    },
-                    RootWork::Seed {
-                        node,
-                        sign,
-                        wme_id,
-                        vals,
-                        key_hash,
-                    } => Work::Left {
-                        node,
-                        sign,
-                        token: self.kernel.seed(wme_id, &vals),
-                        key_hash,
-                    },
-                    RootWork::Prod {
-                        node,
-                        production,
-                        sign,
-                        wme_id,
-                        vals,
-                    } => Work::Prod {
-                        node,
-                        production,
-                        sign,
-                        token: self.kernel.seed(wme_id, &vals),
-                    },
-                };
+                let work = self.kernel.adopt_root(root);
                 self.queue.push_back((work, None));
             }
         }

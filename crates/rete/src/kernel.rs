@@ -349,6 +349,51 @@ impl<S: TokenStore, M: MetricSink> Kernel<S, M> {
         t
     }
 
+    /// Adopt a root activation into this kernel's arena: seed roots become
+    /// level-0 tokens (the returned work owns their one reference).
+    #[inline]
+    pub fn adopt_root(&mut self, root: RootWork) -> Work {
+        match root {
+            RootWork::Right {
+                node,
+                sign,
+                wme_id,
+                wme,
+                key_hash,
+            } => Work::Right {
+                node,
+                sign,
+                wme_id,
+                wme,
+                key_hash,
+            },
+            RootWork::Seed {
+                node,
+                sign,
+                wme_id,
+                vals,
+                key_hash,
+            } => Work::Left {
+                node,
+                sign,
+                token: self.seed(wme_id, &vals),
+                key_hash,
+            },
+            RootWork::Prod {
+                node,
+                production,
+                sign,
+                wme_id,
+                vals,
+            } => Work::Prod {
+                node,
+                production,
+                sign,
+                token: self.seed(wme_id, &vals),
+            },
+        }
+    }
+
     /// The matched WME ids of `token`, root first, in the kernel's scratch
     /// buffer: the borrowed identity a retraction probes the conflict
     /// store with, without allocating.

@@ -37,12 +37,12 @@ pub use hashfn::{bucket_index, chain_extend, chain_seed, hash_init, hash_mix, to
 pub use kernel::{Kernel, KernelStats, RootWork, Work};
 pub use memory::{GlobalMemories, LeftEntry, RightEntry, ShardedMemories, TokenStore};
 pub use network::{
-    AlphaNode, CompileOptions, JoinNode, NetworkStats, NodeId, NodeKind, NodeLayout,
-    ProductionNode, ReteNetwork, Side, VarRef,
+    AlphaNode, JoinNode, NetworkStats, NodeId, NodeKind, NodeLayout, ProductionNode, ReteNetwork,
+    Side, VarRef,
 };
 pub use token::{BetaToken, Bindings, FlatToken, TokenArena, TokenId};
 pub use trace::{ActKind, ActivationId, ActivationRecord, Trace, TraceCycle, TraceStats};
 pub use transform::{
-    compile_suggested, copy_and_constrain, rewrite, split_fanout, suggest_plan, unshare,
-    SplitFanoutOptions, SplitSpec, SuggestOptions, TransformPlan,
+    compile_suggested, split_fanout, suggest_plan, unshare, SplitFanoutOptions, SplitSpec,
+    TransformPlan,
 };

@@ -13,7 +13,6 @@
 //! shares two-input nodes between productions with structurally identical
 //! CE prefixes — the *sharing* that §5.2.1's unsharing transform removes.
 
-use crate::token::Bindings;
 use mpps_ops::{
     ConditionElement, OpsError, Predicate, Production, ProductionId, Program, Symbol, TestKind,
     Value, Wme,
@@ -142,47 +141,12 @@ pub struct JoinSpec {
 }
 
 impl JoinSpec {
-    /// Does `(token, wme)` pass all variable tests?
-    pub fn passes(&self, bindings: &Bindings, wme: &Wme) -> bool {
-        self.eq_checks
-            .iter()
-            .all(|&(var, attr)| match (bindings.get(var), wme.get(attr)) {
-                (Some(b), Some(w)) => b == w,
-                _ => false,
-            })
-            && self.pred_checks.iter().all(|&(var, pred, attr)| {
-                match (bindings.get(var), wme.get(attr)) {
-                    (Some(b), Some(w)) => pred.eval(w, b),
-                    _ => false,
-                }
-            })
-    }
-
-    /// Hash-signature values of a left token: the bindings of the
-    /// equality-tested variables, in signature order.
-    pub fn left_hash_values<'a>(
-        &'a self,
-        bindings: &'a Bindings,
-    ) -> impl Iterator<Item = Value> + 'a {
-        self.eq_checks
-            .iter()
-            .map(move |&(var, _)| bindings.get(var).expect("eq-tested variable must be bound"))
-    }
-
     /// Hash-signature values of a right WME: the attribute values matched
     /// against the equality-tested variables, in signature order.
     pub fn right_hash_values<'a>(&'a self, wme: &'a Wme) -> impl Iterator<Item = Value> + 'a {
         self.eq_checks
             .iter()
             .map(move |&(_, attr)| wme.get(attr).expect("alpha guaranteed attribute presence"))
-    }
-
-    /// Extract the fresh bindings `(var, value)` a right WME contributes.
-    pub fn extract_binds(&self, wme: &Wme) -> Vec<(Symbol, Value)> {
-        self.binds
-            .iter()
-            .map(|&(var, attr)| (var, wme.get(attr).expect("alpha guaranteed presence")))
-            .collect()
     }
 }
 
@@ -249,36 +213,6 @@ pub enum NodeKind {
     Production(ProductionNode),
 }
 
-/// Compiler options controlling node sharing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CompileOptions {
-    /// Share alpha nodes between identical condition elements.
-    pub share_alpha: bool,
-    /// Share two-input nodes between structurally identical CE prefixes.
-    /// Setting this to `false` is the paper's *unsharing* transform
-    /// (§5.2.1, Figure 5-3).
-    pub share_beta: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            share_alpha: true,
-            share_beta: true,
-        }
-    }
-}
-
-impl CompileOptions {
-    /// The unshared configuration used for Figure 5-4.
-    pub fn unshared() -> Self {
-        CompileOptions {
-            share_alpha: true,
-            share_beta: false,
-        }
-    }
-}
-
 /// Summary counts over a compiled network.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct NetworkStats {
@@ -332,22 +266,12 @@ pub struct ReteNetwork {
     layouts: Vec<NodeLayout>,
     alpha_by_class: HashMap<Symbol, Vec<NodeId>>,
     production_nodes: Vec<NodeId>,
-    options: CompileOptions,
 }
 
 impl ReteNetwork {
-    /// Compile `program` with default (fully shared) options.
+    /// Compile `program` fully shared (the empty plan).
     pub fn compile(program: &Program) -> Result<Self, OpsError> {
-        Self::compile_with(program, CompileOptions::default())
-    }
-
-    /// Compile `program` with explicit sharing options.
-    pub fn compile_with(program: &Program, options: CompileOptions) -> Result<Self, OpsError> {
-        Self::compile_planned(
-            program,
-            options,
-            &crate::transform::TransformPlan::default(),
-        )
+        Self::compile_planned(program, &crate::transform::TransformPlan::default())
     }
 
     /// Compile `program` with a [`crate::transform::TransformPlan`] applied:
@@ -358,7 +282,6 @@ impl ReteNetwork {
     /// network produces byte-identical conflict sets.
     pub fn compile_planned(
         program: &Program,
-        options: CompileOptions,
         plan: &crate::transform::TransformPlan,
     ) -> Result<Self, OpsError> {
         plan.validate(program)?;
@@ -368,16 +291,14 @@ impl ReteNetwork {
                 layouts: Vec::new(),
                 alpha_by_class: HashMap::new(),
                 production_nodes: Vec::new(),
-                options,
             },
             alpha_cache: HashMap::default(),
             beta_cache: HashMap::default(),
-            options,
             share_beta_now: true,
         };
         for (pid, prod) in program.iter() {
             c.share_beta_now = !plan.unshares(pid);
-            match plan.split_variants(pid, prod)? {
+            match plan.split_variants(pid, prod) {
                 Some(variants) => {
                     for variant in &variants {
                         c.compile_production(pid, variant)?;
@@ -557,11 +478,6 @@ impl ReteNetwork {
             .map(|(i, n)| (NodeId(i as u32), n))
     }
 
-    /// The options the network was compiled with.
-    pub fn options(&self) -> CompileOptions {
-        self.options
-    }
-
     /// Count nodes by kind.
     pub fn stats(&self) -> NetworkStats {
         let mut s = NetworkStats::default();
@@ -670,7 +586,6 @@ struct Compiler {
     net: ReteNetwork,
     alpha_cache: HashMap<u64, Vec<NodeId>, FxBuildHasher>,
     beta_cache: HashMap<u64, Vec<NodeId>, FxBuildHasher>,
-    options: CompileOptions,
     /// Per-production override: `false` while compiling a production the
     /// active [`crate::transform::TransformPlan`] marks for unsharing.
     share_beta_now: bool,
@@ -768,18 +683,16 @@ impl Compiler {
     }
 
     fn alpha_node(&mut self, key: AlphaKey) -> NodeId {
-        let kh = self.options.share_alpha.then(|| structural_hash(&key));
-        if let Some(kh) = kh {
-            for &cand in self.alpha_cache.get(&kh).into_iter().flatten() {
-                if let NodeKind::Alpha(a) = &self.net.nodes[cand.0 as usize] {
-                    if a.class == key.class
-                        && a.const_tests == key.const_tests
-                        && a.disj_tests == key.disj_tests
-                        && a.intra_tests == key.intra_tests
-                        && a.required == key.required
-                    {
-                        return cand;
-                    }
+        let kh = structural_hash(&key);
+        for &cand in self.alpha_cache.get(&kh).into_iter().flatten() {
+            if let NodeKind::Alpha(a) = &self.net.nodes[cand.0 as usize] {
+                if a.class == key.class
+                    && a.const_tests == key.const_tests
+                    && a.disj_tests == key.disj_tests
+                    && a.intra_tests == key.intra_tests
+                    && a.required == key.required
+                {
+                    return cand;
                 }
             }
         }
@@ -798,9 +711,7 @@ impl Compiler {
             required: key.required,
             successors: Vec::new(),
         }));
-        if let Some(kh) = kh {
-            self.alpha_cache.entry(kh).or_default().push(id);
-        }
+        self.alpha_cache.entry(kh).or_default().push(id);
         id
     }
 
@@ -821,7 +732,7 @@ impl Compiler {
     /// Find or create the two-input node for `key`, wiring its input edges
     /// on creation.
     fn two_input_node(&mut self, key: BetaKey) -> NodeId {
-        let kh = (self.options.share_beta && self.share_beta_now).then(|| structural_hash(&key));
+        let kh = self.share_beta_now.then(|| structural_hash(&key));
         if let Some(kh) = kh {
             for &cand in self.beta_cache.get(&kh).into_iter().flatten() {
                 if let NodeKind::TwoInput(j) = &self.net.nodes[cand.0 as usize] {
@@ -1021,9 +932,9 @@ mod tests {
             (p b (goal ^id <g>) (task ^goal <g>) (slot ^x 2) --> (remove 1))
         "#;
         let shared = compile(src);
-        let unshared =
-            ReteNetwork::compile_with(&parse_program(src).unwrap(), CompileOptions::unshared())
-                .unwrap();
+        let program = parse_program(src).unwrap();
+        let plan = crate::transform::TransformPlan::unshare_all(&program);
+        let unshared = ReteNetwork::compile_planned(&program, &plan).unwrap();
         assert!(unshared.stats().two_input > shared.stats().two_input);
         assert_eq!(unshared.stats().two_input, 4);
         assert_eq!(unshared.stats().shared_two_input, 0);

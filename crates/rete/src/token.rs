@@ -400,12 +400,6 @@ impl BetaToken {
         }
         t
     }
-
-    /// A shallow copy with no added WME (negative nodes pass tokens
-    /// through unchanged).
-    pub fn passthrough(&self) -> Self {
-        self.clone()
-    }
 }
 
 impl fmt::Display for BetaToken {

@@ -5,19 +5,21 @@
 //!
 //! 1. **Unsharing** (Figure 5-3): compile the network without two-input
 //!    node sharing, so each production generates its successors at its own
-//!    node (and hence bucket). Implemented in the compiler —
-//!    [`CompileOptions::unshared`]; [`unshare`] is a convenience wrapper.
+//!    node (and hence bucket). Implemented in the compiler as a plan that
+//!    unshares every production ([`TransformPlan::unshare_all`]);
+//!    [`unshare`] is a convenience wrapper.
 //! 2. **Dummy nodes**: insert intermediate nodes that split one node's
 //!    large successor fan-out into 2–4 parts. Implemented as the trace
 //!    transform [`split_fanout`], mirroring how dummy nodes reshape the
 //!    activation tree without changing match semantics.
 //! 3. **Copy-and-constraint** (Stolfo; §5.2.2): split a production into
 //!    multiple copies, each matching a slice of the data, so the copies'
-//!    distinct node ids restore hash discrimination. Implemented as the
-//!    source transform [`copy_and_constrain`].
+//!    distinct node ids restore hash discrimination. Implemented in the
+//!    compiler as a planned [`SplitSpec`], which keeps the production's
+//!    identity on every copy.
 
 use crate::hashfn::bucket_index;
-use crate::network::{CompileOptions, NodeId, NodeKind, ReteNetwork, Side, Succ};
+use crate::network::{NodeId, NodeKind, ReteNetwork, Side, Succ};
 use crate::trace::{ActKind, ActivationRecord, Trace, TraceCycle};
 use mpps_ops::{
     intern, AttrTest, OpsError, Predicate, Production, ProductionId, Program, Symbol, TestKind,
@@ -28,7 +30,7 @@ use std::collections::BTreeMap;
 /// Compile `program` with two-input-node sharing disabled — the unsharing
 /// transform of §5.2.1.
 pub fn unshare(program: &Program) -> Result<ReteNetwork, OpsError> {
-    ReteNetwork::compile_with(program, CompileOptions::unshared())
+    ReteNetwork::compile_planned(program, &TransformPlan::unshare_all(program))
 }
 
 /// Options for [`split_fanout`].
@@ -119,74 +121,16 @@ pub fn split_fanout(trace: &Trace, opts: SplitFanoutOptions) -> Trace {
     out
 }
 
-/// Split `production` into one copy per half-open value range of the
-/// integer attribute `attr` of condition element `ce_index` (0-based into
-/// the LHS). `boundaries` must be strictly increasing; `n` boundaries yield
-/// `n + 1` copies covering `(-∞, b0)`, `[b0, b1)`, …, `[bn-1, +∞)`.
-///
-/// Any WME whose `attr` is an integer matches exactly one copy, so the
-/// union of the copies' matches equals the original's — provided every WME
-/// reaching that CE carries an integer `attr` (the caller picks an
-/// attribute for which that holds). The copies are distinct productions
-/// compiled to distinct node ids, which is what restores hash
-/// discrimination for non-discriminating (cross-product) joins.
-pub fn copy_and_constrain(
-    production: &Production,
-    ce_index: usize,
-    attr: &str,
-    boundaries: &[i64],
-) -> Result<Vec<Production>, OpsError> {
-    let invalid = |msg: String| {
-        Err(OpsError::InvalidProduction(
-            production.name.to_string(),
-            msg,
-        ))
-    };
-    if ce_index >= production.lhs.len() {
-        return invalid(format!("copy-and-constraint: no CE at index {ce_index}"));
-    }
-    if production.lhs[ce_index].negated {
-        return invalid("copy-and-constraint: cannot split on a negated CE".into());
-    }
-    if boundaries.is_empty() {
-        return invalid("copy-and-constraint: need at least one boundary".into());
-    }
-    if boundaries.windows(2).any(|w| w[0] >= w[1]) {
-        return invalid("copy-and-constraint: boundaries must be strictly increasing".into());
-    }
-    let attr = intern(attr);
-    let copies = boundaries.len() + 1;
-    let mut out = Vec::with_capacity(copies);
-    for i in 0..copies {
-        let mut p = production.clone();
-        p.name = intern(&format!("{}*cc{}", production.name, i));
-        let ce = &mut p.lhs[ce_index];
-        if i > 0 {
-            ce.tests.push(AttrTest {
-                attr,
-                kind: TestKind::Constant(Predicate::Ge, Value::Int(boundaries[i - 1])),
-            });
-        }
-        if i < boundaries.len() {
-            ce.tests.push(AttrTest {
-                attr,
-                kind: TestKind::Constant(Predicate::Lt, Value::Int(boundaries[i])),
-            });
-        }
-        p.validate()?;
-        out.push(p);
-    }
-    Ok(out)
-}
-
 /// A planned network-level copy-and-constraint: split one production's
 /// join chain by constraining the value range of `attr` at LHS condition
 /// element `ce_index`.
 ///
-/// Unlike the source transform [`copy_and_constrain`], a planned split is
-/// applied during compilation ([`ReteNetwork::compile_planned`]) and keeps
-/// the production's name and [`ProductionId`] on every variant, so the
-/// rewritten network's conflict sets are *identical* to the original's —
+/// The copies are distinct LHS variants compiled to distinct node ids —
+/// which is what restores hash discrimination for non-discriminating
+/// (cross-product) joins — but a planned split is applied during
+/// compilation ([`ReteNetwork::compile_planned`]) and keeps the
+/// production's name and [`ProductionId`] on every variant, so the
+/// rewritten network's conflict sets are *identical* to the original's,
 /// not merely equivalent up to renaming.
 ///
 /// Soundness: [`mpps_ops::Value`] is totally ordered (integers below all
@@ -278,7 +222,7 @@ impl SplitSpec {
 
 /// A set of semantics-preserving network rewrites: per-production
 /// unsharing (§5.2.1) and copy-and-constraint splits (§5.2.2), applied
-/// together by [`rewrite`] / [`ReteNetwork::compile_planned`].
+/// together by [`ReteNetwork::compile_planned`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct TransformPlan {
     unshare: Vec<ProductionId>,
@@ -286,9 +230,18 @@ pub struct TransformPlan {
 }
 
 impl TransformPlan {
-    /// An empty plan (compiles identically to [`ReteNetwork::compile_with`]).
+    /// An empty plan (compiles identically to [`ReteNetwork::compile`]).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The plan that unshares every production of `program`: no two-input
+    /// node is shared anywhere — the whole-network unsharing of Figure 5-3.
+    pub fn unshare_all(program: &Program) -> Self {
+        TransformPlan {
+            unshare: program.iter().map(|(pid, _)| pid).collect(),
+            splits: Vec::new(),
+        }
     }
 
     /// Mark `pid` for unsharing: its two-input nodes bypass the sharing
@@ -360,11 +313,9 @@ impl TransformPlan {
         &self,
         pid: ProductionId,
         production: &Production,
-    ) -> Result<Option<Vec<Production>>, OpsError> {
-        match self.splits.iter().find(|(p, _)| *p == pid) {
-            Some((_, spec)) => Ok(Some(spec.variants(production))),
-            None => Ok(None),
-        }
+    ) -> Option<Vec<Production>> {
+        let (_, spec) = self.splits.iter().find(|(p, _)| *p == pid)?;
+        Some(spec.variants(production))
     }
 
     /// One-line human summary, for logs and the CLI.
@@ -389,37 +340,9 @@ impl TransformPlan {
     }
 }
 
-/// Apply `plan` to the network compiled from `program`, preserving the
-/// original's [`CompileOptions`]. The result matches the same data with
-/// byte-identical conflict sets (same [`ProductionId`]s, same WME
-/// combinations) — the equivalence the difftest oracle and the
-/// transform-sequence proptests pin down.
-pub fn rewrite(
-    net: &ReteNetwork,
-    program: &Program,
-    plan: &TransformPlan,
-) -> Result<ReteNetwork, OpsError> {
-    ReteNetwork::compile_planned(program, net.options(), plan)
-}
-
-/// Options for [`suggest_plan`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SuggestOptions {
-    /// Target number of range copies per split (the paper suggests 2–4).
-    pub ways: usize,
-    /// Ignore two-input nodes with fewer recorded activations than this.
-    /// With an empty activation map every cross-product node qualifies.
-    pub min_activations: u64,
-}
-
-impl Default for SuggestOptions {
-    fn default() -> Self {
-        SuggestOptions {
-            ways: 4,
-            min_activations: 0,
-        }
-    }
-}
+/// Target number of range copies per suggested split (the paper suggests
+/// 2–4).
+const SUGGEST_WAYS: usize = 4;
 
 /// Derive a [`TransformPlan`] from measured hot spots.
 ///
@@ -437,19 +360,12 @@ pub fn suggest_plan(
     program: &Program,
     node_activations: &BTreeMap<u64, u64>,
     wmes: &[Wme],
-    opts: &SuggestOptions,
 ) -> TransformPlan {
     let acts = |id: NodeId| node_activations.get(&u64::from(id.0)).copied().unwrap_or(0);
     let mut hot: Vec<NodeId> = net
         .iter()
         .filter_map(|(id, n)| match n {
-            NodeKind::TwoInput(j)
-                if !j.negative
-                    && j.spec.eq_checks.is_empty()
-                    && acts(id) >= opts.min_activations =>
-            {
-                Some(id)
-            }
+            NodeKind::TwoInput(j) if !j.negative && j.spec.eq_checks.is_empty() => Some(id),
             _ => None,
         })
         .collect();
@@ -471,7 +387,7 @@ pub fn suggest_plan(
             let Some(ce_index) = ce_index_of_node(net, program, pid, node) else {
                 continue;
             };
-            if let Some(spec) = propose_split(net, program, pid, ce_index, node, wmes, opts) {
+            if let Some(spec) = propose_split(net, program, pid, ce_index, node, wmes) {
                 plan = plan.with_split(pid, spec);
             }
         }
@@ -480,7 +396,7 @@ pub fn suggest_plan(
 }
 
 /// The static half of the closed skew loop in one call: compile
-/// `program`, derive the default-options [`suggest_plan`] from the
+/// `program`, derive the [`suggest_plan`] from the
 /// measured `node_activations` and the `wmes` sample, and recompile
 /// through it. Both inputs may be empty (nothing measured yet): every
 /// cross-product join then qualifies as hot. Returns the transformed
@@ -491,14 +407,8 @@ pub fn compile_suggested(
     wmes: &[Wme],
 ) -> Result<(ReteNetwork, TransformPlan), OpsError> {
     let net = ReteNetwork::compile(program)?;
-    let plan = suggest_plan(
-        &net,
-        program,
-        node_activations,
-        wmes,
-        &SuggestOptions::default(),
-    );
-    let transformed = rewrite(&net, program, &plan)?;
+    let plan = suggest_plan(&net, program, node_activations, wmes);
+    let transformed = ReteNetwork::compile_planned(program, &plan)?;
     Ok((transformed, plan))
 }
 
@@ -573,7 +483,7 @@ fn ce_index_of_node(
 /// Pick the split attribute and boundaries for `pid`'s CE at `ce_index`:
 /// the tested attribute whose integer values across the WMEs accepted by
 /// the node's right alpha are most diverse, cut at quantiles into at most
-/// `opts.ways` ranges. `None` when no attribute has at least two distinct
+/// [`SUGGEST_WAYS`] ranges. `None` when no attribute has at least two distinct
 /// integer values (a split would not spread anything).
 fn propose_split(
     net: &ReteNetwork,
@@ -582,7 +492,6 @@ fn propose_split(
     ce_index: usize,
     node: NodeId,
     wmes: &[Wme],
-    opts: &SuggestOptions,
 ) -> Option<SplitSpec> {
     let ce = &program.get(pid).lhs[ce_index];
     let alpha = match net.node(net.join(node).right_alpha) {
@@ -611,7 +520,7 @@ fn propose_split(
         }
     }
     let (_, attr, distinct) = best?;
-    let ways = opts.ways.max(2).min(distinct.len());
+    let ways = SUGGEST_WAYS.min(distinct.len());
     // Quantile cut points: `ways - 1` boundaries from the distinct values,
     // strictly increasing by construction (indices strictly increase and
     // the values are deduped).
@@ -749,116 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_and_constrain_produces_partitioning_copies() {
-        let p =
-            parse_production("(p pairup (team ^id <a>) (team ^id <b>) --> (remove 1))").unwrap();
-        let copies = copy_and_constrain(&p, 1, "id", &[10, 20]).unwrap();
-        assert_eq!(copies.len(), 3);
-        assert_eq!(copies[0].name.as_str(), "pairup*cc0");
-        // Copy 0: id < 10; copy 1: 10 <= id < 20; copy 2: id >= 20.
-        assert_eq!(copies[0].lhs[1].tests.len(), 2);
-        assert_eq!(copies[1].lhs[1].tests.len(), 3);
-        assert_eq!(copies[2].lhs[1].tests.len(), 2);
-    }
-
-    #[test]
-    fn copy_and_constrain_preserves_match_semantics() {
-        let src = "(p pairup (lhs ^id <a>) (rhs ^id <b>) --> (remove 1))";
-        let original = parse_production(src).unwrap();
-        let copies = copy_and_constrain(&original, 1, "id", &[5]).unwrap();
-
-        let prog_orig = Program::from_productions(vec![original]).unwrap();
-        let prog_cc = Program::from_productions(copies).unwrap();
-        let mut m_orig = ReteMatcher::from_program(&prog_orig).unwrap();
-        let mut m_cc = ReteMatcher::from_program(&prog_cc).unwrap();
-
-        let mut changes = Vec::new();
-        let mut id = 0;
-        for i in 0..4 {
-            id += 1;
-            changes.push(WmeChange::add(
-                WmeId(id),
-                Wme::new("lhs", &[("id", i.into())]),
-            ));
-        }
-        for i in 0..10 {
-            id += 1;
-            changes.push(WmeChange::add(
-                WmeId(id),
-                Wme::new("rhs", &[("id", i.into())]),
-            ));
-        }
-        m_orig.process(&changes);
-        m_cc.process(&changes);
-        // Same WME combinations match (production ids differ by design).
-        let keys = |m: &ReteMatcher| {
-            let mut v: Vec<Vec<WmeId>> = m
-                .conflict_set()
-                .into_iter()
-                .map(|i| i.wme_ids().to_vec())
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(keys(&m_orig), keys(&m_cc));
-        assert_eq!(m_orig.conflict_set().len(), 40);
-    }
-
-    #[test]
-    fn copy_and_constrain_spreads_buckets() {
-        // The whole point: the cross-product join's tokens now hash to
-        // different buckets because the copies have different node ids.
-        let src = "(p cross (lhs ^id <a>) (rhs ^id <b>) --> (remove 1))";
-        let original = parse_production(src).unwrap();
-        let run = |prog: Program| {
-            let mut m = ReteMatcher::new(
-                crate::network::ReteNetwork::compile(&prog).unwrap(),
-                EngineConfig {
-                    table_size: 256,
-                    record_trace: true,
-                },
-            );
-            let mut changes = Vec::new();
-            for i in 0..16 {
-                changes.push(WmeChange::add(
-                    WmeId(100 + i),
-                    Wme::new("lhs", &[("id", (i as i64).into())]),
-                ));
-            }
-            changes.push(WmeChange::add(
-                WmeId(200),
-                Wme::new("rhs", &[("id", 3.into())]),
-            ));
-            m.process(&changes);
-            let trace = m.take_trace().unwrap();
-            let mut buckets: Vec<u64> = trace.cycles[0]
-                .activations
-                .iter()
-                .filter(|a| a.kind == ActKind::TwoInput && a.side == Side::Left)
-                .map(|a| a.bucket)
-                .collect();
-            buckets.sort_unstable();
-            buckets.dedup();
-            buckets.len()
-        };
-        let single = run(Program::from_productions(vec![original.clone()]).unwrap());
-        let copies = copy_and_constrain(&original, 1, "id", &[4, 8, 12]).unwrap();
-        let split = run(Program::from_productions(copies).unwrap());
-        assert_eq!(single, 1, "cross-product join uses one bucket");
-        assert!(split >= 3, "copies spread tokens over buckets, got {split}");
-    }
-
-    #[test]
-    fn copy_and_constrain_rejects_bad_arguments() {
-        let p = parse_production("(p x (a ^id <i>) -(b) --> (remove 1))").unwrap();
-        assert!(copy_and_constrain(&p, 9, "id", &[1]).is_err());
-        assert!(copy_and_constrain(&p, 1, "id", &[1]).is_err()); // negated CE
-        assert!(copy_and_constrain(&p, 0, "id", &[]).is_err());
-        assert!(copy_and_constrain(&p, 0, "id", &[5, 5]).is_err());
-        assert!(copy_and_constrain(&p, 0, "id", &[9, 2]).is_err());
-    }
-
-    #[test]
     fn unshare_compiles_without_beta_sharing() {
         let prog = parse_program(
             r#"
@@ -927,9 +726,18 @@ mod tests {
         let base = ReteNetwork::compile(&prog).unwrap();
         let plan =
             TransformPlan::new().with_split(ProductionId(0), SplitSpec::new(1, "id", vec![2, 4]));
-        let split = rewrite(&base, &prog, &plan).unwrap();
+        let split = ReteNetwork::compile_planned(&prog, &plan).unwrap();
         // Three variants, one production node each, all for ProductionId(0).
         assert_eq!(split.production_nodes_of(ProductionId(0)).count(), 3);
+        // Variant 0: id < 2; variant 1: 2 <= id < 4; variant 2: id >= 4 —
+        // half-open ranges on top of the CE's own variable test.
+        let (_, spec) = &plan.splits()[0];
+        let tests: Vec<usize> = spec
+            .variants(prog.get(ProductionId(0)))
+            .iter()
+            .map(|v| v.lhs[1].tests.len())
+            .collect();
+        assert_eq!(tests, [2, 3, 2]);
         assert_identical_conflicts(&base, &split, &cross_batches());
     }
 
@@ -939,7 +747,7 @@ mod tests {
         let base = ReteNetwork::compile(&prog).unwrap();
         let plan =
             TransformPlan::new().with_split(ProductionId(0), SplitSpec::new(0, "id", vec![3]));
-        let split = rewrite(&base, &prog, &plan).unwrap();
+        let split = ReteNetwork::compile_planned(&prog, &plan).unwrap();
         assert_identical_conflicts(&base, &split, &cross_batches());
     }
 
@@ -954,7 +762,7 @@ mod tests {
         .unwrap();
         let base = ReteNetwork::compile(&prog).unwrap();
         let plan = TransformPlan::new().with_unshare(ProductionId(1));
-        let net = rewrite(&base, &prog, &plan).unwrap();
+        let net = ReteNetwork::compile_planned(&prog, &plan).unwrap();
         // Production b's chain no longer collapses into a's.
         assert_eq!(net.stats().shared_two_input, 0);
         assert!(net.stats().two_input > base.stats().two_input);
@@ -1004,7 +812,7 @@ mod tests {
         let base = ReteNetwork::compile(&prog).unwrap();
         let plan = TransformPlan::new()
             .with_split(ProductionId(0), SplitSpec::new(1, "id", vec![4, 8, 12]));
-        let split = rewrite(&base, &prog, &plan).unwrap();
+        let split = ReteNetwork::compile_planned(&prog, &plan).unwrap();
         assert_eq!(run(base), 1, "cross-product join uses one bucket");
         assert!(run(split) >= 3, "split spreads tokens over buckets");
     }
@@ -1019,6 +827,7 @@ mod tests {
         // Empty / non-increasing boundaries.
         assert!(SplitSpec::new(0, "id", vec![]).validate(&p).is_err());
         assert!(SplitSpec::new(0, "id", vec![5, 5]).validate(&p).is_err());
+        assert!(SplitSpec::new(0, "id", vec![9, 2]).validate(&p).is_err());
         // Attribute the CE never tests: presence not guaranteed.
         assert!(SplitSpec::new(0, "size", vec![1]).validate(&p).is_err());
         // A constant-tested attribute is fair game (presence implied).
@@ -1050,13 +859,7 @@ mod tests {
         for i in 0..16 {
             wmes.push(Wme::new("rhs", &[("id", (i as i64).into())]));
         }
-        let plan = suggest_plan(
-            &net,
-            &prog,
-            &BTreeMap::new(),
-            &wmes,
-            &SuggestOptions::default(),
-        );
+        let plan = suggest_plan(&net, &prog, &BTreeMap::new(), &wmes);
         // Only the cross production is split, on the rhs CE's id attribute.
         assert_eq!(plan.splits().len(), 1);
         let (pid, spec) = &plan.splits()[0];
@@ -1066,7 +869,7 @@ mod tests {
         assert_eq!(spec.boundaries.len(), 3);
         assert!(plan.validate(&prog).is_ok());
         // And the suggested plan preserves semantics.
-        let rewritten = rewrite(&net, &prog, &plan).unwrap();
+        let rewritten = ReteNetwork::compile_planned(&prog, &plan).unwrap();
         let mut changes: Vec<WmeChange> = wmes
             .iter()
             .enumerate()
@@ -1085,13 +888,7 @@ mod tests {
         let net = ReteNetwork::compile(&prog).unwrap();
         // All rhs ids are the same symbol: no integer diversity, no split.
         let wmes = vec![Wme::new("rhs", &[("id", "only".into())]); 8];
-        let plan = suggest_plan(
-            &net,
-            &prog,
-            &BTreeMap::new(),
-            &wmes,
-            &SuggestOptions::default(),
-        );
+        let plan = suggest_plan(&net, &prog, &BTreeMap::new(), &wmes);
         assert!(plan.splits().is_empty());
     }
 }

@@ -131,13 +131,6 @@ pub struct ServerConfig {
     pub max_cycles_per_batch: usize,
     /// How many admissions between greedy-partition rebuilds.
     pub greedy_rebuild_interval: u64,
-    /// Compile the shared network through the *static* suggested
-    /// transform plan ([`mpps_rete::suggest_plan`] with no activation or
-    /// WME sample): hot cross-product joins are unshared so sessions do
-    /// not serialize on one bucket. Split boundaries need a WME sample
-    /// the server does not have, so splits stay off here — `mpps run
-    /// --adapt` is the full loop.
-    pub adapt: bool,
     /// Maximum sessions held live in memory **per worker**; the rest are
     /// snapshotted to disk and faulted back in on demand. `None` keeps
     /// everything resident (the pre-eviction behavior).
@@ -163,7 +156,6 @@ impl Default for ServerConfig {
             },
             max_cycles_per_batch: 4096,
             greedy_rebuild_interval: 64,
-            adapt: false,
             resident_budget: None,
             evict_dir: None,
         }
@@ -407,8 +399,6 @@ pub struct Server {
 
 impl Server {
     /// Validate `config`, compile `program` and spawn the worker pool.
-    /// With [`ServerConfig::adapt`] the shared network is compiled through
-    /// the static suggested transform plan instead of the plain compile.
     ///
     /// Degenerate configurations (`workers == 0`, `shards == 0`,
     /// `queue_capacity == 0`) are rejected with [`ServerError::Config`] —
@@ -425,13 +415,9 @@ impl Server {
                 "queue capacity must be at least 1".into(),
             ));
         }
-        let network = if config.adapt {
-            mpps_rete::compile_suggested(&program, &std::collections::BTreeMap::new(), &[])
-                .map(|(net, _plan)| net)
-        } else {
-            ReteNetwork::compile(&program)
-        };
-        let network = Arc::new(network.map_err(|e| ServerError::Engine(e.to_string()))?);
+        let network = ReteNetwork::compile(&program)
+            .map(Arc::new)
+            .map_err(|e| ServerError::Engine(e.to_string()))?;
         let fingerprint = program_fingerprint(&program);
         let program = Arc::new(program);
         let workers = config.workers;

@@ -57,7 +57,6 @@ impl fmt::Display for SessionId {
 pub struct Session {
     program: Arc<Program>,
     network: Arc<ReteNetwork>,
-    engine: EngineConfig,
     fingerprint: u64,
     interp: Interpreter<ReteMatcher>,
 }
@@ -80,7 +79,6 @@ impl Session {
             interp: Interpreter::with_shared_program(Arc::clone(&program), strategy, matcher),
             program,
             network,
-            engine,
             fingerprint,
         }
     }
@@ -136,7 +134,6 @@ impl Session {
             interp,
             program,
             network,
-            engine,
             fingerprint,
         })
     }
@@ -161,11 +158,6 @@ impl Session {
         &self.interp
     }
 
-    /// Mutably borrow the underlying interpreter.
-    pub fn interpreter_mut(&mut self) -> &mut Interpreter<ReteMatcher> {
-        &mut self.interp
-    }
-
     /// The decoded state of a snapshot, for callers that need to inspect
     /// one without building a session (the script driver's `peek`).
     pub fn decode_state(
@@ -177,11 +169,6 @@ impl Session {
 }
 
 impl Session {
-    /// The engine configuration sessions on this server run with.
-    pub fn engine_config(&self) -> EngineConfig {
-        self.engine
-    }
-
     /// The shared compiled network (diagnostics).
     pub fn network(&self) -> &ReteNetwork {
         &self.network

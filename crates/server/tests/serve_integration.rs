@@ -281,3 +281,123 @@ fn greedy_admission_counts_survive_create_destroy_churn() {
     }
     server.drain(TIMEOUT, |_| {}).unwrap();
 }
+
+/// Retraction through the server (`submit_remove` → `Request::Remove` →
+/// `Session::remove` → settle) equals the bare interpreter: same firings,
+/// same working memory, same conflict set. A stale time tag is a `Failed`
+/// reply that leaves the session untouched, and a remove addressed to an
+/// evicted session faults it back in first.
+#[test]
+fn remove_through_the_server_equals_the_bare_interpreter() {
+    use mpps_ops::{intern, Interpreter, Matcher, Strategy, Wme, WmeId, WorkingMemory};
+    use mpps_server::Session;
+    use std::sync::Arc;
+
+    let program = mpps_ops::parse_program(
+        r#"
+        (p alarm (sensor ^id <s> ^level high) -(ack ^sensor <s>)
+           --> (make alert ^sensor <s>))
+        (p stand-down (alert ^sensor <s>) (ack ^sensor <s>) --> (remove 1))
+        "#,
+    )
+    .unwrap();
+    let initial = vec![
+        Wme::new("sensor", &[("id", 1.into()), ("level", "high".into())]),
+        Wme::new("sensor", &[("id", 2.into()), ("level", "high".into())]),
+        Wme::new("ack", &[("sensor", 1.into())]),
+    ];
+    let tag_of = |interp: &Interpreter<_>, class: &str| -> WmeId {
+        let class = intern(class);
+        let mut tags = interp.working_memory().iter();
+        tags.find(|(_, w)| w.class() == class).unwrap().0
+    };
+
+    // The reference: a bare interpreter doing the same two steps.
+    let mut bare = Interpreter::new(program.clone(), Strategy::Lex);
+    for w in &initial {
+        bare.add_wme(w.clone());
+    }
+    bare.run(100).unwrap();
+    let ack = tag_of(&bare, "ack");
+    bare.remove_wme(ack).unwrap();
+    let retraction = bare.run(100).unwrap();
+    assert_eq!(retraction.fired.len(), 1, "un-acked sensor 1 must alarm");
+
+    let mut server = Server::new(program, config(2, Sharding::RoundRobin)).unwrap();
+    let (id, request) = server.create_session(initial).unwrap();
+    assert!(matches!(
+        server.wait_for(request, TIMEOUT).unwrap(),
+        Reply::Ready { .. }
+    ));
+    let request = server.submit_remove(id, ack).unwrap();
+    let Reply::Cycles { fired, .. } = server.wait_for(request, TIMEOUT).unwrap() else {
+        panic!("expected Cycles for a live time tag");
+    };
+    assert_eq!(fired, retraction.fired.len());
+
+    let snapshot = |server: &mut Server| {
+        let request = server.snapshot(id).unwrap();
+        match server.wait_for(request, TIMEOUT).unwrap() {
+            Reply::SnapshotBytes { bytes, .. } => bytes,
+            other => panic!("expected snapshot bytes, got {other:?}"),
+        }
+    };
+    let restore = |server: &Server, bytes: &[u8]| {
+        Session::restore(
+            Arc::new(server.program().clone()),
+            Arc::new(server.network().clone()),
+            server.config().engine,
+            server.fingerprint(),
+            bytes,
+        )
+        .unwrap()
+    };
+    let wm_of = |wm: &WorkingMemory| -> Vec<(WmeId, Wme)> {
+        wm.iter().map(|(tag, w)| (tag, w.clone())).collect()
+    };
+    let after_remove = snapshot(&mut server);
+    let served = restore(&server, &after_remove);
+    assert_eq!(
+        wm_of(served.interpreter().working_memory()),
+        wm_of(bare.working_memory())
+    );
+    assert_eq!(
+        served.interpreter().matcher().conflict_set(),
+        bare.matcher().conflict_set()
+    );
+
+    // The same tag again is stale: Failed, and nothing changed.
+    let request = server.submit_remove(id, ack).unwrap();
+    assert!(matches!(
+        server.wait_for(request, TIMEOUT).unwrap(),
+        Reply::Failed { .. }
+    ));
+    assert_eq!(snapshot(&mut server), after_remove);
+
+    // A remove addressed to an evicted session faults it in.
+    let request = server.evict(id).unwrap();
+    assert!(matches!(
+        server.wait_for(request, TIMEOUT).unwrap(),
+        Reply::Evicted { .. }
+    ));
+    let sensor = tag_of(&bare, "sensor");
+    bare.remove_wme(sensor).unwrap();
+    bare.run(100).unwrap();
+    let request = server.submit_remove(id, sensor).unwrap();
+    assert!(matches!(
+        server.wait_for(request, TIMEOUT).unwrap(),
+        Reply::Cycles { fired: 0, .. }
+    ));
+    let metrics = server.metrics(TIMEOUT).unwrap();
+    assert_eq!(metrics.counter_total("serve.faultins"), 1);
+    let bytes = snapshot(&mut server);
+    let served = restore(&server, &bytes);
+    assert_eq!(
+        wm_of(served.interpreter().working_memory()),
+        wm_of(bare.working_memory())
+    );
+    assert_eq!(
+        served.interpreter().matcher().conflict_set(),
+        bare.matcher().conflict_set()
+    );
+}

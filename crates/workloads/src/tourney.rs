@@ -7,15 +7,15 @@
 //! (§5.2.2). The pairing rule below joins east-division teams against
 //! west-division teams with no shared variable — exactly that shape.
 //! [`crate::section::capture_trace`] over this program yields a trace
-//! whose cross join is single-bucket, and
-//! [`mpps_rete::copy_and_constrain`] applied to the pairing rule (split on
-//! the west team's integer id) restores discrimination — the Figure 5-6
-//! experiment, on a real ruleset.
+//! whose cross join is single-bucket, and a planned
+//! [`mpps_rete::SplitSpec`] on the pairing rule (split on the west team's
+//! integer id) restores discrimination — the Figure 5-6 experiment, on a
+//! real ruleset.
 
-use crate::section::{capture_trace, CapturedRun};
+use crate::section::{capture_trace, capture_trace_on, CapturedRun};
 use mpps_ops::builder::var;
-use mpps_ops::{OpsError, Production, ProductionBuilder, Program, Strategy, Wme};
-use mpps_rete::transform::copy_and_constrain;
+use mpps_ops::{Production, ProductionBuilder, ProductionId, Program, Strategy, Wme};
+use mpps_rete::{ReteNetwork, SplitSpec, TransformPlan};
 
 /// The pairing rule: the cross-product production.
 pub fn pairing_rule() -> Production {
@@ -41,15 +41,16 @@ pub fn program() -> Program {
     Program::from_productions(vec![pairing_rule()]).expect("tourney program is valid")
 }
 
-/// The program with the pairing rule split `ways` copies by
+/// The network with the pairing rule split `ways` copies by
 /// copy-and-constraint on the west team's id (ids are `100..100+west`).
-pub fn program_copy_constrained(west: usize, ways: usize) -> Result<Program, OpsError> {
+fn split_network(west: usize, ways: usize) -> ReteNetwork {
     assert!(ways >= 2, "splitting needs at least two copies");
     let span = west.div_ceil(ways) as i64;
     let boundaries: Vec<i64> = (1..ways as i64).map(|k| 100 + k * span).collect();
     // CE index 2 (0-based) is the west-team condition element.
-    let copies = copy_and_constrain(&pairing_rule(), 2, "id", &boundaries)?;
-    Program::from_productions(copies)
+    let plan =
+        TransformPlan::new().with_split(ProductionId(0), SplitSpec::new(2, "id", boundaries));
+    ReteNetwork::compile_planned(&program(), &plan).expect("split plan is valid")
 }
 
 /// Initial WM: `east` + `west` teams and round 1. East ids are `0..east`,
@@ -85,16 +86,17 @@ pub fn section(east: usize, west: usize, cycles: usize, table_size: u64) -> Capt
     .expect("tourney section runs")
 }
 
-/// The same section with the copy-and-constraint program.
-pub fn section_copy_constrained(
+/// The same section over the copy-and-constraint network.
+pub fn section_split(
     east: usize,
     west: usize,
     ways: usize,
     cycles: usize,
     table_size: u64,
 ) -> CapturedRun {
-    capture_trace(
-        program_copy_constrained(west, ways).expect("split program valid"),
+    capture_trace_on(
+        split_network(west, ways),
+        program(),
         initial(east, west),
         Strategy::Lex,
         cycles,
@@ -108,7 +110,7 @@ mod tests {
     use super::*;
     use mpps_ops::{Interpreter, Matcher};
     use mpps_rete::trace::ActKind;
-    use mpps_rete::{NodeKind, ReteMatcher, ReteNetwork, Side};
+    use mpps_rete::{EngineConfig, NodeKind, ReteMatcher, Side};
 
     #[test]
     fn cross_join_has_no_hash_discrimination() {
@@ -188,7 +190,7 @@ mod tests {
     #[test]
     fn copy_and_constraint_spreads_the_cross_join() {
         let plain = section(8, 8, 2, 512);
-        let split = section_copy_constrained(8, 8, 4, 2, 512);
+        let split = section_split(8, 8, 4, 2, 512);
         let spread = |run: &CapturedRun| {
             let mut buckets: Vec<u64> = run
                 .trace
@@ -211,21 +213,21 @@ mod tests {
     }
 
     #[test]
-    fn copy_constrained_program_schedules_the_same_games() {
+    fn copy_constrained_network_schedules_the_same_games() {
         let mut a = Interpreter::new(program(), Strategy::Lex);
-        let mut b = Interpreter::new(program_copy_constrained(4, 2).unwrap(), Strategy::Lex);
+        let split = ReteMatcher::new(split_network(4, 2), EngineConfig::default());
+        let mut b = Interpreter::with_matcher(program(), Strategy::Lex, split);
         for w in initial(3, 4) {
             a.add_wme(w.clone());
             b.add_wme(w);
         }
         a.run(60).unwrap();
         b.run(60).unwrap();
-        let games = |i: &Interpreter<_>| {
-            i.working_memory()
-                .iter()
+        let games = |wm: &mpps_ops::WorkingMemory| {
+            wm.iter()
                 .filter(|(_, w)| w.class().as_str() == "game")
                 .count()
         };
-        assert_eq!(games(&a), games(&b));
+        assert_eq!(games(a.working_memory()), games(b.working_memory()));
     }
 }

@@ -11,24 +11,12 @@ use mpps::mpcsim::SimTime;
 use mpps::rete::Trace;
 
 /// How the simulate summary is rendered.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OutputFormat {
     /// The historical column layout.
-    #[default]
     Text,
     /// One JSON object on stdout.
     Json,
-}
-
-impl OutputFormat {
-    /// Parse a `--format` value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "text" => Ok(OutputFormat::Text),
-            "json" => Ok(OutputFormat::Json),
-            other => Err(format!("unknown format {other:?} (text|json)")),
-        }
-    }
 }
 
 /// Everything `mpps simulate` reports about one run.

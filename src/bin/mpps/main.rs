@@ -1,24 +1,7 @@
 //! `mpps` — run, trace and simulate OPS5-subset production systems.
 //!
-//! ```text
-//! mpps run <program.ops|rubik|tourney|weaver> [--wm <file.wm>] [--cycles N]
-//!          [--strategy lex|mea]
-//!          [--matcher rete|naive|treat|threaded] [--workers N] [--table-size N]
-//!          [--partition rr|random|greedy] [--seed N] [--quiet] [--stats]
-//!          [--profile DIR] [--adapt]
-//! mpps trace <program.ops> [--wm <file.wm>] [--cycles N] [--table-size N]
-//!            [--out <file.trace>]
-//! mpps simulate <file.trace> [--procs 1,2,4,8,16,32] [--overhead 0|8|16|32]
-//!               [--partition rr|random|greedy] [--seed N] [--jobs N]
-//!               [--format text|json] [--trace-out FILE] [--stats]
-//! mpps fuzz [--seed N] [--iters N] [--matchers naive,rete,treat,threaded|all]
-//!           [--max-productions N] [--shrink] [--out DIR] [--profile DIR]
-//! mpps serve (--synthetic | --script FILE) [--program FILE|rubik|tourney|weaver]
-//!           [--sessions N] [--rounds N] [--wmes N] [--workers N] [--queue N]
-//!           [--shards N] [--sharding rr|random[:SEED]|greedy] [--strategy lex|mea]
-//!           [--table-size N] [--stats] [--adapt]
-//!           [--resident-budget N] [--evict-dir DIR] [--migrate]
-//! ```
+//! `mpps help` prints every subcommand's synopsis; it is generated from
+//! [`COMMANDS`], the one place a subcommand or flag is declared.
 //!
 //! The `run` program argument is either a `.ops` file or one of the
 //! builtin characteristic sections (`rubik`, `tourney`, `weaver`), which
@@ -70,9 +53,7 @@
 //! cannot spread, the transformed network runs under the threaded matcher
 //! with the online repartitioner enabled, and the before/after bucket
 //! skew factors plus every rebalance event are reported on stderr. The
-//! run's stdout is unchanged. `mpps serve --adapt` applies the static
-//! (unshare-only) suggested plan at compile time — the server has no WME
-//! sample to derive split boundaries from.
+//! run's stdout is unchanged.
 //!
 //! `mpps serve` runs the rule-engine-as-a-service layer: one compiled
 //! program multiplexed across many independent working-memory sessions on
@@ -81,9 +62,12 @@
 //! sustained WME-changes/sec plus cycle-latency percentiles;
 //! `--script FILE` replays a deterministic session script
 //! (`session`/`make`/`run`/`snapshot`/`restore`/`destroy`, one command
-//! per line) and prints one log line per command. Every subcommand
-//! rejects flags it does not understand with its usage line and exit
-//! status 2.
+//! per line) and prints one log line per command.
+//!
+//! Exit status: 0 on success (and for `mpps help`), 1 for runtime
+//! failures (unreadable file, parse error, fuzz divergence), 2 for caller
+//! mistakes — an unknown subcommand or flag, a missing or malformed flag
+//! value — reported with the subcommand's usage line.
 
 mod format;
 
@@ -91,13 +75,13 @@ use format::{stats_block, OutputFormat, SimulateSummary};
 use mpps::core::sweep::{baseline, speedup_curve_jobs, PartitionStrategy};
 use mpps::core::{bucket_skew_factor, name_threaded_tracks, render_match_profile};
 use mpps::core::{
-    name_machine_tracks, simulate_recorded, AdaptOptions, MappingConfig, OverheadSetting,
-    Partition, SimScratch, ThreadedMatcher,
+    greedy_partition, name_machine_tracks, simulate_recorded, AdaptOptions, MappingConfig,
+    OverheadSetting, Partition, SimScratch, ThreadedMatcher,
 };
-use mpps::difftest::{fuzz_one, write_repro, FuzzCase, GenConfig, MatcherKind, ScheduleOp};
+use mpps::difftest::{fuzz_one, replay, write_repro, FuzzCase, GenConfig, MatcherKind};
 use mpps::ops::{
-    interpreter::StepOutcome, parse_program, parse_wme, Interpreter, Matcher, NaiveMatcher,
-    Program, Strategy, TreatMatcher, Wme, WmeId,
+    parse_program, parse_wme, Interpreter, Matcher, NaiveMatcher, Program, Strategy, TreatMatcher,
+    Wme,
 };
 use mpps::rete::{compile_suggested, kernel, EngineConfig, ReteMatcher, ReteNetwork, Trace};
 use mpps::server::{run_script, run_synthetic, ServerConfig, Sharding, SyntheticSpec};
@@ -105,120 +89,201 @@ use mpps::telemetry::{chrome::chrome_trace, MetricsRegistry, TraceRecorder};
 use mpps::workloads::{rubik, serve, tourney, weaver};
 use std::process::exit;
 
-/// One usage line per subcommand, shared by the full `usage()` dump and
-/// the per-command unknown-flag diagnostics so both always agree.
-const USAGE_LINES: &[(&str, &str)] = &[
-    (
-        "run",
-        "mpps run <program.ops|rubik|tourney|weaver> [--wm FILE] [--cycles N]\n\
-         \x20          [--strategy lex|mea]\n\
-         \x20          [--matcher rete|naive|treat|threaded] [--workers N] [--table-size N]\n\
-         \x20          [--partition rr|random|greedy] [--seed N] [--quiet] [--stats]\n\
-         \x20          [--profile DIR] [--adapt]",
-    ),
-    (
-        "trace",
-        "mpps trace <program.ops> [--wm FILE] [--cycles N] [--table-size N]\n\
-         \x20          [--strategy lex|mea] [--out FILE]",
-    ),
-    (
-        "simulate",
-        "mpps simulate <file.trace> [--procs LIST] [--overhead 0|8|16|32]\n\
-         \x20          [--partition rr|random|greedy] [--seed N] [--jobs N]\n\
-         \x20          [--format text|json] [--trace-out FILE] [--stats]",
-    ),
-    (
-        "fuzz",
-        "mpps fuzz [--seed N] [--iters N] [--matchers LIST|all]\n\
-         \x20          [--max-productions N] [--shrink] [--out DIR] [--profile DIR]",
-    ),
-    (
-        "serve",
-        "mpps serve (--synthetic | --script FILE) [--program FILE|rubik|tourney|weaver]\n\
-         \x20          [--sessions N] [--rounds N] [--wmes N]\n\
-         \x20          [--workers N] [--queue N] [--shards N]\n\
-         \x20          [--sharding rr|random[:SEED]|greedy] [--strategy lex|mea]\n\
-         \x20          [--table-size N] [--stats] [--adapt]\n\
-         \x20          [--resident-budget N] [--evict-dir DIR] [--migrate]",
-    ),
-];
-
-fn usage() -> ! {
-    let lines: Vec<String> = USAGE_LINES
-        .iter()
-        .map(|(_, line)| format!("  {}", line.replace('\n', "\n ")))
-        .collect();
-    eprintln!("usage:\n{}", lines.join("\n"));
-    exit(2)
+/// One subcommand. [`COMMANDS`] is the only declaration of a subcommand
+/// or a flag: the usage text, switch-vs-valued parsing, unknown-flag
+/// rejection and dispatch are all derived from it.
+struct Command {
+    name: &'static str,
+    /// Synopsis of the required positional arguments, one word each.
+    positional: &'static str,
+    /// `(flag, Some(metavar))` takes a value; `(flag, None)` is a switch.
+    flags: &'static [(&'static str, Option<&'static str>)],
+    run: fn(&Args),
 }
 
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        positional: "<program.ops|rubik|tourney|weaver>",
+        flags: &[
+            ("wm", Some("FILE")),
+            ("cycles", Some("N")),
+            ("strategy", Some("lex|mea")),
+            ("matcher", Some("rete|naive|treat|threaded")),
+            ("workers", Some("N")),
+            ("table-size", Some("N")),
+            ("partition", Some("rr|random|greedy")),
+            ("seed", Some("N")),
+            ("quiet", None),
+            ("stats", None),
+            ("profile", Some("DIR")),
+            ("adapt", None),
+        ],
+        run: cmd_run,
+    },
+    Command {
+        name: "trace",
+        positional: "<program.ops>",
+        flags: &[
+            ("wm", Some("FILE")),
+            ("cycles", Some("N")),
+            ("table-size", Some("N")),
+            ("strategy", Some("lex|mea")),
+            ("out", Some("FILE")),
+        ],
+        run: cmd_trace,
+    },
+    Command {
+        name: "simulate",
+        positional: "<file.trace>",
+        flags: &[
+            ("procs", Some("LIST")),
+            ("overhead", Some("0|8|16|32")),
+            ("partition", Some("rr|random|greedy")),
+            ("seed", Some("N")),
+            ("jobs", Some("N")),
+            ("format", Some("text|json")),
+            ("trace-out", Some("FILE")),
+            ("stats", None),
+        ],
+        run: cmd_simulate,
+    },
+    Command {
+        name: "fuzz",
+        positional: "",
+        flags: &[
+            ("seed", Some("N")),
+            ("iters", Some("N")),
+            ("matchers", Some("LIST|all")),
+            ("max-productions", Some("N")),
+            ("shrink", None),
+            ("out", Some("DIR")),
+            ("profile", Some("DIR")),
+        ],
+        run: cmd_fuzz,
+    },
+    Command {
+        name: "serve",
+        positional: "",
+        flags: &[
+            ("synthetic", None),
+            ("script", Some("FILE")),
+            ("program", Some("FILE|rubik|tourney|weaver")),
+            ("sessions", Some("N")),
+            ("rounds", Some("N")),
+            ("wmes", Some("N")),
+            ("workers", Some("N")),
+            ("queue", Some("N")),
+            ("shards", Some("N")),
+            ("sharding", Some("rr|random[:SEED]|greedy")),
+            ("strategy", Some("lex|mea")),
+            ("table-size", Some("N")),
+            ("stats", None),
+            ("resident-budget", Some("N")),
+            ("evict-dir", Some("DIR")),
+            ("migrate", None),
+        ],
+        run: cmd_serve,
+    },
+];
+
+impl Command {
+    /// `mpps NAME <positional> [--flag METAVAR]…`, wrapped at 78 columns.
+    fn usage(&self) -> String {
+        let flags = self.flags.iter().map(|(flag, metavar)| match metavar {
+            Some(metavar) => format!("[--{flag} {metavar}]"),
+            None => format!("[--{flag}]"),
+        });
+        let positional = self.positional.split_whitespace().map(str::to_owned);
+        let mut lines = vec![format!("mpps {}", self.name)];
+        for word in positional.chain(flags) {
+            let line = lines.last_mut().expect("starts non-empty");
+            if line.len() + 1 + word.len() > 78 {
+                lines.push(format!("          {word}"));
+            } else {
+                *line = format!("{line} {word}");
+            }
+        }
+        lines.join("\n")
+    }
+}
+
+/// Every subcommand's usage, one block per command.
+fn full_usage() -> String {
+    let blocks: Vec<String> = COMMANDS
+        .iter()
+        .map(|c| format!("  {}", c.usage().replace('\n', "\n  ")))
+        .collect();
+    format!("usage:\n{}\n  mpps help", blocks.join("\n"))
+}
+
+/// A runtime failure (exit 1): the command line was fine, the work was not.
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("mpps: {msg}");
     exit(1)
 }
 
-/// Invalid command-line input: report and exit with the usage status (2),
-/// distinguishing caller mistakes from runtime failures (1).
-fn usage_error(msg: impl std::fmt::Display) -> ! {
-    eprintln!("mpps: {msg}");
-    exit(2)
-}
-
-/// Reject flags a subcommand does not understand: consistent diagnostic,
-/// the subcommand's own usage line, exit status 2. Silently ignoring a
-/// misspelled flag is how `--cycels 5` runs for 10 000 cycles.
-fn check_flags(cmd: &str, args: &Args, allowed: &[&str]) {
-    for (key, _) in &args.flags {
-        if !allowed.contains(&key.as_str()) {
-            eprintln!("mpps: unknown flag --{key} for `mpps {cmd}`");
-            if let Some((_, line)) = USAGE_LINES.iter().find(|(name, _)| *name == cmd) {
-                eprintln!("usage: {line}");
-            }
-            exit(2);
-        }
-    }
-}
-
-/// Minimal flag parser: positional args plus `--key value` pairs.
+/// One subcommand's parsed command line: positional args plus `--flag
+/// [value]` pairs, checked against the command's declared flags.
 struct Args {
+    command: &'static Command,
     positional: Vec<String>,
-    flags: Vec<(String, String)>,
+    flags: Vec<(&'static str, String)>,
 }
 
 impl Args {
-    fn parse(raw: Vec<String>) -> Args {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
+    /// Parse `raw` against `command`'s table entry. Unknown flags, a
+    /// valued flag without its value, and a wrong positional count are
+    /// usage errors — silently ignoring a misspelled flag is how
+    /// `--cycels 5` runs for 10 000 cycles.
+    fn parse(command: &'static Command, raw: Vec<String>) -> Args {
+        let mut args = Args {
+            command,
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
         let mut it = raw.into_iter();
         while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                if key == "quiet"
-                    || key == "stats"
-                    || key == "shrink"
-                    || key == "synthetic"
-                    || key == "adapt"
-                    || key == "migrate"
-                {
-                    flags.push((key.to_owned(), "true".to_owned()));
-                } else {
-                    let Some(v) = it.next() else {
-                        fail(format!("flag --{key} needs a value"));
-                    };
-                    flags.push((key.to_owned(), v));
-                }
-            } else {
-                positional.push(a);
-            }
+            let Some(key) = a.strip_prefix("--") else {
+                args.positional.push(a);
+                continue;
+            };
+            let Some(&(flag, metavar)) = command.flags.iter().find(|(f, _)| *f == key) else {
+                args.usage_error(format!("unknown flag --{key} for `mpps {}`", command.name));
+            };
+            let value = match metavar {
+                None => "true".to_owned(),
+                Some(metavar) => it.next().unwrap_or_else(|| {
+                    args.usage_error(format!("flag --{flag} needs a value ({metavar})"))
+                }),
+            };
+            args.flags.push((flag, value));
         }
-        Args { positional, flags }
+        if args.positional.len() != command.positional.split_whitespace().count() {
+            let wants = match command.positional {
+                "" => "no positional arguments",
+                synopsis => synopsis,
+            };
+            args.usage_error(format!("`mpps {}` takes {wants}", command.name));
+        }
+        args
+    }
+
+    /// Invalid command-line input: report it with this subcommand's usage
+    /// line and exit with the usage status (2), distinguishing caller
+    /// mistakes from runtime failures (1).
+    fn usage_error(&self, msg: impl std::fmt::Display) -> ! {
+        eprintln!("mpps: {msg}\nusage: {}", self.command.usage());
+        exit(2)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        let mut flags = self.flags.iter().rev();
+        flags.find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.get(key).is_some()
     }
 
     fn get_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
@@ -226,8 +291,54 @@ impl Args {
             None => default,
             Some(v) => v
                 .parse()
-                .unwrap_or_else(|_| fail(format!("bad value for --{key}: {v:?}"))),
+                .unwrap_or_else(|_| self.usage_error(format!("bad value for --{key}: {v:?}"))),
         }
+    }
+
+    /// Like [`Args::get_parse`], for counts that must be at least 1.
+    fn get_positive<T: std::str::FromStr + PartialEq + From<u8>>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> T {
+        let n = self.get_parse(key, default);
+        if n == T::from(0) {
+            self.usage_error(format!("--{key} must be at least 1"));
+        }
+        n
+    }
+
+    /// A flag whose value is one of a fixed set of names; absent, it is
+    /// the first option.
+    fn choice<T: Copy>(&self, key: &str, options: &[(&str, T)]) -> T {
+        let Some(v) = self.get(key) else {
+            return options[0].1;
+        };
+        let found = options.iter().find(|(name, _)| *name == v);
+        found.map(|&(_, t)| t).unwrap_or_else(|| {
+            let names: Vec<&str> = options.iter().map(|(name, _)| *name).collect();
+            self.usage_error(format!("unknown --{key} {v:?} ({})", names.join("|")))
+        })
+    }
+
+    /// `--partition` (with `--seed` for the random placement).
+    fn partition(&self) -> PartitionStrategy {
+        let seed = self.get_parse("seed", 1989u64);
+        self.choice(
+            "partition",
+            &[
+                ("rr", PartitionStrategy::RoundRobin),
+                ("random", PartitionStrategy::Random(seed)),
+                ("greedy", PartitionStrategy::GreedyWholeTrace),
+            ],
+        )
+    }
+
+    fn strategy(&self) -> Strategy {
+        self.choice(
+            "strategy",
+            &[("lex", Strategy::Lex), ("mea", Strategy::Mea)],
+        )
     }
 }
 
@@ -245,14 +356,6 @@ fn load_wmes(path: Option<&str>) -> Vec<Wme> {
         .filter(|l| !l.is_empty() && !l.starts_with(';'))
         .map(|l| parse_wme(l).unwrap_or_else(|e| fail(format!("bad WME {l:?}: {e}"))))
         .collect()
-}
-
-fn strategy_of(args: &Args) -> Strategy {
-    match args.get("strategy").unwrap_or("lex") {
-        "lex" => Strategy::Lex,
-        "mea" => Strategy::Mea,
-        other => fail(format!("unknown strategy {other:?} (lex|mea)")),
-    }
 }
 
 fn run_with<M: Matcher>(
@@ -340,52 +443,35 @@ fn write_profile(dir: &str, matcher: &str, workers: usize, reg: &MetricsRegistry
     eprintln!("profile written to {}", path.display());
 }
 
+/// A `--program`/positional argument naming a `.ops` file or a builtin
+/// section. A real file always wins; builtin section names only apply
+/// when no such file exists.
+fn load_program(path: &str) -> (Program, Vec<Wme>) {
+    if std::path::Path::new(path).exists() {
+        let program = parse_program(&read_file(path)).unwrap_or_else(|e| fail(e));
+        return (program, Vec::new());
+    }
+    builtin_workload(path).unwrap_or_else(|| {
+        fail(format!(
+            "cannot read {path}: no such file (and not a builtin section: \
+             rubik|tourney|weaver)"
+        ))
+    })
+}
+
 fn cmd_run(args: &Args) {
-    check_flags(
-        "run",
-        args,
-        &[
-            "wm",
-            "cycles",
-            "strategy",
-            "matcher",
-            "workers",
-            "table-size",
-            "partition",
-            "seed",
-            "quiet",
-            "stats",
-            "profile",
-            "adapt",
-        ],
-    );
-    let [program_path] = &args.positional[..] else {
-        usage();
-    };
-    // A real file always wins; builtin section names only apply when no
-    // such file exists.
-    let (program, wmes) = if !std::path::Path::new(program_path).exists() {
-        if let Some((program, mut wmes)) = builtin_workload(program_path) {
-            wmes.extend(load_wmes(args.get("wm")));
-            (program, wmes)
-        } else {
-            fail(format!(
-                "cannot read {program_path}: no such file (and not a builtin section: \
-                 rubik|tourney|weaver)"
-            ))
-        }
-    } else {
-        let program = parse_program(&read_file(program_path)).unwrap_or_else(|e| fail(e));
-        (program, load_wmes(args.get("wm")))
-    };
+    let (program, mut wmes) = load_program(&args.positional[0]);
+    wmes.extend(load_wmes(args.get("wm")));
     let cycles = args.get_parse("cycles", 10_000usize);
-    let strategy = strategy_of(args);
-    let quiet = args.get("quiet").is_some();
+    let strategy = args.strategy();
+    let quiet = args.has("quiet");
     let profile_dir = args.get("profile");
-    let adapt = args.get("adapt").is_some();
+    let adapt = args.has("adapt");
     let matcher_name = args.get("matcher").unwrap_or("rete");
     if adapt && matcher_name != "threaded" {
-        usage_error("--adapt requires --matcher threaded (it drives the online repartitioner)");
+        args.usage_error(
+            "--adapt requires --matcher threaded (it drives the online repartitioner)",
+        );
     }
     match matcher_name {
         "rete" => {
@@ -406,7 +492,9 @@ fn cmd_run(args: &Args) {
         }
         "naive" => {
             if profile_dir.is_some() {
-                usage_error("--profile is not supported for --matcher naive (no match kernel)");
+                args.usage_error(
+                    "--profile is not supported for --matcher naive (no match kernel)",
+                );
             }
             let m = NaiveMatcher::new(program.clone());
             run_with(program, wmes, m, strategy, cycles, quiet);
@@ -421,179 +509,128 @@ fn cmd_run(args: &Args) {
                 run_with(program, wmes, m, strategy, cycles, quiet);
             }
         }
-        "threaded" => {
-            let workers = args.get_parse("workers", 4usize);
-            if workers == 0 {
-                usage_error("--workers must be at least 1 for --matcher threaded");
-            }
-            let table_size = args.get_parse("table-size", 2048u64);
-            if table_size == 0 {
-                usage_error("--table-size must be at least 1");
-            }
-            let seed = args.get_parse("seed", 1989u64);
-            let partition_name = args.get("partition").unwrap_or("rr");
-            let pre_run = (adapt || partition_name == "greedy")
-                .then(|| profiled_pre_run(&program, &wmes, strategy, cycles, table_size));
-            let series = |name| pre_run.as_ref().and_then(|reg| reg.counter(name));
-            let partition = match partition_name {
-                "rr" => Partition::round_robin(table_size, workers),
-                "random" => Partition::random(table_size, workers, seed),
-                "greedy" => {
-                    // The kernel's per-bucket counter equals the traced
-                    // `bucket_activity` (tests/profiled_equivalence.rs).
-                    let mut activity = vec![0u64; table_size as usize];
-                    for (&bucket, &n) in series(kernel::metric::BUCKET_ACTIVATIONS)
-                        .into_iter()
-                        .flatten()
-                    {
-                        activity[bucket as usize] = n;
-                    }
-                    Partition::greedy(&activity, workers)
-                }
-                other => usage_error(format!("unknown partition {other:?} (rr|random|greedy)")),
-            };
-            // With --adapt the transformed network replaces the plain
-            // compile, and the matcher is always profiled: the skew report
-            // needs the per-bucket activation counters. Profiling never
-            // changes stdout, so quiet runs stay byte-identical.
-            let (network, plan_summary) = if adapt {
-                let empty = std::collections::BTreeMap::new();
-                let activations = series(kernel::metric::NODE_ACTIVATIONS).unwrap_or(&empty);
-                let (net, plan) =
-                    compile_suggested(&program, activations, &wmes).unwrap_or_else(|e| fail(e));
-                (net, plan.summary(&program))
-            } else {
-                let net = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
-                (net, String::new())
-            };
-            let mut m = if profile_dir.is_some() || adapt {
-                ThreadedMatcher::with_partition_profiled(network, partition)
-            } else {
-                ThreadedMatcher::with_partition(network, partition)
-            };
-            if adapt {
-                m.enable_adaptation(AdaptOptions::default());
-            }
-            let mut interp = run_with(program, wmes, m, strategy, cycles, quiet);
-            if args.get("stats").is_some() {
-                let stats = interp.matcher().stats();
-                eprintln!("threaded matcher: {} cycles", stats.cycles);
-                for (i, w) in stats.per_worker.iter().enumerate() {
-                    eprintln!(
-                        "  worker {i}: {} tokens processed, {} forwarded in {} messages, \
-                         peak queue {}",
-                        w.tokens_processed, w.tokens_forwarded, w.messages_sent, w.max_queue_depth
-                    );
-                }
-            }
-            if adapt {
-                let matcher = interp.matcher_mut();
-                let reg = matcher.profile_snapshot().unwrap_or_else(|e| fail(e));
-                let skew_before = pre_run.as_ref().and_then(bucket_skew_factor).unwrap_or(0.0);
-                let skew_after = bucket_skew_factor(&reg).unwrap_or(0.0);
-                let events = matcher.rebalance_events();
-                let moved: u64 = events.iter().map(|e| e.moved_buckets).sum();
-                eprintln!(
-                    "adapt: plan {}",
-                    if plan_summary.is_empty() {
-                        "(empty)"
-                    } else {
-                        &plan_summary
-                    }
-                );
-                eprintln!(
-                    "adapt: bucket skew {skew_before:.3} -> {skew_after:.3}; \
-                     {} rebalances moved {moved} buckets",
-                    events.len()
-                );
-            }
-            if let Some(dir) = profile_dir {
-                let matcher = interp.matcher_mut();
-                let reg = matcher.profile_snapshot().unwrap_or_else(|e| fail(e));
-                write_profile(dir, "threaded", matcher.worker_count(), &reg);
-                // Merged Chrome trace: the per-worker counter lanes plus
-                // the synthesized match-work / barrier-wait phase spans,
-                // all on the named THREADED_PID tracks.
-                let mut rec = TraceRecorder::new();
-                name_threaded_tracks(&mut rec, matcher.worker_count());
-                matcher.record_into(&mut rec);
-                matcher.record_cycles_into(&mut rec);
-                let path = std::path::Path::new(dir).join("trace.json");
-                std::fs::write(&path, chrome_trace(&rec))
-                    .unwrap_or_else(|e| fail(format!("write {}: {e}", path.display())));
-                eprintln!("worker-lane trace written to {}", path.display());
-            }
-        }
-        other => fail(format!(
-            "unknown matcher {other:?} (rete|naive|treat|threaded)"
+        "threaded" => run_threaded(args, program, wmes, strategy, cycles),
+        other => args.usage_error(format!(
+            "unknown --matcher {other:?} (rete|naive|treat|threaded)"
         )),
     }
 }
 
-/// Drive one fuzz case's schedule through a single matcher, mirroring
-/// the oracle's cadence (same per-round and total cycle bounds), for
-/// profiling purposes only — nothing is compared. `RemoveNth` resolves
-/// against this lane's own WM, which matches the oracle whenever the
-/// matchers agree (and is merely a different valid schedule when not).
-fn drive_for_profile<M: Matcher>(case: &FuzzCase, program: &Program, matcher: M) -> Interpreter<M> {
-    const MAX_STEPS_PER_ROUND: usize = 8;
-    const MAX_TOTAL_CYCLES: usize = 64;
-    let mut interp = Interpreter::with_matcher(program.clone(), case.strategy, matcher);
-    let mut total_cycles = 0usize;
-    'rounds: for ops in &case.schedule.rounds {
-        for op in ops {
-            match op {
-                ScheduleOp::Make(wme) => {
-                    interp.add_wme(wme.clone());
-                }
-                ScheduleOp::RemoveNth(n) => {
-                    let ids: Vec<WmeId> =
-                        interp.working_memory().iter().map(|(id, _)| id).collect();
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    let _ = interp.remove_wme(ids[n % ids.len()]);
-                }
-            }
+/// `mpps run --matcher threaded`: the real thread pool, with its bucket
+/// placement, profile, stats and closed-skew-loop options.
+fn run_threaded(args: &Args, program: Program, wmes: Vec<Wme>, strategy: Strategy, cycles: usize) {
+    let workers = args.get_positive("workers", 4usize);
+    let table_size = args.get_positive("table-size", 2048u64);
+    let placement = args.partition();
+    let profile_dir = args.get("profile");
+    let adapt = args.has("adapt");
+    let pre_run = (adapt || placement == PartitionStrategy::GreedyWholeTrace)
+        .then(|| profiled_pre_run(&program, &wmes, strategy, cycles, table_size));
+    let partition = match placement {
+        PartitionStrategy::RoundRobin => Partition::round_robin(table_size, workers),
+        PartitionStrategy::Random(seed) => Partition::random(table_size, workers, seed),
+        PartitionStrategy::GreedyWholeTrace => {
+            let measured = pre_run
+                .as_ref()
+                .expect("greedy placement implies the pre-run");
+            greedy_partition(measured, table_size, workers)
         }
-        for _ in 0..MAX_STEPS_PER_ROUND {
-            if total_cycles >= MAX_TOTAL_CYCLES {
-                break 'rounds;
-            }
-            total_cycles += 1;
-            match interp.step() {
-                Ok(StepOutcome::Quiescent) | Err(_) => break,
-                Ok(_) => {}
-            }
-            if interp.is_halted() {
-                break 'rounds;
-            }
+    };
+    // With --adapt the transformed network replaces the plain compile, and
+    // the matcher is always profiled: the skew report needs the per-bucket
+    // activation counters. Profiling never changes stdout, so quiet runs
+    // stay byte-identical.
+    let (network, plan_summary) = match &pre_run {
+        Some(reg) if adapt => {
+            let empty = std::collections::BTreeMap::new();
+            let activations = reg
+                .counter(kernel::metric::NODE_ACTIVATIONS)
+                .unwrap_or(&empty);
+            let (net, plan) =
+                compile_suggested(&program, activations, &wmes).unwrap_or_else(|e| fail(e));
+            (net, plan.summary(&program))
         }
-        if interp.is_halted() {
-            break;
+        _ => {
+            let net = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
+            (net, String::new())
+        }
+    };
+    let mut m = if profile_dir.is_some() || adapt {
+        ThreadedMatcher::with_partition_profiled(network, partition)
+    } else {
+        ThreadedMatcher::with_partition(network, partition)
+    };
+    if adapt {
+        m.enable_adaptation(AdaptOptions::default());
+    }
+    let mut interp = run_with(program, wmes, m, strategy, cycles, args.has("quiet"));
+    if args.has("stats") {
+        let stats = interp.matcher().stats();
+        eprintln!("threaded matcher: {} cycles", stats.cycles);
+        for (i, w) in stats.per_worker.iter().enumerate() {
+            eprintln!(
+                "  worker {i}: {} tokens processed, {} forwarded in {} messages, \
+                 peak queue {}",
+                w.tokens_processed, w.tokens_forwarded, w.messages_sent, w.max_queue_depth
+            );
         }
     }
-    interp
+    if adapt {
+        let matcher = interp.matcher_mut();
+        let reg = matcher.profile_snapshot().unwrap_or_else(|e| fail(e));
+        let skew_before = pre_run.as_ref().and_then(bucket_skew_factor).unwrap_or(0.0);
+        let skew_after = bucket_skew_factor(&reg).unwrap_or(0.0);
+        let events = matcher.rebalance_events();
+        let moved: u64 = events.iter().map(|e| e.moved_buckets).sum();
+        eprintln!(
+            "adapt: plan {}",
+            if plan_summary.is_empty() {
+                "(empty)"
+            } else {
+                &plan_summary
+            }
+        );
+        eprintln!(
+            "adapt: bucket skew {skew_before:.3} -> {skew_after:.3}; \
+             {} rebalances moved {moved} buckets",
+            events.len()
+        );
+    }
+    if let Some(dir) = profile_dir {
+        let matcher = interp.matcher_mut();
+        let reg = matcher.profile_snapshot().unwrap_or_else(|e| fail(e));
+        write_profile(dir, "threaded", matcher.worker_count(), &reg);
+        // Merged Chrome trace: the per-worker counter lanes plus the
+        // synthesized match-work / barrier-wait phase spans, all on the
+        // named THREADED_PID tracks.
+        let mut rec = TraceRecorder::new();
+        name_threaded_tracks(&mut rec, matcher.worker_count());
+        matcher.record_into(&mut rec);
+        matcher.record_cycles_into(&mut rec);
+        let path = std::path::Path::new(dir).join("trace.json");
+        std::fs::write(&path, chrome_trace(&rec))
+            .unwrap_or_else(|e| fail(format!("write {}: {e}", path.display())));
+        eprintln!("worker-lane trace written to {}", path.display());
+    }
 }
 
-/// Replay `case` under every profiled matcher and merge their registries
-/// into `merged`. Threaded replay uses `try_process` semantics via the
-/// interpreter; a build failure (invalid generated program) skips the
-/// case.
+/// Replay `case` under every profiled matcher (at the oracle's cadence,
+/// [`replay`]) and merge their registries into `merged`. A build failure
+/// (invalid generated program) skips the case.
 fn replay_profiled(case: &FuzzCase, merged: &mut MetricsRegistry) {
     let Ok(program) = case.program() else {
         return;
     };
     if let Ok(network) = ReteNetwork::compile(&program) {
         let m = ReteMatcher::with_metrics(network, EngineConfig::default(), MetricsRegistry::new());
-        let mut interp = drive_for_profile(case, &program, m);
+        let mut interp = replay(case, &program, m);
         merged.merge(&interp.matcher_mut().profile());
     }
     let m = TreatMatcher::with_metrics(&program, MetricsRegistry::new());
-    let interp = drive_for_profile(case, &program, m);
+    let interp = replay(case, &program, m);
     merged.merge(&interp.matcher().profile());
     if let Ok(m) = ThreadedMatcher::from_program_profiled(&program, 2) {
-        let mut interp = drive_for_profile(case, &program, m);
+        let mut interp = replay(case, &program, m);
         if let Ok(reg) = interp.matcher_mut().profile_snapshot() {
             merged.merge(&reg);
         }
@@ -601,31 +638,15 @@ fn replay_profiled(case: &FuzzCase, merged: &mut MetricsRegistry) {
 }
 
 fn cmd_fuzz(args: &Args) {
-    check_flags(
-        "fuzz",
-        args,
-        &[
-            "seed",
-            "iters",
-            "matchers",
-            "max-productions",
-            "shrink",
-            "out",
-            "profile",
-        ],
-    );
-    if !args.positional.is_empty() {
-        usage_error("fuzz takes no positional arguments");
-    }
     let seed = args.get_parse("seed", 0u64);
     let iters = args.get_parse("iters", 100u64);
     let matchers = MatcherKind::parse_list(args.get("matchers").unwrap_or("all"))
-        .unwrap_or_else(|e| usage_error(e));
+        .unwrap_or_else(|e| args.usage_error(e));
     let cfg = GenConfig {
         max_productions: args.get_parse("max-productions", 4usize).max(1),
         ..GenConfig::default()
     };
-    let do_shrink = args.get("shrink").is_some();
+    let do_shrink = args.has("shrink");
     let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("target/fuzz"));
     let mut profile: Option<MetricsRegistry> = args.get("profile").map(|_| MetricsRegistry::new());
 
@@ -667,19 +688,11 @@ fn cmd_fuzz(args: &Args) {
 }
 
 fn cmd_trace(args: &Args) {
-    check_flags(
-        "trace",
-        args,
-        &["wm", "cycles", "table-size", "strategy", "out"],
-    );
-    let [program_path] = &args.positional[..] else {
-        usage();
-    };
-    let program = parse_program(&read_file(program_path)).unwrap_or_else(|e| fail(e));
-    let wmes = load_wmes(args.get("wm"));
     let cycles = args.get_parse("cycles", 10_000usize);
     let table_size = args.get_parse("table-size", 2048u64);
-    let strategy = strategy_of(args);
+    let strategy = args.strategy();
+    let program = parse_program(&read_file(&args.positional[0])).unwrap_or_else(|e| fail(e));
+    let wmes = load_wmes(args.get("wm"));
     let network = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
     let matcher = ReteMatcher::new(
         network,
@@ -716,24 +729,6 @@ fn cmd_trace(args: &Args) {
 }
 
 fn cmd_simulate(args: &Args) {
-    check_flags(
-        "simulate",
-        args,
-        &[
-            "procs",
-            "overhead",
-            "partition",
-            "seed",
-            "jobs",
-            "format",
-            "trace-out",
-            "stats",
-        ],
-    );
-    let [trace_path] = &args.positional[..] else {
-        usage();
-    };
-    let trace = Trace::from_text(&read_file(trace_path)).unwrap_or_else(|e| fail(e));
     let procs: Vec<usize> = args
         .get("procs")
         .unwrap_or("1,2,4,8,16,32")
@@ -741,33 +736,26 @@ fn cmd_simulate(args: &Args) {
         .map(|s| {
             s.trim()
                 .parse()
-                .unwrap_or_else(|_| fail(format!("bad processor count {s:?}")))
+                .unwrap_or_else(|_| args.usage_error(format!("bad processor count {s:?}")))
         })
         .collect();
-    let overhead = match args.get("overhead").unwrap_or("8") {
-        "0" => OverheadSetting::table_5_1()[0],
-        "8" => OverheadSetting::table_5_1()[1],
-        "16" => OverheadSetting::table_5_1()[2],
-        "32" => OverheadSetting::table_5_1()[3],
-        other => fail(format!("unknown overhead {other:?} (0|8|16|32)")),
-    };
-    let seed = args.get_parse("seed", 1989u64);
-    let partition = match args.get("partition").unwrap_or("rr") {
-        "rr" => PartitionStrategy::RoundRobin,
-        "random" => PartitionStrategy::Random(seed),
-        "greedy" => PartitionStrategy::GreedyWholeTrace,
-        other => fail(format!("unknown partition {other:?} (rr|random|greedy)")),
-    };
-    let format = match args.get("format") {
-        None => OutputFormat::Text,
-        Some(v) => OutputFormat::parse(v).unwrap_or_else(|e| fail(e)),
-    };
-    let jobs = args.get_parse(
-        "jobs",
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+    let [zero, eight, sixteen, thirty_two] = OverheadSetting::table_5_1();
+    let overhead = args.choice(
+        "overhead",
+        &[
+            ("8", eight),
+            ("0", zero),
+            ("16", sixteen),
+            ("32", thirty_two),
+        ],
     );
+    let partition = args.partition();
+    let format = args.choice(
+        "format",
+        &[("text", OutputFormat::Text), ("json", OutputFormat::Json)],
+    );
+    let jobs = args.get_parse("jobs", mpps::telemetry::available_cpus());
+    let trace = Trace::from_text(&read_file(&args.positional[0])).unwrap_or_else(|e| fail(e));
     let base = baseline(&trace);
     let curve = speedup_curve_jobs(&trace, &procs, overhead, partition, jobs);
     let summary = SimulateSummary {
@@ -780,7 +768,7 @@ fn cmd_simulate(args: &Args) {
     // Telemetry is a separate, opt-in re-run of the largest requested
     // machine — the summary above is untouched by it.
     let trace_out = args.get("trace-out");
-    let want_stats = args.get("stats").is_some();
+    let want_stats = args.has("stats");
     if trace_out.is_some() || want_stats {
         let procs_max = procs.iter().copied().max().unwrap_or(1);
         let config = MappingConfig::standard(procs_max, overhead);
@@ -805,136 +793,69 @@ fn cmd_simulate(args: &Args) {
     }
 }
 
-/// The program a `mpps serve --script` run compiles: `--program` names a
-/// `.ops` file or a builtin section; the default is the synthetic
-/// ticket-triage ruleset the serving benchmarks use. A builtin's canned
-/// initial working memory is *not* loaded — script sessions start empty
-/// and `make` their own WMEs.
-fn serve_program(args: &Args) -> Program {
-    match args.get("program") {
-        None => serve::program(),
-        Some(p) if std::path::Path::new(p).exists() => {
-            parse_program(&read_file(p)).unwrap_or_else(|e| fail(e))
-        }
-        Some(p) => builtin_workload(p)
-            .map(|(program, _)| program)
-            .unwrap_or_else(|| {
-                fail(format!(
-                    "cannot read {p}: no such file (and not a builtin section: \
-                     rubik|tourney|weaver)"
-                ))
-            }),
-    }
-}
-
 fn cmd_serve(args: &Args) {
-    check_flags(
-        "serve",
-        args,
-        &[
-            "synthetic",
-            "script",
-            "program",
-            "sessions",
-            "rounds",
-            "wmes",
-            "workers",
-            "queue",
-            "shards",
-            "sharding",
-            "strategy",
-            "table-size",
-            "stats",
-            "adapt",
-            "resident-budget",
-            "evict-dir",
-            "migrate",
-        ],
-    );
-    if !args.positional.is_empty() {
-        usage_error("serve takes no positional arguments");
-    }
     let script = args.get("script");
-    let synthetic = args.get("synthetic").is_some();
-    if script.is_some() == synthetic {
-        usage_error("serve needs exactly one of --synthetic or --script FILE");
+    if script.is_some() == args.has("synthetic") {
+        args.usage_error("serve needs exactly one of --synthetic or --script FILE");
     }
     let defaults = ServerConfig::default();
-    let workers = args.get_parse("workers", defaults.workers);
-    if workers == 0 {
-        usage_error("--workers must be at least 1");
-    }
-    let queue_capacity = args.get_parse("queue", defaults.queue_capacity);
-    if queue_capacity == 0 {
-        usage_error("--queue must be at least 1");
-    }
-    let shards = args.get_parse("shards", defaults.shards);
-    if shards == 0 {
-        usage_error("--shards must be at least 1");
-    }
-    let table_size = args.get_parse("table-size", defaults.engine.table_size);
-    if table_size == 0 {
-        usage_error("--table-size must be at least 1");
-    }
+    let workers = args.get_positive("workers", defaults.workers);
     let sharding = match args.get("sharding") {
         None => defaults.sharding,
         Some(v) => Sharding::parse(v).unwrap_or_else(|| {
-            usage_error(format!("unknown sharding {v:?} (rr|random[:SEED]|greedy)"))
+            args.usage_error(format!("unknown sharding {v:?} (rr|random[:SEED]|greedy)"))
         }),
     };
-    let resident_budget = match args.get("resident-budget") {
-        None => None,
-        Some(v) => match v.parse::<usize>() {
-            Ok(0) => usage_error("--resident-budget must be at least 1"),
-            Ok(n) => Some(n),
-            Err(_) => usage_error(format!("--resident-budget: not a number: {v:?}")),
-        },
-    };
+    let resident_budget = args
+        .has("resident-budget")
+        .then(|| args.get_positive("resident-budget", 0usize));
     let evict_dir = args.get("evict-dir").map(std::path::PathBuf::from);
     if evict_dir.is_some() && resident_budget.is_none() {
-        usage_error("--evict-dir needs --resident-budget (nothing is evicted without one)");
+        args.usage_error("--evict-dir needs --resident-budget (nothing is evicted without one)");
     }
-    let migrate = args.get("migrate").is_some();
+    let migrate = args.has("migrate");
     if migrate && script.is_some() {
-        usage_error("--migrate only applies to --synthetic (scripts are deterministic)");
+        args.usage_error("--migrate only applies to --synthetic (scripts are deterministic)");
     }
     let config = ServerConfig {
         workers,
-        queue_capacity,
-        shards,
+        queue_capacity: args.get_positive("queue", defaults.queue_capacity),
+        shards: args.get_positive("shards", defaults.shards),
         sharding,
-        strategy: strategy_of(args),
+        strategy: args.strategy(),
         engine: EngineConfig {
-            table_size,
+            table_size: args.get_positive("table-size", defaults.engine.table_size),
             record_trace: false,
         },
-        adapt: args.get("adapt").is_some(),
         resident_budget,
         evict_dir,
         ..defaults
     };
 
     if let Some(path) = script {
-        let report =
-            run_script(serve_program(args), &read_file(path), config).unwrap_or_else(|e| fail(e));
+        // `--program` names a `.ops` file or a builtin section; the default
+        // is the synthetic ticket-triage ruleset. A builtin's canned initial
+        // working memory is *not* loaded — script sessions start empty and
+        // `make` their own WMEs.
+        let program = args
+            .get("program")
+            .map_or_else(serve::program, |p| load_program(p).0);
+        let report = run_script(program, &read_file(path), config).unwrap_or_else(|e| fail(e));
         for line in &report.log {
             println!("{line}");
         }
         return;
     }
 
-    if args.get("program").is_some() {
-        usage_error("--program only applies to --script (synthetic load has a fixed ruleset)");
+    if args.has("program") {
+        args.usage_error("--program only applies to --script (synthetic load has a fixed ruleset)");
     }
     let spec = SyntheticSpec {
-        sessions: args.get_parse("sessions", 1000usize),
+        sessions: args.get_positive("sessions", 1000usize),
         rounds: args.get_parse("rounds", 3u64),
         wmes_per_round: args.get_parse("wmes", 4usize),
         migrate,
     };
-    if spec.sessions == 0 {
-        usage_error("--sessions must be at least 1");
-    }
     let report = run_synthetic(config, &spec).unwrap_or_else(|e| fail(e));
     println!(
         "serve: {} sessions x {} rounds x {} wmes on {} workers ({sharding:?})",
@@ -970,7 +891,7 @@ fn cmd_serve(args: &Args) {
             report.evictions, report.faultins, report.migrations
         );
     }
-    if args.get("stats").is_some() {
+    if args.has("stats") {
         for (i, (requests, high)) in report
             .worker_requests
             .iter()
@@ -983,22 +904,20 @@ fn cmd_serve(args: &Args) {
 }
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() {
-        usage();
-    }
-    let cmd = raw.remove(0);
-    let args = Args::parse(raw);
-    match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "trace" => cmd_trace(&args),
-        "simulate" => cmd_simulate(&args),
-        "fuzz" => cmd_fuzz(&args),
-        "serve" => cmd_serve(&args),
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            eprintln!("unknown command {other:?}");
-            usage();
+    let mut raw = std::env::args().skip(1);
+    let name = raw.next();
+    match name.as_deref() {
+        Some("help" | "--help" | "-h") => println!("{}", full_usage()),
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(command) => (command.run)(&Args::parse(command, raw.collect())),
+            None => {
+                eprintln!("mpps: unknown command {name:?}\n{}", full_usage());
+                exit(2)
+            }
+        },
+        None => {
+            eprintln!("{}", full_usage());
+            exit(2)
         }
     }
 }

@@ -705,6 +705,71 @@ fn unknown_flags_are_usage_errors_everywhere() {
     }
 }
 
+/// Caller mistakes exit 2 with the subcommand's usage line, whatever the
+/// flag: a missing value, an unparsable number, a name outside the flag's
+/// fixed set. (Runtime failures — an unreadable file — stay exit 1.)
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    for args in [
+        &["run", "rubik", "--cycles"][..],
+        &["run", "rubik", "--cycles", "abc"],
+        &["run", "rubik", "--strategy", "fifo"],
+        &["run", "rubik", "--matcher", "leaps"],
+        &[
+            "run",
+            "rubik",
+            "--matcher",
+            "threaded",
+            "--partition",
+            "hash",
+        ],
+        &["run", "rubik", "--matcher", "threaded", "--workers", "many"],
+        &["run"],
+        &["trace", "no-such.ops", "--strategy", "fifo"],
+        &["simulate", "no-such.trace", "--overhead", "64"],
+        &["simulate", "no-such.trace", "--format", "yaml"],
+        &["simulate", "no-such.trace", "--partition", "hash"],
+        &["simulate", "no-such.trace", "--procs", "1,two"],
+        &["simulate", "no-such.trace", "--jobs"],
+        &["fuzz", "--iters", "lots"],
+        &["serve", "--synthetic", "--sessions", "-3"],
+        &["serve", "--synthetic", "--strategy", "fifo"],
+    ] {
+        let out = mpps().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("usage: mpps {}", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    }
+}
+
+/// `mpps help` (and `--help`, `-h`) is not an error: the generated usage
+/// goes to stdout, exit 0, and names every subcommand. `--adapt` is a
+/// `run` flag only: `serve` rejects it like any flag it does not declare.
+#[test]
+fn help_prints_generated_usage_to_stdout() {
+    for flag in ["help", "--help", "-h"] {
+        let out = mpps().arg(flag).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for cmd in ["run", "trace", "simulate", "fuzz", "serve"] {
+            assert!(stdout.contains(&format!("mpps {cmd}")), "{flag}: {stdout}");
+        }
+        assert!(stdout.contains("[--resident-budget N]"), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag} wrote to stderr");
+    }
+    let out = mpps()
+        .args(["serve", "--synthetic", "--adapt"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --adapt"), "{stderr}");
+}
+
 #[test]
 fn bad_input_fails_cleanly() {
     let out = mpps().args(["run", "/nonexistent.ops"]).output().unwrap();

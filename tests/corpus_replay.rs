@@ -80,38 +80,10 @@ fn corpus_replays_without_divergence() {
 #[test]
 fn corpus_replays_cleanly_under_the_profiler() {
     use mpps::core::ThreadedMatcher;
-    use mpps::difftest::FuzzCase;
-    use mpps::ops::{treat, Interpreter, Matcher, TreatMatcher};
+    use mpps::difftest::replay;
+    use mpps::ops::{treat, TreatMatcher};
     use mpps::rete::{kernel, ReteMatcher, ReteNetwork};
     use mpps::telemetry::MetricsRegistry;
-
-    fn replay<M: Matcher>(case: &FuzzCase, matcher: M) -> Interpreter<M> {
-        let program = case.program().unwrap();
-        let mut interp = Interpreter::with_matcher(program, case.strategy, matcher);
-        for round in &case.schedule.rounds {
-            for op in round {
-                match op {
-                    mpps::difftest::ScheduleOp::Make(wme) => {
-                        interp.add_wme(wme.clone());
-                    }
-                    mpps::difftest::ScheduleOp::RemoveNth(n) => {
-                        let ids: Vec<_> =
-                            interp.working_memory().iter().map(|(id, _)| id).collect();
-                        if !ids.is_empty() {
-                            interp.remove_wme(ids[n % ids.len()]).unwrap();
-                        }
-                    }
-                }
-            }
-            for _ in 0..8 {
-                match interp.step() {
-                    Ok(mpps::ops::interpreter::StepOutcome::Fired(_)) => {}
-                    _ => break,
-                }
-            }
-        }
-        interp
-    }
 
     for (ops, sched) in corpus_entries() {
         let case = load_repro(&ops, &sched).unwrap();
@@ -123,15 +95,15 @@ fn corpus_replays_cleanly_under_the_profiler() {
             mpps::rete::EngineConfig::default(),
             MetricsRegistry::new(),
         );
-        let mut interp = replay(&case, rete);
+        let mut interp = replay(&case, &program, rete);
         merged.merge(&interp.matcher_mut().profile());
 
         let treat = TreatMatcher::with_metrics(&program, MetricsRegistry::new());
-        let interp = replay(&case, treat);
+        let interp = replay(&case, &program, treat);
         merged.merge(&interp.matcher().profile());
 
         let threaded = ThreadedMatcher::from_program_profiled(&program, 2).unwrap();
-        let mut interp = replay(&case, threaded);
+        let mut interp = replay(&case, &program, threaded);
         merged.merge(&interp.matcher_mut().profile_snapshot().unwrap());
 
         assert!(

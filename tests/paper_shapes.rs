@@ -10,7 +10,7 @@ fn peak(curve: &[mpps::core::sweep::SpeedupPoint]) -> f64 {
 
 #[test]
 fn table5_2_exact_activation_mixes() {
-    let rows = exp::table5_2();
+    let rows = exp::table5_2(&exp::Sections::generate());
     assert_eq!(rows[0][0], "Rubik");
     assert_eq!(rows[0][1], "2388 (28%)");
     assert_eq!(rows[0][2], "6114 (72%)");
@@ -25,7 +25,7 @@ fn table5_2_exact_activation_mixes() {
 
 #[test]
 fn fig5_1_shapes() {
-    let curves = exp::fig5_1();
+    let curves = exp::solo(exp::fig5_1);
     let get = |name: &str| {
         curves
             .iter()
@@ -56,7 +56,7 @@ fn fig5_1_shapes() {
 
 #[test]
 fn fig5_2_overhead_losses_track_left_fraction() {
-    let losses = exp::fig5_2_losses();
+    let losses = exp::solo(exp::fig5_2_losses);
     let loss = |name: &str| {
         losses
             .iter()
@@ -77,7 +77,7 @@ fn fig5_2_overhead_losses_track_left_fraction() {
 
 #[test]
 fn fig5_2_speedup_decreases_with_overhead_at_fixed_p() {
-    for (name, sweeps) in exp::fig5_2() {
+    for (name, sweeps) in exp::solo(exp::fig5_2) {
         // Compare the four curves at the largest processor count.
         let at_max: Vec<f64> = sweeps
             .iter()
@@ -94,7 +94,7 @@ fn fig5_2_speedup_decreases_with_overhead_at_fixed_p() {
 
 #[test]
 fn fig5_4_unsharing_improves_weaver() {
-    let (shared, unshared) = exp::fig5_4();
+    let (shared, unshared) = exp::solo(exp::fig5_4);
     assert!(
         peak(&unshared) > peak(&shared) * 1.1,
         "unsharing lifts the peak: {} -> {}",
@@ -109,7 +109,7 @@ fn fig5_4_unsharing_improves_weaver() {
 
 #[test]
 fn fig5_5_uneven_and_flipping_load() {
-    let cycles = exp::fig5_5();
+    let cycles = exp::solo(exp::fig5_5);
     assert_eq!(cycles.len(), 2);
     for (i, loads) in cycles.iter().enumerate() {
         assert_eq!(loads.len(), 16);
@@ -142,7 +142,7 @@ fn fig5_5_uneven_and_flipping_load() {
 
 #[test]
 fn fig5_6_copy_and_constraint_improves_tourney() {
-    let (plain, cc) = exp::fig5_6();
+    let (plain, cc) = exp::solo(exp::fig5_6);
     assert!(
         peak(&cc) > peak(&plain) * 1.1,
         "copy-and-constraint lifts the peak: {} -> {}",
@@ -153,7 +153,7 @@ fn fig5_6_copy_and_constraint_improves_tourney() {
 
 #[test]
 fn network_is_mostly_idle() {
-    for (name, idle) in exp::network_idle() {
+    for (name, idle) in exp::solo(exp::network_idle) {
         assert!(
             idle > 0.93,
             "{name}: paper reports 97–98% idle, got {:.1}%",
@@ -164,7 +164,7 @@ fn network_is_mostly_idle() {
 
 #[test]
 fn greedy_distribution_gains_roughly_paper_factor() {
-    let gains = exp::greedy_gains();
+    let gains = exp::solo(exp::greedy_gains);
     // Paper: "improved the speedups by a factor of 1.4". At least one
     // section should gain substantially, and none should regress.
     assert!(
@@ -180,7 +180,7 @@ fn greedy_distribution_gains_roughly_paper_factor() {
 fn random_placement_is_not_a_fix() {
     // "A random distribution of the buckets … failed to provide a
     // significant improvement."
-    for (name, gain) in exp::random_vs_round_robin() {
+    for (name, gain) in exp::solo(exp::random_vs_round_robin) {
         assert!(
             (0.7..=1.35).contains(&gain),
             "{name}: random placement should be roughly neutral, got {gain}"
@@ -190,7 +190,7 @@ fn random_placement_is_not_a_fix() {
 
 #[test]
 fn continuum_center_beats_both_endpoints() {
-    let points = exp::continuum();
+    let points = exp::solo(exp::continuum);
     let get = |label: &str| {
         points
             .iter()
@@ -208,7 +208,7 @@ fn shared_bus_comparable_at_paper_scale_but_queue_bound_beyond() {
     // §5.2: "speedups comparable to those achieved … on our shared-bus
     // implementation" for a comparable number of processors — and §6's
     // tradeoff: the centralized task queue eventually binds.
-    for (name, rows) in exp::shared_bus_comparison() {
+    for (name, rows) in exp::solo(exp::shared_bus) {
         let at = |p: usize| rows.iter().find(|r| r.0 == p).copied().unwrap();
         let (_, mpc16, bus16) = at(16);
         assert!(
@@ -231,7 +231,7 @@ fn shared_bus_comparable_at_paper_scale_but_queue_bound_beyond() {
 
 #[test]
 fn termination_detection_costs_grow_with_processors_and_small_cycles() {
-    let all = exp::termination_cost();
+    let all = exp::solo(exp::termination_cost);
     let loss = |name: &str, p: usize| {
         let rows = &all.iter().find(|(n, _)| *n == name).unwrap().1;
         let &(_, omni, ring) = rows.iter().find(|r| r.0 == p).unwrap();
@@ -256,7 +256,7 @@ fn termination_detection_costs_grow_with_processors_and_small_cycles() {
 fn first_generation_mpcs_were_useless_for_fine_grained_match() {
     // §1's motivation: Cosmic-Cube-era latencies/overheads destroy the
     // speedup; Nectar-era parameters preserve most of it.
-    for (name, new_gen, first_gen) in exp::era_comparison() {
+    for (name, new_gen, first_gen) in exp::solo(exp::era_comparison) {
         assert!(
             new_gen > 4.0,
             "{name}: new-generation MPC should speed up well, got {new_gen}"
