@@ -15,7 +15,7 @@
 //! TREAT `rule.*` series), so the renderer works for any matcher: series
 //! a matcher never recorded simply render as `null` or empty lists.
 
-use mpps_telemetry::{available_cpus, Histogram, MetricsRegistry};
+use mpps_telemetry::{available_cpus, json, Histogram, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -30,21 +30,6 @@ pub const PROFILE_SCHEMA: &str = "mpps.match_profile.v1";
 
 /// How many hot nodes / rules the profile lists.
 pub const TOP_K: usize = 10;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn hist_json(h: Option<&Histogram>) -> String {
     match h {
@@ -226,7 +211,7 @@ pub fn render_match_profile(matcher: &str, workers: usize, reg: &MetricsRegistry
          \"work_ns\": {work}, \"wait_ns\": {wait}, \"drain_activations\": {drains}}},\n  \
          \"workers\": {per_worker}\n}}\n",
         schema = PROFILE_SCHEMA,
-        matcher = json_escape(matcher),
+        matcher = json::escape(matcher),
         cpus = available_cpus(),
         workers = workers,
         acts = reg.counter_total(kmetric::NODE_ACTIVATIONS)
@@ -255,13 +240,14 @@ pub fn render_match_profile(matcher: &str, workers: usize, reg: &MetricsRegistry
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpps_telemetry::json;
     use mpps_telemetry::MetricSink;
 
     #[test]
     fn empty_registry_renders_valid_json() {
-        let text = render_match_profile("rete", 1, &MetricsRegistry::new());
+        const ODD: &str = "a \"b\" \\ c";
+        let text = render_match_profile(ODD, 1, &MetricsRegistry::new());
         let doc = json::parse(&text).expect("valid JSON");
+        assert_eq!(doc.get("matcher").and_then(|v| v.as_str()), Some(ODD));
         assert_eq!(
             doc.get("schema").and_then(|v| v.as_str()),
             Some(PROFILE_SCHEMA)

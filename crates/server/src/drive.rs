@@ -23,9 +23,10 @@ pub struct SyntheticSpec {
     pub rounds: u64,
     /// Request WMEs per round per session.
     pub wmes_per_round: usize,
-    /// Run a greedy [`Server::rebalance`] after every round, live-migrating
-    /// sessions whose shard moved (exercises the migration path under
-    /// load).
+    /// After every round, displace every 16th session to its neighbour
+    /// worker with [`Server::migrate`] and let [`Server::rebalance`] even
+    /// the pool out again (exercises the migration path under load; the
+    /// run fails if the pool is left uneven).
     pub migrate: bool,
 }
 
@@ -134,11 +135,25 @@ pub fn run_synthetic(
                 }
             }
         }
-        if spec.migrate {
-            // Quiesce, then live-migrate sessions onto the freshly packed
-            // greedy partition — the rebalancer's other half.
+        if spec.migrate && worker_count > 1 {
+            // Quiesce, then skew the pool — balanced admission leaves
+            // rebalance nothing to do — and have rebalance repair it.
             server.drain(REPLY_TIMEOUT, |reply| tally.absorb(reply))?;
+            for &id in ids.iter().step_by(16) {
+                let neighbour = (server.worker_of(id)? + 1) % worker_count;
+                server.migrate(id, neighbour, REPLY_TIMEOUT)?;
+            }
             server.rebalance(REPLY_TIMEOUT)?;
+            let mut live = vec![0usize; worker_count];
+            for &id in &ids {
+                live[server.worker_of(id)?] += 1;
+            }
+            let spread = live.iter().max().unwrap() - live.iter().min().unwrap();
+            if spread > 1 {
+                return Err(ServerError::Engine(format!(
+                    "rebalance left the pool uneven: {live:?} live sessions per worker"
+                )));
+            }
         }
     }
 

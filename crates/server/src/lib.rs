@@ -12,10 +12,10 @@
 //!   refraction memory over a fresh [`mpps_rete::ReteMatcher`] that shares
 //!   the compiled network (`Arc<ReteNetwork>`) and program
 //!   (`Arc<Program>`) with every other session.
-//! * [`Server`] — the worker pool. Sessions are pinned to workers at
-//!   admission by a [`mpps_core::Partition`] over a shard space
-//!   (round-robin, seeded-random or greedy LPT — the paper's §4 mapping
-//!   strategies reused one level up). Each worker has a **bounded**
+//! * [`Server`] — the worker pool. A new session is pinned to the worker
+//!   with the fewest live sessions (sessions are unit-weight, so that is
+//!   all the balancing there is to do; [`Server::rebalance`] evens the
+//!   pool out again after destroys). Each worker has a **bounded**
 //!   submission queue: when a worker's queue is full, [`Server::submit`]
 //!   returns [`ServerError::Overloaded`] immediately instead of buffering
 //!   without bound — backpressure is part of the API, not an afterthought.
@@ -43,7 +43,7 @@ pub mod snapshot;
 mod store;
 
 pub use drive::{run_script, run_synthetic, ScriptReport, SyntheticReport, SyntheticSpec};
-pub use server::{RebalanceReport, Reply, RequestId, Server, ServerConfig, Sharding};
+pub use server::{RebalanceReport, Reply, RequestId, Server, ServerConfig};
 pub use session::{Session, SessionId};
 pub use slab::{RouteError, RouteSlab};
 pub use snapshot::{program_fingerprint, SnapshotError, SNAPSHOT_VERSION};
@@ -70,18 +70,8 @@ pub enum ServerError {
     /// the handle was kept past `destroy` and the slot has moved on.
     StaleSession(SessionId),
     /// The server was constructed with a degenerate configuration
-    /// (zero workers, shards or queue capacity).
+    /// (zero workers or queue capacity).
     Config(String),
-    /// The per-shard live-session ledger disagrees with a destroy — an
-    /// internal invariant breach that would silently skew greedy
-    /// rebalancing if ignored (this used to be a `debug_assert!` that
-    /// compiled out in release builds).
-    ShardAccounting {
-        /// The session whose destroy exposed the drift.
-        session: SessionId,
-        /// The shard whose count was already zero.
-        shard: usize,
-    },
     /// A worker thread has shut down or disconnected.
     Shutdown,
     /// A snapshot failed to decode (see [`SnapshotError`]).
@@ -113,10 +103,6 @@ impl fmt::Display for ServerError {
                 "stale session handle {id}: the session was destroyed and its slot reused"
             ),
             ServerError::Config(msg) => write!(f, "config: {msg}"),
-            ServerError::ShardAccounting { session, shard } => write!(
-                f,
-                "shard accounting drift: destroying {session} but shard {shard} counts no sessions"
-            ),
             ServerError::Shutdown => write!(f, "server worker has shut down"),
             ServerError::Snapshot(e) => write!(f, "snapshot: {e}"),
             ServerError::Timeout => write!(f, "timed out waiting for a reply"),

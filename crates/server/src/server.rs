@@ -8,15 +8,14 @@
 //! [`Server::migrate`], which moves its *snapshot bytes* through the
 //! server at a quiescent point — the live object never crosses a thread.
 //!
-//! ## Admission
+//! ## Placement
 //!
-//! Session → worker assignment reuses [`mpps_core::Partition`] — the same
-//! abstraction the paper's §4 mapping uses for hash-bucket → processor
-//! placement, one level up: sessions hash into a fixed shard space and a
-//! partition maps shards to workers. Round-robin and seeded-random are
-//! static; greedy rebuilds an LPT partition over live-session-per-shard
-//! counts every `greedy_rebuild_interval` admissions. Pinned sessions
-//! follow the new map only when [`Server::rebalance`] migrates them.
+//! Sessions are unit-weight, so balancing them needs no partition: a new
+//! session goes to the worker with the fewest live sessions (lowest
+//! index on ties), and [`Server::rebalance`] moves sessions from the
+//! fullest worker to the emptiest until no two workers differ by more
+//! than one. The per-worker live counts live in the routing table itself
+//! ([`crate::slab::RouteSlab::live_on`]), next to the routes they count.
 //!
 //! Routing is a [`crate::slab::RouteSlab`]: ids are slab slots with a
 //! generation tag, so lookup is one bounds-checked index instead of a
@@ -54,14 +53,14 @@
 use crate::session::{Session, SessionId};
 use crate::slab::{RouteError, RouteSlab};
 use crate::snapshot::program_fingerprint;
-use crate::store::{EvictionSweep, Extracted, SessionEnv, SessionTable};
+use crate::store::{Extracted, SessionEnv, SessionTable};
 use crate::ServerError;
 use crossbeam::channel::{self, Receiver, Sender};
-use mpps_core::Partition;
 use mpps_ops::{Program, RunOutcome, Strategy, Wme, WmeId};
 use mpps_rete::{EngineConfig, ReteNetwork};
 use mpps_telemetry::{MetricSink, MetricsRegistry};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::error::Error;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -71,36 +70,6 @@ use std::time::{Duration, Instant};
 /// Monotone id identifying one accepted request; every accepted request
 /// produces exactly one [`Reply`] carrying it.
 pub type RequestId = u64;
-
-/// How sessions are assigned to workers at admission.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Sharding {
-    /// Shards dealt to workers in rotation ([`Partition::round_robin`]).
-    RoundRobin,
-    /// Shards scattered by a seeded hash ([`Partition::random`]).
-    Random(u64),
-    /// LPT over live-session counts per shard ([`Partition::greedy`]),
-    /// rebuilt periodically as sessions come and go.
-    Greedy,
-}
-
-impl Sharding {
-    /// Parse a CLI spelling: `rr`, `random[:seed]` or `greedy`.
-    pub fn parse(s: &str) -> Option<Sharding> {
-        match s {
-            "rr" | "round-robin" => Some(Sharding::RoundRobin),
-            "greedy" => Some(Sharding::Greedy),
-            _ => {
-                let rest = s.strip_prefix("random")?;
-                match rest.strip_prefix(':') {
-                    None if rest.is_empty() => Some(Sharding::Random(0xC0FFEE)),
-                    Some(seed) => seed.parse().ok().map(Sharding::Random),
-                    _ => None,
-                }
-            }
-        }
-    }
-}
 
 /// Distinguishes concurrently live servers in one process so their
 /// default eviction directories never collide.
@@ -115,12 +84,6 @@ pub struct ServerConfig {
     /// Bounded per-worker submission queue capacity; submissions beyond
     /// it are rejected with [`ServerError::Overloaded`]. Must be ≥ 1.
     pub queue_capacity: usize,
-    /// Size of the shard space sessions hash into before the partition
-    /// maps shards to workers. Must be ≥ 1; 0 is a config error, not a
-    /// silent clamp.
-    pub shards: u64,
-    /// Shard → worker strategy.
-    pub sharding: Sharding,
     /// Conflict-resolution strategy sessions run under.
     pub strategy: Strategy,
     /// Per-session match-engine configuration. The default table size is
@@ -129,8 +92,6 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Cycle budget per ingestion batch (guards runaway rule loops).
     pub max_cycles_per_batch: usize,
-    /// How many admissions between greedy-partition rebuilds.
-    pub greedy_rebuild_interval: u64,
     /// Maximum sessions held live in memory **per worker**; the rest are
     /// snapshotted to disk and faulted back in on demand. `None` keeps
     /// everything resident (the pre-eviction behavior).
@@ -147,78 +108,65 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: mpps_telemetry::available_cpus().clamp(1, 8),
             queue_capacity: 64,
-            shards: 256,
-            sharding: Sharding::RoundRobin,
             strategy: Strategy::Lex,
             engine: EngineConfig {
                 table_size: 16,
                 record_trace: false,
             },
             max_cycles_per_batch: 4096,
-            greedy_rebuild_interval: 64,
             resident_budget: None,
             evict_dir: None,
         }
     }
 }
 
-/// Work shipped to a worker thread.
-enum Request {
-    Create {
-        session: SessionId,
-        request: RequestId,
-        initial: Vec<Wme>,
-    },
+/// What a worker is asked to do to one session.
+enum Op {
+    Create(Vec<Wme>),
+    /// Remove one WME by time tag (if any), ingest `wmes`, settle.
     Ingest {
-        session: SessionId,
-        request: RequestId,
+        remove: Option<WmeId>,
         wmes: Vec<Wme>,
     },
-    Remove {
-        session: SessionId,
-        request: RequestId,
-        id: WmeId,
-    },
-    Destroy {
-        session: SessionId,
-        request: RequestId,
-    },
-    Snapshot {
-        session: SessionId,
-        request: RequestId,
-    },
+    Destroy,
+    Snapshot,
+    /// Rebuild a session from snapshot bytes under the envelope's id: a
+    /// restore (fresh id) or, when `adopting`, the arrival half of a
+    /// migration (the session's original id).
     Restore {
-        session: SessionId,
-        request: RequestId,
         bytes: Vec<u8>,
+        adopting: bool,
     },
     /// Migration departure: extract the session and ship its snapshot
     /// bytes back (evicted sessions ship their spill file unread).
-    Evacuate {
-        session: SessionId,
-        request: RequestId,
-    },
-    /// Migration arrival: rebuild the evacuated session under its
-    /// *original* id. Control plane — sent by the server itself after a
-    /// successful evacuation, so it bypasses the queue bound (the bytes
-    /// are already off the source worker and must not be stranded).
-    Adopt {
-        session: SessionId,
-        request: RequestId,
-        bytes: Vec<u8>,
-    },
-    /// Force one session to disk now (tests and operational tooling; the
+    Evacuate,
+    /// Force the session to disk now (tests and operational tooling; the
     /// budget sweep is the steady-state eviction path).
-    Evict {
-        session: SessionId,
-        request: RequestId,
-    },
-    /// Control plane: ship the worker's metrics back. Not counted against
-    /// queue capacity.
-    Flush {
-        request: RequestId,
-    },
-    Shutdown,
+    Evict,
+}
+
+impl Op {
+    /// Whether the op is subject to the queue bound (and so moves the
+    /// depth counter). An adoption is not: it is sent by the server
+    /// itself after a successful evacuation, when the bytes are already
+    /// off the source worker and must not be stranded by a full queue.
+    fn counted(&self) -> bool {
+        !matches!(self, Op::Restore { adopting: true, .. })
+    }
+}
+
+/// One request to one session, as shipped to its worker.
+struct Envelope {
+    request: RequestId,
+    session: SessionId,
+    op: Op,
+}
+
+enum ToWorker {
+    Session(Envelope),
+    /// Ship the worker's metrics back. Not counted against queue
+    /// capacity.
+    Flush(RequestId),
 }
 
 /// Completion shipped back from a worker. Every accepted request yields
@@ -330,43 +278,20 @@ impl Reply {
             | Reply::Failed { request, .. } => *request,
         }
     }
-
-    /// True when the reply answers a request that moved the in-flight
-    /// counter (everything but metrics flushes).
-    fn counted(&self) -> bool {
-        !matches!(self, Reply::Metrics { .. })
-    }
-}
-
-/// Patch the server-assigned request id into an outbound request.
-fn patch_request(request: &mut Request, id: RequestId) {
-    match request {
-        Request::Create { request, .. }
-        | Request::Ingest { request, .. }
-        | Request::Remove { request, .. }
-        | Request::Destroy { request, .. }
-        | Request::Snapshot { request, .. }
-        | Request::Restore { request, .. }
-        | Request::Evacuate { request, .. }
-        | Request::Adopt { request, .. }
-        | Request::Evict { request, .. }
-        | Request::Flush { request } => *request = id,
-        Request::Shutdown => {}
-    }
 }
 
 struct WorkerHandle {
-    tx: Sender<Request>,
+    tx: Sender<ToWorker>,
     depth: Arc<AtomicUsize>,
-    join: Option<JoinHandle<()>>,
+    join: JoinHandle<()>,
 }
 
 /// What one [`Server::rebalance`] pass did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RebalanceReport {
-    /// Live sessions examined against the rebuilt partition.
+    /// Live sessions when the pass started.
     pub examined: usize,
-    /// Sessions migrated to their newly preferred worker.
+    /// Sessions migrated from a fuller worker to an emptier one.
     pub moved: usize,
     /// Moves skipped because a worker queue was saturated (retryable).
     pub skipped: usize,
@@ -381,15 +306,17 @@ pub struct Server {
     fingerprint: u64,
     workers: Vec<WorkerHandle>,
     reply_rx: Receiver<Reply>,
-    buffered: std::collections::VecDeque<Reply>,
-    partition: Partition,
+    buffered: VecDeque<Reply>,
     routes: RouteSlab,
-    shard_sessions: Vec<u64>,
-    /// Create/Restore/Adopt requests whose `Ready` has not arrived yet:
-    /// request id → the admission to unwind if the worker reports
-    /// failure instead (the session never materialized there).
-    pending_admissions: HashMap<u64, (SessionId, usize)>,
-    admissions: u64,
+    /// Create/Restore/adoption requests whose `Ready` has not arrived
+    /// yet: if the worker reports failure instead, the session never
+    /// materialized there and its route is withdrawn.
+    pending_admissions: HashMap<RequestId, SessionId>,
+    /// Evacuations whose bytes have not come back yet: evacuate request →
+    /// (target worker, request id reserved for the adoption). Whoever
+    /// receives the `Evacuated` reply completes the hand-off, so a
+    /// migration whose caller stopped waiting still lands.
+    evacuating: HashMap<RequestId, (usize, RequestId)>,
     next_request: u64,
     in_flight: usize,
     overloaded: u64,
@@ -400,15 +327,11 @@ pub struct Server {
 impl Server {
     /// Validate `config`, compile `program` and spawn the worker pool.
     ///
-    /// Degenerate configurations (`workers == 0`, `shards == 0`,
-    /// `queue_capacity == 0`) are rejected with [`ServerError::Config`] —
-    /// not silently clamped.
+    /// Degenerate configurations (`workers == 0`, `queue_capacity == 0`)
+    /// are rejected with [`ServerError::Config`] — not silently clamped.
     pub fn new(program: Program, config: ServerConfig) -> Result<Server, ServerError> {
         if config.workers == 0 {
             return Err(ServerError::Config("workers must be at least 1".into()));
-        }
-        if config.shards == 0 {
-            return Err(ServerError::Config("shards must be at least 1".into()));
         }
         if config.queue_capacity == 0 {
             return Err(ServerError::Config(
@@ -436,27 +359,24 @@ impl Server {
             let depth = Arc::new(AtomicUsize::new(0));
             let ctx = WorkerCtx {
                 index,
-                program: Arc::clone(&program),
-                network: Arc::clone(&network),
+                env: SessionEnv {
+                    program: Arc::clone(&program),
+                    network: Arc::clone(&network),
+                    engine: config.engine,
+                    fingerprint,
+                },
                 config: config.clone(),
-                fingerprint,
+                evict_dir: evict_base.join(format!("w{index}")),
                 depth: Arc::clone(&depth),
                 reply_tx: reply_tx.clone(),
                 epoch,
-                evict_dir: evict_base.join(format!("w{index}")),
             };
             let join = std::thread::Builder::new()
                 .name(format!("mpps-serve-{index}"))
                 .spawn(move || worker_loop(ctx, rx))
                 .expect("spawn server worker");
-            handles.push(WorkerHandle {
-                tx,
-                depth,
-                join: Some(join),
-            });
+            handles.push(WorkerHandle { tx, depth, join });
         }
-        let partition = build_partition(&config, workers, &vec![0; config.shards as usize]);
-        let shard_sessions = vec![0; config.shards as usize];
         Ok(Server {
             program,
             network,
@@ -464,12 +384,10 @@ impl Server {
             fingerprint,
             workers: handles,
             reply_rx,
-            buffered: std::collections::VecDeque::new(),
-            partition,
+            buffered: VecDeque::new(),
             routes: RouteSlab::new(),
-            shard_sessions,
             pending_admissions: HashMap::new(),
-            admissions: 0,
+            evacuating: HashMap::new(),
             next_request: 0,
             overloaded: 0,
             migrations: 0,
@@ -504,16 +422,12 @@ impl Server {
         self.routes.len()
     }
 
-    /// Live-session count per shard — the activity vector greedy
-    /// admission packs with. Invariant: sums to [`Server::sessions`]
-    /// once every Create/Restore has been answered.
-    pub fn shard_session_counts(&self) -> &[u64] {
-        &self.shard_sessions
-    }
-
     /// The worker a live session is currently pinned to.
     pub fn worker_of(&self, session: SessionId) -> Result<usize, ServerError> {
-        self.route(session)
+        self.routes.get(session).map_err(|e| match e {
+            RouteError::Stale(id) => ServerError::StaleSession(id),
+            RouteError::Unknown(id) => ServerError::UnknownSession(id),
+        })
     }
 
     /// Accepted requests whose replies have not been received yet.
@@ -539,62 +453,28 @@ impl Server {
             .collect()
     }
 
-    /// Admit a new session (pinned to a worker by the sharding policy)
-    /// and ship its initial WM. Counts against the target worker's queue.
+    /// Admit a new session on the least-loaded worker and ship its
+    /// initial WM. Counts against that worker's queue.
     pub fn create_session(
         &mut self,
         initial: Vec<Wme>,
     ) -> Result<(SessionId, RequestId), ServerError> {
-        let session = self.routes.peek_next();
-        let worker = self.admit(session)?;
-        let request = self
-            .send(
-                worker,
-                session,
-                Request::Create {
-                    session,
-                    request: 0, // patched by send()
-                    initial,
-                },
-            )
-            .inspect_err(|_| self.unwind_admission(session, worker))?;
-        self.pending_admissions.insert(request, (session, worker));
-        Ok((session, request))
+        self.admit(Op::Create(initial))
     }
 
     /// Restore a snapshot as a **new** session on this server.
     pub fn restore(&mut self, bytes: Vec<u8>) -> Result<(SessionId, RequestId), ServerError> {
-        let session = self.routes.peek_next();
-        let worker = self.admit(session)?;
-        let request = self
-            .send(
-                worker,
-                session,
-                Request::Restore {
-                    session,
-                    request: 0,
-                    bytes,
-                },
-            )
-            .inspect_err(|_| self.unwind_admission(session, worker))?;
-        self.pending_admissions.insert(request, (session, worker));
-        Ok((session, request))
+        self.admit(Op::Restore {
+            bytes,
+            adopting: false,
+        })
     }
 
     /// Submit a batch of WMEs to a session. The worker ingests the batch
     /// and runs the MRA cycle to quiescence (bounded by
     /// `max_cycles_per_batch`), then replies [`Reply::Cycles`].
     pub fn submit(&mut self, session: SessionId, wmes: Vec<Wme>) -> Result<RequestId, ServerError> {
-        let worker = self.route(session)?;
-        self.send(
-            worker,
-            session,
-            Request::Ingest {
-                session,
-                request: 0,
-                wmes,
-            },
-        )
+        self.dispatch(session, Op::Ingest { remove: None, wmes })
     }
 
     /// Submit removal of one WME (by time tag) to a session.
@@ -603,29 +483,18 @@ impl Server {
         session: SessionId,
         id: WmeId,
     ) -> Result<RequestId, ServerError> {
-        let worker = self.route(session)?;
-        self.send(
-            worker,
+        self.dispatch(
             session,
-            Request::Remove {
-                session,
-                request: 0,
-                id,
+            Op::Ingest {
+                remove: Some(id),
+                wmes: Vec::new(),
             },
         )
     }
 
     /// Request a snapshot of a session (replies [`Reply::SnapshotBytes`]).
     pub fn snapshot(&mut self, session: SessionId) -> Result<RequestId, ServerError> {
-        let worker = self.route(session)?;
-        self.send(
-            worker,
-            session,
-            Request::Snapshot {
-                session,
-                request: 0,
-            },
-        )
+        self.dispatch(session, Op::Snapshot)
     }
 
     /// Force a session's state to disk now (replies [`Reply::Evicted`]).
@@ -633,41 +502,17 @@ impl Server {
     /// budget sweep evicts LRU sessions automatically; this entry point
     /// exists for tests and operational tooling.
     pub fn evict(&mut self, session: SessionId) -> Result<RequestId, ServerError> {
-        let worker = self.route(session)?;
-        self.send(
-            worker,
-            session,
-            Request::Evict {
-                session,
-                request: 0,
-            },
-        )
+        self.dispatch(session, Op::Evict)
     }
 
     /// Destroy a session. Further submissions for it fail immediately
     /// with [`ServerError::StaleSession`]; requests already queued are
-    /// still answered. Fails with [`ServerError::ShardAccounting`] —
-    /// before any state changes — if the shard ledger has drifted (an
-    /// internal invariant breach that `debug_assert!` used to hide in
-    /// release builds).
+    /// still answered.
     pub fn destroy_session(&mut self, session: SessionId) -> Result<RequestId, ServerError> {
-        let worker = self.route(session)?;
-        let shard = self.shard_of(session);
-        if self.shard_sessions[shard] == 0 {
-            return Err(ServerError::ShardAccounting { session, shard });
-        }
-        let request = self.send(
-            worker,
-            session,
-            Request::Destroy {
-                session,
-                request: 0,
-            },
-        )?;
+        let request = self.dispatch(session, Op::Destroy)?;
         self.routes
             .remove(session)
-            .expect("route() above proved the session live");
-        self.shard_sessions[shard] -= 1;
+            .expect("dispatch routed the session, so it is live");
         Ok(request)
     }
 
@@ -684,13 +529,19 @@ impl Server {
     /// the session is live on `to`. Fails without state change if `to`
     /// is out of range, equals the current worker, or the source worker's
     /// queue is saturated.
+    ///
+    /// [`ServerError::Timeout`] does **not** cancel the move: the
+    /// evacuation is already queued, and whichever receive call picks up
+    /// its [`Reply::Evacuated`] hands the bytes to `to`. Until then the
+    /// session is in transit — let the replies drain before submitting to
+    /// it again.
     pub fn migrate(
         &mut self,
         session: SessionId,
         to: usize,
         timeout: Duration,
     ) -> Result<RequestId, ServerError> {
-        let from = self.route(session)?;
+        let from = self.worker_of(session)?;
         if to >= self.workers.len() {
             return Err(ServerError::Config(format!(
                 "cannot migrate {session} to worker {to}: only {} workers",
@@ -702,59 +553,45 @@ impl Server {
                 "session {session} is already on worker {to}"
             )));
         }
-        let evac = self.send(
-            from,
-            session,
-            Request::Evacuate {
-                session,
-                request: 0,
-            },
-        )?;
-        let bytes = match self.wait_for(evac, timeout)? {
-            Reply::Evacuated { bytes, .. } => bytes,
-            Reply::Failed { error, .. } => return Err(ServerError::Engine(error)),
-            other => {
-                return Err(ServerError::Engine(format!(
-                    "evacuation answered by unexpected reply {other:?}"
-                )))
-            }
-        };
-        // The session now exists only as bytes we hold. Adoption is
-        // control-plane: it must not be bounced by a full queue, or the
-        // state would be stranded.
-        let adopt = self.send_control(
-            to,
-            Request::Adopt {
-                session,
-                request: 0,
-                bytes,
-            },
-        )?;
-        self.routes
-            .set_worker(session, to)
-            .expect("route() above proved the session live");
-        // If adoption fails on the worker (disk-level corruption is the
-        // only path), account() unwinds this like a failed admission so
-        // the routing table never points at a session that isn't there.
-        self.pending_admissions.insert(adopt, (session, to));
-        self.migrations += 1;
-        Ok(adopt)
+        let evac = self.dispatch(session, Op::Evacuate)?;
+        let adopt = self.next_request();
+        self.evacuating.insert(evac, (to, adopt));
+        match self.wait_for(evac, timeout)? {
+            // account() sent the adoption when it saw this reply.
+            Reply::Evacuated { .. } => Ok(adopt),
+            Reply::Failed { error, .. } => Err(ServerError::Engine(error)),
+            other => Err(ServerError::Engine(format!(
+                "evacuation answered by unexpected reply {other:?}"
+            ))),
+        }
     }
 
-    /// Rebuild the partition as greedy LPT over the current per-shard
-    /// live-session counts and migrate every session whose shard now maps
-    /// to a different worker. This is the other half of greedy admission:
-    /// admission only places *future* sessions; rebalance moves the ones
-    /// already pinned. Saturated workers cause moves to be skipped (and
-    /// reported), not failed.
+    /// Even out the live sessions: move one from the fullest worker to
+    /// the emptiest until no two workers differ by more than one — the
+    /// fewest migrations that get there, and none at all on a pool that
+    /// is already even. Admission keeps a pool even by itself; destroys
+    /// and manual [`Server::migrate`] calls are what skew it. Saturated
+    /// workers cause moves to be skipped (and reported), not failed.
     pub fn rebalance(&mut self, timeout: Duration) -> Result<RebalanceReport, ServerError> {
-        self.partition = Partition::greedy(&self.shard_sessions, self.workers.len());
+        let workers = self.workers.len();
+        let mut live: Vec<usize> = (0..workers).map(|w| self.routes.live_on(w)).collect();
+        // Plan on the counts first: `leaving[w]` lists the targets of the
+        // sessions worker `w` gives up.
+        let mut leaving = vec![Vec::new(); workers];
+        loop {
+            let from = (0..workers).rev().max_by_key(|&w| live[w]).unwrap_or(0);
+            let to = (0..workers).min_by_key(|&w| live[w]).unwrap_or(0);
+            if live[from] - live[to] <= 1 {
+                break;
+            }
+            live[from] -= 1;
+            live[to] += 1;
+            leaving[from].push(to);
+        }
         let moves: Vec<(SessionId, usize)> = self
             .routes
             .iter_live()
-            .map(|(id, cur)| (id, cur, self.partition.owner(self.shard_of(id) as u64)))
-            .filter(|&(_, cur, want)| cur != want)
-            .map(|(id, _, want)| (id, want))
+            .filter_map(|(id, worker)| Some((id, leaving[worker].pop()?)))
             .collect();
         let mut report = RebalanceReport {
             examined: self.routes.len(),
@@ -847,16 +684,16 @@ impl Server {
     }
 
     /// Flush every worker's metrics and merge them with the server-side
-    /// admission counters: `serve.admitted` (sessions per worker),
-    /// `serve.overloaded` (rejected submissions), `serve.migrations`
-    /// (sessions moved between workers).
+    /// counters: `serve.admitted` (sessions placed on each worker, by
+    /// admission or migration), `serve.overloaded` (rejected
+    /// submissions), `serve.migrations` (sessions moved between workers).
     pub fn metrics(&mut self, timeout: Duration) -> Result<MetricsRegistry, ServerError> {
         let mut merged = MetricsRegistry::new();
         for worker in 0..self.workers.len() {
             let request = self.next_request();
             self.workers[worker]
                 .tx
-                .send(Request::Flush { request })
+                .send(ToWorker::Flush(request))
                 .map_err(|_| ServerError::Shutdown)?;
             match self.wait_for(request, timeout)? {
                 Reply::Metrics { registry, .. } => merged.merge(&registry),
@@ -880,64 +717,34 @@ impl Server {
         Ok(merged)
     }
 
-    fn shard_of(&self, session: SessionId) -> usize {
-        // Multiplicative hash so consecutive ids spread across shards
-        // (greedy and random placements would otherwise see runs).
-        let h = session.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
-        (h % self.partition.table_size()) as usize
-    }
-
-    /// Pick (and record) the worker for a new session.
-    fn admit(&mut self, session: SessionId) -> Result<usize, ServerError> {
-        if self.config.sharding == Sharding::Greedy
-            && self
-                .admissions
-                .is_multiple_of(self.config.greedy_rebuild_interval.max(1))
-        {
-            self.partition =
-                build_partition(&self.config, self.workers.len(), &self.shard_sessions);
-        }
-        self.admissions += 1;
-        let shard = self.shard_of(session);
-        let worker = self.partition.owner(shard as u64);
-        // Reject at admission when the worker is saturated, before any
-        // state is recorded (the peeked id is not consumed either).
-        let depth = self.workers[worker].depth.load(Ordering::Acquire);
-        if depth >= self.config.queue_capacity {
-            self.overloaded += 1;
-            return Err(ServerError::Overloaded {
-                session,
-                worker,
-                capacity: self.config.queue_capacity,
-            });
-        }
+    /// Place a new session on the worker with the fewest live sessions
+    /// (lowest index on ties) and send it `op`. A saturated worker
+    /// rejects before anything is recorded: the id is not consumed.
+    fn admit(&mut self, op: Op) -> Result<(SessionId, RequestId), ServerError> {
+        let worker = (0..self.workers.len())
+            .min_by_key(|&w| self.routes.live_on(w))
+            .expect("Server::new rejects an empty pool");
+        let session = self.routes.peek_next();
+        let request = self.next_request();
+        self.send(worker, request, session, op)?;
         let issued = self.routes.insert(worker);
         debug_assert_eq!(issued, session, "peeked id must be the issued id");
-        self.shard_sessions[shard] += 1;
+        self.placed(request, session, worker);
+        Ok((session, request))
+    }
+
+    /// Send `op` to the worker `session` is pinned to.
+    fn dispatch(&mut self, session: SessionId, op: Op) -> Result<RequestId, ServerError> {
+        let worker = self.worker_of(session)?;
+        let request = self.next_request();
+        self.send(worker, request, session, op)
+    }
+
+    /// Record that `request` is installing `session` on `worker`; a
+    /// `Failed` answer withdraws the placement (see [`Server::account`]).
+    fn placed(&mut self, request: RequestId, session: SessionId, worker: usize) {
+        self.pending_admissions.insert(request, session);
         self.admitted_per_worker[worker] += 1;
-        Ok(worker)
-    }
-
-    /// Roll back [`Server::admit`]'s bookkeeping for a session whose
-    /// Create/Restore never reached — or never materialized on — its
-    /// worker. A session destroyed mid-flight was already unwound by
-    /// `destroy_session` (its route is gone), so this is a no-op then;
-    /// without that guard the count would be decremented twice and drift
-    /// negative.
-    fn unwind_admission(&mut self, session: SessionId, worker: usize) {
-        if self.routes.remove(session).is_err() {
-            return;
-        }
-        let shard = self.shard_of(session);
-        self.shard_sessions[shard] = self.shard_sessions[shard].saturating_sub(1);
-        self.admitted_per_worker[worker] = self.admitted_per_worker[worker].saturating_sub(1);
-    }
-
-    fn route(&self, session: SessionId) -> Result<usize, ServerError> {
-        self.routes.get(session).map_err(|e| match e {
-            RouteError::Stale(id) => ServerError::StaleSession(id),
-            RouteError::Unknown(id) => ServerError::UnknownSession(id),
-        })
     }
 
     fn next_request(&mut self) -> RequestId {
@@ -945,20 +752,23 @@ impl Server {
         self.next_request
     }
 
-    /// Enqueue a data-plane request on `worker`, enforcing the bounded
-    /// queue. On success the request id is patched in and returned.
+    /// Enqueue `op` for `session` on `worker` as request `request`. A
+    /// counted op must claim a slot in the worker's bounded queue first;
+    /// an uncounted one bypasses the bound (the worker will not move the
+    /// depth counter for it) but is still answered by exactly one reply.
     fn send(
         &mut self,
         worker: usize,
+        request: RequestId,
         session: SessionId,
-        mut request: Request,
+        op: Op,
     ) -> Result<RequestId, ServerError> {
         let handle = &self.workers[worker];
+        let counted = op.counted();
         // Optimistically claim a slot; undo if over capacity. The counter
         // is the *only* admission gate, so claim-then-check is race-free
         // even with a future multi-submitter front end.
-        let depth = handle.depth.fetch_add(1, Ordering::AcqRel);
-        if depth >= self.config.queue_capacity {
+        if counted && handle.depth.fetch_add(1, Ordering::AcqRel) >= self.config.queue_capacity {
             handle.depth.fetch_sub(1, Ordering::AcqRel);
             self.overloaded += 1;
             return Err(ServerError::Overloaded {
@@ -967,35 +777,26 @@ impl Server {
                 capacity: self.config.queue_capacity,
             });
         }
-        let id = self.next_request();
-        patch_request(&mut request, id);
-        if self.workers[worker].tx.send(request).is_err() {
-            self.workers[worker].depth.fetch_sub(1, Ordering::AcqRel);
+        let envelope = Envelope {
+            request,
+            session,
+            op,
+        };
+        if handle.tx.send(ToWorker::Session(envelope)).is_err() {
+            if counted {
+                handle.depth.fetch_sub(1, Ordering::AcqRel);
+            }
             return Err(ServerError::Shutdown);
         }
         self.in_flight += 1;
-        Ok(id)
+        Ok(request)
     }
 
-    /// Enqueue a control-plane request on `worker`: not subject to the
-    /// queue bound (the worker will not move the depth counter for it),
-    /// but still answered by exactly one counted reply.
-    fn send_control(
-        &mut self,
-        worker: usize,
-        mut request: Request,
-    ) -> Result<RequestId, ServerError> {
-        let id = self.next_request();
-        patch_request(&mut request, id);
-        if self.workers[worker].tx.send(request).is_err() {
-            return Err(ServerError::Shutdown);
-        }
-        self.in_flight += 1;
-        Ok(id)
-    }
-
+    /// Bookkeeping for every reply as it comes off the channel, whoever
+    /// asked for it.
     fn account(&mut self, reply: &Reply) {
-        if reply.counted() {
+        // Everything but a metrics flush moved the in-flight counter.
+        if !matches!(reply, Reply::Metrics { .. }) {
             self.in_flight = self.in_flight.saturating_sub(1);
         }
         match reply {
@@ -1004,13 +805,42 @@ impl Server {
             Reply::Ready { request, .. } => {
                 self.pending_admissions.remove(request);
             }
-            // A failed Create/Restore/Adopt never materialized the
-            // session on the worker: unwind the admission so the
-            // live-session counts the greedy rebuild packs against don't
-            // go stale.
+            // A failed Create/Restore/adoption never materialized the
+            // session on the worker: withdraw its route so the live
+            // counts placement reads don't go stale. A session destroyed
+            // mid-flight has no route left to withdraw (and the id may
+            // not be reissued yet: the generation check makes this a
+            // no-op rather than a second decrement).
             Reply::Failed { request, .. } => {
-                if let Some((session, worker)) = self.pending_admissions.remove(request) {
-                    self.unwind_admission(session, worker);
+                self.evacuating.remove(request);
+                if let Some(session) = self.pending_admissions.remove(request) {
+                    if let Ok(worker) = self.routes.remove(session) {
+                        self.admitted_per_worker[worker] -= 1;
+                    }
+                }
+            }
+            // The session now exists only as these bytes: hand them to
+            // the target worker, whether or not migrate() is still
+            // waiting. A session destroyed while in transit stays gone.
+            Reply::Evacuated {
+                request,
+                session,
+                bytes,
+                ..
+            } => {
+                let Some((to, adopt)) = self.evacuating.remove(request) else {
+                    return;
+                };
+                if self.routes.set_worker(*session, to).is_err() {
+                    return;
+                }
+                let op = Op::Restore {
+                    bytes: bytes.clone(),
+                    adopting: true,
+                };
+                if self.send(to, adopt, *session, op).is_ok() {
+                    self.placed(adopt, *session, to);
+                    self.migrations += 1;
                 }
             }
             _ => {}
@@ -1020,335 +850,233 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        for worker in &self.workers {
-            let _ = worker.tx.send(Request::Shutdown);
+        // Dropping the senders disconnects the queues: each worker
+        // answers what is already queued, cleans up its spill directory
+        // and exits.
+        let joins: Vec<_> = self.workers.drain(..).map(|w| w.join).collect();
+        for join in joins {
+            let _ = join.join();
         }
-        for worker in &mut self.workers {
-            if let Some(join) = worker.join.take() {
-                let _ = join.join();
-            }
-        }
-    }
-}
-
-fn build_partition(config: &ServerConfig, workers: usize, shard_sessions: &[u64]) -> Partition {
-    match config.sharding {
-        Sharding::RoundRobin => Partition::round_robin(config.shards, workers),
-        Sharding::Random(seed) => Partition::random(config.shards, workers, seed),
-        Sharding::Greedy => Partition::greedy(shard_sessions, workers),
     }
 }
 
 /// Everything a worker thread needs, moved in at spawn.
 struct WorkerCtx {
     index: usize,
-    program: Arc<Program>,
-    network: Arc<ReteNetwork>,
+    env: SessionEnv,
     config: ServerConfig,
-    fingerprint: u64,
+    /// This worker's spill directory for evicted sessions.
+    evict_dir: PathBuf,
     depth: Arc<AtomicUsize>,
     reply_tx: Sender<Reply>,
     epoch: Instant,
-    /// This worker's spill directory for evicted sessions.
-    evict_dir: PathBuf,
 }
 
-fn worker_loop(ctx: WorkerCtx, rx: Receiver<Request>) {
+fn worker_loop(ctx: WorkerCtx, rx: Receiver<ToWorker>) {
+    // Sessions are not `Send`, so the table is born on its worker.
     let mut table = SessionTable::new(ctx.config.resident_budget, ctx.evict_dir.clone());
-    let env = SessionEnv {
-        program: Arc::clone(&ctx.program),
-        network: Arc::clone(&ctx.network),
-        engine: ctx.config.engine,
-        fingerprint: ctx.fingerprint,
-    };
     let mut metrics = MetricsRegistry::new();
     let wid = ctx.index as u64;
-    while let Ok(request) = rx.recv() {
-        // Control-plane messages (flush/adopt/shutdown) bypass the
-        // bounded queue, so only data-plane requests move the depth
-        // counter.
-        let counted = !matches!(
-            request,
-            Request::Flush { .. } | Request::Adopt { .. } | Request::Shutdown
-        );
+    while let Ok(message) = rx.recv() {
         // High-water queue depth *including* the request being taken.
         metrics.set(
             "serve.queue_depth",
             wid,
             ctx.depth.load(Ordering::Relaxed) as u64,
         );
-        let mut sweep = EvictionSweep::default();
-        let reply = match request {
-            Request::Shutdown => break,
-            Request::Flush { request } => {
+        let reply = match message {
+            ToWorker::Flush(request) => {
                 metrics.set("serve.sessions_live", wid, table.len() as u64);
                 metrics.set("serve.resident", wid, table.resident_count() as u64);
                 metrics.set("serve.evicted", wid, table.evicted_count() as u64);
-                Some(Reply::Metrics {
+                Reply::Metrics {
                     request,
                     worker: ctx.index,
                     registry: Box::new(metrics.clone()),
+                }
+            }
+            ToWorker::Session(Envelope {
+                request,
+                session,
+                op,
+            }) => {
+                let counted = op.counted();
+                let reply = perform(&ctx, &mut table, &mut metrics, request, session, op);
+                // Whatever the op did to residency (admission, fault-in),
+                // bring the table back within its budget.
+                let sweep = table.enforce_budget();
+                if sweep.evicted > 0 || sweep.failed > 0 {
+                    metrics.add("serve.evictions", wid, sweep.evicted);
+                    metrics.add("serve.eviction_bytes", wid, sweep.bytes);
+                    if sweep.failed > 0 {
+                        metrics.add("serve.evict_failed", wid, sweep.failed);
+                    }
+                }
+                if counted {
+                    ctx.depth.fetch_sub(1, Ordering::AcqRel);
+                }
+                reply.unwrap_or_else(|e| Reply::Failed {
+                    session: Some(session),
+                    request,
+                    error: e.to_string(),
                 })
             }
-            Request::Create {
-                session,
-                request,
-                initial,
-            } => {
-                let mut s = Session::new(
-                    Arc::clone(&ctx.program),
-                    Arc::clone(&ctx.network),
-                    ctx.config.strategy,
-                    ctx.config.engine,
-                    ctx.fingerprint,
-                );
-                let reply =
-                    settle_into(&ctx, &mut metrics, &mut s, session, request, initial, true);
-                let reply = if matches!(reply, Reply::Failed { .. }) {
-                    reply
-                } else {
-                    match table.insert(session, s) {
-                        Ok(()) => reply,
-                        Err(e) => fail(session, request, e.to_string()),
-                    }
-                };
-                metrics.add("serve.sessions_created", wid, 1);
-                sweep = table.enforce_budget();
-                Some(reply)
-            }
-            Request::Restore {
-                session,
-                request,
-                bytes,
-            } => Some(
-                match admit_bytes(&ctx, &mut table, session, request, &bytes) {
-                    Ok(reply) => {
-                        metrics.add("serve.sessions_restored", wid, 1);
-                        sweep = table.enforce_budget();
-                        reply
-                    }
-                    Err(reply) => reply,
-                },
-            ),
-            Request::Adopt {
-                session,
-                request,
-                bytes,
-            } => Some(
-                match admit_bytes(&ctx, &mut table, session, request, &bytes) {
-                    Ok(reply) => {
-                        metrics.add("serve.sessions_adopted", wid, 1);
-                        sweep = table.enforce_budget();
-                        reply
-                    }
-                    Err(reply) => reply,
-                },
-            ),
-            Request::Ingest {
-                session,
-                request,
-                wmes,
-            } => Some(match table.get_mut(session, &env) {
-                Err(e) => fail(session, request, e.to_string()),
-                Ok((s, faulted)) => {
-                    if faulted {
-                        metrics.add("serve.faultins", wid, 1);
-                    }
-                    let reply = settle_into(&ctx, &mut metrics, s, session, request, wmes, false);
-                    sweep = table.enforce_budget();
-                    reply
-                }
-            }),
-            Request::Remove {
-                session,
-                request,
-                id,
-            } => Some(match table.get_mut(session, &env) {
-                Err(e) => fail(session, request, e.to_string()),
-                Ok((s, faulted)) => {
-                    if faulted {
-                        metrics.add("serve.faultins", wid, 1);
-                    }
-                    let reply = match s.remove(id) {
-                        Err(e) => fail(session, request, e.to_string()),
-                        Ok(()) => {
-                            settle_into(&ctx, &mut metrics, s, session, request, Vec::new(), false)
-                        }
-                    };
-                    sweep = table.enforce_budget();
-                    reply
-                }
-            }),
-            Request::Snapshot { session, request } => Some(match table.snapshot_bytes(session) {
-                Err(e) => fail(session, request, e.to_string()),
-                Ok(bytes) => {
-                    metrics.add("serve.snapshots", wid, 1);
-                    Reply::SnapshotBytes {
-                        session,
-                        request,
-                        bytes,
-                    }
-                }
-            }),
-            Request::Evacuate { session, request } => Some(match table.extract(session) {
-                Err(e) => fail(session, request, e.to_string()),
-                Ok(Extracted::Evicted(bytes)) => {
-                    metrics.add("serve.evacuations", wid, 1);
-                    Reply::Evacuated {
-                        session,
-                        request,
-                        worker: ctx.index,
-                        bytes,
-                    }
-                }
-                Ok(Extracted::Resident(s)) => match s.snapshot() {
-                    Ok(bytes) => {
-                        metrics.add("serve.evacuations", wid, 1);
-                        Reply::Evacuated {
-                            session,
-                            request,
-                            worker: ctx.index,
-                            bytes,
-                        }
-                    }
-                    Err(e) => {
-                        // The session must not be lost to a refused
-                        // snapshot: put it back and fail the migration.
-                        let _ = table.insert(session, *s);
-                        fail(session, request, e.to_string())
-                    }
-                },
-            }),
-            Request::Evict { session, request } => Some(match table.evict_now(session) {
-                Err(e) => fail(session, request, e.to_string()),
-                Ok(bytes) => {
-                    metrics.add("serve.evictions", wid, 1);
-                    Reply::Evicted {
-                        session,
-                        request,
-                        worker: ctx.index,
-                        bytes,
-                    }
-                }
-            }),
-            Request::Destroy { session, request } => Some(match table.remove(session) {
-                Err(e) => fail(session, request, e.to_string()),
-                Ok(()) => Reply::Destroyed { session, request },
-            }),
         };
-        if sweep.evicted > 0 || sweep.failed > 0 {
-            metrics.add("serve.evictions", wid, sweep.evicted);
-            metrics.add("serve.eviction_bytes", wid, sweep.bytes);
-            if sweep.failed > 0 {
-                metrics.add("serve.evict_failed", wid, sweep.failed);
-            }
-        }
-        if counted {
-            ctx.depth.fetch_sub(1, Ordering::AcqRel);
-        }
-        if let Some(reply) = reply {
-            if ctx.reply_tx.send(reply).is_err() {
-                break; // server dropped; nobody is listening
-            }
+        if ctx.reply_tx.send(reply).is_err() {
+            break; // server dropped; nobody is listening
         }
     }
     table.cleanup();
 }
 
-/// Rebuild a session from snapshot bytes (restore or migration adoption)
-/// and install it. Returns the `Ready` reply, or the `Failed` reply as
-/// `Err` so callers can skip their success-path metrics.
-fn admit_bytes(
+/// Carry out one request against the worker's table. Success-path
+/// metrics are recorded here, so a failed op counts nowhere.
+fn perform(
     ctx: &WorkerCtx,
     table: &mut SessionTable,
-    session: SessionId,
+    metrics: &mut MetricsRegistry,
     request: RequestId,
-    bytes: &[u8],
-) -> Result<Reply, Reply> {
-    match Session::restore(
-        Arc::clone(&ctx.program),
-        Arc::clone(&ctx.network),
-        ctx.config.engine,
-        ctx.fingerprint,
-        bytes,
-    ) {
-        Ok(s) => match table.insert(session, s) {
-            Ok(()) => Ok(Reply::Ready {
+    session: SessionId,
+    op: Op,
+) -> Result<Reply, Box<dyn Error>> {
+    let worker = ctx.index;
+    let wid = worker as u64;
+    let env = &ctx.env;
+    // What both ways of installing a session answer with.
+    let ready = Reply::Ready {
+        session,
+        request,
+        worker,
+    };
+    Ok(match op {
+        Op::Create(initial) => {
+            let mut s = Session::new(
+                Arc::clone(&env.program),
+                Arc::clone(&env.network),
+                ctx.config.strategy,
+                env.engine,
+                env.fingerprint,
+            );
+            settle(ctx, metrics, &mut s, session, request, initial)?;
+            table.insert(session, s)?;
+            metrics.add("serve.sessions_created", wid, 1);
+            ready
+        }
+        Op::Restore { bytes, adopting } => {
+            let s = Session::restore(
+                Arc::clone(&env.program),
+                Arc::clone(&env.network),
+                env.engine,
+                env.fingerprint,
+                &bytes,
+            )?;
+            table.insert(session, s)?;
+            let counter = match adopting {
+                true => "serve.sessions_adopted",
+                false => "serve.sessions_restored",
+            };
+            metrics.add(counter, wid, 1);
+            ready
+        }
+        Op::Ingest { remove, wmes } => {
+            let (s, faulted) = table.get_mut(session, env)?;
+            if faulted {
+                metrics.add("serve.faultins", wid, 1);
+            }
+            if let Some(id) = remove {
+                s.remove(id)?;
+            }
+            settle(ctx, metrics, s, session, request, wmes)?
+        }
+        Op::Snapshot => {
+            let bytes = table.snapshot_bytes(session)?;
+            metrics.add("serve.snapshots", wid, 1);
+            Reply::SnapshotBytes {
                 session,
                 request,
-                worker: ctx.index,
-            }),
-            Err(e) => Err(fail(session, request, e.to_string())),
-        },
-        Err(e) => Err(fail(session, request, e.to_string())),
-    }
-}
-
-fn fail(session: SessionId, request: RequestId, error: String) -> Reply {
-    Reply::Failed {
-        session: Some(session),
-        request,
-        error,
-    }
+                bytes,
+            }
+        }
+        Op::Evacuate => {
+            let bytes = match table.extract(session)? {
+                Extracted::Evicted(bytes) => bytes,
+                Extracted::Resident(s) => match s.snapshot() {
+                    Ok(bytes) => bytes,
+                    Err(e) => {
+                        // The session must not be lost to a refused
+                        // snapshot: put it back and fail the migration.
+                        let _ = table.insert(session, *s);
+                        return Err(e.into());
+                    }
+                },
+            };
+            metrics.add("serve.evacuations", wid, 1);
+            Reply::Evacuated {
+                session,
+                request,
+                worker,
+                bytes,
+            }
+        }
+        Op::Evict => {
+            let bytes = table.evict_now(session)?;
+            metrics.add("serve.evictions", wid, 1);
+            Reply::Evicted {
+                session,
+                request,
+                worker,
+                bytes,
+            }
+        }
+        Op::Destroy => {
+            table.remove(session)?;
+            Reply::Destroyed { session, request }
+        }
+    })
 }
 
 /// Ingest `wmes` into `s` and run the MRA cycle to quiescence, recording
-/// latency and throughput metrics. `creating` selects the Ready reply
-/// shape (session admission) over Cycles (steady-state ingestion).
-#[allow(clippy::too_many_arguments)]
-fn settle_into(
+/// latency and throughput metrics; the [`Reply::Cycles`] says what ran.
+fn settle(
     ctx: &WorkerCtx,
     metrics: &mut MetricsRegistry,
     s: &mut Session,
     session: SessionId,
     request: RequestId,
     wmes: Vec<Wme>,
-    creating: bool,
-) -> Reply {
+) -> Result<Reply, Box<dyn Error>> {
     let wid = ctx.index as u64;
     let started = Instant::now();
     let start_ns = started.duration_since(ctx.epoch).as_nanos() as u64;
     s.ingest(wmes);
-    match s.run(ctx.config.max_cycles_per_batch) {
-        Err(e) => Reply::Failed {
-            session: Some(session),
-            request,
-            error: e.to_string(),
-        },
-        Ok((result, wme_changes)) => {
-            let nanos = started.elapsed().as_nanos() as u64;
-            metrics.add("serve.requests", wid, 1);
-            metrics.add("serve.cycles", wid, result.cycles as u64);
-            metrics.add("serve.fired", wid, result.fired.len() as u64);
-            metrics.add("serve.wme_changes", wid, wme_changes as u64);
-            metrics.observe("serve.batch_ns", nanos);
-            metrics.observe("serve.cycle_ns", nanos / (result.cycles.max(1) as u64));
-            if creating {
-                Reply::Ready {
-                    session,
-                    request,
-                    worker: ctx.index,
-                }
-            } else {
-                Reply::Cycles {
-                    session,
-                    request,
-                    worker: ctx.index,
-                    fired: result.fired.len(),
-                    cycles: result.cycles,
-                    wme_changes,
-                    outcome: result.outcome,
-                    nanos,
-                    start_ns,
-                }
-            }
-        }
-    }
+    let (result, wme_changes) = s.run(ctx.config.max_cycles_per_batch)?;
+    let nanos = started.elapsed().as_nanos() as u64;
+    metrics.add("serve.requests", wid, 1);
+    metrics.add("serve.cycles", wid, result.cycles as u64);
+    metrics.add("serve.fired", wid, result.fired.len() as u64);
+    metrics.add("serve.wme_changes", wid, wme_changes as u64);
+    metrics.observe("serve.batch_ns", nanos);
+    metrics.observe("serve.cycle_ns", nanos / (result.cycles.max(1) as u64));
+    Ok(Reply::Cycles {
+        session,
+        request,
+        worker: ctx.index,
+        fired: result.fired.len(),
+        cycles: result.cycles,
+        wme_changes,
+        outcome: result.outcome,
+        nanos,
+        start_ns,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpps_workloads::serve;
+    use proptest::prelude::*;
+
+    const TIMEOUT: Duration = Duration::from_secs(30);
 
     fn tiny_server(config: ServerConfig) -> Server {
         let program = mpps_ops::parse_program("(p noop (never ^seen t) --> (halt))").unwrap();
@@ -1365,13 +1093,6 @@ mod tests {
                     ..ServerConfig::default()
                 },
                 "workers",
-            ),
-            (
-                ServerConfig {
-                    shards: 0,
-                    ..ServerConfig::default()
-                },
-                "shards",
             ),
             (
                 ServerConfig {
@@ -1392,36 +1113,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_ledger_drift_is_a_typed_error_in_release_builds() {
-        let mut server = tiny_server(ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        });
-        let (session, request) = server.create_session(Vec::new()).unwrap();
-        server.wait_for(request, Duration::from_secs(30)).unwrap();
-        // Corrupt the ledger the way the old debug_assert! could only
-        // catch in debug builds.
-        let shard = server.shard_of(session);
-        server.shard_sessions[shard] = 0;
-        assert_eq!(
-            server.destroy_session(session).unwrap_err(),
-            ServerError::ShardAccounting { session, shard }
-        );
-        // The failed destroy changed nothing: the session is still
-        // routable once the ledger is repaired.
-        server.shard_sessions[shard] = 1;
-        server.destroy_session(session).unwrap();
-    }
-
-    #[test]
     fn migrating_to_a_bad_target_is_rejected_without_state_change() {
         let mut server = tiny_server(ServerConfig {
             workers: 2,
             ..ServerConfig::default()
         });
         let (session, request) = server.create_session(Vec::new()).unwrap();
-        server.wait_for(request, Duration::from_secs(30)).unwrap();
-        let home = server.route(session).unwrap();
+        server.wait_for(request, TIMEOUT).unwrap();
+        let home = server.worker_of(session).unwrap();
         assert!(matches!(
             server.migrate(session, 99, Duration::from_secs(1)),
             Err(ServerError::Config(_))
@@ -1430,6 +1129,140 @@ mod tests {
             server.migrate(session, home, Duration::from_secs(1)),
             Err(ServerError::Config(_))
         ));
-        assert_eq!(server.route(session).unwrap(), home);
+        assert_eq!(server.worker_of(session).unwrap(), home);
+    }
+
+    const WORKERS: usize = 3;
+
+    fn live_counts(server: &Server) -> [usize; WORKERS] {
+        std::array::from_fn(|w| server.routes.live_on(w))
+    }
+
+    /// The slab's per-worker counts, the slab's length and the set of
+    /// live routes are one ledger: they agree with each other and with
+    /// the test's own model.
+    fn assert_ledger(server: &Server, live: &[SessionId], step: usize) {
+        assert_eq!(server.sessions(), live.len(), "step {step}");
+        assert_eq!(server.routes.iter_live().count(), live.len(), "step {step}");
+        let counted: usize = live_counts(server).iter().sum();
+        assert_eq!(counted, live.len(), "step {step}: counts drifted");
+    }
+
+    /// Admit through `admit` and check the placement rule: the session
+    /// lands on a worker whose live count was minimal, lowest index first.
+    fn admit_checked(
+        server: &mut Server,
+        admit: impl FnOnce(&mut Server) -> (SessionId, RequestId),
+    ) -> (SessionId, RequestId) {
+        let before = live_counts(server);
+        let (id, request) = admit(server);
+        let least = before
+            .iter()
+            .position(|n| n == before.iter().min().unwrap());
+        assert_eq!(
+            server.worker_of(id).ok(),
+            least,
+            "placed against {before:?}"
+        );
+        (id, request)
+    }
+
+    fn expect_ready(server: &mut Server, request: RequestId) {
+        let reply = server.wait_for(request, TIMEOUT).unwrap();
+        assert!(matches!(reply, Reply::Ready { .. }), "{reply:?}");
+    }
+
+    fn expect_failed(server: &mut Server, request: RequestId) {
+        let reply = server.wait_for(request, TIMEOUT).unwrap();
+        assert!(matches!(reply, Reply::Failed { .. }), "{reply:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Create / destroy / failed-restore / restore / migrate churn.
+        /// Every admission goes to a least-loaded worker, and a failed
+        /// Create/Restore must not leave a phantom session routed and
+        /// counted — nor may unwinding one that a racing destroy already
+        /// unwound take the counts below the truth.
+        #[test]
+        fn placement_counts_survive_create_destroy_churn(
+            ops in proptest::collection::vec((0u8..6, any::<u8>()), 30),
+        ) {
+            let mut server = Server::new(
+                serve::program(),
+                ServerConfig { workers: WORKERS, ..ServerConfig::default() },
+            )
+            .unwrap();
+            let mut live: Vec<SessionId> = Vec::new();
+            for (step, (op, pick)) in ops.into_iter().enumerate() {
+                let pick = pick as usize % live.len().max(1);
+                match op {
+                    // A corrupt restore fails on the worker and must be
+                    // unwound.
+                    1 => {
+                        let (phantom, request) = admit_checked(&mut server, |s| {
+                            s.restore(vec![0xDE, 0xAD]).unwrap()
+                        });
+                        expect_failed(&mut server, request);
+                        prop_assert!(matches!(
+                            server.submit(phantom, Vec::new()),
+                            Err(ServerError::StaleSession(_) | ServerError::UnknownSession(_))
+                        ));
+                    }
+                    // A successful restore is an admission like any other.
+                    2 if !live.is_empty() => {
+                        let request = server.snapshot(live[pick]).unwrap();
+                        let Reply::SnapshotBytes { bytes, .. } =
+                            server.wait_for(request, TIMEOUT).unwrap()
+                        else {
+                            panic!("step {step}: expected snapshot bytes");
+                        };
+                        let (id, request) =
+                            admit_checked(&mut server, |s| s.restore(bytes).unwrap());
+                        expect_ready(&mut server, request);
+                        live.push(id);
+                    }
+                    3 if !live.is_empty() => {
+                        let request = server.destroy_session(live.swap_remove(pick)).unwrap();
+                        let reply = server.wait_for(request, TIMEOUT).unwrap();
+                        prop_assert!(matches!(reply, Reply::Destroyed { .. }));
+                    }
+                    4 if !live.is_empty() => {
+                        let id = live[pick];
+                        let to = (server.worker_of(id).unwrap() + 1) % WORKERS;
+                        let request = server.migrate(id, to, TIMEOUT).unwrap();
+                        expect_ready(&mut server, request);
+                        prop_assert_eq!(server.worker_of(id), Ok(to));
+                    }
+                    _ => {
+                        let (id, request) = admit_checked(&mut server, |s| {
+                            s.create_session(serve::initial()).unwrap()
+                        });
+                        expect_ready(&mut server, request);
+                        live.push(id);
+                    }
+                }
+                assert_ledger(&server, &live, step);
+            }
+            // Destroy racing a doomed restore: the destroy withdraws the
+            // route first, so the later `Failed` reply must not withdraw
+            // a second time.
+            let (doomed, restore_req) = server.restore(vec![0xBA, 0xD0]).unwrap();
+            let destroy_req = server.destroy_session(doomed).unwrap();
+            for request in [restore_req, destroy_req] {
+                expect_failed(&mut server, request);
+            }
+            assert_ledger(&server, &live, usize::MAX);
+            // The survivors still work after all the churn.
+            for &id in &live {
+                server.submit(id, serve::round(id.0, 0, 1)).unwrap();
+            }
+            let mut failures = 0;
+            server
+                .drain(TIMEOUT, |r| failures += matches!(r, Reply::Failed { .. }) as usize)
+                .unwrap();
+            prop_assert_eq!(failures, 0);
+        }
     }
 }

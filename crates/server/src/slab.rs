@@ -13,6 +13,11 @@
 //! silently addressing whichever session reused the slot. Fresh servers
 //! hand out generation-0 ids, so slot 0 is still session `s0` — the
 //! wire-visible id sequence only diverges once slots are actually reused.
+//!
+//! The slab also keeps the live-session count per worker
+//! ([`RouteSlab::live_on`]) — the number placement and rebalancing read.
+//! It is maintained by the same `insert` / `set_worker` / `remove` that
+//! change a route, so there is no second ledger that could drift from it.
 
 use crate::session::SessionId;
 
@@ -38,13 +43,15 @@ struct RouteSlot {
     live: bool,
 }
 
-/// The dense routing table: slot-indexed worker ownership plus a free
-/// list of reusable slots.
+/// The dense routing table: slot-indexed worker ownership, a free list
+/// of reusable slots, and the live count per worker.
 #[derive(Clone, Debug, Default)]
 pub struct RouteSlab {
     slots: Vec<RouteSlot>,
     free: Vec<u32>,
     live: usize,
+    /// Live sessions pinned to each worker; grown on first use.
+    live_per_worker: Vec<usize>,
 }
 
 impl RouteSlab {
@@ -63,14 +70,20 @@ impl RouteSlab {
         self.live == 0
     }
 
+    /// Live sessions pinned to `worker`. Sums to [`RouteSlab::len`] over
+    /// all workers.
+    pub fn live_on(&self, worker: usize) -> usize {
+        self.live_per_worker.get(worker).copied().unwrap_or(0)
+    }
+
     /// Allocated slot capacity (live + reusable).
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
-    /// The id the next [`RouteSlab::insert`] will return. Admission needs
-    /// the id *before* committing (the shard hash decides the worker, and
-    /// a saturated worker rejects without consuming the id), so peek and
+    /// The id the next [`RouteSlab::insert`] will return. Admission names
+    /// the id in its `Overloaded` rejection *before* committing (a
+    /// saturated worker rejects without consuming the id), so peek and
     /// insert are split; peek is stable until the next insert or free.
     pub fn peek_next(&self) -> SessionId {
         match self.free.last() {
@@ -97,7 +110,15 @@ impl RouteSlab {
             entry.live = true;
         }
         self.live += 1;
+        *self.live_on_mut(worker) += 1;
         id
+    }
+
+    fn live_on_mut(&mut self, worker: usize) -> &mut usize {
+        if worker >= self.live_per_worker.len() {
+            self.live_per_worker.resize(worker + 1, 0);
+        }
+        &mut self.live_per_worker[worker]
     }
 
     /// The worker `id` is pinned to.
@@ -121,8 +142,10 @@ impl RouteSlab {
 
     /// Repin a live session to a different worker (migration).
     pub fn set_worker(&mut self, id: SessionId, worker: usize) -> Result<(), RouteError> {
-        self.get(id)?;
+        let from = self.get(id)?;
         self.slots[id.slot() as usize].worker = worker as u32;
+        self.live_per_worker[from] -= 1;
+        *self.live_on_mut(worker) += 1;
         Ok(())
     }
 
@@ -135,6 +158,7 @@ impl RouteSlab {
         entry.generation = entry.generation.wrapping_add(1);
         self.free.push(id.slot());
         self.live -= 1;
+        self.live_per_worker[worker] -= 1;
         Ok(worker)
     }
 
@@ -214,5 +238,35 @@ mod tests {
         let live: Vec<_> = slab.iter_live().collect();
         assert_eq!(live, vec![(a, 0), (c, 3)]);
         assert_eq!(slab.set_worker(b, 0), Err(RouteError::Stale(b)));
+    }
+
+    #[test]
+    fn per_worker_counts_follow_every_route_change() {
+        let counts = |slab: &RouteSlab| [0, 1, 2, 3].map(|w| slab.live_on(w));
+        let mut slab = RouteSlab::new();
+        assert_eq!(counts(&slab), [0, 0, 0, 0]);
+        let a = slab.insert(0);
+        let b = slab.insert(2);
+        let c = slab.insert(2);
+        assert_eq!(counts(&slab), [1, 0, 2, 0]);
+        slab.set_worker(b, 1).unwrap();
+        assert_eq!(counts(&slab), [1, 1, 1, 0]);
+        slab.set_worker(b, 1).unwrap(); // repinning in place is a no-op
+        assert_eq!(counts(&slab), [1, 1, 1, 0]);
+        assert_eq!(slab.remove(b), Ok(1));
+        assert_eq!(counts(&slab), [1, 0, 1, 0]);
+        // Failed operations on the stale handle change nothing.
+        assert!(slab.remove(b).is_err());
+        assert!(slab.set_worker(b, 0).is_err());
+        assert_eq!(counts(&slab), [1, 0, 1, 0]);
+        // The reused slot counts for its new worker, not its old one.
+        let d = slab.insert(3);
+        assert_eq!(d.slot(), b.slot());
+        assert_eq!(counts(&slab), [1, 0, 1, 1]);
+        for id in [a, c, d] {
+            slab.remove(id).unwrap();
+        }
+        assert_eq!(counts(&slab), [0, 0, 0, 0]);
+        assert!(slab.is_empty());
     }
 }

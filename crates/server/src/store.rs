@@ -85,6 +85,8 @@ impl fmt::Display for StoreError {
     }
 }
 
+impl std::error::Error for StoreError {}
+
 impl From<SnapshotError> for StoreError {
     fn from(e: SnapshotError) -> Self {
         StoreError::Snapshot(e)

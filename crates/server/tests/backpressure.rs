@@ -3,7 +3,7 @@
 //! blocks), never deadlock, never drop an ack, and recover completely
 //! once the backlog drains.
 
-use mpps_server::{Reply, Server, ServerConfig, ServerError, Sharding};
+use mpps_server::{Reply, Server, ServerConfig, ServerError};
 use mpps_workloads::serve;
 use std::time::{Duration, Instant};
 
@@ -13,8 +13,6 @@ fn flood_config() -> ServerConfig {
     ServerConfig {
         workers: 1,
         queue_capacity: 2,
-        shards: 8,
-        sharding: Sharding::RoundRobin,
         ..ServerConfig::default()
     }
 }

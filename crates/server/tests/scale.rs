@@ -4,7 +4,7 @@
 //! live migration proven byte-equal against the cross-server snapshot
 //! oracle from PR 8.
 
-use mpps_server::{Reply, RequestId, Server, ServerConfig, ServerError, SessionId, Sharding};
+use mpps_server::{Reply, RequestId, Server, ServerConfig, ServerError, SessionId};
 use mpps_workloads::serve;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -15,8 +15,6 @@ fn config(workers: usize) -> ServerConfig {
     ServerConfig {
         workers,
         queue_capacity: 128,
-        shards: 64,
-        sharding: Sharding::RoundRobin,
         ..ServerConfig::default()
     }
 }
@@ -162,15 +160,69 @@ fn live_migration_is_byte_equal_to_the_cross_server_oracle() {
     assert_eq!(metrics.counter_total("serve.migrations"), 2);
 }
 
-/// `rebalance` converges: one pass moves every session to its greedy
-/// owner, a second pass over the unchanged activity vector moves
-/// nothing, and the sessions compute exactly what an unbalanced twin
-/// server computes.
+/// A migration whose caller stops waiting must still land: the
+/// evacuation is already queued, so abandoning the hand-off would leave
+/// the session extracted from its old worker, adopted by nobody, and
+/// every later request answered "unknown session".
+#[test]
+fn an_abandoned_migration_still_lands_byte_equal() {
+    let mut server = Server::new(serve::program(), config(2)).unwrap();
+    let mut twin = Server::new(serve::program(), config(2)).unwrap();
+    let (id, request) = server.create_session(serve::initial()).unwrap();
+    ready(&mut server, request);
+    let (same, request) = twin.create_session(serve::initial()).unwrap();
+    ready(&mut twin, request);
+    assert_eq!(id, same);
+    // A heavy batch keeps the worker busy, so the evacuation queued
+    // behind it cannot be answered within a zero timeout.
+    server.submit(id, serve::round(id.0, 0, 200)).unwrap();
+    twin.submit(id, serve::round(id.0, 0, 200)).unwrap();
+    let to = 1 - server.worker_of(id).unwrap();
+    assert_eq!(
+        server.migrate(id, to, Duration::ZERO),
+        Err(ServerError::Timeout)
+    );
+
+    let mut failures = 0;
+    let count = |reply: &Reply| failures += matches!(reply, Reply::Failed { .. }) as usize;
+    server.drain(TIMEOUT, count).unwrap();
+    assert_eq!(failures, 0);
+    assert_eq!(server.worker_of(id).unwrap(), to, "the hand-off was lost");
+    assert_eq!(server.migrations(), 1);
+
+    let request = server.submit(id, serve::round(id.0, 1, 3)).unwrap();
+    assert!(matches!(
+        server.wait_for(request, TIMEOUT).unwrap(),
+        Reply::Cycles { worker, .. } if worker == to
+    ));
+    twin.submit(id, serve::round(id.0, 1, 3)).unwrap();
+    twin.drain(TIMEOUT, |_| {}).unwrap();
+    assert_eq!(
+        snapshot_bytes(&mut server, id),
+        snapshot_bytes(&mut twin, id),
+        "the late adoption changed the session"
+    );
+}
+
+/// Live sessions per worker, read back through the public routing API.
+fn live_per_worker(server: &Server, ids: &[SessionId], workers: usize) -> Vec<usize> {
+    let mut live = vec![0; workers];
+    for &id in ids {
+        live[server.worker_of(id).unwrap()] += 1;
+    }
+    live
+}
+
+/// `rebalance` converges in the fewest moves: after one worker is
+/// emptied by destroys, the first pass migrates exactly the surplus over
+/// an even split, the second pass finds nothing to do, and the sessions
+/// compute exactly what an unbalanced twin server computes.
 #[test]
 fn rebalance_is_a_byte_preserving_fixed_point() {
-    const SESSIONS: usize = 16;
-    let mut server = Server::new(serve::program(), config(3)).unwrap();
-    let mut twin = Server::new(serve::program(), config(3)).unwrap();
+    const SESSIONS: usize = 17;
+    const WORKERS: usize = 3;
+    let mut server = Server::new(serve::program(), config(WORKERS)).unwrap();
+    let mut twin = Server::new(serve::program(), config(WORKERS)).unwrap();
     let mut ids = Vec::new();
     for _ in 0..SESSIONS {
         let (a, request) = server.create_session(serve::initial()).unwrap();
@@ -180,27 +232,35 @@ fn rebalance_is_a_byte_preserving_fixed_point() {
         assert_eq!(a, b, "the two servers must allocate identical ids");
         ids.push(a);
     }
+    assert_eq!(live_per_worker(&server, &ids, WORKERS), [6, 6, 5]);
     for &id in &ids {
         server.submit(id, serve::round(id.0, 0, 2)).unwrap();
         twin.submit(id, serve::round(id.0, 0, 2)).unwrap();
     }
+    // Empty worker 1 on both servers; only `server` is rebalanced.
+    let (gone, ids): (Vec<_>, Vec<_>) = ids
+        .into_iter()
+        .partition(|&id| server.worker_of(id).unwrap() == 1);
+    for id in gone {
+        server.destroy_session(id).unwrap();
+        twin.destroy_session(id).unwrap();
+    }
     server.drain(TIMEOUT, |_| {}).unwrap();
+    assert_eq!(live_per_worker(&server, &ids, WORKERS), [6, 0, 5]);
 
-    // Round-robin admission ignores shards, so the greedy partition
-    // disagrees with at least some placements and the first pass moves
-    // them. The second pass sees the fixed point.
+    // 11 sessions split 4 + 4 + 3; keeping the larger shares where the
+    // sessions already are, workers 0 and 2 give up 2 + 1 = 3 sessions.
+    // Anything less leaves a spread above one.
     let first = server.rebalance(TIMEOUT).unwrap();
-    assert_eq!(first.examined, SESSIONS);
+    assert_eq!(first.examined, ids.len());
     assert_eq!(first.skipped, 0, "idle workers should not be saturated");
-    assert!(first.moved > 0, "rebalance moved nothing");
-    assert_eq!(server.migrations(), first.moved as u64);
+    assert_eq!(first.moved, 3, "not the minimum number of migrations");
+    assert_eq!(server.migrations(), 3);
+    assert_eq!(live_per_worker(&server, &ids, WORKERS), [4, 3, 4]);
     let second = server.rebalance(TIMEOUT).unwrap();
     assert_eq!(second.moved, 0, "rebalance is not a fixed point");
+    assert_eq!(server.sessions(), ids.len());
 
-    // Shard accounting survived the moves (migration changes routes,
-    // never shard membership), and state did not.
-    let counted: u64 = server.shard_session_counts().iter().sum();
-    assert_eq!(counted, SESSIONS as u64);
     for &id in &ids {
         server.submit(id, serve::round(id.0, 1, 2)).unwrap();
         twin.submit(id, serve::round(id.0, 1, 2)).unwrap();

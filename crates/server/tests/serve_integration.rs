@@ -3,8 +3,7 @@
 //! and both `mpps serve` drivers.
 
 use mpps_server::{
-    run_script, run_synthetic, Reply, Server, ServerConfig, ServerError, SessionId, Sharding,
-    SyntheticSpec,
+    run_script, run_synthetic, Reply, Server, ServerConfig, ServerError, SessionId, SyntheticSpec,
 };
 use mpps_workloads::serve;
 use std::time::Duration;
@@ -25,65 +24,60 @@ fn submit_retrying(server: &mut Server, id: SessionId, wmes: Vec<mpps_ops::Wme>)
     }
 }
 
-fn config(workers: usize, sharding: Sharding) -> ServerConfig {
+fn config(workers: usize) -> ServerConfig {
     ServerConfig {
         workers,
         queue_capacity: 128,
-        shards: 64,
-        sharding,
         ..ServerConfig::default()
     }
 }
 
 /// Sessions are independent: interleaved rounds against many sessions
-/// leave each with exactly its own `stats` count, regardless of sharding.
+/// leave each with exactly its own `stats` count, whichever worker it
+/// was placed on.
 #[test]
 fn sessions_are_isolated_across_workers() {
-    for sharding in [Sharding::RoundRobin, Sharding::Random(7), Sharding::Greedy] {
-        let mut server = Server::new(serve::program(), config(3, sharding)).unwrap();
-        let mut ids = Vec::new();
-        for _ in 0..24 {
-            ids.push(server.create_session(serve::initial()).unwrap().0);
-        }
-        // Session k gets k+1 rounds, interleaved across all sessions.
-        for round in 0..ids.len() as u64 {
-            for (k, &id) in ids.iter().enumerate() {
-                if round <= k as u64 {
-                    submit_retrying(&mut server, id, serve::round(id.0, round, 2));
-                }
+    let mut server = Server::new(serve::program(), config(3)).unwrap();
+    let mut ids = Vec::new();
+    for _ in 0..24 {
+        ids.push(server.create_session(serve::initial()).unwrap().0);
+    }
+    // Session k gets k+1 rounds, interleaved across all sessions.
+    for round in 0..ids.len() as u64 {
+        for (k, &id) in ids.iter().enumerate() {
+            if round <= k as u64 {
+                submit_retrying(&mut server, id, serve::round(id.0, round, 2));
             }
         }
-        server.drain(TIMEOUT, |_| {}).unwrap();
-        for (k, &id) in ids.iter().enumerate() {
-            let request = server.snapshot(id).unwrap();
-            let Reply::SnapshotBytes { bytes, .. } = server.wait_for(request, TIMEOUT).unwrap()
-            else {
-                panic!("expected snapshot bytes");
-            };
-            let wm = mpps_server::Session::decode_state(&bytes, server.fingerprint()).unwrap();
-            assert_eq!(wm.len(), 1, "{sharding:?}: session {k} WM not settled");
-            let done = wm[0].1.get(mpps_ops::intern("done"));
-            // k+1 rounds × 2 requests each.
-            assert_eq!(
-                done,
-                Some(mpps_ops::Value::Int(2 * (k as i64 + 1))),
-                "{sharding:?}: session {k} has wrong stats"
-            );
-        }
-        // Every admitted session landed on some worker, and with more
-        // than one worker the pool actually multiplexed.
-        let metrics = server.metrics(TIMEOUT).unwrap();
-        assert_eq!(metrics.counter_total("serve.admitted"), ids.len() as u64);
-        let spread = metrics.counter("serve.admitted").unwrap().len();
-        assert!(spread > 1, "{sharding:?}: all sessions on one worker");
     }
+    server.drain(TIMEOUT, |_| {}).unwrap();
+    for (k, &id) in ids.iter().enumerate() {
+        let request = server.snapshot(id).unwrap();
+        let Reply::SnapshotBytes { bytes, .. } = server.wait_for(request, TIMEOUT).unwrap() else {
+            panic!("expected snapshot bytes");
+        };
+        let wm = mpps_server::Session::decode_state(&bytes, server.fingerprint()).unwrap();
+        assert_eq!(wm.len(), 1, "session {k} WM not settled");
+        let done = wm[0].1.get(mpps_ops::intern("done"));
+        // k+1 rounds × 2 requests each.
+        assert_eq!(
+            done,
+            Some(mpps_ops::Value::Int(2 * (k as i64 + 1))),
+            "session {k} has wrong stats"
+        );
+    }
+    // Least-loaded placement dealt the 24 sessions evenly over the pool.
+    let metrics = server.metrics(TIMEOUT).unwrap();
+    let admitted = metrics.counter("serve.admitted").unwrap();
+    assert_eq!(admitted.values().copied().collect::<Vec<_>>(), [8, 8, 8]);
+    assert_eq!(metrics.counter("serve.sessions_created"), Some(admitted));
 }
 
 /// A session snapshotted on one server continues identically on a fresh
 /// server: the remaining rounds produce byte-identical final snapshots.
 #[test]
 fn snapshot_migrates_to_fresh_server() {
-    let mut origin = Server::new(serve::program(), config(2, Sharding::RoundRobin)).unwrap();
+    let mut origin = Server::new(serve::program(), config(2)).unwrap();
     let (id, _) = origin.create_session(serve::initial()).unwrap();
     for round in 0..2 {
         origin.submit(id, serve::round(id.0, round, 3)).unwrap();
@@ -95,7 +89,7 @@ fn snapshot_migrates_to_fresh_server() {
     };
 
     // Restore onto a brand-new server (fresh compile, fresh workers).
-    let mut fresh = Server::new(serve::program(), config(2, Sharding::Random(3))).unwrap();
+    let mut fresh = Server::new(serve::program(), config(2)).unwrap();
     let (restored, request) = fresh.restore(bytes).unwrap();
     assert!(matches!(
         fresh.wait_for(request, TIMEOUT).unwrap(),
@@ -129,7 +123,7 @@ fn snapshot_migrates_to_fresh_server() {
 /// Restoring under the wrong program is refused, not silently wrong.
 #[test]
 fn restore_rejects_foreign_programs() {
-    let mut origin = Server::new(serve::program(), config(1, Sharding::RoundRobin)).unwrap();
+    let mut origin = Server::new(serve::program(), config(1)).unwrap();
     let (id, _) = origin.create_session(serve::initial()).unwrap();
     origin.drain(TIMEOUT, |_| {}).unwrap();
     let request = origin.snapshot(id).unwrap();
@@ -137,7 +131,7 @@ fn restore_rejects_foreign_programs() {
         panic!()
     };
     let other = mpps_ops::parse_program("(p nop (never) --> (halt))").unwrap();
-    let mut wrong = Server::new(other, config(1, Sharding::RoundRobin)).unwrap();
+    let mut wrong = Server::new(other, config(1)).unwrap();
     let (_, request) = wrong.restore(bytes).unwrap();
     match wrong.wait_for(request, TIMEOUT).unwrap() {
         Reply::Failed { error, .. } => {
@@ -155,7 +149,7 @@ fn synthetic_driver_reports_sane_numbers() {
         wmes_per_round: 2,
         migrate: false,
     };
-    let report = run_synthetic(config(2, Sharding::RoundRobin), &spec).unwrap();
+    let report = run_synthetic(config(2), &spec).unwrap();
     assert_eq!(report.sessions, 40);
     assert_eq!(report.failures, 0);
     // 40 creations + 40 × 2 ingestion rounds.
@@ -181,7 +175,7 @@ fn script_driver_round_trips_a_session() {
         make b (request ^id 2 ^kind order)
         destroy a
     "#;
-    let report = run_script(serve::program(), script, config(2, Sharding::RoundRobin)).unwrap();
+    let report = run_script(serve::program(), script, config(2)).unwrap();
     assert_eq!(report.log.len(), 8);
     assert!(report.log[0].starts_with("session a = s0"));
     assert!(report.log[2].contains("fired 3"), "{}", report.log[2]);
@@ -196,90 +190,42 @@ fn script_driver_round_trips_a_session() {
     assert!(report.log[7].contains("ok"));
 }
 
-/// Create/destroy churn under greedy admission, with failed restores mixed
-/// in. The per-shard live-session counts the periodic LPT rebuild packs
-/// against must track the real live set exactly: a failed Create/Restore
-/// used to leave a phantom session routed and counted forever, and
-/// unwinding one that a racing destroy already unwound would drift the
-/// counts negative (silently clamped by `saturating_sub`).
+/// A Create whose initial working memory makes a rule fail (here: a
+/// `call` to a function nobody registered) never materializes: the reply
+/// is `Failed`, `serve.sessions_created` does not count it, and the
+/// placement it briefly held is withdrawn — the next session gets the
+/// same worker.
 #[test]
-fn greedy_admission_counts_survive_create_destroy_churn() {
-    let mut cfg = config(3, Sharding::Greedy);
-    cfg.greedy_rebuild_interval = 4; // rebuild several times mid-churn
-    let mut server = Server::new(serve::program(), cfg).unwrap();
-    let mut live: Vec<SessionId> = Vec::new();
-    for round in 0..12u64 {
-        // A successful create joins the live set...
-        let (id, req) = server.create_session(serve::initial()).unwrap();
-        assert!(matches!(
-            server.wait_for(req, TIMEOUT).unwrap(),
-            Reply::Ready { .. }
-        ));
-        live.push(id);
-        // ...a corrupt restore fails on the worker and must be unwound...
-        let (phantom, req) = server.restore(vec![0xDE, 0xAD]).unwrap();
-        assert!(matches!(
-            server.wait_for(req, TIMEOUT).unwrap(),
-            Reply::Failed { .. }
-        ));
-        assert!(
-            matches!(
-                server.submit(phantom, Vec::new()),
-                Err(ServerError::StaleSession(_) | ServerError::UnknownSession(_))
-            ),
-            "round {round}: failed restore left a phantom route"
-        );
-        // ...a *successful* restore joins the live set and must be
-        // counted against `shard_of(session)` like any admission...
-        if round % 3 == 2 {
-            let source = *live.last().expect("live set is non-empty");
-            let snap_req = server.snapshot(source).unwrap();
-            let bytes = match server.wait_for(snap_req, TIMEOUT).unwrap() {
-                Reply::SnapshotBytes { bytes, .. } => bytes,
-                other => panic!("round {round}: snapshot answered by {other:?}"),
-            };
-            let (clone, req) = server.restore(bytes).unwrap();
-            assert!(matches!(
-                server.wait_for(req, TIMEOUT).unwrap(),
-                Reply::Ready { .. }
-            ));
-            live.push(clone);
+fn a_failed_create_is_neither_counted_nor_left_placed() {
+    let program = mpps_ops::parse_program("(p boom (go) --> (call nope))").unwrap();
+    let mut server = Server::new(program, config(2)).unwrap();
+    let before = server.sessions();
+    let go = mpps_ops::Wme::new("go", &[]);
+    let (doomed, request) = server.create_session(vec![go]).unwrap();
+    match server.wait_for(request, TIMEOUT).unwrap() {
+        Reply::Failed { session, error, .. } => {
+            assert_eq!(session, Some(doomed));
+            assert!(error.contains("nope"), "wrong error: {error}");
         }
-        // ...and every other round the oldest live session is destroyed.
-        if round % 2 == 1 {
-            let victim = live.remove(0);
-            let req = server.destroy_session(victim).unwrap();
-            assert!(matches!(
-                server.wait_for(req, TIMEOUT).unwrap(),
-                Reply::Destroyed { .. }
-            ));
-        }
-        let counted: u64 = server.shard_session_counts().iter().sum();
-        assert_eq!(
-            counted,
-            live.len() as u64,
-            "round {round}: shard counts drifted from the live set"
-        );
-        assert_eq!(server.sessions(), live.len(), "round {round}");
+        other => panic!("expected Failed, got {other:?}"),
     }
-    // Destroy racing a doomed restore: the destroy unwinds the admission
-    // first, so the later `Failed` reply must not decrement a second time.
-    let (doomed, restore_req) = server.restore(vec![0xBA, 0xD0]).unwrap();
-    let destroy_req = server.destroy_session(doomed).unwrap();
-    for req in [restore_req, destroy_req] {
-        assert!(matches!(
-            server.wait_for(req, TIMEOUT).unwrap(),
-            Reply::Failed { .. }
-        ));
-    }
-    let counted: u64 = server.shard_session_counts().iter().sum();
-    assert_eq!(counted, live.len() as u64, "double unwind drifted counts");
+    let metrics = server.metrics(TIMEOUT).unwrap();
+    assert_eq!(metrics.counter("serve.sessions_created"), None);
+    assert_eq!(metrics.counter("serve.admitted"), None);
+    assert_eq!(server.sessions(), before);
+    assert!(server.worker_of(doomed).is_err(), "phantom route survived");
 
-    // The survivors still work after all the rebuilds and unwinds.
-    for &id in &live {
-        submit_retrying(&mut server, id, serve::round(id.0, 0, 1));
+    // Worker 0's live count is back to zero, so it is the least loaded
+    // again; had the count leaked, these two would land on 1 and 0.
+    for expected in [0, 1] {
+        let (_, request) = server.create_session(Vec::new()).unwrap();
+        match server.wait_for(request, TIMEOUT).unwrap() {
+            Reply::Ready { worker, .. } => assert_eq!(worker, expected),
+            other => panic!("expected Ready, got {other:?}"),
+        }
     }
-    server.drain(TIMEOUT, |_| {}).unwrap();
+    let metrics = server.metrics(TIMEOUT).unwrap();
+    assert_eq!(metrics.counter_total("serve.sessions_created"), 2);
 }
 
 /// Retraction through the server (`submit_remove` → `Request::Remove` →
@@ -323,7 +269,7 @@ fn remove_through_the_server_equals_the_bare_interpreter() {
     let retraction = bare.run(100).unwrap();
     assert_eq!(retraction.fired.len(), 1, "un-acked sensor 1 must alarm");
 
-    let mut server = Server::new(program, config(2, Sharding::RoundRobin)).unwrap();
+    let mut server = Server::new(program, config(2)).unwrap();
     let (id, request) = server.create_session(initial).unwrap();
     assert!(matches!(
         server.wait_for(request, TIMEOUT).unwrap(),

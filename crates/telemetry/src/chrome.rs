@@ -8,30 +8,12 @@
 //! nanoseconds are written as fractional µs with three decimals so no
 //! precision is lost.
 
+use crate::json::escape;
 use crate::recorder::TraceRecorder;
-use std::fmt::Write as _;
 
 /// Nanoseconds rendered as fractional trace-format microseconds.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render the recorder's events as a Chrome `trace_event` JSON
@@ -134,8 +116,12 @@ mod tests {
     fn names_are_escaped() {
         let mut rec = TraceRecorder::new();
         rec.name_track(Track::worker(0), "odd \"name\"\n");
+        rec.span(Track::worker(0), "a \"b\" \\ c", 0, 1);
         let text = chrome_trace(&rec);
-        assert!(json::parse(&text).is_ok());
         assert!(text.contains("odd \\\"name\\\"\\n"));
+        let doc = json::parse(&text).expect("trace parses as JSON");
+        let events = doc.get("traceEvents").and_then(|v| v.as_array()).unwrap();
+        let span = events.last().and_then(|e| e.get("name"));
+        assert_eq!(span.and_then(|n| n.as_str()), Some("a \"b\" \\ c"));
     }
 }

@@ -7,6 +7,27 @@
 //! than 53 bits of integer precision).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Escape a string for inclusion in a JSON string literal — the one
+/// escaper every writer in the workspace uses, and the inverse of what
+/// [`parse`] reads back.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -8,23 +8,26 @@
 //!
 //! [`HistogramSummary`]: crate::hist::HistogramSummary
 
+use crate::json::escape;
 use crate::recorder::TraceRecorder;
 
 /// Render every span and counter as one JSON object per line.
 pub fn events_jsonl(rec: &TraceRecorder) -> String {
     let mut out = String::new();
     for s in rec.spans() {
+        let name = escape(s.name);
         out.push_str(&format!(
-            "{{\"type\": \"span\", \"pid\": {}, \"tid\": {}, \"name\": \"{}\", \
+            "{{\"type\": \"span\", \"pid\": {}, \"tid\": {}, \"name\": \"{name}\", \
              \"start_ns\": {}, \"end_ns\": {}}}\n",
-            s.track.pid, s.track.tid, s.name, s.start_ns, s.end_ns
+            s.track.pid, s.track.tid, s.start_ns, s.end_ns
         ));
     }
     for c in rec.counters() {
+        let name = escape(c.name);
         out.push_str(&format!(
-            "{{\"type\": \"counter\", \"pid\": {}, \"tid\": {}, \"name\": \"{}\", \
+            "{{\"type\": \"counter\", \"pid\": {}, \"tid\": {}, \"name\": \"{name}\", \
              \"t_ns\": {}, \"value\": {}}}\n",
-            c.track.pid, c.track.tid, c.name, c.t_ns, c.value
+            c.track.pid, c.track.tid, c.t_ns, c.value
         ));
     }
     out
@@ -38,7 +41,8 @@ pub fn summary_json(rec: &TraceRecorder) -> String {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{}\": {}", metric, hist.summary().to_json()));
+        let summary = hist.summary().to_json();
+        out.push_str(&format!("\"{}\": {summary}", escape(metric)));
     }
     out.push_str("}}\n");
     out
@@ -50,16 +54,20 @@ mod tests {
     use crate::json;
     use crate::recorder::{Recorder, Track};
 
+    /// A name every writer must escape to survive `json::parse`.
+    const ODD: &str = "acts \"per\" \\ bucket";
+
     #[test]
     fn every_jsonl_line_parses() {
         let mut rec = TraceRecorder::new();
-        rec.span(Track::sim_proc(1), "left-token", 0, 32_000);
-        rec.counter(Track::sim_proc(1), "queue-depth", 10, 2);
+        rec.span(Track::sim_proc(1), ODD, 0, 32_000);
+        rec.counter(Track::sim_proc(1), ODD, 10, 2);
         let text = events_jsonl(&rec);
         assert_eq!(text.lines().count(), 2);
         for line in text.lines() {
             let v = json::parse(line).expect("line parses");
             assert!(v.get("type").is_some());
+            assert_eq!(v.get("name").and_then(|n| n.as_str()), Some(ODD));
         }
     }
 
@@ -67,13 +75,13 @@ mod tests {
     fn summary_reports_percentiles() {
         let mut rec = TraceRecorder::new();
         for v in [1, 2, 3, 4, 100] {
-            rec.sample("acts-per-bucket", v);
+            rec.sample(ODD, v);
         }
         let text = summary_json(&rec);
         let doc = json::parse(&text).unwrap();
         let m = doc
             .get("metrics")
-            .and_then(|m| m.get("acts-per-bucket"))
+            .and_then(|m| m.get(ODD))
             .expect("metric present");
         assert_eq!(m.get("count").and_then(|v| v.as_f64()), Some(5.0));
         assert_eq!(m.get("p95").and_then(|v| v.as_f64()), Some(100.0));

@@ -84,7 +84,7 @@ use mpps::ops::{
     Wme,
 };
 use mpps::rete::{compile_suggested, kernel, EngineConfig, ReteMatcher, ReteNetwork, Trace};
-use mpps::server::{run_script, run_synthetic, ServerConfig, Sharding, SyntheticSpec};
+use mpps::server::{run_script, run_synthetic, ServerConfig, SyntheticSpec};
 use mpps::telemetry::{chrome::chrome_trace, MetricsRegistry, TraceRecorder};
 use mpps::workloads::{rubik, serve, tourney, weaver};
 use std::process::exit;
@@ -174,8 +174,6 @@ const COMMANDS: &[Command] = &[
             ("wmes", Some("N")),
             ("workers", Some("N")),
             ("queue", Some("N")),
-            ("shards", Some("N")),
-            ("sharding", Some("rr|random[:SEED]|greedy")),
             ("strategy", Some("lex|mea")),
             ("table-size", Some("N")),
             ("stats", None),
@@ -800,12 +798,6 @@ fn cmd_serve(args: &Args) {
     }
     let defaults = ServerConfig::default();
     let workers = args.get_positive("workers", defaults.workers);
-    let sharding = match args.get("sharding") {
-        None => defaults.sharding,
-        Some(v) => Sharding::parse(v).unwrap_or_else(|| {
-            args.usage_error(format!("unknown sharding {v:?} (rr|random[:SEED]|greedy)"))
-        }),
-    };
     let resident_budget = args
         .has("resident-budget")
         .then(|| args.get_positive("resident-budget", 0usize));
@@ -820,8 +812,6 @@ fn cmd_serve(args: &Args) {
     let config = ServerConfig {
         workers,
         queue_capacity: args.get_positive("queue", defaults.queue_capacity),
-        shards: args.get_positive("shards", defaults.shards),
-        sharding,
         strategy: args.strategy(),
         engine: EngineConfig {
             table_size: args.get_positive("table-size", defaults.engine.table_size),
@@ -858,7 +848,7 @@ fn cmd_serve(args: &Args) {
     };
     let report = run_synthetic(config, &spec).unwrap_or_else(|e| fail(e));
     println!(
-        "serve: {} sessions x {} rounds x {} wmes on {} workers ({sharding:?})",
+        "serve: {} sessions x {} rounds x {} wmes on {} workers",
         report.sessions, report.rounds, spec.wmes_per_round, workers
     );
     println!(

@@ -518,8 +518,6 @@ fn serve_synthetic_prints_throughput_summary() {
             "2",
             "--workers",
             "2",
-            "--sharding",
-            "greedy",
             "--stats",
         ])
         .output()
@@ -531,7 +529,7 @@ fn serve_synthetic_prints_throughput_summary() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("serve: 30 sessions x 2 rounds x 2 wmes"),
+        stdout.starts_with("serve: 30 sessions x 2 rounds x 2 wmes on 2 workers\n"),
         "{stdout}"
     );
     assert!(stdout.contains("0 failures"), "{stdout}");
@@ -627,6 +625,9 @@ fn serve_synthetic_evicts_and_migrates_under_a_resident_budget() {
         .find(|l| l.contains("resident budget"))
         .unwrap();
     assert!(!line.contains(" 0 evictions"), "{stdout}");
+    // Balanced admission gives rebalance nothing to do by itself, so the
+    // driver displaces sessions first: the migration path must have run.
+    assert!(!line.contains(" 0 migrations"), "{stdout}");
     // The workers clean their spill directories up on shutdown.
     assert!(
         !dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none(),
@@ -637,13 +638,18 @@ fn serve_synthetic_evicts_and_migrates_under_a_resident_budget() {
 }
 
 /// Degenerate or contradictory serve flags are usage errors (exit 2),
-/// not silent clamps: a zero shard count used to be rounded up to 1.
+/// not silent clamps — and so are the placement flags that went away
+/// with the shard layer.
 #[test]
 fn serve_rejects_degenerate_scale_flags() {
     for (args, wants) in [
         (
-            &["serve", "--synthetic", "--shards", "0"][..],
-            "--shards must be at least 1",
+            &["serve", "--synthetic", "--sharding", "rr"][..],
+            "unknown flag --sharding for `mpps serve`",
+        ),
+        (
+            &["serve", "--synthetic", "--shards", "4"][..],
+            "unknown flag --shards for `mpps serve`",
         ),
         (
             &["serve", "--synthetic", "--workers", "0"][..],
@@ -666,6 +672,7 @@ fn serve_rejects_degenerate_scale_flags() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(wants), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: mpps serve"), "{args:?}: {stderr}");
     }
 }
 
