@@ -19,7 +19,9 @@
 //! writes `trace.json` (Chrome `trace_event`, one lane per worker —
 //! open at <https://ui.perfetto.dev>), `events.jsonl`, and
 //! `summary.json` into DIR. `--check-telemetry DIR` validates such a
-//! directory structurally and exits; CI uses it as the schema check.
+//! directory — or one written by `mpps run --profile DIR`
+//! (`match_profile.json`, plus the threaded `trace.json`) —
+//! structurally and exits; CI uses it as the schema check.
 
 use std::time::Instant;
 

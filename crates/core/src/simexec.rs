@@ -31,7 +31,7 @@ use crate::partition::Partition;
 use mpps_mpcsim::{Ctx, MachineConfig, NetworkModel, Node, ProcId, SimTime, Simulator};
 use mpps_rete::trace::{ActKind, ActivationRecord};
 use mpps_rete::{Side, Trace};
-use mpps_telemetry::{NullRecorder, OffsetRecorder, Recorder, TraceRecorder, Track};
+use mpps_telemetry::{NullMetrics, OffsetRecorder, Recorder, TraceRecorder, Track};
 
 /// How left/right buckets of an index map onto processors.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -499,13 +499,7 @@ pub fn simulate_in(
     config: &MappingConfig,
     partition: &Partition,
 ) -> MappingReport {
-    simulate_with(
-        scratch,
-        trace,
-        config,
-        PartitionSource::Single(partition),
-        &mut NullRecorder,
-    )
+    simulate_recorded(scratch, trace, config, partition, &mut NullMetrics)
 }
 
 /// [`simulate_in`] with telemetry: per-processor busy spans (continuous
@@ -576,7 +570,7 @@ pub fn simulate_per_cycle_in(
         trace,
         config,
         PartitionSource::PerCycle(partitions),
-        &mut NullRecorder,
+        &mut NullMetrics,
     )
 }
 
@@ -624,7 +618,7 @@ fn simulate_with<R: Recorder>(
         if R::ENABLED {
             let end = total + report.makespan;
             recorder.span(Track::sim_cycles(), "cycle", total.as_ns(), end.as_ns());
-            recorder.sample("cycle-makespan-us", report.makespan.as_ns() / 1_000);
+            recorder.observe("cycle-makespan-us", report.makespan.as_ns() / 1_000);
             bucket_counts.fill(0);
             for a in &cycle.activations {
                 if a.kind == ActKind::TwoInput {
@@ -632,11 +626,11 @@ fn simulate_with<R: Recorder>(
                 }
             }
             for &n in &bucket_counts {
-                recorder.sample("acts-per-bucket", n);
+                recorder.observe("acts-per-bucket", n);
             }
             for (&l, &r) in report.left_acts.iter().zip(&report.right_acts) {
-                recorder.sample("left-acts-per-proc", l);
-                recorder.sample("right-acts-per-proc", r);
+                recorder.observe("left-acts-per-proc", l);
+                recorder.observe("right-acts-per-proc", r);
             }
         }
         total += report.makespan;

@@ -9,7 +9,7 @@ use crate::simexec::{
 };
 use mpps_rete::Trace;
 use mpps_telemetry::recorder::SWEEP_PID;
-use mpps_telemetry::{Recorder, TraceRecorder, Track};
+use mpps_telemetry::{MetricSink, Recorder, TraceRecorder, Track};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -174,7 +174,7 @@ impl<'t> SweepPlan<'t> {
         }
     }
 
-    fn run_impl(&self, jobs: usize, mut recorder: Option<&mut TraceRecorder>) -> SweepResults {
+    fn run_impl(&self, jobs: usize, recorder: Option<&mut TraceRecorder>) -> SweepResults {
         let n_base = self.traces.len();
         let n = n_base + self.points.len();
         let mut slots: Vec<Option<(MappingReport, u64)>> = Vec::new();
@@ -183,100 +183,82 @@ impl<'t> SweepPlan<'t> {
         // All worker spans share one wall-clock origin: the run start.
         let run_start = Instant::now();
         let traced = recorder.is_some();
-        if workers <= 1 {
+        let next = AtomicUsize::new(0);
+        // One worker's life: claim tasks until none is left, hand each
+        // result to `emit`, return what was recorded on the way.
+        type Emit<'a> = &'a mut dyn FnMut(usize, MappingReport, u64) -> bool;
+        let work = |w: usize, emit: Emit| -> TraceRecorder {
+            // One scratch per worker: cycle-index buffers are reused
+            // across every point the worker claims.
             let mut scratch = SimScratch::new();
+            let mut rec = TraceRecorder::new();
             let mut busy_ns = 0u64;
-            for (i, slot) in slots.iter_mut().enumerate() {
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
                 let t0 = Instant::now();
                 let report = self.execute(i, n_base, &mut scratch);
                 let wall = t0.elapsed().as_nanos() as u64;
-                if let Some(rec) = recorder.as_deref_mut() {
+                if traced {
                     let end = run_start.elapsed().as_nanos() as u64;
                     rec.span(
-                        Track::worker(0),
+                        Track::worker(w),
                         Self::task_label(i, n_base),
                         end.saturating_sub(wall),
                         end,
                     );
-                    rec.sample("task-wall-ns", wall);
+                    rec.observe("task-wall-ns", wall);
                     busy_ns += wall;
                 }
-                *slot = Some((report, wall));
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                if n > 0 {
-                    rec.sample("worker-busy-ns", busy_ns);
+                if !emit(i, report, wall) {
+                    break;
                 }
             }
+            if traced && busy_ns > 0 {
+                rec.observe("worker-busy-ns", busy_ns);
+            }
+            rec
+        };
+        // Results land in their slot by index: completion order (and
+        // therefore worker count) cannot affect the output.
+        let worker_recs: Vec<TraceRecorder> = if workers <= 1 {
+            vec![work(0, &mut |i, report, wall| {
+                slots[i] = Some((report, wall));
+                true
+            })]
         } else {
-            let next = AtomicUsize::new(0);
-            let mut worker_recs: Vec<TraceRecorder> = Vec::new();
             std::thread::scope(|s| {
                 let (tx, rx) = mpsc::channel::<(usize, MappingReport, u64)>();
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    handles.push(s.spawn(move || {
-                        // One scratch per worker: cycle-index buffers are
-                        // reused across every point the worker claims.
-                        let mut scratch = SimScratch::new();
-                        let mut rec = TraceRecorder::new();
-                        let mut busy_ns = 0u64;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let report = self.execute(i, n_base, &mut scratch);
-                            let wall = t0.elapsed().as_nanos() as u64;
-                            if traced {
-                                let end = run_start.elapsed().as_nanos() as u64;
-                                rec.span(
-                                    Track::worker(w),
-                                    Self::task_label(i, n_base),
-                                    end.saturating_sub(wall),
-                                    end,
-                                );
-                                rec.sample("task-wall-ns", wall);
-                                busy_ns += wall;
-                            }
-                            if tx.send((i, report, wall)).is_err() {
-                                break;
-                            }
-                        }
-                        if traced && busy_ns > 0 {
-                            rec.sample("worker-busy-ns", busy_ns);
-                        }
-                        rec
-                    }));
-                }
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let (tx, work) = (tx.clone(), &work);
+                        s.spawn(move || {
+                            work(w, &mut |i, report, wall| tx.send((i, report, wall)).is_ok())
+                        })
+                    })
+                    .collect();
                 drop(tx);
-                // Results land in their slot by index: completion order
-                // (and therefore worker count) cannot affect the output.
                 for (i, report, wall) in rx {
                     slots[i] = Some((report, wall));
                 }
-                // Merge per-worker recorders in worker-index order so the
-                // combined trace layout is stable.
-                worker_recs = handles
+                handles
                     .into_iter()
                     .map(|h| h.join().expect("sweep worker panicked"))
-                    .collect();
-            });
-            if let Some(rec) = recorder.as_deref_mut() {
-                for wrec in worker_recs {
-                    rec.merge(wrec);
-                }
-            }
-        }
+                    .collect()
+            })
+        };
         if let Some(rec) = recorder {
+            // Worker-index order, so the combined trace layout is stable.
+            for wrec in worker_recs {
+                rec.merge(wrec);
+            }
             rec.name_process(SWEEP_PID, "sweep workers");
             for w in 0..workers {
                 rec.name_track(Track::worker(w), format!("worker {w}"));
             }
-            rec.sample("dedup-hits", self.dedup_hits);
+            rec.observe("dedup-hits", self.dedup_hits);
         }
         let mut it = slots
             .into_iter()
@@ -414,56 +396,6 @@ pub fn speedup_curve_jobs(
         .collect()
 }
 
-/// The full Figure 5-2 family: one speedup curve per overhead row.
-pub fn overhead_sweep(
-    trace: &Trace,
-    processors: &[usize],
-    overheads: &[OverheadSetting],
-    strategy: PartitionStrategy,
-) -> Vec<(OverheadSetting, Vec<SpeedupPoint>)> {
-    overhead_sweep_jobs(trace, processors, overheads, strategy, 1)
-}
-
-/// [`overhead_sweep`] executed as one [`SweepPlan`] over all rows with
-/// `jobs` workers — duplicate rows collapse to shared points.
-pub fn overhead_sweep_jobs(
-    trace: &Trace,
-    processors: &[usize],
-    overheads: &[OverheadSetting],
-    strategy: PartitionStrategy,
-    jobs: usize,
-) -> Vec<(OverheadSetting, Vec<SpeedupPoint>)> {
-    let mut plan = SweepPlan::new();
-    let t = plan.add_trace(trace);
-    let ids: Vec<(OverheadSetting, Vec<PointId>)> = overheads
-        .iter()
-        .map(|&o| {
-            let row = processors
-                .iter()
-                .map(|&p| {
-                    plan.add_point(PointSpec {
-                        trace: t,
-                        config: MappingConfig::standard(p, o),
-                        partition: PartitionSpec::Strategy(strategy),
-                    })
-                })
-                .collect();
-            (o, row)
-        })
-        .collect();
-    let results = plan.run(jobs);
-    ids.into_iter()
-        .map(|(o, row)| {
-            (
-                o,
-                row.into_iter()
-                    .map(|id| results.speedup_point(id))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
 /// Peak speedup of a curve (the paper quotes "up to 8–12 fold").
 pub fn peak(curve: &[SpeedupPoint]) -> SpeedupPoint {
     *curve
@@ -510,13 +442,15 @@ mod tests {
     }
 
     #[test]
-    fn overhead_sweep_orders_curves() {
+    fn overhead_rows_order_curves() {
         let t = flat_trace(32, 32);
         let rows = OverheadSetting::table_5_1();
-        let sweep = overhead_sweep(&t, &[4], &rows, PartitionStrategy::RoundRobin);
         // Right-activation-only traces are overhead-insensitive under
         // broadcast distribution (no token messages) — curves coincide.
-        let speeds: Vec<f64> = sweep.iter().map(|(_, c)| c[0].speedup).collect();
+        let speeds: Vec<f64> = rows
+            .iter()
+            .map(|&o| speedup_curve(&t, &[4], o, PartitionStrategy::RoundRobin)[0].speedup)
+            .collect();
         assert!(speeds.windows(2).all(|w| w[0] >= w[1] - 1e-9));
     }
 
@@ -647,10 +581,6 @@ mod tests {
     fn parallel_curves_match_serial_helpers() {
         let t = chain_trace(16);
         let procs = [1usize, 2, 4, 8];
-        let rows = OverheadSetting::table_5_1();
-        let serial = overhead_sweep(&t, &procs, &rows, PartitionStrategy::RoundRobin);
-        let parallel = overhead_sweep_jobs(&t, &procs, &rows, PartitionStrategy::RoundRobin, 6);
-        assert_eq!(serial, parallel);
         let sc = speedup_curve(
             &t,
             &procs,

@@ -17,7 +17,7 @@ use crate::event::EventQueue;
 use crate::metrics::{MachineMetrics, ProcessorMetrics};
 use crate::network::{NetworkModel, NetworkUsage};
 use crate::time::SimTime;
-use mpps_telemetry::{NullRecorder, Recorder, Track};
+use mpps_telemetry::{NullMetrics, Recorder, Track};
 use std::collections::VecDeque;
 
 /// Index of a processor in the machine.
@@ -173,13 +173,13 @@ pub struct RunReport {
 
 /// The discrete-event machine simulator.
 ///
-/// Generic over a telemetry [`Recorder`]; the default [`NullRecorder`]
+/// Generic over a telemetry [`Recorder`]; the default [`NullMetrics`]
 /// monomorphizes every recording site away, so `Simulator<N>` is the
 /// uninstrumented simulator it always was. Pass a
 /// [`mpps_telemetry::TraceRecorder`] (usually via
 /// [`Simulator::with_recorder`]) to capture per-processor busy spans in
 /// simulated time, queue-depth counters, and network-transit samples.
-pub struct Simulator<N: Node, R: Recorder = NullRecorder> {
+pub struct Simulator<N: Node, R: Recorder = NullMetrics> {
     cfg: MachineConfig,
     nodes: Vec<N>,
     queue: EventQueue<Event<N::Msg>>,
@@ -194,7 +194,7 @@ pub struct Simulator<N: Node, R: Recorder = NullRecorder> {
 impl<N: Node> Simulator<N> {
     /// Build a simulator; `nodes.len()` must equal `cfg.processors`.
     pub fn new(cfg: MachineConfig, nodes: Vec<N>) -> Self {
-        Simulator::with_recorder(cfg, nodes, NullRecorder)
+        Simulator::with_recorder(cfg, nodes, NullMetrics)
     }
 }
 
@@ -282,7 +282,7 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
                 self.usage.record(out.departure, arrival);
                 self.proc_metrics[proc].messages_sent += 1;
                 if R::ENABLED {
-                    self.recorder.sample("network-transit-ns", latency.as_ns());
+                    self.recorder.observe("network-transit-ns", latency.as_ns());
                 }
                 self.queue.push(
                     arrival,
@@ -403,7 +403,7 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
                                 time.as_ns(),
                                 depth,
                             );
-                            self.recorder.sample("queue-depth", depth);
+                            self.recorder.observe("queue-depth", depth);
                         }
                         // Guarantee a wakeup no earlier than both now and
                         // the processor's current busy horizon. Redundant

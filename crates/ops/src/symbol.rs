@@ -25,11 +25,9 @@ use std::sync::{OnceLock, RwLock};
 ///   `Display`, sorted program listings).
 /// * [`Symbol::index`] is the *id order* key — the raw `u32` interning
 ///   order, `Copy` and comparable without touching the string table. Hot
-///   containers (WME attribute vectors, token [`Bindings`] in the rete
-///   crate) sort on this instead; their iteration order is deterministic
-///   within a process but not lexicographic.
-///
-/// [`Bindings`]: https://docs.rs/mpps-rete
+///   containers (WME attribute vectors) sort on this instead; their
+///   iteration order is deterministic within a process but not
+///   lexicographic.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Symbol(u32);
 

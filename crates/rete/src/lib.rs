@@ -22,7 +22,6 @@
 //!   dummy-node fan-out splitting (§5.2.1), and copy-and-constraint
 //!   (§5.2.2).
 
-pub mod dot;
 pub mod engine;
 pub mod hashfn;
 pub mod kernel;
@@ -40,7 +39,7 @@ pub use network::{
     AlphaNode, JoinNode, NetworkStats, NodeId, NodeKind, NodeLayout, ProductionNode, ReteNetwork,
     Side, VarRef,
 };
-pub use token::{BetaToken, Bindings, FlatToken, TokenArena, TokenId};
+pub use token::{FlatToken, TokenArena, TokenId};
 pub use trace::{ActKind, ActivationId, ActivationRecord, Trace, TraceCycle, TraceStats};
 pub use transform::{
     compile_suggested, split_fanout, suggest_plan, unshare, SplitFanoutOptions, SplitSpec,

@@ -1,21 +1,16 @@
 //! Beta tokens: partial instantiations flowing through the join network.
 //!
-//! Two representations live here:
-//!
-//! * [`TokenArena`] / [`TokenId`] — the production representation. A token
-//!   is a flat arena record `(parent, wme, vals)`; the full binding set is
-//!   recovered by walking the parent chain, and equality/hashing is an
-//!   integer chain comparison. This is what the match kernel and both
-//!   executors use.
-//! * [`Bindings`] / [`BetaToken`] — the historical self-contained value
-//!   representation, kept as the *oracle*: property tests reconstruct
-//!   bindings from arena chains and compare them against tokens built the
-//!   old way.
+//! [`TokenArena`] / [`TokenId`]: a token is a flat arena record
+//! `(parent, wme, vals)`; the full binding set is recovered by walking
+//! the parent chain, and equality/hashing is an integer chain comparison.
+//! This is what the match kernel and both executors use. (The historical
+//! self-contained representation survives as the oracle of
+//! `tests/arena_props.rs`, which rebuilds bindings from arena chains and
+//! compares them against tokens built the old way.)
 
 use crate::hashfn;
 use crate::network::VarRef;
-use mpps_ops::{Symbol, Value, WmeId};
-use std::fmt;
+use mpps_ops::{Value, WmeId};
 
 /// Index of a token record in a [`TokenArena`].
 ///
@@ -308,170 +303,9 @@ impl TokenArena {
     }
 }
 
-/// A sorted association list from variable to bound value (oracle form).
-///
-/// Sorted by [`Symbol::index`] — the id-order key — so lookups compare
-/// `u32`s, never strings. Iteration order is therefore interning order,
-/// not lexicographic; nothing canonical-textual may rely on it.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
-pub struct Bindings(Vec<(Symbol, Value)>);
-
-impl Bindings {
-    /// The empty binding set.
-    pub fn new() -> Self {
-        Bindings(Vec::new())
-    }
-
-    /// Look up a variable.
-    pub fn get(&self, var: Symbol) -> Option<Value> {
-        self.0
-            .binary_search_by(|(s, _)| s.index().cmp(&var.index()))
-            .ok()
-            .map(|i| self.0[i].1)
-    }
-
-    /// Insert or overwrite a binding.
-    pub fn set(&mut self, var: Symbol, value: Value) {
-        match self
-            .0
-            .binary_search_by(|(s, _)| s.index().cmp(&var.index()))
-        {
-            Ok(i) => self.0[i].1 = value,
-            Err(i) => self.0.insert(i, (var, value)),
-        }
-    }
-
-    /// Number of bound variables.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no variable is bound.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Iterate `(var, value)` pairs in canonical (id) order.
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, Value)> + '_ {
-        self.0.iter().copied()
-    }
-
-    /// Convert to the `HashMap` form used by `mpps_ops::Instantiation`.
-    pub fn to_map(&self) -> std::collections::HashMap<Symbol, Value> {
-        self.0.iter().copied().collect()
-    }
-}
-
-impl FromIterator<(Symbol, Value)> for Bindings {
-    fn from_iter<T: IntoIterator<Item = (Symbol, Value)>>(iter: T) -> Self {
-        let mut b = Bindings::new();
-        for (s, v) in iter {
-            b.set(s, v);
-        }
-        b
-    }
-}
-
-/// A self-contained beta token (oracle form): the WMEs matching a prefix of
-/// a production's positive CEs, plus the variable bindings they induce.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct BetaToken {
-    /// Time tags of the WMEs matched so far, in positive-CE order.
-    pub wme_ids: Vec<WmeId>,
-    /// Accumulated variable bindings.
-    pub bindings: Bindings,
-}
-
-impl BetaToken {
-    /// The token for a first-CE match.
-    pub fn seed(wme_id: WmeId, bindings: Bindings) -> Self {
-        BetaToken {
-            wme_ids: vec![wme_id],
-            bindings,
-        }
-    }
-
-    /// Extend with one more matched WME and extra bindings.
-    pub fn extended(&self, wme_id: WmeId, extra: &[(Symbol, Value)]) -> Self {
-        let mut t = self.clone();
-        t.wme_ids.push(wme_id);
-        for &(s, v) in extra {
-            t.bindings.set(s, v);
-        }
-        t
-    }
-}
-
-impl fmt::Display for BetaToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "⟨")?;
-        for (i, id) in self.wme_ids.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ")?;
-            }
-            write!(f, "{id}")?;
-        }
-        write!(f, "⟩")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpps_ops::intern;
-
-    #[test]
-    fn bindings_sorted_and_deduped() {
-        let mut b = Bindings::new();
-        b.set(intern("z"), Value::Int(1));
-        b.set(intern("a"), Value::Int(2));
-        b.set(intern("z"), Value::Int(3)); // overwrite
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.get(intern("z")), Some(Value::Int(3)));
-        assert_eq!(b.get(intern("a")), Some(Value::Int(2)));
-        assert_eq!(b.get(intern("missing")), None);
-        // Canonical order is id (interning) order, ascending.
-        let order: Vec<u32> = b.iter().map(|(s, _)| s.index()).collect();
-        assert!(order.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn bindings_equal_regardless_of_insertion_order() {
-        let a: Bindings = [(intern("x"), Value::Int(1)), (intern("y"), Value::Int(2))]
-            .into_iter()
-            .collect();
-        let b: Bindings = [(intern("y"), Value::Int(2)), (intern("x"), Value::Int(1))]
-            .into_iter()
-            .collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn token_extension_accumulates() {
-        let seed = BetaToken::seed(
-            WmeId(1),
-            [(intern("x"), Value::Int(5))].into_iter().collect(),
-        );
-        let ext = seed.extended(WmeId(2), &[(intern("y"), Value::sym("q"))]);
-        assert_eq!(ext.wme_ids, vec![WmeId(1), WmeId(2)]);
-        assert_eq!(ext.bindings.get(intern("x")), Some(Value::Int(5)));
-        assert_eq!(ext.bindings.get(intern("y")), Some(Value::sym("q")));
-        // Original untouched.
-        assert_eq!(seed.wme_ids.len(), 1);
-    }
-
-    #[test]
-    fn token_display() {
-        let t = BetaToken::seed(WmeId(3), Bindings::new()).extended(WmeId(7), &[]);
-        assert_eq!(t.to_string(), "⟨t3 t7⟩");
-    }
-
-    #[test]
-    fn to_map_roundtrip() {
-        let b: Bindings = [(intern("x"), Value::Int(1))].into_iter().collect();
-        let m = b.to_map();
-        assert_eq!(m[&intern("x")], Value::Int(1));
-    }
 
     #[test]
     fn arena_chain_reconstruction() {

@@ -1,6 +1,6 @@
 //! Property tests: arena-token binding reconstruction must agree with the
-//! historical self-contained [`BetaToken`]/[`Bindings`] representation on
-//! random join chains.
+//! historical self-contained [`BetaToken`]/[`Bindings`] representation —
+//! kept here, as the oracle — on random join chains.
 //!
 //! The arena stores only the values each level *introduced* plus a parent
 //! pointer; the old representation carried the full accumulated binding
@@ -11,8 +11,120 @@
 //! arena completely.
 
 use mpps_ops::{intern, Symbol, Value, WmeId};
-use mpps_rete::{BetaToken, FlatToken, TokenArena, TokenId, VarRef};
+use mpps_rete::{FlatToken, TokenArena, TokenId, VarRef};
 use proptest::prelude::*;
+
+/// A sorted association list from variable to bound value (oracle form).
+///
+/// Sorted by [`Symbol::index`] — the id-order key — so lookups compare
+/// `u32`s, never strings.
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+struct Bindings(Vec<(Symbol, Value)>);
+
+impl Bindings {
+    /// Look up a variable.
+    fn get(&self, var: Symbol) -> Option<Value> {
+        self.0
+            .binary_search_by(|(s, _)| s.index().cmp(&var.index()))
+            .ok()
+            .map(|i| self.0[i].1)
+    }
+
+    /// Insert or overwrite a binding.
+    fn set(&mut self, var: Symbol, value: Value) {
+        match self
+            .0
+            .binary_search_by(|(s, _)| s.index().cmp(&var.index()))
+        {
+            Ok(i) => self.0[i].1 = value,
+            Err(i) => self.0.insert(i, (var, value)),
+        }
+    }
+
+    /// Number of bound variables.
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+impl FromIterator<(Symbol, Value)> for Bindings {
+    fn from_iter<T: IntoIterator<Item = (Symbol, Value)>>(iter: T) -> Self {
+        let mut b = Bindings::default();
+        for (s, v) in iter {
+            b.set(s, v);
+        }
+        b
+    }
+}
+
+/// A self-contained beta token (oracle form): the WMEs matching a prefix of
+/// a production's positive CEs, plus the variable bindings they induce.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct BetaToken {
+    /// Time tags of the WMEs matched so far, in positive-CE order.
+    wme_ids: Vec<WmeId>,
+    /// Accumulated variable bindings.
+    bindings: Bindings,
+}
+
+impl BetaToken {
+    /// The token for a first-CE match.
+    fn seed(wme_id: WmeId, bindings: Bindings) -> Self {
+        BetaToken {
+            wme_ids: vec![wme_id],
+            bindings,
+        }
+    }
+
+    /// Extend with one more matched WME and extra bindings.
+    fn extended(&self, wme_id: WmeId, extra: &[(Symbol, Value)]) -> Self {
+        let mut t = self.clone();
+        t.wme_ids.push(wme_id);
+        for &(s, v) in extra {
+            t.bindings.set(s, v);
+        }
+        t
+    }
+}
+
+#[test]
+fn bindings_sorted_and_deduped() {
+    let mut b = Bindings::default();
+    b.set(intern("z"), Value::Int(1));
+    b.set(intern("a"), Value::Int(2));
+    b.set(intern("z"), Value::Int(3)); // overwrite
+    assert_eq!(b.len(), 2);
+    assert_eq!(b.get(intern("z")), Some(Value::Int(3)));
+    assert_eq!(b.get(intern("a")), Some(Value::Int(2)));
+    assert_eq!(b.get(intern("missing")), None);
+    // Canonical order is id (interning) order, ascending.
+    assert!(b.0.windows(2).all(|w| w[0].0.index() < w[1].0.index()));
+}
+
+#[test]
+fn bindings_equal_regardless_of_insertion_order() {
+    let a: Bindings = [(intern("x"), Value::Int(1)), (intern("y"), Value::Int(2))]
+        .into_iter()
+        .collect();
+    let b: Bindings = [(intern("y"), Value::Int(2)), (intern("x"), Value::Int(1))]
+        .into_iter()
+        .collect();
+    assert_eq!(a, b);
+}
+
+#[test]
+fn token_extension_accumulates() {
+    let seed = BetaToken::seed(
+        WmeId(1),
+        [(intern("x"), Value::Int(5))].into_iter().collect(),
+    );
+    let ext = seed.extended(WmeId(2), &[(intern("y"), Value::sym("q"))]);
+    assert_eq!(ext.wme_ids, vec![WmeId(1), WmeId(2)]);
+    assert_eq!(ext.bindings.get(intern("x")), Some(Value::Int(5)));
+    assert_eq!(ext.bindings.get(intern("y")), Some(Value::sym("q")));
+    // Original untouched.
+    assert_eq!(seed.wme_ids.len(), 1);
+}
 
 /// The variable introduced at `(level, slot)` — deterministic, so the
 /// oracle map is keyed exactly like the arena layout.

@@ -6,9 +6,9 @@
 //! complete events carry the spans, and `"C"` counter events carry the
 //! counters. Timestamps in the format are *microseconds*; recorded
 //! nanoseconds are written as fractional µs with three decimals so no
-//! precision is lost.
+//! precision is lost. [`check_trace`] is the format's validator.
 
-use crate::json::escape;
+use crate::json::{escape, parse, require_f64, require_str, require_u64, Value};
 use crate::recorder::TraceRecorder;
 
 /// Nanoseconds rendered as fractional trace-format microseconds.
@@ -80,6 +80,57 @@ pub fn chrome_trace(rec: &TraceRecorder) -> String {
     }
     out.push_str("], \"displayTimeUnit\": \"ms\"}\n");
     out
+}
+
+/// Validate a [`chrome_trace`] document: every event carries a phase
+/// and pid, with well-formed metadata, complete-span and counter
+/// records. Returns the number of `"X"` spans.
+pub fn check_trace(text: &str) -> Result<u64, String> {
+    let doc = parse(text).map_err(|e| format!("trace.json: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .ok_or("trace.json: missing \"traceEvents\" array")?;
+    let mut spans = 0u64;
+    for (i, ev) in events.iter().enumerate() {
+        let ctx = format!("trace.json: event {i}");
+        let ph = require_str(ev, "ph", &ctx)?;
+        require_u64(ev, "pid", &ctx)?;
+        match ph {
+            "M" => {
+                let name = require_str(ev, "name", &ctx)?;
+                let args = ev
+                    .get("args")
+                    .ok_or_else(|| format!("{ctx}: metadata without \"args\""))?;
+                match name {
+                    "process_name" | "thread_name" => {
+                        require_str(args, "name", &ctx)?;
+                    }
+                    "thread_sort_index" => {
+                        require_f64(args, "sort_index", &ctx)?;
+                    }
+                    other => return Err(format!("{ctx}: unknown metadata {other:?}")),
+                }
+            }
+            "X" => {
+                require_str(ev, "name", &ctx)?;
+                require_u64(ev, "tid", &ctx)?;
+                require_f64(ev, "ts", &ctx)?;
+                require_f64(ev, "dur", &ctx)?;
+                spans += 1;
+            }
+            "C" => {
+                require_str(ev, "name", &ctx)?;
+                require_f64(ev, "ts", &ctx)?;
+                ev.get("args")
+                    .and_then(Value::as_object)
+                    .filter(|args| args.values().all(|v| v.as_f64().is_some()))
+                    .ok_or_else(|| format!("{ctx}: counter args must be numeric"))?;
+            }
+            other => return Err(format!("{ctx}: unknown phase {other:?}")),
+        }
+    }
+    Ok(spans)
 }
 
 #[cfg(test)]

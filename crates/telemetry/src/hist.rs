@@ -9,6 +9,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{require_f64, require_u64, Value};
+
 /// An exact histogram of `u64` samples.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
@@ -136,6 +138,23 @@ impl HistogramSummary {
             self.count, self.min, self.max, self.mean, self.p50, self.p95
         )
     }
+}
+
+/// Validate one [`HistogramSummary::to_json`] object: every field
+/// present and the percentiles in order.
+pub fn check_hist(v: &Value, ctx: &str) -> Result<(), String> {
+    let count = require_u64(v, "count", ctx)?;
+    let min = require_u64(v, "min", ctx)?;
+    let max = require_u64(v, "max", ctx)?;
+    let p50 = require_u64(v, "p50", ctx)?;
+    let p95 = require_u64(v, "p95", ctx)?;
+    require_f64(v, "mean", ctx)?;
+    if count > 0 && !(min <= p50 && p50 <= p95 && p95 <= max) {
+        return Err(format!(
+            "{ctx}: percentiles out of order (min {min}, p50 {p50}, p95 {p95}, max {max})"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

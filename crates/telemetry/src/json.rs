@@ -1,7 +1,7 @@
 //! A minimal recursive-descent JSON parser.
 //!
-//! Exists so tests and the bench crate's `--check-telemetry` pass can
-//! validate exported artifacts without a schema library or any
+//! Exists so every export format's checker (each beside its writer)
+//! can validate exported artifacts without a schema library or any
 //! external dependency. Parses the full JSON grammar into a [`Value`]
 //! tree; numbers are kept as `f64` (exported artifacts never need more
 //! than 53 bits of integer precision).
@@ -96,6 +96,27 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// `obj[key]` as a non-negative integer, or a checker error naming `ctx`.
+pub fn require_u64(obj: &Value, key: &str, ctx: &str) -> Result<u64, String> {
+    obj.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("{ctx}: missing or non-integer {key:?}"))
+}
+
+/// `obj[key]` as a number, or a checker error naming `ctx`.
+pub fn require_f64(obj: &Value, key: &str, ctx: &str) -> Result<f64, String> {
+    obj.get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("{ctx}: missing or non-numeric {key:?}"))
+}
+
+/// `obj[key]` as a string, or a checker error naming `ctx`.
+pub fn require_str<'v>(obj: &'v Value, key: &str, ctx: &str) -> Result<&'v str, String> {
+    obj.get(key)
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("{ctx}: missing or non-string {key:?}"))
 }
 
 /// Parse one JSON document. Trailing whitespace is allowed; trailing

@@ -4,11 +4,13 @@
 //! counter verbatim, in recording order — for ad-hoc analysis with
 //! line-oriented tools. [`summary_json`] writes a single JSON object
 //! mapping each sampled metric to its [`HistogramSummary`]
-//! (p50/p95/max and friends).
+//! (p50/p95/max and friends). [`check_events`] and [`check_summary`]
+//! are the two formats' validators.
 //!
 //! [`HistogramSummary`]: crate::hist::HistogramSummary
 
-use crate::json::escape;
+use crate::hist::check_hist;
+use crate::json::{escape, parse, require_str, require_u64, Value};
 use crate::recorder::TraceRecorder;
 
 /// Render every span and counter as one JSON object per line.
@@ -48,10 +50,55 @@ pub fn summary_json(rec: &TraceRecorder) -> String {
     out
 }
 
+/// Validate an [`events_jsonl`] stream: one object per line, each a
+/// span or counter with the full field set. Returns the number of span
+/// lines.
+pub fn check_events(text: &str) -> Result<u64, String> {
+    let mut spans = 0u64;
+    for (lineno, line) in text.lines().enumerate() {
+        let ctx = format!("events.jsonl: line {}", lineno + 1);
+        let ev = parse(line).map_err(|e| format!("{ctx}: {e}"))?;
+        require_u64(&ev, "pid", &ctx)?;
+        require_u64(&ev, "tid", &ctx)?;
+        require_str(&ev, "name", &ctx)?;
+        match require_str(&ev, "type", &ctx)? {
+            "span" => {
+                let start = require_u64(&ev, "start_ns", &ctx)?;
+                let end = require_u64(&ev, "end_ns", &ctx)?;
+                if start > end {
+                    return Err(format!("{ctx}: span ends before it starts"));
+                }
+                spans += 1;
+            }
+            "counter" => {
+                require_u64(&ev, "t_ns", &ctx)?;
+                require_u64(&ev, "value", &ctx)?;
+            }
+            other => return Err(format!("{ctx}: unknown event type {other:?}")),
+        }
+    }
+    Ok(spans)
+}
+
+/// Validate a [`summary_json`] document: a `"metrics"` object mapping
+/// metric names to complete, internally consistent histogram summaries.
+pub fn check_summary(text: &str) -> Result<(), String> {
+    let doc = parse(text).map_err(|e| format!("summary.json: {e}"))?;
+    let metrics = doc
+        .get("metrics")
+        .and_then(Value::as_object)
+        .ok_or("summary.json: missing \"metrics\" object")?;
+    for (name, stats) in metrics {
+        check_hist(stats, &format!("summary.json: metric {name:?}"))?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
+    use crate::metrics::MetricSink;
     use crate::recorder::{Recorder, Track};
 
     /// A name every writer must escape to survive `json::parse`.
@@ -75,7 +122,7 @@ mod tests {
     fn summary_reports_percentiles() {
         let mut rec = TraceRecorder::new();
         for v in [1, 2, 3, 4, 100] {
-            rec.sample(ODD, v);
+            rec.observe(ODD, v);
         }
         let text = summary_json(&rec);
         let doc = json::parse(&text).unwrap();

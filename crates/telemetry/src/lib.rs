@@ -1,27 +1,31 @@
 #![warn(missing_docs)]
 
-//! # mpps-telemetry — simulation telemetry primitives
+//! # mpps-telemetry — the workspace's one telemetry surface
 //!
-//! A first-class observability layer for the workspace's simulators and
-//! sweep engines, built around one rule: **telemetry must cost nothing
-//! when it is off**. Instrumented code is generic over a [`Recorder`];
-//! the default [`NullRecorder`] has an `ENABLED = false` associated
-//! constant and empty inline methods, so every recording site
-//! monomorphizes away and the disabled build is instruction-identical to
-//! an uninstrumented one.
+//! Built around one rule: **telemetry must cost nothing when it is
+//! off**. Instrumented code is generic over one trait hierarchy —
+//! [`MetricSink`] for order-free aggregates, refined by [`Recorder`]
+//! for events on a timeline — and the default [`NullMetrics`] has an
+//! `ENABLED = false` associated constant and empty inline methods, so
+//! every recording site monomorphizes away and the disabled build is
+//! instruction-identical to an uninstrumented one.
 //!
-//! Three primitives cover the workspace's needs:
+//! Five recording methods, in three shapes, cover the workspace's needs:
 //!
-//! * **spans** — an interval of activity on a [`Track`] (one track per
-//!   simulated processor in *simulated* time; one track per sweep worker
-//!   in *wall* time);
-//! * **counters** — a value sampled at a point in time on a track
-//!   (message-queue depth);
-//! * **histogram samples** — order-free scalar observations aggregated
-//!   into exact [`Histogram`]s (activations per bucket, queue depths,
-//!   per-point wall-clock) and summarized as p50/p95/max.
+//! * **keyed counters / gauges / histograms** ([`MetricSink::add`] /
+//!   [`set`](MetricSink::set) / [`observe`](MetricSink::observe)) —
+//!   activations per Rete node, arena high-water marks, queue depths,
+//!   per-cycle phase times, summarized as p50/p95/max by exact
+//!   [`Histogram`]s and merged commutatively across workers in a
+//!   [`MetricsRegistry`];
+//! * **spans** ([`Recorder::span`]) — an interval of activity on a
+//!   [`Track`] (one track per simulated processor in *simulated* time;
+//!   one per sweep worker or match thread in *wall* time);
+//! * **counter observations** ([`Recorder::counter`]) — a value sampled
+//!   at a point in time on a track (message-queue depth).
 //!
-//! The in-memory [`TraceRecorder`] collects everything and exports as
+//! The in-memory [`TraceRecorder`] collects all five — it can be handed
+//! to a simulator and to a match kernel alike — and exports as
 //!
 //! * a Chrome `trace_event` JSON file ([`chrome::chrome_trace`]) that
 //!   loads directly in [Perfetto](https://ui.perfetto.dev) or
@@ -29,14 +33,10 @@
 //! * a JSONL event stream plus a JSON summary of histogram percentiles
 //!   ([`jsonl`]).
 //!
-//! [`json`] is a dependency-free JSON parser used to validate exported
-//! artifacts in tests and CI without pulling in a schema library.
-//!
-//! [`metrics`] extends the same discipline down into the match kernel:
-//! instrumented match code is generic over a [`MetricSink`]
-//! ([`NullMetrics`] when profiling is off, [`MetricsRegistry`] when
-//! on), collecting id-keyed counters, high-water gauges, and exact
-//! histograms that merge commutatively across workers.
+//! Each format's validator lives beside its writer
+//! ([`chrome::check_trace`], [`jsonl::check_events`],
+//! [`jsonl::check_summary`], [`hist::check_hist`]), on [`json`], a
+//! dependency-free JSON parser.
 
 pub mod chrome;
 pub mod hist;
@@ -47,4 +47,4 @@ pub mod recorder;
 
 pub use hist::{Histogram, HistogramSummary};
 pub use metrics::{available_cpus, MetricSink, MetricsRegistry, NullMetrics};
-pub use recorder::{NullRecorder, OffsetRecorder, Recorder, TraceRecorder, Track, SERVE_PID};
+pub use recorder::{OffsetRecorder, Recorder, TraceRecorder, Track};

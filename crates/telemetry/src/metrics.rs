@@ -1,27 +1,24 @@
-//! Keyed metrics for the match kernel: counters, gauges, histograms.
+//! Keyed aggregates: counters, gauges, histograms — the base of the one
+//! telemetry trait hierarchy.
 //!
-//! The simulator records *events on a timeline* through [`Recorder`];
-//! the match kernel instead needs *aggregates keyed by an id* —
-//! activations per Rete node, probes per hash bucket, tokens forwarded
-//! per peer worker. [`MetricSink`] is the match-side analogue of
-//! [`Recorder`]: instrumented code is generic over a sink, the default
-//! [`NullMetrics`] has `ENABLED = false` and empty inline methods, and
-//! every hook site monomorphizes away in the disabled build. Profiling
-//! is therefore guarded only by monomorphization, never by a runtime
-//! flag.
+//! Instrumented code is generic over a [`MetricSink`] (or its timeline
+//! refinement [`Recorder`]). The default [`NullMetrics`] has
+//! `ENABLED = false` and empty inline methods, so every hook site
+//! monomorphizes away in the disabled build: telemetry is guarded only
+//! by monomorphization, never by a runtime flag.
 //!
-//! Three shapes cover the kernel's needs:
+//! Three order-free shapes:
 //!
 //! * **keyed counters** (`add`) — monotonic sums per `u64` key
 //!   (node id, bucket index, peer worker, production id);
 //! * **keyed gauges** (`set`) — high-water marks per key; a gauge
 //!   remembers the *maximum* value it was ever set to, which makes
 //!   merging per-worker registries commutative;
-//! * **histograms** (`observe`) — unkeyed scalar distributions reusing
-//!   the exact [`Histogram`] type (per-drain activation counts,
-//!   per-cycle phase times).
+//! * **histograms** (`observe`) — unkeyed scalar distributions as exact
+//!   [`Histogram`]s (per-drain activation counts, per-cycle phase
+//!   times, queue depths).
 //!
-//! [`MetricsRegistry`] is the concrete collecting sink. Registries from
+//! [`MetricsRegistry`] is the one aggregate store. Registries from
 //! different workers [`merge`](MetricsRegistry::merge) associatively:
 //! counters and sums add, gauges take the max, histograms merge — so a
 //! merged set of per-worker registries equals one registry fed the whole
@@ -34,13 +31,12 @@ use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
 
-/// Sink for match-kernel metrics.
+/// Sink for order-free aggregates.
 ///
-/// Implementations are either [`NullMetrics`] (profiling off — all
-/// methods compile to nothing) or [`MetricsRegistry`] (profiling on).
 /// Code paths that are expensive even to *prepare* (reading a clock,
 /// computing an attribution key) should be wrapped in
-/// `if M::ENABLED { .. }` so the disabled build drops them entirely.
+/// `if M::ENABLED { .. }` so the disabled build drops them entirely;
+/// nothing else may depend on it.
 pub trait MetricSink {
     /// `true` when this sink records anything. `if M::ENABLED` blocks
     /// are resolved at monomorphization time.
@@ -64,7 +60,8 @@ pub trait MetricSink {
     }
 }
 
-/// The disabled sink: every method is empty and inlines to nothing.
+/// The disabled sink — for [`MetricSink`] and [`Recorder`](crate::Recorder)
+/// alike: every method is empty and inlines to nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NullMetrics;
 
@@ -320,19 +317,6 @@ mod tests {
         assert_eq!(ab.counter("c").unwrap().get(&1), Some(&5));
         assert_eq!(ab.gauge("g").unwrap().get(&0), Some(&9));
         assert_eq!(ab.histogram("h").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn forwarding_through_mut_ref_reaches_the_registry() {
-        let mut reg = MetricsRegistry::new();
-        {
-            let mut sink = &mut reg;
-            const { assert!(<&mut MetricsRegistry as MetricSink>::ENABLED) };
-            // Fully qualified so the `&mut S` forwarding impl (not an
-            // auto-deref to the base impl) is what's exercised.
-            <&mut MetricsRegistry as MetricSink>::add(&mut sink, "c", 0, 1);
-        }
-        assert_eq!(reg.counter_total("c"), 1);
     }
 
     #[test]

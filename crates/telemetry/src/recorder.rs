@@ -1,14 +1,17 @@
-//! The [`Recorder`] trait and its implementations.
+//! The [`Recorder`] trait — [`MetricSink`] plus a timeline — and its
+//! implementations.
 //!
-//! Instrumented code is generic over `R: Recorder`. The default
-//! [`NullRecorder`] reports `ENABLED = false` and has empty `#[inline]`
-//! methods, so the disabled build monomorphizes every recording site to
-//! nothing. [`TraceRecorder`] keeps everything in memory for export;
-//! [`OffsetRecorder`] shifts span/counter timestamps so per-cycle
-//! simulations (which each restart at t = 0) land on one continuous
-//! per-run timeline.
+//! Code that records *when* something happened is generic over
+//! `R: Recorder`; because `Recorder` refines [`MetricSink`], the same
+//! value also takes the order-free aggregates (`add` / `set` /
+//! `observe`), `ENABLED` is declared once, and [`NullMetrics`] is the
+//! disabled sink for both. [`TraceRecorder`] keeps everything in memory
+//! for export; [`OffsetRecorder`] shifts span/counter timestamps so
+//! per-cycle simulations (which each restart at t = 0) land on one
+//! continuous per-run timeline.
 
 use crate::hist::Histogram;
+use crate::metrics::{MetricSink, MetricsRegistry, NullMetrics};
 
 /// A (process, thread) pair identifying one horizontal lane in the
 /// exported trace. `pid` groups related tracks (all simulated
@@ -27,8 +30,6 @@ pub const SIM_PID: u32 = 1;
 pub const SWEEP_PID: u32 = 2;
 /// Track group for the real threaded matcher's worker threads (wall time).
 pub const THREADED_PID: u32 = 3;
-/// Track group for rule-engine-server session workers (wall time).
-pub const SERVE_PID: u32 = 4;
 
 impl Track {
     /// The lane for simulated processor `index` (simulated time).
@@ -56,16 +57,6 @@ impl Track {
         }
     }
 
-    /// The lane for rule-engine-server session worker `index` (wall
-    /// time): each lane carries the per-request spans and queue-depth
-    /// counters of one worker thread of an `mpps serve` worker pool.
-    pub fn serve_worker(index: usize) -> Self {
-        Self {
-            pid: SERVE_PID,
-            tid: index as u32,
-        }
-    }
-
     /// The run-level lane marking MRA cycle boundaries (simulated time).
     /// `tid` is `u32::MAX` so it sorts after every processor lane.
     pub fn sim_cycles() -> Self {
@@ -76,52 +67,32 @@ impl Track {
     }
 }
 
-/// Sink for telemetry events. All timestamps are `u64` nanoseconds on
-/// whatever clock the track uses (simulated time for processor tracks,
-/// wall time for worker tracks).
+/// A [`MetricSink`] that also records events on a timeline. All
+/// timestamps are `u64` nanoseconds on whatever clock the track uses
+/// (simulated time for processor tracks, wall time for worker tracks).
 ///
 /// Implementations must be cheap to call: recording sites sit inside
-/// the simulator's inner loop and are guarded only by monomorphization,
-/// never by a runtime flag.
-pub trait Recorder {
-    /// Whether this recorder keeps anything. Instrumented code may skip
-    /// *computing* expensive inputs when this is `false`; it must not
-    /// change any other behaviour based on it.
-    const ENABLED: bool;
-
+/// the simulator's inner loop and are guarded only by monomorphization
+/// (`R::ENABLED`), never by a runtime flag.
+pub trait Recorder: MetricSink {
     /// Record a completed interval `[start_ns, end_ns)` on `track`.
     fn span(&mut self, track: Track, name: &'static str, start_ns: u64, end_ns: u64);
 
     /// Record an instantaneous counter value at `t_ns` on `track`.
     fn counter(&mut self, track: Track, name: &'static str, t_ns: u64, value: u64);
-
-    /// Record one order-free scalar observation for metric `metric`.
-    fn sample(&mut self, metric: &'static str, value: u64);
 }
 
-/// The disabled recorder: every method is an empty inline body, so
-/// instrumentation generic over it compiles to the uninstrumented code.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    const ENABLED: bool = false;
-
+impl Recorder for NullMetrics {
     #[inline(always)]
     fn span(&mut self, _: Track, _: &'static str, _: u64, _: u64) {}
 
     #[inline(always)]
     fn counter(&mut self, _: Track, _: &'static str, _: u64, _: u64) {}
-
-    #[inline(always)]
-    fn sample(&mut self, _: &'static str, _: u64) {}
 }
 
 /// Forward through mutable references so a borrowed [`TraceRecorder`]
 /// can be handed by value to a consumer that takes `R: Recorder`.
 impl<R: Recorder> Recorder for &mut R {
-    const ENABLED: bool = R::ENABLED;
-
     #[inline(always)]
     fn span(&mut self, track: Track, name: &'static str, start_ns: u64, end_ns: u64) {
         (**self).span(track, name, start_ns, end_ns);
@@ -131,18 +102,14 @@ impl<R: Recorder> Recorder for &mut R {
     fn counter(&mut self, track: Track, name: &'static str, t_ns: u64, value: u64) {
         (**self).counter(track, name, t_ns, value);
     }
-
-    #[inline(always)]
-    fn sample(&mut self, metric: &'static str, value: u64) {
-        (**self).sample(metric, value);
-    }
 }
 
 /// Shifts span and counter timestamps by a fixed offset before
-/// forwarding. Each MRA cycle runs a fresh discrete-event simulation
-/// starting at t = 0; wrapping the run's recorder in an
-/// `OffsetRecorder` carrying the accumulated simulated time keeps the
-/// per-processor tracks continuous across cycles.
+/// forwarding; aggregates pass through untouched. Each MRA cycle runs a
+/// fresh discrete-event simulation starting at t = 0; wrapping the
+/// run's recorder in an `OffsetRecorder` carrying the accumulated
+/// simulated time keeps the per-processor tracks continuous across
+/// cycles.
 #[derive(Debug)]
 pub struct OffsetRecorder<R> {
     inner: R,
@@ -156,9 +123,30 @@ impl<R: Recorder> OffsetRecorder<R> {
     }
 }
 
-impl<R: Recorder> Recorder for OffsetRecorder<R> {
+impl<R: MetricSink> MetricSink for OffsetRecorder<R> {
     const ENABLED: bool = R::ENABLED;
 
+    #[inline]
+    fn add(&mut self, metric: &'static str, key: u64, delta: u64) {
+        self.inner.add(metric, key, delta);
+    }
+
+    #[inline]
+    fn set(&mut self, metric: &'static str, key: u64, value: u64) {
+        self.inner.set(metric, key, value);
+    }
+
+    #[inline]
+    fn observe(&mut self, metric: &'static str, value: u64) {
+        self.inner.observe(metric, value);
+    }
+
+    fn export(&self) -> MetricsRegistry {
+        self.inner.export()
+    }
+}
+
+impl<R: Recorder> Recorder for OffsetRecorder<R> {
     #[inline]
     fn span(&mut self, track: Track, name: &'static str, start_ns: u64, end_ns: u64) {
         self.inner.span(
@@ -173,11 +161,6 @@ impl<R: Recorder> Recorder for OffsetRecorder<R> {
     fn counter(&mut self, track: Track, name: &'static str, t_ns: u64, value: u64) {
         self.inner
             .counter(track, name, t_ns + self.offset_ns, value);
-    }
-
-    #[inline]
-    fn sample(&mut self, metric: &'static str, value: u64) {
-        self.inner.sample(metric, value);
     }
 }
 
@@ -208,15 +191,23 @@ pub struct CounterEvent {
 }
 
 /// The in-memory recorder behind every export format: keeps spans and
-/// counters verbatim and aggregates samples into exact [`Histogram`]s
-/// (keyed by metric name, in first-seen order so exports are stable).
-#[derive(Debug, Default)]
+/// counter observations verbatim and aggregates everything order-free
+/// in a [`MetricsRegistry`] (name-sorted, so exports are stable).
+#[derive(Clone, Debug, Default)]
 pub struct TraceRecorder {
     spans: Vec<SpanEvent>,
     counters: Vec<CounterEvent>,
-    histograms: Vec<(&'static str, Histogram)>,
+    registry: MetricsRegistry,
     track_names: Vec<(Track, String)>,
     process_names: Vec<(u32, String)>,
+}
+
+/// Set `key`'s name in a first-seen-ordered name list; later calls win.
+fn set_name<K: PartialEq>(names: &mut Vec<(K, String)>, key: K, name: String) {
+    match names.iter_mut().find(|(k, _)| *k == key) {
+        Some(slot) => slot.1 = name,
+        None => names.push((key, name)),
+    }
 }
 
 impl TraceRecorder {
@@ -228,22 +219,12 @@ impl TraceRecorder {
     /// Give `track` a human-readable lane name in the exported trace.
     /// Later calls for the same track win.
     pub fn name_track(&mut self, track: Track, name: impl Into<String>) {
-        let name = name.into();
-        if let Some(slot) = self.track_names.iter_mut().find(|(t, _)| *t == track) {
-            slot.1 = name;
-        } else {
-            self.track_names.push((track, name));
-        }
+        set_name(&mut self.track_names, track, name.into());
     }
 
     /// Give a track group (`pid`) a name in the exported trace.
     pub fn name_process(&mut self, pid: u32, name: impl Into<String>) {
-        let name = name.into();
-        if let Some(slot) = self.process_names.iter_mut().find(|(p, _)| *p == pid) {
-            slot.1 = name;
-        } else {
-            self.process_names.push((pid, name));
-        }
+        set_name(&mut self.process_names, pid, name.into());
     }
 
     /// Recorded spans, in recording order.
@@ -256,17 +237,19 @@ impl TraceRecorder {
         &self.counters
     }
 
-    /// Histograms keyed by metric name, in first-seen order.
-    pub fn histograms(&self) -> &[(&'static str, Histogram)] {
-        &self.histograms
+    /// Everything recorded through the [`MetricSink`] methods.
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.registry
     }
 
-    /// The histogram for `metric`, if any sample was recorded.
+    /// Histograms keyed by metric name, in name order.
+    pub fn histograms(&self) -> &[(&'static str, Histogram)] {
+        self.registry.histograms()
+    }
+
+    /// The histogram for `metric`, if any sample was observed.
     pub fn histogram(&self, metric: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|(m, _)| *m == metric)
-            .map(|(_, h)| h)
+        self.registry.histogram(metric)
     }
 
     /// Track names assigned via [`TraceRecorder::name_track`].
@@ -279,20 +262,14 @@ impl TraceRecorder {
         &self.process_names
     }
 
-    /// Fold another recorder's events into this one (spans and counters
-    /// append; histograms merge by metric; names fill gaps). Used to
-    /// combine per-worker recorders in worker-index order so the merged
-    /// trace is deterministic.
+    /// Fold another recorder's events into this one (spans and counter
+    /// observations append; the registries merge; names fill gaps). Used
+    /// to combine per-worker recorders in worker-index order so the
+    /// merged trace is deterministic.
     pub fn merge(&mut self, other: TraceRecorder) {
         self.spans.extend(other.spans);
         self.counters.extend(other.counters);
-        for (metric, hist) in other.histograms {
-            if let Some((_, mine)) = self.histograms.iter_mut().find(|(m, _)| *m == metric) {
-                mine.merge(&hist);
-            } else {
-                self.histograms.push((metric, hist));
-            }
-        }
+        self.registry.merge(&other.registry);
         for (track, name) in other.track_names {
             if !self.track_names.iter().any(|(t, _)| *t == track) {
                 self.track_names.push((track, name));
@@ -306,9 +283,30 @@ impl TraceRecorder {
     }
 }
 
-impl Recorder for TraceRecorder {
+impl MetricSink for TraceRecorder {
     const ENABLED: bool = true;
 
+    #[inline]
+    fn add(&mut self, metric: &'static str, key: u64, delta: u64) {
+        self.registry.add(metric, key, delta);
+    }
+
+    #[inline]
+    fn set(&mut self, metric: &'static str, key: u64, value: u64) {
+        self.registry.set(metric, key, value);
+    }
+
+    #[inline]
+    fn observe(&mut self, metric: &'static str, value: u64) {
+        self.registry.observe(metric, value);
+    }
+
+    fn export(&self) -> MetricsRegistry {
+        self.registry.clone()
+    }
+}
+
+impl Recorder for TraceRecorder {
     fn span(&mut self, track: Track, name: &'static str, start_ns: u64, end_ns: u64) {
         debug_assert!(start_ns <= end_ns, "span ends before it starts");
         self.spans.push(SpanEvent {
@@ -327,86 +325,75 @@ impl Recorder for TraceRecorder {
             value,
         });
     }
-
-    fn sample(&mut self, metric: &'static str, value: u64) {
-        if let Some((_, hist)) = self.histograms.iter_mut().find(|(m, _)| *m == metric) {
-            hist.record(value);
-        } else {
-            let mut hist = Histogram::new();
-            hist.record(value);
-            self.histograms.push((metric, hist));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One call to each of the five recording methods.
+    fn record_all<R: Recorder>(mut r: R) {
+        r.span(Track::sim_proc(0), "w", 5, 7);
+        r.counter(Track::sim_proc(0), "q", 6, 2);
+        r.add("c", 3, 4);
+        r.set("g", 1, 8);
+        r.observe("m", 9);
+    }
+
+    /// What [`record_all`] must leave behind, timestamps shifted by `offset`.
+    fn assert_all_recorded(r: &TraceRecorder, offset: u64) {
+        assert_eq!(r.spans().len(), 1);
+        assert_eq!(r.spans()[0].start_ns, 5 + offset);
+        assert_eq!(r.spans()[0].end_ns, 7 + offset);
+        assert_eq!(r.counters().len(), 1);
+        assert_eq!(r.counters()[0].t_ns, 6 + offset);
+        assert_eq!(r.registry().counter("c").unwrap().get(&3), Some(&4));
+        assert_eq!(r.registry().gauge("g").unwrap().get(&1), Some(&8));
+        assert_eq!(r.histogram("m").unwrap().max(), Some(9));
+        assert_eq!(r.export(), *r.registry());
+    }
+
     #[test]
-    fn null_recorder_is_disabled() {
-        const { assert!(!NullRecorder::ENABLED) };
+    fn null_sink_is_a_disabled_recorder() {
+        const { assert!(!<NullMetrics as MetricSink>::ENABLED) };
         // And callable: the calls must be no-ops, not panics.
-        let mut r = NullRecorder;
-        r.span(Track::sim_proc(0), "x", 0, 1);
-        r.counter(Track::sim_proc(0), "c", 0, 1);
-        r.sample("m", 1);
+        record_all(NullMetrics);
+        record_all(OffsetRecorder::new(NullMetrics, 1));
+        const { assert!(!<OffsetRecorder<NullMetrics> as MetricSink>::ENABLED) };
+    }
+
+    /// The forwarders are where a unified hierarchy can silently drop a
+    /// method: drive all five through each and find every one.
+    #[test]
+    fn forwarders_pass_all_five_methods() {
+        let mut direct = TraceRecorder::new();
+        record_all(&mut direct);
+        assert_all_recorded(&direct, 0);
+        const { assert!(<&mut TraceRecorder as MetricSink>::ENABLED) };
+
+        let mut shifted = TraceRecorder::new();
+        record_all(OffsetRecorder::new(&mut shifted, 100));
+        assert_all_recorded(&shifted, 100);
+        let wrapped = OffsetRecorder::new(&mut shifted, 0);
+        assert_eq!(wrapped.export().counter_total("c"), 4);
     }
 
     #[test]
-    fn trace_recorder_collects_events() {
-        let mut r = TraceRecorder::new();
-        r.span(Track::sim_proc(2), "work", 10, 30);
-        r.counter(Track::sim_proc(2), "queue-depth", 15, 3);
-        r.sample("acts", 4);
-        r.sample("acts", 6);
-        assert_eq!(r.spans().len(), 1);
-        assert_eq!(r.spans()[0].track, Track::sim_proc(2));
-        assert_eq!(r.counters()[0].value, 3);
-        let h = r.histogram("acts").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), Some(6));
-    }
-
-    #[test]
-    fn offset_recorder_shifts_spans_not_samples() {
-        let mut inner = TraceRecorder::new();
-        {
-            let mut r = OffsetRecorder::new(&mut inner, 100);
-            r.span(Track::sim_proc(0), "w", 5, 7);
-            r.counter(Track::sim_proc(0), "q", 6, 2);
-            r.sample("m", 9);
-        }
-        assert_eq!(inner.spans()[0].start_ns, 105);
-        assert_eq!(inner.spans()[0].end_ns, 107);
-        assert_eq!(inner.counters()[0].t_ns, 106);
-        assert_eq!(inner.histogram("m").unwrap().max(), Some(9));
-    }
-
-    #[test]
-    fn mut_ref_forwards() {
-        let mut r = TraceRecorder::new();
-        fn record<R: Recorder>(mut r: R) {
-            r.span(Track::worker(1), "task", 0, 2);
-        }
-        record(&mut r);
-        assert_eq!(r.spans().len(), 1);
-        const { assert!(<&mut TraceRecorder as Recorder>::ENABLED) };
-    }
-
-    #[test]
-    fn merge_combines_histograms_and_names() {
+    fn merge_combines_registries_and_names() {
         let mut a = TraceRecorder::new();
-        a.sample("wall", 10);
+        a.observe("wall", 10);
+        a.add("n", 0, 1);
         a.name_process(SWEEP_PID, "sweep");
         a.name_track(Track::worker(0), "worker 0");
         let mut b = TraceRecorder::new();
-        b.sample("wall", 20);
+        b.observe("wall", 20);
+        b.add("n", 0, 2);
         b.span(Track::worker(1), "point", 0, 5);
         b.name_track(Track::worker(0), "ignored duplicate");
         b.name_track(Track::worker(1), "worker 1");
         a.merge(b);
         assert_eq!(a.histogram("wall").unwrap().count(), 2);
+        assert_eq!(a.registry().counter_total("n"), 3);
         assert_eq!(a.spans().len(), 1);
         assert_eq!(a.track_names().len(), 2);
         assert_eq!(a.track_names()[0].1, "worker 0");

@@ -1,11 +1,12 @@
 //! Cross-worker registry merging must be partition-invariant: merging
 //! per-worker registries equals one registry fed the whole event
 //! stream, and both agree with a sort/merge oracle computed directly
-//! from the events.
+//! from the events. A `TraceRecorder` is one more sink over the same
+//! store, so it is held to the same oracle.
 
 use std::collections::BTreeMap;
 
-use mpps_telemetry::{MetricSink, MetricsRegistry};
+use mpps_telemetry::{MetricSink, MetricsRegistry, TraceRecorder};
 use proptest::prelude::*;
 
 const METRICS: [&str; 3] = ["node.activations", "bucket.activations", "peer.forwarded"];
@@ -34,7 +35,7 @@ fn event() -> impl Strategy<Value = Event> {
     ]
 }
 
-fn apply(sink: &mut MetricsRegistry, ev: &Event) {
+fn apply(sink: &mut impl MetricSink, ev: &Event) {
     match *ev {
         Event::Add { metric, key, delta } => sink.add(METRICS[metric], key, delta),
         Event::Set { metric, key, value } => sink.set(METRICS[metric], key, value),
@@ -55,6 +56,8 @@ proptest! {
     ) {
         let mut single = MetricsRegistry::new();
         let mut per_worker = vec![MetricsRegistry::new(); workers];
+        let mut single_rec = TraceRecorder::new();
+        let mut per_worker_rec = vec![TraceRecorder::new(); workers];
         // Deterministic but arbitrary assignment of events to workers.
         let mut state = assign_seed;
         for ev in &events {
@@ -62,7 +65,15 @@ proptest! {
             let w = (state >> 33) as usize % workers;
             apply(&mut per_worker[w], ev);
             apply(&mut single, ev);
+            apply(&mut per_worker_rec[w], ev);
+            apply(&mut single_rec, ev);
         }
+        prop_assert_eq!(&single_rec.export(), &single);
+        let mut merged_rec = TraceRecorder::new();
+        for rec in per_worker_rec {
+            merged_rec.merge(rec);
+        }
+        prop_assert_eq!(merged_rec.registry(), &single);
         let mut merged = MetricsRegistry::new();
         if reverse_merge {
             for reg in per_worker.iter().rev() {

@@ -73,7 +73,7 @@ mod format;
 
 use format::{stats_block, OutputFormat, SimulateSummary};
 use mpps::core::sweep::{baseline, speedup_curve_jobs, PartitionStrategy};
-use mpps::core::{bucket_skew_factor, name_threaded_tracks, render_match_profile};
+use mpps::core::{bucket_skew_factor, render_match_profile};
 use mpps::core::{
     greedy_partition, name_machine_tracks, simulate_recorded, AdaptOptions, MappingConfig,
     OverheadSetting, Partition, SimScratch, ThreadedMatcher,
@@ -599,14 +599,10 @@ fn run_threaded(args: &Args, program: Program, wmes: Vec<Wme>, strategy: Strateg
         let reg = matcher.profile_snapshot().unwrap_or_else(|e| fail(e));
         write_profile(dir, "threaded", matcher.worker_count(), &reg);
         // Merged Chrome trace: the per-worker counter lanes plus the
-        // synthesized match-work / barrier-wait phase spans, all on the
-        // named THREADED_PID tracks.
-        let mut rec = TraceRecorder::new();
-        name_threaded_tracks(&mut rec, matcher.worker_count());
-        matcher.record_into(&mut rec);
-        matcher.record_cycles_into(&mut rec);
+        // match-work / barrier-wait phase spans, all on the named
+        // THREADED_PID tracks.
         let path = std::path::Path::new(dir).join("trace.json");
-        std::fs::write(&path, chrome_trace(&rec))
+        std::fs::write(&path, chrome_trace(&matcher.export_trace()))
             .unwrap_or_else(|e| fail(format!("write {}: {e}", path.display())));
         eprintln!("worker-lane trace written to {}", path.display());
     }

@@ -303,8 +303,25 @@ fn simulate_stats_prints_histogram_summaries() {
     // The summary table is still there, followed by the histogram block.
     assert!(stdout.contains("P, time_us, speedup"));
     assert!(stdout.contains("telemetry histograms"));
-    assert!(stdout.contains("acts-per-bucket:"));
-    assert!(stdout.contains("cycle-makespan-us:"));
+    // One line per sampled metric, in metric-name order (the aggregate
+    // store is name-sorted).
+    let metrics: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.contains("telemetry histograms"))
+        .skip(1)
+        .filter_map(|l| l.trim_start().split_once(": n=").map(|(name, _)| name))
+        .collect();
+    assert_eq!(
+        metrics,
+        [
+            "acts-per-bucket",
+            "cycle-makespan-us",
+            "left-acts-per-proc",
+            "network-transit-ns",
+            "queue-depth",
+            "right-acts-per-proc",
+        ]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -424,7 +441,8 @@ fn run_profile_keeps_stdout_identical_and_writes_schema_valid_profile() {
                 "{section}/{matcher}: stdout diverged"
             );
 
-            let report = mpps_bench::telemetry::check_profile(&prof_dir.join("match_profile.json"))
+            let profile = std::fs::read_to_string(prof_dir.join("match_profile.json")).unwrap();
+            let report = mpps::core::check_profile(&profile)
                 .unwrap_or_else(|e| panic!("{section}/{matcher}: {e}"));
             assert!(
                 report.contains(&format!("matcher {matcher:?}")) && !report.contains(", 0 act"),

@@ -2,12 +2,13 @@
 //! (kernel hooks recording into a `MetricsRegistry`) and an unprofiled
 //! one (`NullMetrics`, every hook compiled away) compute identical
 //! conflict sets after every batch of the three characteristic workloads
-//! — on both the sequential engine and the threaded executor.
+//! — on both the sequential engine and the threaded executor — and the
+//! sink may as well be a `TraceRecorder`: it exports the same registry.
 
-use mpps::core::{bucket_activity, ThreadedMatcher};
+use mpps::core::{bucket_activity, threaded, ThreadedMatcher};
 use mpps::ops::{Interpreter, Matcher, Program, Strategy, Wme, WmeChange};
 use mpps::rete::{kernel, EngineConfig, ReteMatcher, ReteNetwork};
-use mpps::telemetry::MetricsRegistry;
+use mpps::telemetry::{MetricsRegistry, TraceRecorder, Track};
 use mpps::workloads::{rubik, tourney, weaver};
 
 /// Replay-capture: run `program` under the interpreter for `cycles`
@@ -47,25 +48,48 @@ fn workloads() -> Vec<(&'static str, Program, Vec<Vec<WmeChange>>)> {
     ]
 }
 
+/// Every series of `reg` that counts rather than times (`*-ns` series
+/// are wall-clock and differ run to run), as comparable text.
+fn counted_series(reg: &MetricsRegistry) -> String {
+    let timed = |name: &str| name.ends_with("-ns");
+    format!(
+        "{:?} {:?} {:?}",
+        (reg.counters().iter().filter(|(n, _)| !timed(n))).collect::<Vec<_>>(),
+        (reg.gauges().iter().filter(|(n, _)| !timed(n))).collect::<Vec<_>>(),
+        (reg.histograms().iter().filter(|(n, _)| !timed(n))).collect::<Vec<_>>(),
+    )
+}
+
 #[test]
 fn profiled_sequential_matches_unprofiled_on_every_workload() {
     for (name, program, batches) in workloads() {
+        let network = || ReteNetwork::compile(&program).unwrap();
         let mut plain = ReteMatcher::from_program(&program).unwrap();
-        let mut profiled = ReteMatcher::with_metrics(
-            ReteNetwork::compile(&program).unwrap(),
-            EngineConfig::default(),
-            MetricsRegistry::new(),
-        );
+        let mut profiled =
+            ReteMatcher::with_metrics(network(), EngineConfig::default(), MetricsRegistry::new());
+        let mut recorded =
+            ReteMatcher::with_metrics(network(), EngineConfig::default(), TraceRecorder::new());
         for (i, batch) in batches.iter().enumerate() {
             plain.process(batch);
             profiled.process(batch);
+            recorded.process(batch);
             assert_eq!(
                 plain.conflict_set(),
                 profiled.conflict_set(),
                 "{name}: sequential conflict sets diverged at batch {i}"
             );
+            assert_eq!(
+                plain.conflict_set(),
+                recorded.conflict_set(),
+                "{name}: conflict sets diverged at batch {i} with a TraceRecorder sink"
+            );
         }
         let reg = profiled.profile();
+        assert_eq!(
+            counted_series(&recorded.profile()),
+            counted_series(&reg),
+            "{name}: a TraceRecorder sink exported a different registry"
+        );
         assert!(
             reg.counter_total(kernel::metric::NODE_ACTIVATIONS) > 0,
             "{name}: profiled run recorded no activations"
@@ -125,6 +149,43 @@ fn profiled_threaded_matches_profiled_sequential() {
             seq.conflict_set(),
             thr.conflict_set(),
             "{name}: profiled sequential vs profiled threaded diverged"
+        );
+    }
+}
+
+/// The threaded executor's exported trace never draws two spans over one
+/// another on a lane, however late a worker published a drain time, and
+/// the exact work totals stay in the registry beside the clamped spans.
+#[test]
+fn threaded_trace_lanes_never_overlap() {
+    let program = tourney::program();
+    let mut thr = ThreadedMatcher::from_program_profiled(&program, 2).unwrap();
+    let batches = batches(&program, tourney::initial(8, 8), 12);
+    for batch in &batches {
+        thr.process(batch);
+    }
+    let rec = thr.export_trace();
+    for w in 0..2 {
+        let mut lane: Vec<(u64, u64)> = (rec.spans().iter())
+            .filter(|s| s.track == Track::match_worker(w))
+            .map(|s| (s.start_ns, s.end_ns))
+            .collect();
+        assert!(lane.len() >= batches.len(), "lane {w}: a span per cycle");
+        lane.sort_unstable();
+        for pair in lane.windows(2) {
+            assert!(pair[0].1 <= pair[1].0, "lane {w}: {pair:?} overlap");
+        }
+        let drawn: u64 = (rec.spans().iter())
+            .filter(|s| s.track == Track::match_worker(w) && s.name == "match-work")
+            .map(|s| s.end_ns - s.start_ns)
+            .sum();
+        let exact = rec
+            .registry()
+            .counter(threaded::metric::WORKER_WORK_NS)
+            .unwrap()[&(w as u64)];
+        assert!(
+            drawn <= exact,
+            "lane {w}: drew {drawn} ns of {exact} ns worked"
         );
     }
 }

@@ -224,8 +224,8 @@ proptest! {
         strat in 0usize..3,
     ) {
         use mpps::core::sweep::{
-            overhead_sweep, overhead_sweep_jobs, speedup_curve, speedup_curve_jobs,
-            PartitionStrategy,
+            speedup_curve, speedup_curve_jobs, PartitionSpec, PartitionStrategy, PointSpec,
+            SweepPlan,
         };
         let strategy = [
             PartitionStrategy::RoundRobin,
@@ -242,17 +242,25 @@ proptest! {
             prop_assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
             prop_assert_eq!(a.total_us.to_bits(), b.total_us.to_bits());
         }
-        let rows = OverheadSetting::table_5_1();
-        let serial_rows = overhead_sweep(&trace, &procs, &rows, strategy);
-        let parallel_rows = overhead_sweep_jobs(&trace, &procs, &rows, strategy, jobs);
-        prop_assert_eq!(serial_rows.len(), parallel_rows.len());
-        for ((ro, rc), (po, pc)) in serial_rows.iter().zip(parallel_rows.iter()) {
-            prop_assert_eq!(ro.total(), po.total());
-            for (a, b) in rc.iter().zip(pc.iter()) {
-                prop_assert_eq!(a.processors, b.processors);
-                prop_assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
-                prop_assert_eq!(a.total_us.to_bits(), b.total_us.to_bits());
+        // One plan over every Table 5-1 row: `run(jobs)` must equal `run(1)`.
+        let mut plan = SweepPlan::new();
+        let t = plan.add_trace(&trace);
+        let mut ids = Vec::new();
+        for o in OverheadSetting::table_5_1() {
+            for &p in &procs {
+                ids.push(plan.add_point(PointSpec {
+                    trace: t,
+                    config: MappingConfig::standard(p, o),
+                    partition: PartitionSpec::Strategy(strategy),
+                }));
             }
+        }
+        let (serial_rows, parallel_rows) = (plan.run(1), plan.run(jobs));
+        for id in ids {
+            let (a, b) = (serial_rows.speedup_point(id), parallel_rows.speedup_point(id));
+            prop_assert_eq!(a.processors, b.processors);
+            prop_assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
+            prop_assert_eq!(a.total_us.to_bits(), b.total_us.to_bits());
         }
     }
 }
