@@ -96,7 +96,9 @@ pub struct InterpreterState {
     pub wm: Vec<(WmeId, Wme)>,
     /// The next time tag to hand out.
     pub next_id: u64,
-    /// Refraction memory, sorted for canonical comparison.
+    /// Refraction memory, sorted for canonical comparison. An export
+    /// holds only live keys (every WME still in `wm`); a restore accepts
+    /// dead ones too.
     pub fired_keys: Vec<(ProductionId, Vec<WmeId>)>,
     /// WM changes queued since the last match phase (not yet matcher-visible).
     pub pending: Vec<WmeChange>,
@@ -108,17 +110,83 @@ pub struct InterpreterState {
     pub halted: bool,
 }
 
+/// [`Refraction`] sweeps once it holds more keys than this, or than twice
+/// the keys that survived its last sweep, whichever is larger.
+const SWEEP_FLOOR: usize = 16;
+
+/// Refraction memory: the keys `(production, wme_ids)` of the
+/// instantiations that have fired. Keys only — holding the records would
+/// pin every fired instantiation's bindings — and shaped so that a probe
+/// borrows the candidate's `wme_ids`.
+///
+/// A key is *live* while every WME it names is in working memory. Time
+/// tags are never reused, so once one of them has left, no instantiation
+/// with that key can appear again: the key is dead and may be forgotten
+/// without changing any firing. Dead keys are swept out amortised (see
+/// [`SWEEP_FLOOR`]), so the memory stays proportional to the live keys.
+/// A key with no WMEs (an all-negated LHS) is always live.
+#[derive(Default)]
+struct Refraction {
+    keys: HashMap<ProductionId, HashSet<Box<[WmeId]>>>,
+    /// Keys held, live or dead.
+    len: usize,
+    /// Keys that survived the last sweep.
+    survivors: usize,
+}
+
+/// Is every WME of the key `ids` still in working memory?
+fn live(wm: &WorkingMemory, ids: &[WmeId]) -> bool {
+    ids.iter().all(|&id| wm.get(id).is_some())
+}
+
+impl Refraction {
+    /// Has `inst` fired before? Exact for every instantiation a matcher
+    /// can report, since all of its WMEs are live.
+    fn contains(&self, inst: &Instantiation) -> bool {
+        self.keys
+            .get(&inst.production())
+            .is_some_and(|keys| keys.contains(inst.wme_ids()))
+    }
+
+    fn insert(&mut self, production: ProductionId, ids: &[WmeId]) {
+        if self.keys.entry(production).or_default().insert(ids.into()) {
+            self.len += 1;
+        }
+    }
+
+    /// Drop the dead keys if the memory has doubled since the last sweep.
+    fn sweep_if_due(&mut self, wm: &WorkingMemory) {
+        if self.len <= (2 * self.survivors).max(SWEEP_FLOOR) {
+            return;
+        }
+        for keys in self.keys.values_mut() {
+            keys.retain(|ids| live(wm, ids));
+        }
+        self.len = self.keys.values().map(HashSet::len).sum();
+        self.survivors = self.len;
+    }
+
+    /// The live keys, sorted (the canonical snapshot form).
+    fn live_keys(&self, wm: &WorkingMemory) -> Vec<(ProductionId, Vec<WmeId>)> {
+        let mut keys: Vec<(ProductionId, Vec<WmeId>)> = self
+            .keys
+            .iter()
+            .flat_map(|(&p, keys)| keys.iter().map(move |ids| (p, ids)))
+            .filter(|(_, ids)| live(wm, ids))
+            .map(|(p, ids)| (p, ids.to_vec()))
+            .collect();
+        keys.sort();
+        keys
+    }
+}
+
 /// The MRA-cycle interpreter, generic over the match engine.
 pub struct Interpreter<M: Matcher = NaiveMatcher> {
     program: Arc<Program>,
     strategy: Strategy,
     wm: WorkingMemory,
     matcher: M,
-    /// Refraction memory: the keys of the instantiations that have fired,
-    /// per production. Keys only — holding the records would pin every
-    /// fired instantiation's bindings for the life of the session — and
-    /// shaped so that a probe borrows the candidate's `wme_ids`.
-    fired_keys: HashMap<ProductionId, HashSet<Box<[WmeId]>>>,
+    fired_keys: Refraction,
     /// WM changes produced since the last match phase.
     pending: Vec<WmeChange>,
     /// Per-cycle batches actually handed to the matcher.
@@ -159,7 +227,7 @@ impl<M: Matcher> Interpreter<M> {
             strategy,
             wm: WorkingMemory::new(),
             matcher,
-            fired_keys: HashMap::new(),
+            fired_keys: Refraction::default(),
             pending: Vec::new(),
             change_log: Vec::new(),
             output: Vec::new(),
@@ -172,20 +240,17 @@ impl<M: Matcher> Interpreter<M> {
 
     /// Capture the session state of this interpreter (see
     /// [`InterpreterState`]). Cheap relative to a run: clones the live WM,
-    /// refraction keys, pending changes and outputs; the matcher and the
-    /// per-cycle change log are excluded by design.
+    /// the *live* refraction keys, pending changes and outputs; the
+    /// matcher, the per-cycle change log and the firing log are excluded
+    /// by design. Dead refraction keys can never block a firing again, so
+    /// leaving them out makes the state canonical: it does not depend on
+    /// when the refraction memory was last swept.
     pub fn export_state(&self) -> InterpreterState {
-        let mut fired_keys: Vec<(ProductionId, Vec<WmeId>)> = self
-            .fired_keys
-            .iter()
-            .flat_map(|(&p, keys)| keys.iter().map(move |ids| (p, ids.to_vec())))
-            .collect();
-        fired_keys.sort();
         InterpreterState {
             strategy: self.strategy,
             wm: self.wm.iter().map(|(id, w)| (id, w.clone())).collect(),
             next_id: self.wm.next_id().0,
-            fired_keys,
+            fired_keys: self.fired_keys.live_keys(&self.wm),
             pending: self.pending.clone(),
             output: self.output.clone(),
             cycle: self.cycle,
@@ -240,9 +305,11 @@ impl<M: Matcher> Interpreter<M> {
             .map(|(id, wme)| WmeChange::add(id, wme))
             .collect();
         matcher.try_process(&batch).map_err(OpsError::Match)?;
-        let mut fired_keys: HashMap<ProductionId, HashSet<Box<[WmeId]>>> = HashMap::new();
-        for (production, ids) in state.fired_keys {
-            fired_keys.entry(production).or_default().insert(ids.into());
+        // Dead keys (snapshots taken before they were dropped from
+        // exports) restore too; the next sweep forgets them.
+        let mut fired_keys = Refraction::default();
+        for (production, ids) in &state.fired_keys {
+            fired_keys.insert(*production, ids);
         }
         Ok(Interpreter {
             program,
@@ -329,7 +396,7 @@ impl<M: Matcher> Interpreter<M> {
 
         let conflict_set = self.matcher.conflict_set();
         let winner = select(&self.program, self.strategy, &conflict_set, |i| {
-            self.refracted(i)
+            self.fired_keys.contains(i)
         });
         match winner.cloned() {
             Some(winner) => Ok(StepOutcome::Fired(self.fire(&winner)?)),
@@ -337,15 +404,9 @@ impl<M: Matcher> Interpreter<M> {
         }
     }
 
-    /// Has `inst` fired before?
-    fn refracted(&self, inst: &Instantiation) -> bool {
-        self.fired_keys
-            .get(&inst.production())
-            .is_some_and(|keys| keys.contains(inst.wme_ids()))
-    }
-
     /// Fire `inst`: enter it into the refraction memory, execute its RHS
-    /// (queuing WM changes) and record the firing.
+    /// (queuing WM changes), record the firing, and sweep the refraction
+    /// memory if it is due.
     ///
     /// A second `Arc` handle to the program is taken for the duration of
     /// the firing so the RHS can be walked by reference while actions
@@ -353,10 +414,7 @@ impl<M: Matcher> Interpreter<M> {
     /// Nothing an action can reach reads `self.program` (user functions
     /// only see the working memory).
     fn fire(&mut self, inst: &Instantiation) -> Result<FiredRecord, OpsError> {
-        self.fired_keys
-            .entry(inst.production())
-            .or_default()
-            .insert(inst.wme_ids().into());
+        self.fired_keys.insert(inst.production(), inst.wme_ids());
         let program = Arc::clone(&self.program);
         let production = program.get(inst.production());
         let record = FiredRecord {
@@ -367,6 +425,7 @@ impl<M: Matcher> Interpreter<M> {
         };
         self.fire_actions(production, inst)?;
         self.fired.push(record.clone());
+        self.fired_keys.sweep_if_due(&self.wm);
         Ok(record)
     }
 
@@ -461,8 +520,10 @@ impl<M: Matcher> Interpreter<M> {
         let conflict_set = self.matcher.conflict_set();
         // Conflict-resolution order, serial winner first. `compare` is a
         // total order, so one sort equals repeated winner extraction.
-        let mut ordered: Vec<&Instantiation> =
-            conflict_set.iter().filter(|i| !self.refracted(i)).collect();
+        let mut ordered: Vec<&Instantiation> = conflict_set
+            .iter()
+            .filter(|i| !self.fired_keys.contains(i))
+            .collect();
         ordered.sort_by(|a, b| compare(&self.program, self.strategy, b, a));
         // Greedy compatible set: an instantiation joins if the WMEs it
         // deletes/modifies are untouched and unmatched by those selected
@@ -592,9 +653,18 @@ impl<M: Matcher> Interpreter<M> {
         &self.output
     }
 
-    /// All firings so far.
+    /// All firings since the interpreter was built, restored, or last
+    /// drained with [`Interpreter::drain_fired`].
     pub fn fired(&self) -> &[FiredRecord] {
         &self.fired
+    }
+
+    /// Take (and clear) the firing log — the twin of
+    /// [`Interpreter::drain_change_log`]. A long-lived session drains it
+    /// after every run ([`RunResult::fired`] already carries that run's
+    /// firings), or it grows with every firing.
+    pub fn drain_fired(&mut self) -> Vec<FiredRecord> {
+        std::mem::take(&mut self.fired)
     }
 
     /// Borrow the underlying matcher (e.g. to extract a Rete trace).
@@ -698,6 +768,39 @@ mod tests {
         let result = interp.run(100).unwrap();
         assert_eq!(result.outcome, RunOutcome::Quiescent);
         assert_eq!(result.fired.len(), 1);
+    }
+
+    #[test]
+    fn refraction_memory_forgets_dead_keys_and_keeps_live_ones() {
+        // `note` fires once on a fact that stays; then `tick` fires 10⁴
+        // times, each firing's key killed by its own modify.
+        let prog = parse_program(
+            r#"
+            (p note (fact) --> (write noted))
+            (p tick (counter ^n <n>) --> (modify 1 ^n (+ <n> 1)))
+            "#,
+        )
+        .unwrap();
+        let mut interp = Interpreter::new(prog, Strategy::Lex);
+        interp.wm_make("counter", &[("n", 0.into())]);
+        let fact = interp.wm_make("fact", &[]);
+        let mut peak = 0;
+        for _ in 0..10_000 {
+            assert!(matches!(interp.step().unwrap(), StepOutcome::Fired(_)));
+            let held: usize = interp.fired_keys.keys.values().map(HashSet::len).sum();
+            assert_eq!(held, interp.fired_keys.len);
+            peak = peak.max(held);
+        }
+        assert!(
+            peak <= SWEEP_FLOOR + 1,
+            "refraction memory reached {peak} keys"
+        );
+        // The live key survived every sweep: `note` never fired again.
+        assert_eq!(interp.output().len(), 1);
+        assert_eq!(
+            interp.export_state().fired_keys,
+            vec![(ProductionId(0), vec![fact])]
+        );
     }
 
     #[test]

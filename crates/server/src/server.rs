@@ -879,10 +879,14 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<ToWorker>) {
     let wid = ctx.index as u64;
     while let Ok(message) = rx.recv() {
         // High-water queue depth *including* the request being taken.
+        // `send` claims a slot before checking the bound, so a rejected
+        // submit is briefly visible here as one over capacity; it is a
+        // rejection in flight, never a queued message.
+        let depth = ctx.depth.load(Ordering::Relaxed);
         metrics.set(
             "serve.queue_depth",
             wid,
-            ctx.depth.load(Ordering::Relaxed) as u64,
+            depth.min(ctx.config.queue_capacity) as u64,
         );
         let reply = match message {
             ToWorker::Flush(request) => {

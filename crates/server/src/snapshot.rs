@@ -37,11 +37,14 @@
 //! Decoders reject wrong magic, versions they do not understand, and
 //! snapshots fingerprinted under a different program — restoring a WM
 //! under the wrong ruleset would silently produce a wrong conflict set,
-//! so the mismatch is an error, not a warning.
+//! so the mismatch is an error, not a warning. They also reject a state
+//! the restore path could not replay, and reserve no more memory than
+//! the input could fill: the bytes may come from a damaged spill file.
 
 use mpps_ops::{
     intern, InterpreterState, ProductionId, Program, Sign, Strategy, Value, Wme, WmeChange, WmeId,
 };
+use std::collections::HashMap;
 use std::fmt;
 
 /// Magic bytes opening every snapshot.
@@ -230,24 +233,24 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<InterpreterStat
     let cycle = r.u64()? as usize;
     let next_id = r.u64()?;
     let wm_len = r.u32()? as usize;
-    let mut wm = Vec::with_capacity(wm_len.min(1 << 16));
+    let mut wm = r.vec_for(wm_len, 8 + MIN_WME);
     for _ in 0..wm_len {
         let id = WmeId(r.u64()?);
         wm.push((id, r.wme()?));
     }
     let fired_len = r.u32()? as usize;
-    let mut fired_keys = Vec::with_capacity(fired_len.min(1 << 16));
+    let mut fired_keys = r.vec_for(fired_len, 4 + 2);
     for _ in 0..fired_len {
         let prod = ProductionId(r.u32()?);
         let n = r.u16()? as usize;
-        let mut ids = Vec::with_capacity(n);
+        let mut ids = r.vec_for(n, 8);
         for _ in 0..n {
             ids.push(WmeId(r.u64()?));
         }
         fired_keys.push((prod, ids));
     }
     let pending_len = r.u32()? as usize;
-    let mut pending = Vec::with_capacity(pending_len.min(1 << 16));
+    let mut pending = r.vec_for(pending_len, 1 + 8 + MIN_WME);
     for _ in 0..pending_len {
         let sign = match r.u8()? {
             0 => Sign::Plus,
@@ -262,10 +265,10 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<InterpreterStat
         });
     }
     let out_len = r.u32()? as usize;
-    let mut output = Vec::with_capacity(out_len.min(1 << 16));
+    let mut output = r.vec_for(out_len, 2);
     for _ in 0..out_len {
         let n = r.u16()? as usize;
-        let mut row = Vec::with_capacity(n);
+        let mut row = r.vec_for(n, MIN_VALUE);
         for _ in 0..n {
             row.push(r.value()?);
         }
@@ -274,6 +277,7 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<InterpreterStat
     if r.at != bytes.len() {
         return Err(SnapshotError::Corrupt("trailing bytes"));
     }
+    check_consistent(&wm, next_id, &pending)?;
     Ok(InterpreterState {
         strategy,
         wm,
@@ -284,6 +288,44 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<InterpreterStat
         cycle,
         halted,
     })
+}
+
+/// What restore relies on and the encoder always writes: working memory
+/// in strictly ascending time-tag order below `next_id`, and a pending
+/// queue that agrees with it — an add of an element working memory holds
+/// (that same element), a removal of one it no longer holds, or an
+/// add-and-remove pair of one that came and went. Bytes that decode but
+/// break this would restore into a matcher that disagrees with working
+/// memory, and fail later inside the match engine instead of here.
+fn check_consistent(
+    wm: &[(WmeId, Wme)],
+    next_id: u64,
+    pending: &[WmeChange],
+) -> Result<(), SnapshotError> {
+    let ascending = wm.windows(2).all(|w| w[0].0 < w[1].0);
+    if !ascending || wm.last().is_some_and(|(id, _)| id.0 >= next_id) {
+        return Err(SnapshotError::Corrupt("time tags"));
+    }
+    let mut count: HashMap<WmeId, usize> = HashMap::new();
+    for change in pending {
+        *count.entry(change.id).or_insert(0) += 1;
+    }
+    for change in pending {
+        let held = wm
+            .binary_search_by_key(&change.id, |&(id, _)| id)
+            .ok()
+            .map(|at| &wm[at].1);
+        let agrees = change.id.0 < next_id
+            && match (count[&change.id], change.sign) {
+                (1, Sign::Plus) => held == Some(&change.wme),
+                (1, Sign::Minus) | (2, _) => held.is_none(),
+                _ => false,
+            };
+        if !agrees {
+            return Err(SnapshotError::Corrupt("pending changes"));
+        }
+    }
+    Ok(())
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -329,12 +371,26 @@ fn put_wme(out: &mut Vec<u8>, wme: &Wme) -> Result<(), SnapshotError> {
     Ok(())
 }
 
+/// The smallest encodings (empty strings, no attributes), in bytes: what
+/// one entry of a counted collection costs at the very least.
+const MIN_STR: usize = 2;
+const MIN_VALUE: usize = 1 + MIN_STR;
+const MIN_WME: usize = MIN_STR + 2;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
+    /// An empty `Vec` for `len` entries that each encode to at least
+    /// `min_bytes`. A length field is untrusted until its entries have
+    /// been read, so the reservation is capped by what the unread input
+    /// could hold: a few bytes claiming 65 535 entries reserve nothing.
+    fn vec_for<T>(&self, len: usize, min_bytes: usize) -> Vec<T> {
+        Vec::with_capacity(len.min((self.bytes.len() - self.at) / min_bytes))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.at.checked_add(n).ok_or(SnapshotError::Truncated)?;
         if end > self.bytes.len() {
@@ -377,7 +433,7 @@ impl<'a> Reader<'a> {
     fn wme(&mut self) -> Result<Wme, SnapshotError> {
         let class = intern(self.str()?);
         let n = self.u16()? as usize;
-        let mut pairs = Vec::with_capacity(n);
+        let mut pairs = self.vec_for(n, MIN_STR + MIN_VALUE);
         for _ in 0..n {
             let attr = intern(self.str()?);
             pairs.push((attr, self.value()?));

@@ -97,6 +97,37 @@ fn flood_is_rejected_fast_and_recovers_without_losing_acks() {
     assert!(high <= 2, "queue depth {high} exceeded its bound");
 }
 
+/// The queue-depth gauge never reads past the bound. `submit` claims a
+/// slot before it checks capacity, so every rejection briefly lifts the
+/// raw counter to `capacity + 1`; a worker sampling at that moment must
+/// not report a message that was never queued. Cheap requests through a
+/// one-deep queue give the worker thousands of samples, each taken while
+/// the submitter spins on rejections.
+#[test]
+fn queue_depth_gauge_never_exceeds_capacity_under_rejections() {
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::new(serve::program(), config).unwrap();
+    let (id, request) = server.create_session(serve::initial()).unwrap();
+    server.wait_for(request, TIMEOUT).unwrap();
+    let (mut accepted, mut rejected) = (0u64, 0u64);
+    while accepted < 20_000 {
+        match server.submit(id, Vec::new()) {
+            Ok(_) => accepted += 1,
+            Err(ServerError::Overloaded { .. }) => rejected += 1,
+            Err(other) => panic!("unexpected submit error: {other}"),
+        }
+    }
+    server.drain(TIMEOUT, |_| {}).unwrap();
+    assert!(rejected > 0, "the queue was never full");
+    let metrics = server.metrics(TIMEOUT).unwrap();
+    let high = metrics.gauge("serve.queue_depth").unwrap()[&0];
+    assert_eq!(high, 1, "queue depth {high} against a capacity of 1");
+}
+
 #[test]
 fn destroyed_sessions_reject_immediately() {
     let mut server = Server::new(serve::program(), flood_config()).unwrap();
