@@ -25,8 +25,8 @@
 
 use std::time::Instant;
 
-use mpps_analysis::{render_series, render_table};
 use mpps_bench::experiments::{self as exp, Sections};
+use mpps_bench::report::{find_dips, render_series, render_table};
 use mpps_bench::telemetry as tel;
 use mpps_core::sweep::{SpeedupPoint, SweepPlan, SweepResults};
 use mpps_telemetry::TraceRecorder;
@@ -91,7 +91,7 @@ fn fig5_1<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
         // processors.
         for (name, curve) in &curves {
             let pts: Vec<(usize, f64)> = curve.iter().map(|p| (p.processors, p.speedup)).collect();
-            for d in mpps_analysis::find_dips(&pts, 0.01) {
+            for d in find_dips(&pts, 0.01) {
                 println!(
                     "dip ({name}): {} -> {} processors, speedup {:.2} -> {:.2}                  (uneven active-bucket distribution)",
                     d.from_procs, d.to_procs, d.before, d.after
@@ -306,7 +306,7 @@ fn greedy<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
 }
 
 fn probmodel<'t>(_: &'t Sections, _: &mut SweepPlan<'t>) -> Print<'t> {
-    use mpps_analysis::{estimate_max_load, prob_perfectly_even, prob_totally_uneven};
+    use mpps_bench::probmodel::{estimate_max_load, prob_perfectly_even, prob_totally_uneven};
     Box::new(|_| {
         println!("Probabilistic model of active-bucket distribution (section 5.2.2)\n");
         let (a, p) = (128u64, 16u64);

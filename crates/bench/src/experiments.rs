@@ -9,12 +9,13 @@
 //! every figure into **one** [`SweepPlan`]; [`solo`] runs a single figure
 //! on a private plan, serially — the integration tests use that.
 
-use mpps_analysis::greedy_improvement_bound;
 use mpps_core::sweep::{
     PartitionSpec, PartitionStrategy, PointId, PointSpec, SpeedupPoint, SweepPlan, SweepResults,
     TraceId,
 };
-use mpps_core::{MappingConfig, OverheadSetting, Partition, TerminationModel};
+use mpps_core::{
+    cycle_bucket_work, CostModel, MappingConfig, OverheadSetting, Partition, TerminationModel,
+};
 use mpps_mpcsim::{NetworkModel, SimTime, Topology};
 use mpps_rete::{split_fanout, SplitFanoutOptions, Trace};
 use mpps_workloads::synth;
@@ -357,6 +358,28 @@ pub fn greedy_gains<'t>(
     }
 }
 
+/// The idealized improvement factor of per-cycle greedy over a fixed
+/// assignment, estimated from per-cycle maximum loads (per-bucket work
+/// stands in for time): `sum(max under fixed) / sum(max under greedy)`.
+/// The paper measured ≈1.4 on its traces.
+pub fn greedy_improvement_bound(trace: &Trace, fixed: &Partition) -> f64 {
+    let procs = fixed.processors();
+    let cost = CostModel::default();
+    let mut fixed_sum = 0u64;
+    let mut greedy_sum = 0u64;
+    for c in 0..trace.cycles.len() {
+        let work = cycle_bucket_work(trace, c, &cost);
+        fixed_sum += *fixed.loads(&work).iter().max().unwrap_or(&0);
+        let greedy = Partition::greedy(&work, procs);
+        greedy_sum += *greedy.loads(&work).iter().max().unwrap_or(&0);
+    }
+    if greedy_sum == 0 {
+        1.0
+    } else {
+        fixed_sum as f64 / greedy_sum as f64
+    }
+}
+
 /// §5.2.2 random distribution: seeded random placement does not
 /// significantly beat round-robin.
 pub fn random_vs_round_robin<'t>(
@@ -498,6 +521,9 @@ mod tests {
     use super::*;
     use mpps_core::simulate;
     use mpps_core::sweep::baseline;
+    use mpps_ops::Sign;
+    use mpps_rete::trace::{ActKind, ActivationRecord, TraceCycle};
+    use mpps_rete::{NodeId, Side};
 
     /// A figure planned alone and the same figure batched with others must
     /// produce identical data; the batch must also be smaller than the sum
@@ -539,5 +565,44 @@ mod tests {
         let t = plan.add_trace(&s.rubik);
         let r = plan.run(3);
         assert_eq!(r.baseline(t).total, baseline(&s.rubik).total);
+    }
+
+    fn skewed_trace() -> Trace {
+        // Two cycles; each concentrates activity on buckets that
+        // round-robin maps to one processor (stride 2 on 2 procs).
+        let mut t = Trace::new(8);
+        for cycle in 0..2u64 {
+            let mut acts = Vec::new();
+            for i in 0..12u64 {
+                acts.push(ActivationRecord {
+                    node: NodeId(1),
+                    side: Side::Left,
+                    sign: Sign::Plus,
+                    // Cycle 0 hits even buckets (proc 0), cycle 1 odd.
+                    bucket: (2 * (i % 4) + cycle) % 8,
+                    parent: None,
+                    kind: ActKind::TwoInput,
+                });
+            }
+            t.cycles.push(TraceCycle { activations: acts });
+        }
+        t
+    }
+
+    #[test]
+    fn greedy_improvement_factor_on_adversarial_trace() {
+        let t = skewed_trace();
+        let rr = Partition::round_robin(8, 2);
+        let f = greedy_improvement_bound(&t, &rr);
+        assert!((f - 2.0).abs() < 1e-9, "12/6 per cycle → ×2, got {f}");
+    }
+
+    #[test]
+    fn greedy_never_worse_than_fixed() {
+        let t = skewed_trace();
+        for procs in [1usize, 2, 4] {
+            let rr = Partition::round_robin(8, procs);
+            assert!(greedy_improvement_bound(&t, &rr) >= 1.0 - 1e-9);
+        }
     }
 }

@@ -18,9 +18,7 @@
 //! bucket [`partition`] strategies (round-robin / random / offline greedy),
 //! processor/overhead [`sweep`] helpers for the figures, the §6
 //! [`continuum`] endpoints (replicated and single-master hash tables), and
-//! a message-based [`termination`] detector (Safra's algorithm) — the
-//! piece the paper explicitly deferred to future work — and the
-//! [`profile`] renderer that turns a merged match-kernel
+//! the [`profile`] renderer that turns a merged match-kernel
 //! [`mpps_telemetry::MetricsRegistry`] into `match_profile.json`.
 
 pub mod continuum;
@@ -30,7 +28,6 @@ pub mod profile;
 pub mod sharedbus;
 pub mod simexec;
 pub mod sweep;
-pub mod termination;
 pub mod threaded;
 
 pub use cost::{CostModel, OverheadSetting, NECTAR_LATENCY};

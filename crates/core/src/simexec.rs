@@ -63,10 +63,10 @@ pub enum RootDistribution {
 ///
 /// The paper's simulator is omniscient ("we do not simulate termination
 /// detection"); a real implementation must pay for it every cycle. The
-/// ring model below prices a Safra-style probe (see
-/// [`crate::termination`]): after the last activation drains, a token
-/// circles the match processors twice, each hop costing a send overhead,
-/// the network latency, and a receive overhead.
+/// ring model below prices a Safra-style probe (Dijkstra, EWD 998): after
+/// the last activation drains, a token circles the match processors twice,
+/// each hop costing a send overhead, the network latency, and a receive
+/// overhead.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TerminationModel {
     /// Omniscient cycle boundary (the paper's assumption).

@@ -27,9 +27,9 @@
 //! cascade has drained. We use an atomic outstanding-work counter with the
 //! Dijkstra-style invariant *increment before send, decrement after
 //! processing*, which makes zero a stable state that can only be observed
-//! when no work exists anywhere. A fully message-based detector (Safra's
-//! algorithm) is provided in [`crate::termination`] and demonstrated on
-//! the simulated machine.
+//! when no work exists anywhere. A fully message-based detector would be
+//! Safra's algorithm (Dijkstra, EWD 998); the simulator prices one as
+//! [`crate::simexec::TerminationModel::RingToken`].
 //!
 //! **Failure model.** A worker thread that panics can never decrement the
 //! counter, so quiescence would never be observed; the coordinator

@@ -46,7 +46,7 @@ use std::fmt;
 use std::str::FromStr;
 
 pub use gen::{generate_case, FuzzCase, GenConfig, Schedule, ScheduleOp};
-pub use oracle::{replay, run_case, Divergence};
+pub use oracle::{replay, run_case, Divergence, MAX_STEPS_PER_ROUND, MAX_TOTAL_CYCLES};
 pub use repro::{load_repro, render_ops, render_sched, write_repro};
 pub use shrink::shrink_case;
 

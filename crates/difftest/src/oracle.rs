@@ -22,9 +22,9 @@ use std::fmt;
 
 /// Fire at most this many cycles after each schedule round (generated
 /// programs can loop; the bound keeps the oracle total).
-const MAX_STEPS_PER_ROUND: usize = 8;
+pub const MAX_STEPS_PER_ROUND: usize = 8;
 /// Hard cap on cycles across the whole case.
-const MAX_TOTAL_CYCLES: usize = 64;
+pub const MAX_TOTAL_CYCLES: usize = 64;
 
 /// A detected disagreement between a matcher and the naive reference.
 #[derive(Clone, Debug)]

@@ -6,15 +6,14 @@
 //! workloads, and must drain its token arena completely once every WME is
 //! retracted (the arena-token invariant).
 
-use mpps_difftest::{generate_case, FuzzCase, GenConfig, ScheduleOp};
+// The oracle's cycle bounds keep generated loops finite.
+use mpps_difftest::{
+    generate_case, FuzzCase, GenConfig, ScheduleOp, MAX_STEPS_PER_ROUND, MAX_TOTAL_CYCLES,
+};
 use mpps_ops::interpreter::StepOutcome;
 use mpps_ops::{Interpreter, Matcher, Program, WmeId};
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
 use proptest::prelude::*;
-
-/// Mirror the oracle's cycle bounds so generated loops stay finite.
-const MAX_STEPS_PER_ROUND: usize = 8;
-const MAX_TOTAL_CYCLES: usize = 64;
 
 /// Build a random transform plan for `program`, consuming `decisions` as a
 /// replayable coin stream: each production is independently unshared,

@@ -91,22 +91,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Pop every event scheduled at exactly `time`, in insertion order.
-    ///
-    /// Handy for cycle-synchronous simulators: all deliveries at a cycle
-    /// boundary drain as one batch. Events later than `time` stay queued;
-    /// an event *earlier* than `time` also stays (the caller has not
-    /// reached it yet).
-    pub fn drain_at(&mut self, time: SimTime) -> impl Iterator<Item = E> + '_ {
-        std::iter::from_fn(move || {
-            if self.peek_time() == Some(time) {
-                self.pop().map(|(_, e)| e)
-            } else {
-                None
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -145,21 +129,6 @@ mod tests {
         q.push(SimTime::from_us(5), "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
-    }
-
-    #[test]
-    fn drain_at_takes_exactly_one_instant() {
-        let mut q = EventQueue::with_capacity(8);
-        let t = SimTime::from_us(4);
-        q.push(t, "x");
-        q.push(SimTime::from_us(7), "later");
-        q.push(t, "y");
-        let batch: Vec<&str> = q.drain_at(t).collect();
-        assert_eq!(batch, ["x", "y"]);
-        assert_eq!(q.len(), 1);
-        // Nothing at an instant before the earliest event: empty drain.
-        assert_eq!(q.drain_at(SimTime::from_us(5)).count(), 0);
-        assert_eq!(q.pop().unwrap().1, "later");
     }
 
     #[test]

@@ -434,17 +434,6 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
             },
         }
     }
-
-    /// Reset clocks and metrics but keep node state (phase boundaries).
-    pub fn reset_clocks(&mut self) {
-        assert!(
-            self.queue.is_empty() && self.pending.iter().all(VecDeque::is_empty),
-            "cannot reset with work in flight"
-        );
-        self.free_at.fill(SimTime::ZERO);
-        self.proc_metrics = vec![ProcessorMetrics::default(); self.cfg.processors];
-        self.usage = NetworkUsage::default();
-    }
 }
 
 #[cfg(test)]
@@ -646,23 +635,6 @@ mod tests {
         let report = sim.run_injected();
         assert_eq!(sim.node(1).count, 1);
         assert_eq!(report.makespan, SimTime::from_us(13));
-    }
-
-    #[test]
-    fn reset_clocks_between_phases() {
-        struct Echo;
-        impl Node for Echo {
-            type Msg = ();
-            fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, _f: ProcId, _m: ()) {
-                ctx.compute(SimTime::from_us(5));
-            }
-        }
-        let mut sim = Simulator::new(MachineConfig::ideal(1), vec![Echo]);
-        sim.inject(SimTime::ZERO, 0, ());
-        assert_eq!(sim.run_injected().makespan, SimTime::from_us(5));
-        sim.reset_clocks();
-        sim.inject(SimTime::ZERO, 0, ());
-        assert_eq!(sim.run_injected().makespan, SimTime::from_us(5));
     }
 
     #[test]

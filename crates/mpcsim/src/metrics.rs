@@ -41,59 +41,11 @@ impl MachineMetrics {
     pub fn network_idle_fraction(&self, makespan: SimTime) -> f64 {
         idle_fraction(self.network_busy, makespan)
     }
-
-    /// Mean processor utilization over `[0, makespan)`.
-    pub fn mean_utilization(&self, makespan: SimTime) -> f64 {
-        if makespan == SimTime::ZERO || self.processors.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.processors.iter().map(|p| p.busy_time.as_ns()).sum();
-        total as f64 / (makespan.as_ns() as f64 * self.processors.len() as f64)
-    }
-
-    /// Mean idle time per processor — §5.2.2 observes this grows with the
-    /// processor count under uneven token distributions.
-    pub fn mean_idle(&self, makespan: SimTime) -> SimTime {
-        if self.processors.is_empty() {
-            return SimTime::ZERO;
-        }
-        let total_idle: u64 = self
-            .processors
-            .iter()
-            .map(|p| makespan.saturating_sub(p.busy_time).as_ns())
-            .sum();
-        SimTime::from_ns(total_idle / self.processors.len() as u64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn metrics(busy_us: &[u64]) -> MachineMetrics {
-        MachineMetrics {
-            processors: busy_us
-                .iter()
-                .map(|&b| ProcessorMetrics {
-                    busy_time: SimTime::from_us(b),
-                    ..Default::default()
-                })
-                .collect(),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn mean_utilization_is_busy_over_span() {
-        let m = metrics(&[10, 0]);
-        assert!((m.mean_utilization(SimTime::from_us(10)) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_idle_averages_gaps() {
-        let m = metrics(&[10, 4]);
-        assert_eq!(m.mean_idle(SimTime::from_us(10)), SimTime::from_us(3));
-    }
 
     #[test]
     fn idle_fraction_is_canonical() {
@@ -106,14 +58,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(m.network_idle_fraction(SimTime::from_us(100)), f);
-    }
-
-    #[test]
-    fn degenerate_cases() {
-        let m = metrics(&[]);
-        assert_eq!(m.mean_utilization(SimTime::from_us(10)), 0.0);
-        assert_eq!(m.mean_idle(SimTime::from_us(10)), SimTime::ZERO);
-        let m2 = metrics(&[5]);
-        assert_eq!(m2.mean_utilization(SimTime::ZERO), 0.0);
     }
 }

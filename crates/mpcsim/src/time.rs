@@ -28,13 +28,6 @@ impl SimTime {
         SimTime(us * 1_000)
     }
 
-    /// From fractional microseconds (e.g. the 0.5 µs Nectar latency).
-    /// Rounds to the nearest nanosecond.
-    pub fn from_us_f64(us: f64) -> Self {
-        assert!(us >= 0.0 && us.is_finite(), "time must be non-negative");
-        SimTime((us * 1_000.0).round() as u64)
-    }
-
     /// Whole nanoseconds.
     pub const fn as_ns(self) -> u64 {
         self.0
@@ -119,8 +112,6 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimTime::from_us(3), SimTime::from_ns(3_000));
-        assert_eq!(SimTime::from_us_f64(0.5), SimTime::from_ns(500));
-        assert_eq!(SimTime::from_us_f64(0.0), SimTime::ZERO);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! activation traces, and the property-test suites replay them into
 //! different matchers to prove equivalence.
 
-use crate::conflict::{compare, select, Strategy};
+use crate::conflict::{select, Strategy};
 use crate::error::OpsError;
 use crate::matcher::{Instantiation, Matcher, WmeChange};
 use crate::naive::NaiveMatcher;
@@ -500,87 +500,6 @@ impl<M: Matcher> Interpreter<M> {
         Ok(())
     }
 
-    /// Execute one *parallel* MRA cycle: fire **every** refraction-new
-    /// instantiation whose deletions do not overlap another selected
-    /// instantiation's working-memory elements — the "more explicit
-    /// expression of parallelism" direction the paper points at (Ishida &
-    /// Stolfo; Soar). Selection is greedy in conflict-resolution order, so
-    /// the serial winner always fires. Instantiations are checked for
-    /// *delete/delete and delete/match conflicts* only: two selected
-    /// instantiations may not remove or modify a WME the other matched.
-    /// (Interference through `make` + negation is not detected — the usual
-    /// caveat of compatible-set parallel firing.)
-    pub fn step_parallel(&mut self) -> Result<Vec<FiredRecord>, OpsError> {
-        self.cycle += 1;
-        let batch = self.take_batch();
-        self.change_log.push(batch);
-        self.matcher
-            .try_process(self.change_log.last().expect("batch just pushed"))?;
-
-        let conflict_set = self.matcher.conflict_set();
-        // Conflict-resolution order, serial winner first. `compare` is a
-        // total order, so one sort equals repeated winner extraction.
-        let mut ordered: Vec<&Instantiation> = conflict_set
-            .iter()
-            .filter(|i| !self.fired_keys.contains(i))
-            .collect();
-        ordered.sort_by(|a, b| compare(&self.program, self.strategy, b, a));
-        // Greedy compatible set: an instantiation joins if the WMEs it
-        // deletes/modifies are untouched and unmatched by those selected
-        // before it, and nothing it matched is deleted by them.
-        let mut deleted: HashSet<WmeId> = HashSet::new();
-        let mut matched: HashSet<WmeId> = HashSet::new();
-        let mut selected: Vec<&Instantiation> = Vec::new();
-        for inst in ordered {
-            let production = self.program.get(inst.production());
-            let mut my_deletes: HashSet<WmeId> = HashSet::new();
-            for a in &production.rhs {
-                match a {
-                    Action::Remove(k) => {
-                        my_deletes.insert(inst.wme_ids()[*k - 1]);
-                    }
-                    Action::Modify { ce, .. } => {
-                        my_deletes.insert(inst.wme_ids()[*ce - 1]);
-                    }
-                    _ => {}
-                }
-            }
-            let compatible = my_deletes
-                .iter()
-                .all(|id| !deleted.contains(id) && !matched.contains(id))
-                && inst.wme_ids().iter().all(|id| !deleted.contains(id));
-            if compatible {
-                deleted.extend(my_deletes);
-                matched.extend(inst.wme_ids().iter().copied());
-                selected.push(inst);
-            }
-        }
-        selected.into_iter().map(|inst| self.fire(inst)).collect()
-    }
-
-    /// Run in parallel-firing mode until quiescence, halt, or `max_cycles`.
-    pub fn run_parallel(&mut self, max_cycles: usize) -> Result<RunResult, OpsError> {
-        let start_fired = self.fired.len();
-        let start_cycle = self.cycle;
-        let mut outcome = RunOutcome::CycleLimit;
-        while self.cycle - start_cycle < max_cycles {
-            let fired = self.step_parallel()?;
-            if fired.is_empty() {
-                outcome = RunOutcome::Quiescent;
-                break;
-            }
-            if self.halted {
-                outcome = RunOutcome::Halted;
-                break;
-            }
-        }
-        Ok(RunResult {
-            cycles: self.cycle - start_cycle,
-            fired: self.fired[start_fired..].to_vec(),
-            outcome,
-        })
-    }
-
     /// Run until quiescence, halt, or `max_cycles`.
     ///
     /// A halted interpreter stays halted: calling `run` again (as a
@@ -1017,85 +936,6 @@ mod bind_tests {
         let p = prog.get(crate::ProductionId(0));
         let again = crate::parse_production(&p.to_string()).unwrap();
         assert_eq!(p, &again);
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::parser::parse_program;
-
-    #[test]
-    fn independent_instantiations_fire_together() {
-        // Ten independent items: serial mode needs ten act cycles,
-        // parallel mode retires them all in one.
-        let prog = parse_program("(p consume (item ^id <i>) --> (remove 1))").unwrap();
-        let mut serial = Interpreter::new(prog.clone(), Strategy::Lex);
-        let mut parallel = Interpreter::new(prog, Strategy::Lex);
-        for i in 0..10 {
-            serial.wm_make("item", &[("id", i.into())]);
-            parallel.wm_make("item", &[("id", i.into())]);
-        }
-        let rs = serial.run(100).unwrap();
-        let rp = parallel.run_parallel(100).unwrap();
-        assert_eq!(rs.fired.len(), 10);
-        assert_eq!(rp.fired.len(), 10);
-        assert!(
-            rp.cycles < rs.cycles,
-            "parallel {} vs serial {}",
-            rp.cycles,
-            rs.cycles
-        );
-        assert_eq!(rp.fired.iter().filter(|f| f.cycle == 1).count(), 10);
-        assert_eq!(parallel.working_memory().len(), 0);
-    }
-
-    #[test]
-    fn conflicting_deletes_serialize() {
-        // Two rules both want to remove the same token WME: only one may
-        // fire per parallel cycle.
-        let prog = parse_program(
-            r#"
-            (p left  (token ^id <t>) (mark ^side l) --> (remove 1))
-            (p right (token ^id <t>) (mark ^side r) --> (remove 1))
-            "#,
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(prog, Strategy::Lex);
-        interp.wm_make("token", &[("id", 1.into())]);
-        interp.wm_make("mark", &[("side", "l".into())]);
-        interp.wm_make("mark", &[("side", "r".into())]);
-        let fired = interp.step_parallel().unwrap();
-        assert_eq!(fired.len(), 1, "delete/delete conflict must serialize");
-    }
-
-    #[test]
-    fn matched_wme_protected_from_parallel_deletion() {
-        // One rule deletes the flag; another matches it without deleting.
-        // They must not fire together (the reader would see a retracted
-        // premise).
-        let prog = parse_program(
-            r#"
-            (p deleter (flag ^on yes) --> (remove 1))
-            (p reader  (flag ^on yes) (data ^v <v>) --> (remove 2) (write saw <v>))
-            "#,
-        )
-        .unwrap();
-        let mut interp = Interpreter::new(prog, Strategy::Lex);
-        interp.wm_make("flag", &[("on", "yes".into())]);
-        interp.wm_make("data", &[("v", 5.into())]);
-        let fired = interp.step_parallel().unwrap();
-        assert_eq!(fired.len(), 1, "reader and deleter conflict on the flag");
-    }
-
-    #[test]
-    fn parallel_quiesces_like_serial() {
-        let prog = parse_program("(p consume (item) --> (remove 1))").unwrap();
-        let mut interp = Interpreter::new(prog, Strategy::Lex);
-        interp.wm_make("item", &[]);
-        let r = interp.run_parallel(50).unwrap();
-        assert_eq!(r.outcome, RunOutcome::Quiescent);
-        assert_eq!(r.fired.len(), 1);
     }
 }
 

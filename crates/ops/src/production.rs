@@ -280,17 +280,6 @@ impl Production {
     pub fn specificity(&self) -> usize {
         self.lhs.iter().map(|c| c.test_count()).sum()
     }
-
-    /// Indices (into `lhs`) of the non-negated CEs, in order. The `k`-th
-    /// entry is what `(remove k+1)` refers to.
-    pub fn positive_ce_indices(&self) -> Vec<usize> {
-        self.lhs
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.negated)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 impl fmt::Display for Production {
@@ -605,19 +594,5 @@ mod tests {
         };
         // (class + 1 test) + (class) = 3
         assert_eq!(p.specificity(), 3);
-    }
-
-    #[test]
-    fn positive_ce_indices_skip_negated() {
-        let p = Production {
-            name: intern("idx"),
-            lhs: vec![
-                ConditionElement::positive("a", vec![]),
-                ConditionElement::negative("b", vec![]),
-                ConditionElement::positive("c", vec![]),
-            ],
-            rhs: vec![],
-        };
-        assert_eq!(p.positive_ce_indices(), vec![0, 2]);
     }
 }

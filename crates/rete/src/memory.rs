@@ -96,16 +96,6 @@ impl GlobalMemories {
     pub fn right_len(&self) -> usize {
         self.right.iter().map(Vec::len).sum()
     }
-
-    /// Per-bucket occupancy of the left table (for distribution analysis).
-    pub fn left_occupancy(&self) -> Vec<usize> {
-        self.left.iter().map(Vec::len).collect()
-    }
-
-    /// Per-bucket occupancy of the right table.
-    pub fn right_occupancy(&self) -> Vec<usize> {
-        self.right.iter().map(Vec::len).collect()
-    }
 }
 
 impl TokenStore for GlobalMemories {
@@ -246,14 +236,6 @@ mod tests {
         let pos = b.iter().position(|e| e.wme_id == WmeId(10)).unwrap();
         b.swap_remove(pos);
         assert_eq!(m.right_len(), 1);
-    }
-
-    #[test]
-    fn occupancy_reports_per_bucket() {
-        let mut m = GlobalMemories::new(3);
-        m.left_bucket_mut(1).push(le(1, 0, 0));
-        assert_eq!(m.left_occupancy(), vec![0, 1, 0]);
-        assert_eq!(m.right_occupancy(), vec![0, 0, 0]);
     }
 
     #[test]

@@ -239,7 +239,8 @@ pub struct ScriptReport {
 /// destroy <name>              destroy the session
 /// ```
 ///
-/// Every command waits for its reply before the next line runs, so
+/// `session` and `restore` refuse a name that is in use; `destroy` frees
+/// it. Every command waits for its reply before the next line runs, so
 /// output is deterministic — the CLI smoke tests diff it.
 pub fn run_script(
     program: Program,
@@ -270,6 +271,13 @@ pub fn run_script(
                 .copied()
                 .ok_or_else(|| bad(format!("unknown session `{n}`")))
         };
+        // Rebinding a live name would orphan its session: still resident,
+        // no longer reachable from the script.
+        if matches!(cmd, "session" | "restore") && names.contains_key(&name) {
+            return Err(bad(format!(
+                "session `{name}` already exists; destroy it first"
+            )));
+        }
         match cmd {
             "session" => {
                 let (id, request) = server.create_session(Vec::new())?;

@@ -190,6 +190,33 @@ fn script_driver_round_trips_a_session() {
     assert!(report.log[7].contains("ok"));
 }
 
+/// A second `session a`, or a `restore a …`, while `a` is live is a
+/// line-numbered script error, not a silent rebind that orphans the first
+/// session; after `destroy a` the name is free again.
+#[test]
+fn script_refuses_to_rebind_a_live_session_name() {
+    for (script, line) in [
+        ("session a\nmake a (stats ^done 0)\nsession a\n", 3),
+        ("session a\nsnapshot a\nrestore a a\n", 3),
+    ] {
+        match run_script(serve::program(), script, config(2)) {
+            Err(ServerError::Script(msg)) => {
+                assert!(msg.starts_with(&format!("line {line}: ")), "{msg}");
+                assert!(msg.contains("`a` already exists"), "{msg}");
+            }
+            other => panic!("expected a script error, got {other:?}"),
+        }
+    }
+    let script = "session a\nsnapshot a\ndestroy a\nrestore a a\nsession b\n";
+    let report = run_script(serve::program(), script, config(2)).unwrap();
+    assert_eq!(report.log.len(), 5);
+    assert!(
+        report.log[3].starts_with("restore a = "),
+        "{:?}",
+        report.log
+    );
+}
+
 /// A Create whose initial working memory makes a rule fail (here: a
 /// `call` to a function nobody registered) never materializes: the reply
 /// is `Failed`, `serve.sessions_created` does not count it, and the

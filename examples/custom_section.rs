@@ -7,10 +7,11 @@
 //! cargo run --release --example custom_section
 //! ```
 
-use mpps::analysis::{find_dips, greedy_improvement_bound, monotonic_envelope};
 use mpps::core::sweep::{speedup_curve, PartitionStrategy};
 use mpps::core::{OverheadSetting, Partition};
 use mpps::workloads::synth::{custom, SectionParams};
+use mpps_bench::experiments::greedy_improvement_bound;
+use mpps_bench::report::find_dips;
 
 fn main() {
     // A section with a §5.2.1-style hot generator and a restricted
@@ -36,9 +37,13 @@ fn main() {
         PartitionStrategy::RoundRobin,
     );
     let points: Vec<(usize, f64)> = curve.iter().map(|p| (p.processors, p.speedup)).collect();
+    // The envelope is the running maximum: what a per-P-tuned bucket
+    // distribution would trace.
     println!("\nP      speedup   envelope");
-    for (measured, envelope) in points.iter().zip(monotonic_envelope(&points)) {
-        println!("{:<6} {:<9.2} {:.2}", measured.0, measured.1, envelope.1);
+    let mut envelope = 0.0_f64;
+    for &(procs, speedup) in &points {
+        envelope = envelope.max(speedup);
+        println!("{procs:<6} {speedup:<9.2} {envelope:.2}");
     }
 
     let dips = find_dips(&points, 0.01);

@@ -6,10 +6,10 @@
 //! cargo run --release --example trace_simulation
 //! ```
 
-use mpps::analysis::render_table;
 use mpps::core::sweep::{baseline, speedup_curve, PartitionStrategy};
 use mpps::core::OverheadSetting;
 use mpps::workloads::rubik;
+use mpps_bench::report::render_table;
 
 fn main() {
     // 1. Run eight cube moves under the MRA interpreter, recording the

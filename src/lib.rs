@@ -21,8 +21,6 @@
 //!   recorders, exact histograms, Chrome-trace and JSONL export.
 //! * [`workloads`] — Rubik / Tourney / Weaver style rulesets and synthetic
 //!   trace generators reproducing the paper's characteristic sections.
-//! * [`analysis`] — the probabilistic active-bucket model, greedy bucket
-//!   scheduling, and speedup/report utilities.
 //! * [`difftest`] — the differential match-fuzzing harness behind
 //!   `mpps fuzz`: random program/schedule generation, a four-matcher
 //!   oracle with the naive matcher as ground truth, and delta-debug
@@ -34,7 +32,6 @@
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench`
 //! for the harness that regenerates every table and figure of the paper.
 
-pub use mpps_analysis as analysis;
 pub use mpps_core as core;
 pub use mpps_difftest as difftest;
 pub use mpps_mpcsim as mpcsim;

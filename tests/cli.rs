@@ -246,6 +246,30 @@ fn simulate_trace_out_keeps_stdout_identical_and_writes_perfetto_trace() {
 }
 
 #[test]
+fn simulate_rejects_out_of_range_bucket_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("mpps-cli-badbucket-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("bad.trace");
+    std::fs::write(
+        &trace_path,
+        "mpps-trace v1 table_size=64\ncycle\nJ n1 R + b99999 .\n",
+    )
+    .unwrap();
+    let out = mpps()
+        .args(["simulate", trace_path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 3: bucket 99999 out of range for table_size=64"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn simulate_format_json_emits_parseable_summary() {
     let (dir, trace_path) = make_trace("json");
     let out = mpps()

@@ -1,7 +1,7 @@
 //! Conflict-resolution order, in both senses of the word.
 //!
 //! * `resolve` and `select` pick the winner by maximizing `compare`, and
-//!   `step_parallel` sorts whole candidate lists with it — all only
+//!   any caller may sort whole candidate lists with it — all only
 //!   well-defined when `compare` is a total order. The first property
 //!   tests pin that contract for LEX and MEA: antisymmetry, transitivity,
 //!   and `Equal` exactly on identical `(production, wme_ids)` keys.
@@ -207,8 +207,8 @@ proptest! {
         }
     }
 
-    /// `step_parallel` orders its candidates with one descending sort;
-    /// that equals extracting the `resolve` winner until none is left.
+    /// One descending sort by `compare` equals extracting the `resolve`
+    /// winner until none is left.
     #[test]
     fn one_sort_equals_repeated_max_extraction(set in arb_conflict_set()) {
         let prog = order_program();

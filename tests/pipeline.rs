@@ -4,6 +4,7 @@
 
 use mpps::core::sweep::{baseline, speedup_curve, PartitionStrategy};
 use mpps::core::{simulate, MappingConfig, OverheadSetting, Partition, ThreadedMatcher};
+use mpps::ops::interpreter::StepOutcome;
 use mpps::ops::{Interpreter, Matcher, NaiveMatcher, Strategy};
 use mpps::rete::{ReteMatcher, Trace};
 use mpps::workloads::{rubik, tourney, weaver};
@@ -189,10 +190,29 @@ fn unshared_network_reduces_sharing_but_preserves_firings() {
         40,
     );
 }
+/// Step `interp` to quiescence and return the conflict-set size the
+/// matcher reports after each step, and the number of firings.
+fn conflict_set_sizes<M: Matcher>(interp: &mut Interpreter<M>) -> (Vec<usize>, usize) {
+    let mut sizes = Vec::new();
+    let mut fired = 0;
+    loop {
+        let outcome = interp.step().unwrap();
+        sizes.push(interp.matcher().conflict_set().len());
+        match outcome {
+            StepOutcome::Fired(_) => fired += 1,
+            StepOutcome::Quiescent => return (sizes, fired),
+        }
+    }
+}
+
+/// Ten independent grid cells retire one per cycle: the conflict set
+/// reads 10, 9, …, 0 across the steps and 10 firings happen. These are
+/// the only co-resident, non-interfering instantiations an exact
+/// parallel-firing rule could batch — and on the paper's programs no
+/// cycle has more than one (the measurement that retired parallel
+/// firing).
 #[test]
 fn parallel_firing_on_independent_workloads() {
-    // Ten independent grid cells to consume: run_parallel retires them in
-    // one act phase where serial needs ten.
     use mpps::ops::parse_program;
     let prog =
         parse_program("(p take (cell ^state free ^x <x> ^y <y>) --> (modify 1 ^state used))")
@@ -208,30 +228,28 @@ fn parallel_firing_on_independent_workloads() {
             &[("state", "free".into()), ("x", i.into()), ("y", 0.into())],
         ));
     }
-    let r = interp.run_parallel(50).unwrap();
-    assert_eq!(r.fired.len(), 10);
-    assert!(r.fired.iter().all(|f| f.cycle == 1), "all fire in cycle 1");
+    let (sizes, fired) = conflict_set_sizes(&mut interp);
+    assert_eq!(sizes, (0..=10).rev().collect::<Vec<usize>>());
+    assert_eq!(fired, 10);
 }
 
+/// Serial Tourney 3×3 fires exactly 3 pairings: each firing's `busy`
+/// WMEs block, through a negated CE, the pairings that share a team, so
+/// the conflict set reads 9 → 4 → 1 → 0. Co-firing all 9 pairings in one
+/// cycle, as a deletion-only compatibility rule admits (`make` +
+/// negation interference goes unseen), reaches a state no serial run
+/// reaches.
 #[test]
 fn parallel_firing_negation_interference_is_documented_behaviour() {
-    // pair-teams only makes WMEs, so the compatible-set criterion admits
-    // every pairing at once even though each firing's `busy` WMEs would
-    // have blocked later ones serially. This is the known caveat of
-    // compatible-set parallel firing (make + negation interference); the
-    // test pins the documented behaviour.
     let program = tourney::program();
     let matcher = ReteMatcher::from_program(&program).unwrap();
     let mut interp = Interpreter::with_matcher(program, Strategy::Lex, matcher);
     for w in tourney::initial(3, 3) {
         interp.add_wme(w);
     }
-    let fired = interp.step_parallel().unwrap();
-    assert_eq!(
-        fired.len(),
-        9,
-        "all 9 pairings admitted in one parallel cycle"
-    );
+    let (sizes, fired) = conflict_set_sizes(&mut interp);
+    assert_eq!(sizes, vec![9, 4, 1, 0]);
+    assert_eq!(fired, 3, "one pairing per cycle, 3 in all");
 }
 
 #[test]
