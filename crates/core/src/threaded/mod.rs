@@ -7,13 +7,16 @@
 //! [`mpps_rete::kernel`], so a token is processed by exactly the processor
 //! that owns its destination bucket — the distributed hash table of §3.
 //!
-//! **Sharded two-global-hash-tables.** The two global tables (§3: one for
-//! all left memories, one for all right memories) are physically sharded:
-//! each worker materializes only the bucket pairs its partition owns, as a
-//! [`ShardedMemories`] indexed through a process-wide slot map. Workers
-//! keep private [`mpps_rete::TokenArena`]s; a token crossing a shard
-//! boundary travels as a self-contained [`FlatToken`] and is re-interned
-//! by the receiving arena.
+//! **Nothing shared but channels.** As on the paper's machine (§3.2),
+//! every node has only its own memory. Each worker matches over a
+//! full-size [`mpps_rete::GlobalMemories`] of its own, the sequential
+//! engine's type, and touches only the buckets it owns, so the union of
+//! the owned buckets is exactly the two global tables of §3. Workers keep
+//! private [`mpps_rete::TokenArena`]s; a token crossing to another worker
+//! travels as a self-contained [`FlatToken`] and is re-interned by the
+//! receiving arena. A worker's only output is messages: the coordinator
+//! owns the conflict set, every [`WorkerStats`] total and the cycle's
+//! in-flight count.
 //!
 //! **Bucket ownership.** Ownership is an arbitrary [`Partition`] (round
 //! robin, seeded random, or the §5.2.2 offline greedy), shared verbatim
@@ -24,15 +27,19 @@
 //! **Termination detection.** The paper explicitly deferred this ("we do
 //! not simulate termination detection … the subject of future work"). A
 //! real executor cannot: the coordinator must know when a cycle's token
-//! cascade has drained. We use an atomic outstanding-work counter with the
-//! Dijkstra-style invariant *increment before send, decrement after
-//! processing*, which makes zero a stable state that can only be observed
-//! when no work exists anywhere. A fully message-based detector would be
+//! cascade has drained. After draining a batch, a worker sends the
+//! coordinator one `Drained` report: the drain's instantiations, its
+//! statistics deltas, and the number of peer batches it is about to send.
+//! The coordinator's in-flight count starts at the number of root batches;
+//! each report does −1 + its batch count, and the cycle is over at zero.
+//! The report is sent *before* the batches it counts, and all replies share
+//! one channel, so a peer's report can never overtake the report that
+//! announced its batch. A detector without a central counter would be
 //! Safra's algorithm (Dijkstra, EWD 998); the simulator prices one as
 //! [`crate::simexec::TerminationModel::RingToken`].
 //!
-//! **Failure model.** A worker thread that panics can never decrement the
-//! counter, so quiescence would never be observed; the coordinator
+//! **Failure model.** A worker thread that panics never sends its report,
+//! so the in-flight count would never reach zero; the coordinator
 //! therefore waits with a timeout and polls its [`JoinHandle`]s, turning a
 //! dead worker into a typed [`MatchError::WorkerPanicked`] from
 //! [`Matcher::try_process`] within bounded time (the blanket
@@ -55,12 +62,11 @@ use mpps_ops::{
     WmeChange, WmeId,
 };
 use mpps_rete::kernel::{self, RootWork};
-use mpps_rete::{FlatToken, NodeId, ReteNetwork, ShardedMemories};
+use mpps_rete::{FlatToken, NodeId, ReteNetwork};
 use mpps_telemetry::recorder::THREADED_PID;
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics, Recorder, TraceRecorder, Track};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -109,7 +115,7 @@ enum WireWork {
     },
 }
 
-/// A stored memory entry crossing a shard boundary during a barrier-time
+/// A stored memory entry moving to another worker during a barrier-time
 /// bucket migration. Left tokens travel flat (self-contained value chain)
 /// and are re-interned by the adopting worker's arena; the stored
 /// `neg_count` moves verbatim because the right bucket it was derived from
@@ -130,20 +136,18 @@ enum MigratedEntry {
 }
 
 enum ToWorker {
+    /// Root activations from the coordinator or forwarded left tokens from
+    /// a peer: drained to completion, then reported.
     Work(Vec<WireWork>),
     /// Ask the worker to export its metrics registry (between cycles).
     Report,
-    /// Rebind bucket ownership (between cycles): swap in the new partition
-    /// and shard layout, keep still-owned buckets in place, and export the
-    /// lost buckets' entries to the coordinator for rerouting.
-    Migrate {
-        partition: Arc<Partition>,
-        slot_of: Arc<Vec<u32>>,
-        shard_len: usize,
-    },
-    /// Entries migrated from other workers' shards, to be interned into
-    /// this worker's (already rebuilt) shard. Channel FIFO guarantees this
-    /// lands after the worker's own `Migrate` and before any later `Work`.
+    /// Rebind bucket ownership (between cycles): swap in the new partition,
+    /// keep still-owned buckets in place, and export the lost buckets'
+    /// entries to the coordinator for rerouting.
+    Migrate(Arc<Partition>),
+    /// Entries migrated from other workers, to be interned into buckets
+    /// this worker now owns. Channel FIFO guarantees this lands after the
+    /// worker's own `Migrate` and before any later `Work`.
     Adopt(Vec<MigratedEntry>),
     Shutdown,
     /// Test-only: make the receiving worker panic on its *next* message,
@@ -155,15 +159,17 @@ enum ToWorker {
 }
 
 enum ToCoordinator {
-    Prod {
-        sign: Sign,
-        inst: Instantiation,
+    /// Everything one drained `Work` batch produced: its instantiations in
+    /// generation order and its [`WorkerStats`] deltas. `stats.messages_sent`
+    /// is the number of peer batches the worker sends right after this
+    /// report, so the coordinator's in-flight count does −1 + that.
+    Drained {
+        worker: usize,
+        prods: Vec<(Sign, Instantiation)>,
+        stats: WorkerStats,
     },
-    Quiescent,
     /// Reply to [`ToWorker::Report`]: the worker's exported metrics.
-    Metrics {
-        registry: Box<MetricsRegistry>,
-    },
+    Metrics { registry: Box<MetricsRegistry> },
     /// Reply to [`ToWorker::Migrate`]: entries this worker no longer owns,
     /// grouped by new owner. Routed through the coordinator — collecting
     /// every reply before dispatching `Adopt` batches is the barrier that
@@ -173,30 +179,8 @@ enum ToCoordinator {
     },
 }
 
-/// Monotonic per-worker activity counters, shared with the coordinator.
-#[derive(Debug, Default)]
-struct WorkerCounters {
-    /// Activations executed on this worker.
-    tokens_processed: AtomicU64,
-    /// Left tokens handed to *another* worker.
-    tokens_forwarded: AtomicU64,
-    /// Cross-thread `Work` messages actually sent (≤ tokens forwarded,
-    /// thanks to per-peer coalescing).
-    messages_sent: AtomicU64,
-    /// Instantiations reported to the coordinator.
-    instantiations_sent: AtomicU64,
-    /// Peak local work-queue depth observed.
-    max_queue_depth: AtomicU64,
-    /// Left-table entries examined by probes on this worker's shard.
-    left_probes: AtomicU64,
-    /// Right-table entries examined by probes on this worker's shard.
-    right_probes: AtomicU64,
-    /// Nanoseconds spent draining the local work queue (profiled runs
-    /// only; stays zero under `NullMetrics`).
-    work_ns: AtomicU64,
-}
-
-/// Snapshot of one worker's [`WorkerCounters`].
+/// One worker's activity: per drain in its report, summed per worker by
+/// the coordinator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Activations executed on this worker.
@@ -209,13 +193,39 @@ pub struct WorkerStats {
     pub instantiations_sent: u64,
     /// Peak local work-queue depth observed.
     pub max_queue_depth: u64,
-    /// Left-table entries examined by probes on this worker's shard.
+    /// Left-table entries examined by probes on this worker's buckets.
     pub left_probes: u64,
-    /// Right-table entries examined by probes on this worker's shard.
+    /// Right-table entries examined by probes on this worker's buckets.
     pub right_probes: u64,
     /// Nanoseconds spent draining the local work queue (zero unless the
     /// matcher was spawned profiled).
     pub work_ns: u64,
+}
+
+impl WorkerStats {
+    const ZERO: WorkerStats = WorkerStats {
+        tokens_processed: 0,
+        tokens_forwarded: 0,
+        messages_sent: 0,
+        instantiations_sent: 0,
+        max_queue_depth: 0,
+        left_probes: 0,
+        right_probes: 0,
+        work_ns: 0,
+    };
+
+    /// Fold one drain's report into the running totals: counts add, the
+    /// queue-depth peak takes the max.
+    fn absorb(&mut self, drain: &WorkerStats) {
+        self.tokens_processed += drain.tokens_processed;
+        self.tokens_forwarded += drain.tokens_forwarded;
+        self.messages_sent += drain.messages_sent;
+        self.instantiations_sent += drain.instantiations_sent;
+        self.max_queue_depth = self.max_queue_depth.max(drain.max_queue_depth);
+        self.left_probes += drain.left_probes;
+        self.right_probes += drain.right_probes;
+        self.work_ns += drain.work_ns;
+    }
 }
 
 /// Executor-wide activity snapshot (see [`ThreadedMatcher::stats`]).
@@ -234,9 +244,9 @@ pub struct ThreadedStats {
 pub struct MigrationStats {
     /// Buckets whose owner changed.
     pub moved_buckets: u64,
-    /// Left (beta-token) entries shipped between shards.
+    /// Left (beta-token) entries shipped between workers.
     pub moved_left: u64,
-    /// Right (WME) entries shipped between shards.
+    /// Right (WME) entries shipped between workers.
     pub moved_right: u64,
 }
 
@@ -247,10 +257,10 @@ pub struct ThreadedMatcher {
     table_size: u64,
     workers: Vec<Sender<ToWorker>>,
     from_workers: Receiver<ToCoordinator>,
-    outstanding: Arc<AtomicI64>,
     conflict: BTreeMap<Instantiation, i64>,
     handles: Vec<JoinHandle<()>>,
-    counters: Vec<Arc<WorkerCounters>>,
+    /// Per-worker totals, summed from the drain reports.
+    stats: Vec<WorkerStats>,
     cycles: u64,
     /// First worker observed dead; poisons every later cycle.
     failed: Option<usize>,
@@ -271,11 +281,8 @@ pub struct ThreadedMatcher {
 /// `barrier-wait` span filling the rest of the cycle's wall time, and the
 /// per-cycle phase series get their samples. Cycles sit end to end on a
 /// synthetic timeline starting at 0; returns where the next one starts.
-///
-/// A drain time a worker published late is credited to the *next* cycle
-/// (see [`Worker::run`]), so one cycle's `work_ns` can exceed its wall
-/// time: the drawn span is clamped to the cycle so that lanes never
-/// overlap, while the series and totals keep the exact values.
+/// Every drain of a cycle is reported inside it, so a worker's work never
+/// exceeds the wall time and the lanes never overlap.
 fn record_cycle(rec: &mut TraceRecorder, t: u64, wall_ns: u64, work_ns: &[u64]) -> u64 {
     for (w, &work) in work_ns.iter().enumerate() {
         let wait = wall_ns.saturating_sub(work);
@@ -284,7 +291,7 @@ fn record_cycle(rec: &mut TraceRecorder, t: u64, wall_ns: u64, work_ns: &[u64]) 
         rec.add(metric::WORKER_WORK_NS, w as u64, work);
         rec.add(metric::WORKER_WAIT_NS, w as u64, wait);
         let track = Track::match_worker(w);
-        let split = t + work.min(wall_ns);
+        let split = t + work;
         rec.span(track, "match-work", t, split);
         if wait > 0 {
             rec.span(track, "barrier-wait", split, t + wall_ns);
@@ -292,19 +299,6 @@ fn record_cycle(rec: &mut TraceRecorder, t: u64, wall_ns: u64, work_ns: &[u64]) 
     }
     rec.observe(kernel::metric::CYCLE_WALL_NS, wall_ns);
     t + wall_ns.max(1)
-}
-
-/// Dense shard layout under `partition`: each global bucket's local slot
-/// in its owner's shard, and every worker's shard length.
-fn shard_layout(partition: &Partition) -> (Arc<Vec<u32>>, Vec<usize>) {
-    let mut slot_of = vec![0u32; partition.table_size() as usize];
-    let mut shard_len = vec![0usize; partition.processors()];
-    for b in 0..partition.table_size() {
-        let w = partition.owner(b);
-        slot_of[b as usize] = shard_len[w] as u32;
-        shard_len[w] += 1;
-    }
-    (Arc::new(slot_of), shard_len)
 }
 
 impl ThreadedMatcher {
@@ -317,9 +311,8 @@ impl ThreadedMatcher {
     /// Spawn one match-processor thread per partition processor, with
     /// bucket ownership taken verbatim from `partition` — the same
     /// strategies (round robin / random / offline greedy) the simulator
-    /// sweeps in §5.2.2, on real threads. The partition also fixes the
-    /// physical shard layout: worker *w* materializes exactly the bucket
-    /// pairs it owns, densely packed through a shared slot map.
+    /// sweeps in §5.2.2, on real threads. Each worker holds a full-size
+    /// table pair and touches only the buckets the partition gives it.
     pub fn with_partition(network: ReteNetwork, partition: Partition) -> Self {
         Self::build(network, partition, false)
     }
@@ -345,31 +338,23 @@ impl ThreadedMatcher {
         let workers = partition.processors();
         let network = Arc::new(network);
         let partition = Arc::new(partition);
-        let (slot_of, shard_len) = shard_layout(&partition);
-        let outstanding = Arc::new(AtomicI64::new(0));
         let (to_coord, from_workers) = unbounded();
         let channels: Vec<(Sender<ToWorker>, Receiver<ToWorker>)> =
             (0..workers).map(|_| unbounded()).collect();
         let senders: Vec<Sender<ToWorker>> = channels.iter().map(|(s, _)| s.clone()).collect();
-        let counters: Vec<Arc<WorkerCounters>> = (0..workers)
-            .map(|_| Arc::new(WorkerCounters::default()))
-            .collect();
         let spawn_worker = |me: usize, rx: Receiver<ToWorker>| {
-            let mem = ShardedMemories::new(slot_of.clone(), shard_len[me]);
-            let common = (
+            let wiring = (
                 network.clone(),
                 partition.clone(),
                 senders.clone(),
                 to_coord.clone(),
-                outstanding.clone(),
-                counters[me].clone(),
             );
             // The worker's metric sink is a *type* (zero-cost when
             // disabled), so the flag picks which monomorphization to spawn.
             if profiled {
-                Worker::spawn(me, mem, MetricsRegistry::new(), table_size, rx, common)
+                Worker::spawn(me, MetricsRegistry::new(), rx, wiring)
             } else {
-                Worker::spawn(me, mem, NullMetrics, table_size, rx, common)
+                Worker::spawn(me, NullMetrics, rx, wiring)
             }
         };
         let handles = channels
@@ -388,10 +373,9 @@ impl ThreadedMatcher {
             table_size,
             workers: senders,
             from_workers,
-            outstanding,
             conflict: BTreeMap::new(),
             handles,
-            counters,
+            stats: vec![WorkerStats::ZERO; workers],
             cycles: 0,
             failed: None,
             profiled,
@@ -428,20 +412,7 @@ impl ThreadedMatcher {
     /// Snapshot of per-worker and coordinator activity since spawn.
     pub fn stats(&self) -> ThreadedStats {
         ThreadedStats {
-            per_worker: self
-                .counters
-                .iter()
-                .map(|c| WorkerStats {
-                    tokens_processed: c.tokens_processed.load(Ordering::Relaxed),
-                    tokens_forwarded: c.tokens_forwarded.load(Ordering::Relaxed),
-                    messages_sent: c.messages_sent.load(Ordering::Relaxed),
-                    instantiations_sent: c.instantiations_sent.load(Ordering::Relaxed),
-                    max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
-                    left_probes: c.left_probes.load(Ordering::Relaxed),
-                    right_probes: c.right_probes.load(Ordering::Relaxed),
-                    work_ns: c.work_ns.load(Ordering::Relaxed),
-                })
-                .collect(),
+            per_worker: self.stats.clone(),
             cycles: self.cycles,
             conflict_entries: self.conflict.values().filter(|&&count| count > 0).count(),
         }
@@ -451,8 +422,8 @@ impl ThreadedMatcher {
     /// counterpart of the simulated machine's per-processor tracks: one
     /// named lane per worker ([`Track::match_worker`]) carrying its final
     /// [`ThreadedStats`] counter values, the same values as cross-worker
-    /// `threaded.*` histograms (per-shard probe counts are the skew of the
-    /// sharded tables), and, on a profiled matcher, every cycle's
+    /// `threaded.*` histograms (per-worker probe counts are the skew of the
+    /// partitioned tables), and, on a profiled matcher, every cycle's
     /// `match-work` / `barrier-wait` spans and phase series.
     pub fn export_trace(&self) -> TraceRecorder {
         let mut rec = self.trace.clone();
@@ -499,16 +470,13 @@ impl ThreadedMatcher {
             }
         }
         let mut replies = 0;
-        self.wait_for_workers(|this, reply| match reply {
-            ToCoordinator::Metrics { registry } => {
-                merged.merge(&registry);
-                replies += 1;
-                replies == this.workers.len()
-            }
-            ToCoordinator::Migrated { .. } => {
-                unreachable!("migration replies are consumed by migrate_to")
-            }
-            _ => false,
+        self.wait_for_workers(|this, reply| {
+            let ToCoordinator::Metrics { registry } = reply else {
+                unreachable!("between cycles only the solicited replies arrive")
+            };
+            merged.merge(&registry);
+            replies += 1;
+            replies == this.workers.len()
         })?;
         Ok(merged)
     }
@@ -516,12 +484,11 @@ impl ThreadedMatcher {
     /// Re-own buckets according to `partition` at a cycle barrier.
     ///
     /// Must be called *between* cycles (the matcher is quiescent, so no
-    /// tokens are queued or buffered anywhere). Every worker rebuilds its
-    /// shard under the new layout: bucket pairs it keeps move in place
-    /// (same arena — token ids stay valid), pairs it loses are flattened
-    /// and routed — via the coordinator, whose collect-all acts as the
-    /// barrier — to their new owners, which re-intern them before any
-    /// later cycle's work (channel FIFO). Works on unprofiled matchers
+    /// tokens are queued or buffered anywhere). Bucket pairs a worker keeps
+    /// stay in place; pairs it loses are taken out, flattened and routed —
+    /// via the coordinator, whose collect-all acts as the barrier — to
+    /// their new owners, which re-intern them before any later cycle's
+    /// work (channel FIFO). Works on unprofiled matchers
     /// too; the partition must keep the same table size and worker count.
     pub fn migrate_to(&mut self, partition: Partition) -> Result<MigrationStats, MatchError> {
         assert_eq!(
@@ -537,26 +504,15 @@ impl ThreadedMatcher {
         if let Some(worker) = self.failed {
             return Err(MatchError::WorkerPanicked { worker });
         }
-        debug_assert_eq!(
-            self.outstanding.load(Ordering::SeqCst),
-            0,
-            "migration must run at a cycle barrier"
-        );
         let moved_buckets = (0..self.table_size)
             .filter(|&b| partition.owner(b) != self.partition.owner(b))
             .count() as u64;
         if moved_buckets == 0 {
             return Ok(MigrationStats::default());
         }
-        let (slot_of, shard_len) = shard_layout(&partition);
         let partition = Arc::new(partition);
         for (w, tx) in self.workers.iter().enumerate() {
-            let msg = ToWorker::Migrate {
-                partition: partition.clone(),
-                slot_of: slot_of.clone(),
-                shard_len: shard_len[w],
-            };
-            if tx.send(msg).is_err() {
+            if tx.send(ToWorker::Migrate(partition.clone())).is_err() {
                 self.failed = Some(w);
                 return Err(MatchError::WorkerPanicked { worker: w });
             }
@@ -565,21 +521,21 @@ impl ThreadedMatcher {
             (0..self.workers.len()).map(|_| Vec::new()).collect();
         let (mut moved_left, mut moved_right) = (0u64, 0u64);
         let mut replies = 0;
-        self.wait_for_workers(|this, reply| match reply {
-            ToCoordinator::Migrated { exports } => {
-                for (to, batch) in exports {
-                    for e in &batch {
-                        match e {
-                            MigratedEntry::Left { .. } => moved_left += 1,
-                            MigratedEntry::Right { .. } => moved_right += 1,
-                        }
+        self.wait_for_workers(|this, reply| {
+            let ToCoordinator::Migrated { exports } = reply else {
+                unreachable!("between cycles only the solicited replies arrive")
+            };
+            for (to, batch) in exports {
+                for e in &batch {
+                    match e {
+                        MigratedEntry::Left { .. } => moved_left += 1,
+                        MigratedEntry::Right { .. } => moved_right += 1,
                     }
-                    adopt[to].extend(batch);
                 }
-                replies += 1;
-                replies == this.workers.len()
+                adopt[to].extend(batch);
             }
-            _ => false,
+            replies += 1;
+            replies == this.workers.len()
         })?;
         for (to, batch) in adopt.into_iter().enumerate() {
             if batch.is_empty() {
@@ -637,48 +593,22 @@ impl ThreadedMatcher {
     }
 
     /// The fallible cycle driver behind both `Matcher::process` and
-    /// `Matcher::try_process`. When profiled, wraps the real driver in a
-    /// wall-clock timer and derives each worker's barrier-wait share as
-    /// `cycle wall − that worker's match-work delta` — drain times are
-    /// measured on the workers themselves, so the coordinator never has
-    /// to guess at message timing.
+    /// `Matcher::try_process`: route the roots, then fold drain reports
+    /// until no batch is in flight. When profiled, each worker's
+    /// barrier-wait share is `cycle wall − that worker's reported drain
+    /// time`. Every drain of a cycle starts after its roots are sent and is
+    /// reported before the cycle ends, so the split is exact.
     fn process_cycle(&mut self, changes: &[WmeChange]) -> Result<(), MatchError> {
-        if !self.profiled {
-            return self.process_cycle_inner(changes);
-        }
-        let before: Vec<u64> = self
-            .counters
-            .iter()
-            .map(|c| c.work_ns.load(Ordering::Relaxed))
-            .collect();
-        let t0 = std::time::Instant::now();
-        let result = self.process_cycle_inner(changes);
-        if result.is_ok() {
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            let work_ns: Vec<u64> = (self.counters.iter().zip(&before))
-                .map(|(c, &b)| c.work_ns.load(Ordering::Relaxed).saturating_sub(b))
-                .collect();
-            self.trace_end_ns = record_cycle(&mut self.trace, self.trace_end_ns, wall_ns, &work_ns);
-            if let Some(every) = self.adapt.as_ref().map(|s| s.options.every) {
-                if self.cycles.is_multiple_of(every) {
-                    self.maybe_rebalance()?;
-                }
-            }
-        }
-        result
-    }
-
-    fn process_cycle_inner(&mut self, changes: &[WmeChange]) -> Result<(), MatchError> {
         if let Some(worker) = self.failed {
             return Err(MatchError::WorkerPanicked { worker });
         }
         self.cycles += 1;
+        let t0 = self.profiled.then(std::time::Instant::now);
         // Constant tests run here (the coordinator plays the part of the
         // broadcast + duplicated constant tests of §3.2); root activations
         // are then routed to their bucket owners.
         let mut batches: Vec<Vec<WireWork>> = (0..self.workers.len()).map(|_| Vec::new()).collect();
         let mut roots: Vec<RootWork> = Vec::new();
-        let mut total: i64 = 0;
         for change in changes {
             kernel::alpha_roots(&self.network, change, &mut roots);
             for root in roots.drain(..) {
@@ -700,57 +630,62 @@ impl ThreadedMatcher {
                 };
                 let owner = self.partition.owner(key_hash % self.table_size);
                 batches[owner].push(WireWork::Root(root));
-                total += 1;
             }
         }
-        if total == 0 {
-            return Ok(());
-        }
-        self.outstanding.fetch_add(total, Ordering::SeqCst);
+        let mut in_flight = 0usize;
         for (owner, batch) in batches.into_iter().enumerate() {
-            if !batch.is_empty() && self.workers[owner].send(ToWorker::Work(batch)).is_err() {
+            if batch.is_empty() {
+                continue;
+            }
+            if self.workers[owner].send(ToWorker::Work(batch)).is_err() {
                 self.failed = Some(owner);
                 return Err(MatchError::WorkerPanicked { worker: owner });
             }
+            in_flight += 1;
         }
-        self.wait_for_workers(|this, reply| match reply {
-            // A stale notification from a previous cycle is harmless: the
-            // counter is non-zero while work remains.
-            ToCoordinator::Quiescent => this.outstanding.load(Ordering::SeqCst) == 0,
-            ToCoordinator::Migrated { .. } => {
-                unreachable!("migration replies are consumed by migrate_to")
+        let mut work_ns = vec![0u64; self.workers.len()];
+        if in_flight > 0 {
+            self.wait_for_workers(|this, reply| {
+                let ToCoordinator::Drained {
+                    worker,
+                    prods,
+                    stats,
+                } = reply
+                else {
+                    unreachable!("between-cycle replies are consumed by their own wait")
+                };
+                for (sign, inst) in prods {
+                    this.apply_production(sign, inst);
+                }
+                this.stats[worker].absorb(&stats);
+                work_ns[worker] += stats.work_ns;
+                in_flight = in_flight + stats.messages_sent as usize - 1;
+                in_flight == 0
+            })?;
+        }
+        if let Some(t0) = t0 {
+            let wall_ns = t0.elapsed().as_nanos() as u64;
+            self.trace_end_ns = record_cycle(&mut self.trace, self.trace_end_ns, wall_ns, &work_ns);
+            if let Some(every) = self.adapt.as_ref().map(|s| s.options.every) {
+                if self.cycles.is_multiple_of(every) {
+                    self.maybe_rebalance()?;
+                }
             }
-            // Metrics replies are only solicited between cycles
-            // (`profile_snapshot` drains them); a stray one here carries
-            // no work accounting and is safely dropped.
-            _ => false,
-        })
+        }
+        Ok(())
     }
 
     /// The one place the coordinator blocks on its workers: hands every
     /// reply to `on_reply` until it returns `true`. Waits with a timeout
-    /// and polls the [`JoinHandle`]s, so a worker that died (and can never
-    /// reply or drain its share of the outstanding count) surfaces as a
-    /// typed error in bounded time instead of a hang.
-    ///
-    /// Instantiation reports are folded into the conflict set here,
-    /// whichever wait they arrive in, and never reach `on_reply`; the one
-    /// that takes the outstanding count to zero is delivered as
-    /// [`ToCoordinator::Quiescent`] — the coordinator made the final
-    /// decrement, so no worker will announce it.
+    /// and polls the [`JoinHandle`]s, so a worker that died (and so never
+    /// sends the reply being waited for) surfaces as a typed error in
+    /// bounded time instead of a hang.
     fn wait_for_workers(
         &mut self,
-        mut on_reply: impl FnMut(&Self, ToCoordinator) -> bool,
+        mut on_reply: impl FnMut(&mut Self, ToCoordinator) -> bool,
     ) -> Result<(), MatchError> {
         loop {
             let reply = match self.from_workers.recv_timeout(LIVENESS_POLL) {
-                Ok(ToCoordinator::Prod { sign, inst }) => {
-                    self.apply_production(sign, inst);
-                    if self.outstanding.fetch_sub(1, Ordering::SeqCst) != 1 {
-                        continue;
-                    }
-                    ToCoordinator::Quiescent
-                }
                 Ok(reply) => reply,
                 Err(RecvTimeoutError::Timeout) => match self.dead_worker() {
                     Some(worker) => return Err(MatchError::WorkerPanicked { worker }),
@@ -769,7 +704,7 @@ impl ThreadedMatcher {
         }
     }
 
-    /// Fold one instantiation report into the signed conflict counts.
+    /// Fold one instantiation into the signed conflict counts.
     ///
     /// Cascades for the same key race across workers, so a `Minus` may
     /// arrive before its `Plus`: the count goes transiently negative and

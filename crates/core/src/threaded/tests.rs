@@ -486,45 +486,6 @@ fn export_trace_emits_named_worker_lanes() {
     }
 }
 
-/// A late-published drain time makes one cycle's work exceed its wall
-/// time; the drawn span is clamped to the cycle while the series keep
-/// the exact value.
-#[test]
-fn cycle_with_work_longer_than_wall_is_drawn_inside_the_cycle() {
-    let mut rec = TraceRecorder::new();
-    let t = record_cycle(&mut rec, 0, 100, &[150, 40]);
-    assert_eq!(t, 100);
-    let t = record_cycle(&mut rec, t, 80, &[30, 80]);
-    assert_eq!(t, 180);
-    let on = |w: usize| -> Vec<(&str, u64, u64)> {
-        (rec.spans().iter())
-            .filter(|s| s.track == Track::match_worker(w))
-            .map(|s| (s.name, s.start_ns, s.end_ns))
-            .collect()
-    };
-    assert_eq!(
-        on(0),
-        [
-            ("match-work", 0, 100),
-            ("match-work", 100, 130),
-            ("barrier-wait", 130, 180)
-        ]
-    );
-    assert_eq!(
-        on(1),
-        [
-            ("match-work", 0, 40),
-            ("barrier-wait", 40, 100),
-            ("match-work", 100, 180)
-        ]
-    );
-    let reg = rec.registry();
-    assert_eq!(reg.counter(metric::WORKER_WORK_NS).unwrap()[&0], 180);
-    assert_eq!(reg.counter(metric::WORKER_WAIT_NS).unwrap()[&0], 50);
-    let work = reg.histogram(kernel::metric::CYCLE_WORK_NS).unwrap();
-    assert_eq!(work.max(), Some(150));
-}
-
 /// Profiling must be observation-only: a profiled matcher produces
 /// the same conflict set as an unprofiled one and as the sequential
 /// engine, while its snapshot carries the threaded skew lanes.

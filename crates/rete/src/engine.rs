@@ -42,7 +42,7 @@ impl Default for EngineConfig {
 /// only what gets recorded on the side.
 pub struct ReteMatcher<M: MetricSink = NullMetrics> {
     network: Arc<ReteNetwork>,
-    kernel: Kernel<GlobalMemories, M>,
+    kernel: Kernel<M>,
     /// Derivation count per instantiation, in canonical conflict-set order.
     conflict: BTreeMap<Instantiation, i64>,
     config: EngineConfig,

@@ -7,9 +7,9 @@
 //! so every executor shares one source of truth for match semantics.
 //!
 //! A [`Kernel`] bundles the per-executor match state: a [`TokenArena`]
-//! (flat token records, integer identity), a [`TokenStore`] (the two
-//! global hash tables — whole or one worker's shard), probe counters, and
-//! reusable scratch. [`Kernel::activate`] mutates that state and appends
+//! (flat token records, integer identity), a [`GlobalMemories`] (the two
+//! global hash tables; a threaded worker touches only the buckets it
+//! owns), probe counters, and reusable scratch. [`Kernel::activate`] mutates that state and appends
 //! the generated work to a caller-owned buffer; it never queues, sends, or
 //! records — the caller decides whether an output becomes a local queue
 //! entry (sequential engine), a simulated message (trace-driven
@@ -25,7 +25,7 @@
 //! 64-bit collisions cost time, never correctness.
 
 use crate::hashfn::{hash_init, hash_mix, token_hash};
-use crate::memory::{LeftEntry, RightEntry, TokenStore};
+use crate::memory::{GlobalMemories, LeftEntry, RightEntry};
 use crate::network::{AlphaSucc, JoinSpec, NodeId, NodeKind, NodeLayout, ReteNetwork, Side, Succ};
 use crate::token::{TokenArena, TokenId};
 use mpps_ops::{Instantiation, ProductionId, Sign, Value, Wme, WmeChange, WmeId};
@@ -272,11 +272,11 @@ pub struct KernelStats {
 /// and every hook compiles away; [`Kernel::with_metrics`] swaps in a
 /// collecting sink (per-node/per-bucket counters, sampled match timing).
 #[derive(Debug)]
-pub struct Kernel<S, M = NullMetrics> {
+pub struct Kernel<M = NullMetrics> {
     /// The token arena (public: executors intern/extract/release tokens).
     pub arena: TokenArena,
-    /// The two hash tables (whole or this worker's shard).
-    pub mem: S,
+    /// The two hash tables.
+    pub mem: GlobalMemories,
     /// Probe counters.
     pub stats: KernelStats,
     /// The profiling sink (public: executors record their own metrics —
@@ -290,16 +290,16 @@ pub struct Kernel<S, M = NullMetrics> {
     wme_ids: Vec<WmeId>,
 }
 
-impl<S: TokenStore> Kernel<S> {
+impl Kernel {
     /// A fresh unprofiled kernel over `mem`.
-    pub fn new(mem: S) -> Self {
+    pub fn new(mem: GlobalMemories) -> Self {
         Kernel::with_metrics(mem, NullMetrics)
     }
 }
 
-impl<S: TokenStore, M: MetricSink> Kernel<S, M> {
+impl<M: MetricSink> Kernel<M> {
     /// A fresh kernel over `mem` recording into `metrics`.
-    pub fn with_metrics(mem: S, metrics: M) -> Self {
+    pub fn with_metrics(mem: GlobalMemories, metrics: M) -> Self {
         Kernel {
             arena: TokenArena::new(),
             mem,
@@ -812,7 +812,6 @@ fn fan_out(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::GlobalMemories;
     use crate::network::ReteNetwork;
     use mpps_ops::parse_program;
 

@@ -15,14 +15,11 @@
 //! separates nodes — and collisions cost time (the paper's footnote about
 //! Tourney's deletion cost) but never correctness.
 //!
-//! Two implementations of [`TokenStore`] exist:
-//!
-//! * [`GlobalMemories`] — one process-wide pair of tables (the sequential
-//!   engine, and the paper's simulator input).
-//! * [`ShardedMemories`] — a worker's *shard* of the process-wide pair:
-//!   only the buckets a partition strategy assigned to this worker are
-//!   materialized, densely renumbered through a shared slot map. The union
-//!   of all workers' shards is exactly the two global tables.
+//! Every executor holds the pair as one [`GlobalMemories`]. The sequential
+//! engine uses all of it. Each threaded worker holds a full-size pair of
+//! its own and only ever touches the buckets its partition assigns it, so
+//! the union of the workers' owned buckets is exactly the two global
+//! tables.
 
 use crate::network::NodeId;
 use crate::token::TokenId;
@@ -56,20 +53,6 @@ pub struct RightEntry {
     pub wme: Arc<Wme>,
 }
 
-/// Bucket-level access to a left/right table pair.
-///
-/// The kernel is generic over this, so the same activation code runs
-/// against the process-wide tables and against one worker's shard.
-pub trait TokenStore {
-    /// Number of buckets in the *global* index range (shards share the
-    /// global range; only ownership differs).
-    fn table_size(&self) -> u64;
-    /// The left bucket at global index `bucket`.
-    fn left_bucket_mut(&mut self, bucket: u64) -> &mut Vec<LeftEntry>;
-    /// The right bucket at global index `bucket`.
-    fn right_bucket_mut(&mut self, bucket: u64) -> &mut Vec<RightEntry>;
-}
-
 /// Both global tables, bucketed over a fixed index range.
 #[derive(Clone, Debug)]
 pub struct GlobalMemories {
@@ -96,88 +79,32 @@ impl GlobalMemories {
     pub fn right_len(&self) -> usize {
         self.right.iter().map(Vec::len).sum()
     }
-}
 
-impl TokenStore for GlobalMemories {
-    fn table_size(&self) -> u64 {
+    /// Number of buckets in each table.
+    pub fn table_size(&self) -> u64 {
         self.left.len() as u64
     }
 
-    fn left_bucket_mut(&mut self, bucket: u64) -> &mut Vec<LeftEntry> {
+    /// The left bucket at index `bucket`.
+    pub fn left_bucket_mut(&mut self, bucket: u64) -> &mut Vec<LeftEntry> {
         &mut self.left[bucket as usize]
     }
 
-    fn right_bucket_mut(&mut self, bucket: u64) -> &mut Vec<RightEntry> {
+    /// The right bucket at index `bucket`.
+    pub fn right_bucket_mut(&mut self, bucket: u64) -> &mut Vec<RightEntry> {
         &mut self.right[bucket as usize]
     }
-}
 
-/// One worker's shard of the two global tables.
-///
-/// A partition strategy assigns each global bucket index an owning worker;
-/// `slot_of` (shared by all workers) renumbers every global bucket to a
-/// dense local slot *within its owner's shard*. A worker materializes only
-/// its own `shard_len` bucket pairs. Looking up a bucket this shard does
-/// not own is a logic error (the router must send such work elsewhere) and
-/// lands on an arbitrary local slot — debug builds in the threaded matcher
-/// assert ownership before activating.
-#[derive(Clone, Debug)]
-pub struct ShardedMemories {
-    table_size: u64,
-    slot_of: Arc<Vec<u32>>,
-    left: Vec<Vec<LeftEntry>>,
-    right: Vec<Vec<RightEntry>>,
-}
-
-impl ShardedMemories {
-    /// Create the shard holding `shard_len` of the `slot_of.len()` global
-    /// buckets.
-    pub fn new(slot_of: Arc<Vec<u32>>, shard_len: usize) -> Self {
-        let table_size = slot_of.len() as u64;
-        assert!(table_size > 0, "hash table must have at least one bucket");
-        ShardedMemories {
-            table_size,
-            slot_of,
-            left: vec![Vec::new(); shard_len],
-            right: vec![Vec::new(); shard_len],
-        }
-    }
-
-    /// Total stored left tokens in this shard (diagnostics).
-    pub fn left_len(&self) -> usize {
-        self.left.iter().map(Vec::len).sum()
-    }
-
-    /// Total stored right WMEs in this shard (diagnostics).
-    pub fn right_len(&self) -> usize {
-        self.right.iter().map(Vec::len).sum()
-    }
-
-    /// Remove and return the entire left/right bucket pair at global index
-    /// `bucket`, leaving empty vectors behind. Bucket-granular migration
-    /// moves the *pair* together: negative-node counts in the left bucket
-    /// are derived from the right bucket at the same index, so splitting
-    /// the pair would strand them.
+    /// Remove and return the entire left/right bucket pair at `bucket`,
+    /// leaving empty vectors behind. Bucket-granular migration moves the
+    /// *pair* together: negative-node counts in the left bucket are derived
+    /// from the right bucket at the same index, so splitting the pair would
+    /// strand them.
     pub fn take_bucket(&mut self, bucket: u64) -> (Vec<LeftEntry>, Vec<RightEntry>) {
-        let slot = self.slot_of[bucket as usize] as usize;
         (
-            std::mem::take(&mut self.left[slot]),
-            std::mem::take(&mut self.right[slot]),
+            std::mem::take(&mut self.left[bucket as usize]),
+            std::mem::take(&mut self.right[bucket as usize]),
         )
-    }
-}
-
-impl TokenStore for ShardedMemories {
-    fn table_size(&self) -> u64 {
-        self.table_size
-    }
-
-    fn left_bucket_mut(&mut self, bucket: u64) -> &mut Vec<LeftEntry> {
-        &mut self.left[self.slot_of[bucket as usize] as usize]
-    }
-
-    fn right_bucket_mut(&mut self, bucket: u64) -> &mut Vec<RightEntry> {
-        &mut self.right[self.slot_of[bucket as usize] as usize]
     }
 }
 
@@ -246,39 +173,22 @@ mod tests {
 
     #[test]
     fn take_bucket_moves_the_pair_and_leaves_it_empty() {
-        let slot_of = Arc::new(vec![0u32, 0, 1, 1]);
-        let mut s = ShardedMemories::new(slot_of, 2);
-        s.left_bucket_mut(1).push(le(1, 7, 0));
-        s.right_bucket_mut(1).push(RightEntry {
+        let mut m = GlobalMemories::new(4);
+        m.left_bucket_mut(1).push(le(1, 7, 0));
+        m.right_bucket_mut(1).push(RightEntry {
             node: NodeId(1),
             key_hash: 7,
             wme_id: WmeId(3),
             wme: Arc::new(Wme::new("b", &[])),
         });
-        s.left_bucket_mut(3).push(le(2, 8, 1));
-        let (lefts, rights) = s.take_bucket(1);
+        m.left_bucket_mut(3).push(le(2, 8, 1));
+        let (lefts, rights) = m.take_bucket(1);
         assert_eq!(lefts.len(), 1);
         assert_eq!(rights.len(), 1);
         assert_eq!(lefts[0].key_hash, 7);
-        assert!(s.left_bucket_mut(1).is_empty());
-        assert!(s.right_bucket_mut(1).is_empty());
+        assert!(m.left_bucket_mut(1).is_empty());
+        assert!(m.right_bucket_mut(1).is_empty());
         // The other bucket is untouched.
-        assert_eq!(s.left_bucket_mut(3).len(), 1);
-    }
-
-    #[test]
-    fn sharded_memories_renumber_owned_buckets() {
-        // 4 global buckets; this shard owns buckets 1 and 3 at slots 0, 1.
-        let slot_of = Arc::new(vec![0u32, 0, 1, 1]);
-        let mut s = ShardedMemories::new(slot_of, 2);
-        assert_eq!(s.table_size(), 4);
-        s.left_bucket_mut(1).push(le(1, 7, 0));
-        s.left_bucket_mut(3).push(le(2, 8, 1));
-        assert_eq!(s.left_len(), 2);
-        // Global buckets 1 and 3 map to distinct local slots.
-        assert_eq!(s.left_bucket_mut(1).len(), 1);
-        assert_eq!(s.left_bucket_mut(3).len(), 1);
-        assert_eq!(s.left_bucket_mut(1)[0].key_hash, 7);
-        assert_eq!(s.left_bucket_mut(3)[0].key_hash, 8);
+        assert_eq!(m.left_bucket_mut(3).len(), 1);
     }
 }

@@ -637,7 +637,7 @@ fn cmd_fuzz(args: &Args) {
     let matchers = MatcherKind::parse_list(args.get("matchers").unwrap_or("all"))
         .unwrap_or_else(|e| args.usage_error(e));
     let cfg = GenConfig {
-        max_productions: args.get_parse("max-productions", 4usize).max(1),
+        max_productions: args.get_positive("max-productions", 4usize),
         ..GenConfig::default()
     };
     let do_shrink = args.has("shrink");
@@ -683,7 +683,7 @@ fn cmd_fuzz(args: &Args) {
 
 fn cmd_trace(args: &Args) {
     let cycles = args.get_parse("cycles", 10_000usize);
-    let table_size = args.get_parse("table-size", 2048u64);
+    let table_size = args.get_positive("table-size", 2048u64);
     let strategy = args.strategy();
     let program = parse_program(&read_file(&args.positional[0])).unwrap_or_else(|e| fail(e));
     let wmes = load_wmes(args.get("wm"));
@@ -728,9 +728,9 @@ fn cmd_simulate(args: &Args) {
         .unwrap_or("1,2,4,8,16,32")
         .split(',')
         .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| args.usage_error(format!("bad processor count {s:?}")))
+            (s.trim().parse().ok())
+                .filter(|&n: &usize| n > 0)
+                .unwrap_or_else(|| args.usage_error(format!("bad processor count {s:?}")))
         })
         .collect();
     let [zero, eight, sixteen, thirty_two] = OverheadSetting::table_5_1();

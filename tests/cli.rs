@@ -775,12 +775,16 @@ fn malformed_flag_values_are_usage_errors() {
         &["run", "rubik", "--matcher", "threaded", "--workers", "many"],
         &["run"],
         &["trace", "no-such.ops", "--strategy", "fifo"],
+        &["trace", "no-such.ops", "--table-size", "0"],
         &["simulate", "no-such.trace", "--overhead", "64"],
         &["simulate", "no-such.trace", "--format", "yaml"],
         &["simulate", "no-such.trace", "--partition", "hash"],
         &["simulate", "no-such.trace", "--procs", "1,two"],
+        &["simulate", "no-such.trace", "--procs", "0"],
+        &["simulate", "no-such.trace", "--procs", "1,0,4"],
         &["simulate", "no-such.trace", "--jobs"],
         &["fuzz", "--iters", "lots"],
+        &["fuzz", "--max-productions", "0"],
         &["serve", "--synthetic", "--sessions", "-3"],
         &["serve", "--synthetic", "--strategy", "fifo"],
     ] {

@@ -115,6 +115,17 @@ fn profiled_threaded_matches_unprofiled_on_every_workload() {
                     profiled.conflict_set(),
                     "{name}: threaded({workers}) conflict sets diverged at batch {i}"
                 );
+                // The coordinator's totals are exact at every barrier: each
+                // drain is reported before its cycle ends.
+                let processed: u64 = (profiled.stats().per_worker.iter())
+                    .map(|w| w.tokens_processed)
+                    .sum();
+                let activations = (profiled.profile_snapshot().unwrap())
+                    .counter_total(kernel::metric::NODE_ACTIVATIONS);
+                assert_eq!(
+                    processed, activations,
+                    "{name}: threaded({workers}) stats and profile disagree at batch {i}"
+                );
             }
             let reg = profiled.profile_snapshot().unwrap();
             assert!(
@@ -154,8 +165,8 @@ fn profiled_threaded_matches_profiled_sequential() {
 }
 
 /// The threaded executor's exported trace never draws two spans over one
-/// another on a lane, however late a worker published a drain time, and
-/// the exact work totals stay in the registry beside the clamped spans.
+/// another on a lane, and the drawn work is exactly the work the workers
+/// reported: every drain lies inside its cycle, so no span is clamped.
 #[test]
 fn threaded_trace_lanes_never_overlap() {
     let program = tourney::program();
@@ -183,8 +194,8 @@ fn threaded_trace_lanes_never_overlap() {
             .registry()
             .counter(threaded::metric::WORKER_WORK_NS)
             .unwrap()[&(w as u64)];
-        assert!(
-            drawn <= exact,
+        assert_eq!(
+            drawn, exact,
             "lane {w}: drew {drawn} ns of {exact} ns worked"
         );
     }
