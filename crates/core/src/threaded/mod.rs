@@ -48,25 +48,24 @@
 //! reports the same error, and drop still shuts the survivors down
 //! cleanly.
 //!
-//! **Retraction ordering.** The conflict set is kept as *signed counts*
-//! per instantiation key. Token cascades for the same key race across
-//! workers, so a `Sign::Minus` may reach the coordinator before the
-//! matching `Sign::Plus`; the count simply goes transiently negative and
-//! the entry is dropped when it settles back at zero. Only entries with a
-//! positive count are visible in [`Matcher::conflict_set`].
+//! **Retraction ordering.** The coordinator keeps the conflict set in an
+//! [`mpps_ops::ConflictSet`]: *signed counts* per instantiation key.
+//! Token cascades for the same key race across workers, so a `Sign::Minus`
+//! may reach the coordinator before the matching `Sign::Plus`; the count
+//! simply goes transiently negative and the entry is dropped when it
+//! settles back at zero. Only entries with a positive count are visible to
+//! [`Matcher::select`] and [`Matcher::conflict_set`].
 
 use crate::partition::Partition;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mpps_ops::{
-    Instantiation, MatchError, Matcher, OpsError, ProductionId, Program, Sign, Value, Wme,
-    WmeChange, WmeId,
+    ConflictSet, Instantiation, MatchError, Matcher, OpsError, ProductionId, Program, Sign,
+    Strategy, Value, Wme, WmeChange, WmeId,
 };
 use mpps_rete::kernel::{self, RootWork};
 use mpps_rete::{FlatToken, NodeId, ReteNetwork};
 use mpps_telemetry::recorder::THREADED_PID;
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics, Recorder, TraceRecorder, Track};
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -257,7 +256,7 @@ pub struct ThreadedMatcher {
     table_size: u64,
     workers: Vec<Sender<ToWorker>>,
     from_workers: Receiver<ToCoordinator>,
-    conflict: BTreeMap<Instantiation, i64>,
+    conflict: ConflictSet,
     handles: Vec<JoinHandle<()>>,
     /// Per-worker totals, summed from the drain reports.
     stats: Vec<WorkerStats>,
@@ -373,7 +372,7 @@ impl ThreadedMatcher {
             table_size,
             workers: senders,
             from_workers,
-            conflict: BTreeMap::new(),
+            conflict: ConflictSet::default(),
             handles,
             stats: vec![WorkerStats::ZERO; workers],
             cycles: 0,
@@ -414,7 +413,7 @@ impl ThreadedMatcher {
         ThreadedStats {
             per_worker: self.stats.clone(),
             cycles: self.cycles,
-            conflict_entries: self.conflict.values().filter(|&&count| count > 0).count(),
+            conflict_entries: self.conflict.len(),
         }
     }
 
@@ -623,7 +622,7 @@ impl ThreadedMatcher {
                         // Single-CE productions complete at the control
                         // processor without touching the hash table.
                         let inst = self.root_instantiation(*node, *production, *wme_id, vals);
-                        self.apply_production(*sign, inst);
+                        self.conflict.update(*sign, inst);
                         continue;
                     }
                     RootWork::Right { key_hash, .. } | RootWork::Seed { key_hash, .. } => *key_hash,
@@ -655,7 +654,7 @@ impl ThreadedMatcher {
                     unreachable!("between-cycle replies are consumed by their own wait")
                 };
                 for (sign, inst) in prods {
-                    this.apply_production(sign, inst);
+                    this.conflict.update(sign, inst);
                 }
                 this.stats[worker].absorb(&stats);
                 work_ns[worker] += stats.work_ns;
@@ -704,31 +703,6 @@ impl ThreadedMatcher {
         }
     }
 
-    /// Fold one instantiation into the signed conflict counts.
-    ///
-    /// Cascades for the same key race across workers, so a `Minus` may
-    /// arrive before its `Plus`: the count goes transiently negative and
-    /// the entry is removed once it settles back at zero (from either
-    /// direction). This replaces the historical
-    /// `expect("retracting unknown instantiation")` panic.
-    fn apply_production(&mut self, sign: Sign, inst: Instantiation) {
-        let delta: i64 = match sign {
-            Sign::Plus => 1,
-            Sign::Minus => -1,
-        };
-        match self.conflict.entry(inst) {
-            Entry::Occupied(mut slot) => {
-                *slot.get_mut() += delta;
-                if *slot.get() == 0 {
-                    slot.remove();
-                }
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(delta);
-            }
-        }
-    }
-
     /// Test hook: arm worker `worker` to panic on the message after this
     /// one, simulating a crash inside the match kernel.
     #[cfg(test)]
@@ -749,11 +723,16 @@ impl Matcher for ThreadedMatcher {
     }
 
     fn conflict_set(&self) -> Vec<Instantiation> {
-        self.conflict
-            .iter()
-            .filter(|&(_, &count)| count > 0)
-            .map(|(inst, _)| inst.clone())
-            .collect()
+        self.conflict.sorted()
+    }
+
+    fn select(
+        &self,
+        program: &Program,
+        strategy: Strategy,
+        refracted: &dyn Fn(&Instantiation) -> bool,
+    ) -> Option<Instantiation> {
+        self.conflict.select(program, strategy, refracted).cloned()
     }
 }
 

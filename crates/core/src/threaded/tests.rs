@@ -210,17 +210,17 @@ fn minus_before_plus_settles_without_panicking() {
     let inst = par.root_instantiation(node, production, wme_id, &vals);
 
     // Minus first: transiently negative, invisible, no panic.
-    par.apply_production(Sign::Minus, inst.clone());
+    par.conflict.update(Sign::Minus, inst.clone());
     assert!(par.conflict_set().is_empty());
     // The matching Plus settles the count at zero: entry dropped.
-    par.apply_production(Sign::Plus, inst.clone());
+    par.conflict.update(Sign::Plus, inst.clone());
     assert!(par.conflict_set().is_empty());
     assert_eq!(par.stats().conflict_entries, 0);
 
     // And the normal order still works on the same key afterwards.
-    par.apply_production(Sign::Plus, inst.clone());
+    par.conflict.update(Sign::Plus, inst.clone());
     assert_eq!(par.conflict_set().len(), 1);
-    par.apply_production(Sign::Minus, inst);
+    par.conflict.update(Sign::Minus, inst);
     assert!(par.conflict_set().is_empty());
 }
 

@@ -39,7 +39,8 @@ pub mod shrink;
 
 use mpps_core::{AdaptOptions, Partition, ThreadedMatcher};
 use mpps_ops::{
-    Instantiation, MatchError, Matcher, NaiveMatcher, OpsError, Program, TreatMatcher, WmeChange,
+    Instantiation, MatchError, Matcher, NaiveMatcher, OpsError, Program, Strategy, TreatMatcher,
+    WmeChange,
 };
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
 use std::fmt;
@@ -227,6 +228,15 @@ impl Matcher for AdaptiveThreaded {
 
     fn conflict_set(&self) -> Vec<Instantiation> {
         self.inner.conflict_set()
+    }
+
+    fn select(
+        &self,
+        program: &Program,
+        strategy: Strategy,
+        refracted: &dyn Fn(&Instantiation) -> bool,
+    ) -> Option<Instantiation> {
+        self.inner.select(program, strategy, refracted)
     }
 }
 

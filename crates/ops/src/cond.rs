@@ -13,11 +13,17 @@
 //!
 //! A CE may be negated; a negated CE is satisfied when *no* WME matches it.
 
+use crate::fxhash::FxBuildHasher;
 use crate::symbol::Symbol;
 use crate::value::Value;
 use crate::wme::Wme;
 use std::collections::HashMap;
 use std::fmt;
+
+/// Variable bindings: what matching a CE adds to, and what a RHS evaluates
+/// under. Keyed by interned variable names, so the map uses the
+/// workspace's fast [`FxBuildHasher`].
+pub type Bindings = HashMap<Symbol, Value, FxBuildHasher>;
 
 /// An OPS5 comparison predicate.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -169,11 +175,7 @@ impl ConditionElement {
     ///
     /// This is the semantics the naive matcher uses directly and the Rete
     /// engine must agree with.
-    pub fn match_with_bindings(
-        &self,
-        wme: &Wme,
-        bindings: &HashMap<Symbol, Value>,
-    ) -> Option<HashMap<Symbol, Value>> {
+    pub fn match_with_bindings(&self, wme: &Wme, bindings: &Bindings) -> Option<Bindings> {
         if !self.constant_match(wme) {
             return None;
         }
@@ -292,7 +294,7 @@ mod tests {
     fn match_binds_fresh_variable() {
         let c = ce("block", vec![test_var("name", "b")]);
         let w = Wme::new("block", &[("name", "b1".into())]);
-        let b = c.match_with_bindings(&w, &HashMap::new()).unwrap();
+        let b = c.match_with_bindings(&w, &Bindings::default()).unwrap();
         assert_eq!(b[&intern("b")], Value::sym("b1"));
     }
 
@@ -300,7 +302,7 @@ mod tests {
     fn match_requires_consistency_with_existing_binding() {
         let c = ce("block", vec![test_var("name", "b")]);
         let w = Wme::new("block", &[("name", "b1".into())]);
-        let mut pre = HashMap::new();
+        let mut pre = Bindings::default();
         pre.insert(intern("b"), Value::sym("b1"));
         assert!(c.match_with_bindings(&w, &pre).is_some());
         pre.insert(intern("b"), Value::sym("b2"));
@@ -312,8 +314,8 @@ mod tests {
         let c = ce("pair", vec![test_var("a", "x"), test_var("b", "x")]);
         let same = Wme::new("pair", &[("a", 1.into()), ("b", 1.into())]);
         let diff = Wme::new("pair", &[("a", 1.into()), ("b", 2.into())]);
-        assert!(c.match_with_bindings(&same, &HashMap::new()).is_some());
-        assert!(c.match_with_bindings(&diff, &HashMap::new()).is_none());
+        assert!(c.match_with_bindings(&same, &Bindings::default()).is_some());
+        assert!(c.match_with_bindings(&diff, &Bindings::default()).is_none());
     }
 
     #[test]
@@ -326,7 +328,7 @@ mod tests {
             }],
         );
         let w = Wme::new("box", &[("size", 10.into())]);
-        let mut pre = HashMap::new();
+        let mut pre = Bindings::default();
         pre.insert(intern("s"), Value::Int(5));
         assert!(c.match_with_bindings(&w, &pre).is_some());
         pre.insert(intern("s"), Value::Int(50));
@@ -343,7 +345,7 @@ mod tests {
             }],
         );
         let w = Wme::new("box", &[("size", 10.into())]);
-        assert!(c.match_with_bindings(&w, &HashMap::new()).is_none());
+        assert!(c.match_with_bindings(&w, &Bindings::default()).is_none());
     }
 
     #[test]

@@ -15,11 +15,16 @@
 //!   the first *positive* condition element (the "means–ends-analysis"
 //!   goal element; negated CEs match no WME and are skipped), then falls
 //!   back to the LEX ordering.
+//!
+//! [`ConflictSet`] is the store the incremental matchers keep the set in,
+//! and [`ConflictSet::select`] resolves over it where it lives.
 
-use crate::matcher::Instantiation;
+use crate::fxhash::FxBuildHasher;
+use crate::matcher::{Instantiation, InstantiationKey};
 use crate::production::Program;
-use crate::wme::WmeId;
+use crate::wme::{Sign, WmeId};
 use std::cmp::Ordering;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Conflict-resolution strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -130,17 +135,113 @@ pub fn select<'a>(
     best
 }
 
+/// A conflict set: signed derivation counts in a hash map keyed by
+/// `(production, wme_ids)`. Only entries with a count above 0 are visible
+/// — to [`ConflictSet::select`], [`ConflictSet::len`] and every iteration.
+///
+/// The map keeps no order, and nothing on the cycle path needs one:
+/// [`select`] is exact in any iteration order, because [`compare`] is a
+/// total order and refraction is consulted only for a candidate that
+/// would displace the running best. [`ConflictSet::sorted`] produces the
+/// canonical order on demand.
+#[derive(Default)]
+pub struct ConflictSet {
+    counts: HashMap<Instantiation, i64, FxBuildHasher>,
+}
+
+impl ConflictSet {
+    /// Count one derivation of `inst`: `Plus` adds one, `Minus` takes one
+    /// away — from an entry not seen yet too, which then waits at a
+    /// negative count for the `Plus` it overtook. An entry is removed when
+    /// its count settles at 0. Returns the count afterwards.
+    pub fn update(&mut self, sign: Sign, inst: Instantiation) -> i64 {
+        let delta = match sign {
+            Sign::Plus => 1,
+            Sign::Minus => -1,
+        };
+        match self.counts.entry(inst) {
+            Entry::Occupied(mut slot) => {
+                let count = *slot.get() + delta;
+                if count == 0 {
+                    slot.remove();
+                } else {
+                    *slot.get_mut() = count;
+                }
+                count
+            }
+            Entry::Vacant(slot) => *slot.insert(delta),
+        }
+    }
+
+    /// Take one derivation away from the entry `key` names, probing with
+    /// the borrowed key, so a retraction builds no record. Returns the
+    /// count afterwards, or `None`, changing nothing, when the store holds
+    /// no entry for `key`.
+    pub fn retract(&mut self, key: &dyn InstantiationKey) -> Option<i64> {
+        let (inst, count) = self.counts.remove_entry(key)?;
+        if count != 1 {
+            self.counts.insert(inst, count - 1);
+        }
+        Some(count - 1)
+    }
+
+    /// Is the instantiation `key` names visible?
+    pub(crate) fn contains(&self, key: &dyn InstantiationKey) -> bool {
+        self.counts.get(key).is_some_and(|&count| count > 0)
+    }
+
+    /// Drop every entry for which `keep` is false.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Instantiation) -> bool) {
+        self.counts.retain(|inst, _| keep(inst));
+    }
+
+    /// The visible entries, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = &Instantiation> {
+        self.counts
+            .iter()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(inst, _)| inst)
+    }
+
+    /// Number of visible entries.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// True when no entry is visible.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// [`select`] over the visible entries, walked in place.
+    pub fn select(
+        &self,
+        program: &Program,
+        strategy: Strategy,
+        refracted: impl Fn(&Instantiation) -> bool,
+    ) -> Option<&Instantiation> {
+        select(program, strategy, self.iter(), refracted)
+    }
+
+    /// The visible entries in canonical order: the snapshot
+    /// [`crate::Matcher::conflict_set`] returns.
+    pub fn sorted(&self) -> Vec<Instantiation> {
+        let mut set: Vec<Instantiation> = self.iter().cloned().collect();
+        set.sort_unstable();
+        set
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cond::ConditionElement;
+    use crate::cond::{Bindings, ConditionElement};
     use crate::production::{Action, Production, ProductionId};
     use crate::symbol::intern;
-    use std::collections::HashMap;
 
     fn inst(p: u32, ids: &[u64]) -> Instantiation {
         let ids: Vec<WmeId> = ids.iter().map(|&i| WmeId(i)).collect();
-        Instantiation::new(ProductionId(p), &ids, HashMap::new())
+        Instantiation::new(ProductionId(p), &ids, Bindings::default())
     }
 
     /// A program with two productions: p0 with one CE (specificity 1),
@@ -296,6 +397,73 @@ mod tests {
         for s in [Strategy::Lex, Strategy::Mea] {
             assert_ne!(compare(&prog, s, &a, &b), Ordering::Equal);
             assert_eq!(compare(&prog, s, &a, &a), Ordering::Equal);
+        }
+    }
+
+    #[test]
+    fn minus_before_plus_settles_to_an_absent_entry() {
+        let mut set = ConflictSet::default();
+        assert_eq!(set.update(Sign::Minus, inst(0, &[1, 2])), -1);
+        assert_eq!(set.update(Sign::Plus, inst(0, &[1, 2])), 0);
+        assert!(set.counts.is_empty(), "the settled entry is removed");
+        assert!(set.is_empty());
+    }
+
+    #[test]
+    fn negative_entries_are_invisible() {
+        let prog = two_prod_program();
+        let mut set = ConflictSet::default();
+        set.update(Sign::Minus, inst(0, &[9]));
+        set.update(Sign::Plus, inst(0, &[5]));
+        assert_eq!(set.len(), 1);
+        assert!(!set.contains(&inst(0, &[9])));
+        assert_eq!(set.sorted(), vec![inst(0, &[5])]);
+        for strategy in [Strategy::Lex, Strategy::Mea] {
+            // The negative entry is the more recent one; it must not win.
+            assert_eq!(set.select(&prog, strategy, |_| false), Some(&inst(0, &[5])));
+        }
+        set.update(Sign::Minus, inst(0, &[5]));
+        assert!(set.is_empty());
+        assert_eq!(set.select(&prog, Strategy::Lex, |_| false), None);
+        assert!(set.sorted().is_empty());
+    }
+
+    #[test]
+    fn retract_probes_by_borrowed_key_and_reports_an_unknown_one() {
+        let mut set = ConflictSet::default();
+        for i in [inst(1, &[3]), inst(0, &[9, 4]), inst(0, &[2])] {
+            set.update(Sign::Plus, i);
+        }
+        let ids = [WmeId(4), WmeId(9)];
+        assert_eq!(set.retract(&(ProductionId(0), &ids[..])), None);
+        assert_eq!(set.len(), 3, "an unknown key changes nothing");
+        let ids = [WmeId(9), WmeId(4)];
+        assert_eq!(set.retract(&(ProductionId(0), &ids[..])), Some(0));
+        assert_eq!(set.sorted(), vec![inst(0, &[2]), inst(1, &[3])]);
+    }
+
+    #[test]
+    fn sorted_snapshot_is_canonical_and_select_agrees_with_it() {
+        let prog = two_prod_program();
+        let mut set = ConflictSet::default();
+        let entries = [
+            inst(1, &[2]),
+            inst(0, &[7, 1]),
+            inst(0, &[3]),
+            inst(1, &[9]),
+        ];
+        for i in &entries {
+            set.update(Sign::Plus, i.clone());
+        }
+        let mut canonical = entries.to_vec();
+        canonical.sort();
+        assert_eq!(set.sorted(), canonical);
+        for strategy in [Strategy::Lex, Strategy::Mea] {
+            let refracted = |i: &Instantiation| i.production() == ProductionId(1);
+            assert_eq!(
+                set.select(&prog, strategy, refracted),
+                select(&prog, strategy, &canonical, refracted)
+            );
         }
     }
 }

@@ -6,7 +6,8 @@
 //! 1. **match** — hand the previous cycle's WM changes to the matcher;
 //! 2. **resolve** — pick the winner among the instantiations that have not
 //!    fired yet (refraction) with the configured [`Strategy`], in one pass
-//!    over the matcher's conflict set;
+//!    over the matcher's conflict set, where the matcher keeps it
+//!    ([`Matcher::select`]);
 //! 3. **act** — execute the winner's RHS, queuing the resulting WM changes
 //!    for the next cycle's match phase.
 //!
@@ -15,8 +16,9 @@
 //! activation traces, and the property-test suites replay them into
 //! different matchers to prove equivalence.
 
-use crate::conflict::{select, Strategy};
+use crate::conflict::Strategy;
 use crate::error::OpsError;
+use crate::fxhash::FxBuildHasher;
 use crate::matcher::{Instantiation, Matcher, WmeChange};
 use crate::naive::NaiveMatcher;
 use crate::production::{Action, Production, ProductionId, Program};
@@ -286,7 +288,7 @@ impl<M: Matcher> Interpreter<M> {
         // A pending add+remove *pair* of one id is a WME the matcher never
         // saw (and never will: `take_batch` cancels the pair on the next
         // step) — it must not leak into the replay batch via the Minus arm.
-        let mut count: HashMap<WmeId, u32> = HashMap::new();
+        let mut count: HashMap<WmeId, u32, FxBuildHasher> = HashMap::default();
         for c in &state.pending {
             *count.entry(c.id).or_insert(0) += 1;
         }
@@ -374,7 +376,7 @@ impl<M: Matcher> Interpreter<M> {
         if batch.len() < 2 {
             return batch;
         }
-        let mut count: HashMap<WmeId, u32> = HashMap::new();
+        let mut count: HashMap<WmeId, u32, FxBuildHasher> = HashMap::default();
         for c in &batch {
             *count.entry(c.id).or_insert(0) += 1;
         }
@@ -394,11 +396,10 @@ impl<M: Matcher> Interpreter<M> {
         self.matcher
             .try_process(self.change_log.last().expect("batch just pushed"))?;
 
-        let conflict_set = self.matcher.conflict_set();
-        let winner = select(&self.program, self.strategy, &conflict_set, |i| {
+        let winner = self.matcher.select(&self.program, self.strategy, &|i| {
             self.fired_keys.contains(i)
         });
-        match winner.cloned() {
+        match winner {
             Some(winner) => Ok(StepOutcome::Fired(self.fire(&winner)?)),
             None => Ok(StepOutcome::Quiescent),
         }

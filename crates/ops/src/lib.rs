@@ -49,6 +49,7 @@ pub mod builder;
 pub mod cond;
 pub mod conflict;
 pub mod error;
+mod fxhash;
 pub mod interpreter;
 pub mod matcher;
 pub mod naive;
@@ -60,9 +61,10 @@ pub mod value;
 pub mod wme;
 
 pub use builder::ProductionBuilder;
-pub use cond::{AttrTest, ConditionElement, Predicate, TestKind};
-pub use conflict::{compare, resolve, select, Strategy};
+pub use cond::{AttrTest, Bindings, ConditionElement, Predicate, TestKind};
+pub use conflict::{compare, resolve, select, ConflictSet, Strategy};
 pub use error::{MatchError, OpsError, ParseError};
+pub use fxhash::{FxBuildHasher, FxHasher};
 pub use interpreter::{FiredRecord, Interpreter, InterpreterState, RunOutcome, RunResult};
 pub use matcher::{Instantiation, InstantiationKey, Matcher, WmeChange};
 pub use naive::NaiveMatcher;

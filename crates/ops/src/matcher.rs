@@ -1,8 +1,9 @@
 //! The matcher abstraction: anything that can maintain a conflict set.
 //!
 //! The interpreter drives a [`Matcher`] with working-memory deltas; the
-//! matcher answers with the current conflict set. Implementations in this
-//! workspace:
+//! matcher answers with the instantiation that fires
+//! ([`Matcher::select`]), or with a sorted snapshot of its whole conflict
+//! set. Implementations in this workspace:
 //!
 //! * [`crate::NaiveMatcher`] — brute-force recomputation (the semantic
 //!   reference);
@@ -15,15 +16,15 @@
 //! Property tests and the `mpps-difftest` differential fuzzer assert all
 //! four produce identical conflict sets on the same change schedules.
 
+use crate::cond::Bindings;
+use crate::conflict::{self, Strategy};
 use crate::error::MatchError;
-use crate::production::ProductionId;
-use crate::symbol::Symbol;
-use crate::value::Value;
+use crate::production::{ProductionId, Program};
 use crate::wme::{Sign, Wme, WmeId};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// One working-memory change: an addition or deletion of a concrete WME.
@@ -62,10 +63,10 @@ impl WmeChange {
 /// production, plus the variable bindings they induce.
 ///
 /// An immutable shared record: `clone()` is a reference-count bump, so a
-/// conflict store can hand out its whole conflict set every cycle without
-/// copying a single id vector or binding map. Identity — `Eq`, `Hash` and
-/// `Ord` — is `(production, wme_ids)`; the `Ord` order is the canonical
-/// order [`Matcher::conflict_set`] returns.
+/// conflict store can hand out the winner of a cycle, or a snapshot of the
+/// whole set, without copying a single id vector or binding map. Identity
+/// — `Eq`, `Hash` and `Ord` — is `(production, wme_ids)`; the `Ord` order
+/// is the canonical order [`Matcher::conflict_set`] returns.
 #[derive(Clone, Debug)]
 pub struct Instantiation(Arc<Record>);
 
@@ -75,18 +76,14 @@ struct Record {
     /// `wme_ids` followed by the same tags sorted descending (the LEX
     /// recency vector), in one allocation; each half is `ids.len() / 2` long.
     ids: Vec<WmeId>,
-    bindings: HashMap<Symbol, Value>,
+    bindings: Bindings,
 }
 
 impl Instantiation {
     /// Build the record for `production` satisfied by `wme_ids` (time tags
     /// of the WMEs matching the non-negated CEs, in CE order) under
     /// `bindings`. The recency vector is computed here, once.
-    pub fn new(
-        production: ProductionId,
-        wme_ids: &[WmeId],
-        bindings: HashMap<Symbol, Value>,
-    ) -> Self {
+    pub fn new(production: ProductionId, wme_ids: &[WmeId], bindings: Bindings) -> Self {
         let n = wme_ids.len();
         let mut ids = Vec::with_capacity(2 * n);
         ids.extend_from_slice(wme_ids);
@@ -115,7 +112,7 @@ impl Instantiation {
     }
 
     /// Variable bindings induced by the match.
-    pub fn bindings(&self) -> &HashMap<Symbol, Value> {
+    pub fn bindings(&self) -> &Bindings {
         &self.0.bindings
     }
 
@@ -127,7 +124,7 @@ impl Instantiation {
     }
 }
 
-/// The identity of an instantiation, borrowed: what an ordered store keyed
+/// The identity of an instantiation, borrowed: what a hashed store keyed
 /// by [`Instantiation`] is probed with when only the production and the
 /// time tags are at hand (a retraction), so that the probe builds no record.
 pub trait InstantiationKey {
@@ -161,15 +158,11 @@ impl PartialEq for dyn InstantiationKey + '_ {
 
 impl Eq for dyn InstantiationKey + '_ {}
 
-impl PartialOrd for dyn InstantiationKey + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for dyn InstantiationKey + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key_ref().cmp(&other.key_ref())
+/// Hashes exactly as [`Instantiation`] does, so a borrowed key finds its
+/// record in a hashed store.
+impl Hash for dyn InstantiationKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key_ref().hash(state);
     }
 }
 
@@ -181,8 +174,8 @@ impl PartialEq for Instantiation {
 
 impl Eq for Instantiation {}
 
-impl std::hash::Hash for Instantiation {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+impl Hash for Instantiation {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         self.key_ref().hash(state);
     }
 }
@@ -231,12 +224,25 @@ pub trait Matcher {
         Ok(())
     }
 
-    /// The current conflict set, in [`Instantiation`]'s `Ord` order —
-    /// ascending `(production, wme_ids)` — so that different matchers are
-    /// directly comparable. Called once per cycle: implementations keep
-    /// their store in that order and return clones (reference-count bumps),
-    /// not a freshly sorted copy.
+    /// A snapshot of the current conflict set, in [`Instantiation`]'s `Ord`
+    /// order — ascending `(production, wme_ids)` — so that different
+    /// matchers are directly comparable. Not on the cycle path (that is
+    /// [`Matcher::select`]): stores keep no order and sort on demand.
     fn conflict_set(&self) -> Vec<Instantiation>;
+
+    /// The instantiation that fires under `strategy`: the maximum under
+    /// [`conflict::compare`] among the entries that are not `refracted`,
+    /// exactly [`conflict::select`] over [`Matcher::conflict_set`] — which
+    /// is the default. Matchers that hold their set override it to walk
+    /// the store in place, so a cycle copies nothing but the winner.
+    fn select(
+        &self,
+        program: &Program,
+        strategy: Strategy,
+        refracted: &dyn Fn(&Instantiation) -> bool,
+    ) -> Option<Instantiation> {
+        conflict::select(program, strategy, &self.conflict_set(), refracted).cloned()
+    }
 }
 
 /// Boxed matchers forward — this lets heterogeneous matcher collections
@@ -253,16 +259,25 @@ impl Matcher for Box<dyn Matcher> {
     fn conflict_set(&self) -> Vec<Instantiation> {
         (**self).conflict_set()
     }
+
+    fn select(
+        &self,
+        program: &Program,
+        strategy: Strategy,
+        refracted: &dyn Fn(&Instantiation) -> bool,
+    ) -> Option<Instantiation> {
+        (**self).select(program, strategy, refracted)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use crate::value::Value;
 
     fn inst(p: u32, ids: &[u64]) -> Instantiation {
         let ids: Vec<WmeId> = ids.iter().map(|&i| WmeId(i)).collect();
-        Instantiation::new(ProductionId(p), &ids, HashMap::new())
+        Instantiation::new(ProductionId(p), &ids, Bindings::default())
     }
 
     #[test]
@@ -270,7 +285,7 @@ mod tests {
         let a = Instantiation::new(
             ProductionId(0),
             &[WmeId(1), WmeId(2)],
-            HashMap::from([(crate::intern("x"), Value::Int(1))]),
+            Bindings::from_iter([(crate::intern("x"), Value::Int(1))]),
         );
         assert_eq!(a, inst(0, &[1, 2]));
     }
@@ -288,7 +303,7 @@ mod tests {
 
     #[test]
     fn clone_shares_the_record() {
-        // `conflict_set()` clones every entry every cycle: a clone must
+        // Stores hand out winners and snapshots by cloning: a clone must
         // stay a reference-count bump, never a copy of ids and bindings.
         let a = inst(0, &[1, 2]);
         let b = a.clone();
@@ -300,20 +315,6 @@ mod tests {
         let mut v = vec![inst(1, &[1]), inst(0, &[9]), inst(0, &[2])];
         v.sort();
         assert_eq!(v, vec![inst(0, &[2]), inst(0, &[9]), inst(1, &[1])]);
-    }
-
-    #[test]
-    fn ordered_store_is_probed_by_borrowed_key() {
-        let mut store: BTreeMap<Instantiation, i64> = BTreeMap::new();
-        for i in [inst(1, &[1]), inst(0, &[9, 4]), inst(0, &[2])] {
-            store.insert(i, 1);
-        }
-        let ids = [WmeId(9), WmeId(4)];
-        let key: &dyn InstantiationKey = &(ProductionId(0), &ids[..]);
-        let (found, _) = store.remove_entry(key).expect("present");
-        assert_eq!(found, inst(0, &[9, 4]));
-        assert!(!store.contains_key(key));
-        assert_eq!(store.len(), 2);
     }
 
     #[test]

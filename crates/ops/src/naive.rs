@@ -6,12 +6,11 @@
 //! are transparently correct, which makes it the oracle every other matcher
 //! in the workspace is property-tested against.
 
+use crate::cond::Bindings;
 use crate::matcher::{Instantiation, Matcher, WmeChange};
 use crate::production::{Production, Program};
-use crate::symbol::Symbol;
-use crate::value::Value;
 use crate::wme::{Sign, Wme, WmeId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Brute-force matcher: the semantic oracle.
 pub struct NaiveMatcher {
@@ -39,7 +38,7 @@ impl NaiveMatcher {
                 prod,
                 0,
                 &mut partial,
-                &HashMap::new(),
+                &Bindings::default(),
                 &mut |wme_ids, bindings| {
                     out.push(Instantiation::new(pid, wme_ids, bindings.clone()));
                 },
@@ -59,8 +58,8 @@ impl NaiveMatcher {
         prod: &Production,
         ce_idx: usize,
         matched: &mut Vec<WmeId>,
-        bindings: &HashMap<Symbol, Value>,
-        emit: &mut impl FnMut(&[WmeId], &HashMap<Symbol, Value>),
+        bindings: &Bindings,
+        emit: &mut impl FnMut(&[WmeId], &Bindings),
     ) {
         if ce_idx == prod.lhs.len() {
             emit(matched, bindings);
@@ -118,6 +117,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_program;
     use crate::symbol::intern;
+    use crate::value::Value;
 
     fn changes_add(start: u64, wmes: Vec<Wme>) -> Vec<WmeChange> {
         wmes.into_iter()

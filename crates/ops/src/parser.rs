@@ -52,7 +52,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -72,7 +72,7 @@ fn is_ident_char(c: u8) -> bool {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -88,11 +88,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -126,7 +126,9 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn ident(&mut self) -> String {
+    /// The identifier at the cursor, borrowed from the source. Identifier
+    /// bytes are ASCII, so both ends of the slice are char boundaries.
+    fn ident(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if is_ident_char(c) {
@@ -135,7 +137,7 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        &self.src[start..self.pos]
     }
 
     fn next_token(&mut self) -> Result<Option<Spanned>, ParseError> {
@@ -160,7 +162,7 @@ impl<'a> Lexer<'a> {
                 if name.is_empty() {
                     return Err(self.err("expected attribute name after '^'"));
                 }
-                Tok::Attr(intern(&name))
+                Tok::Attr(intern(name))
             }
             b'<' => {
                 self.bump();
@@ -181,7 +183,7 @@ impl<'a> Lexer<'a> {
                         let name = self.ident();
                         if self.peek() == Some(b'>') {
                             self.bump();
-                            Tok::Var(intern(&name))
+                            Tok::Var(intern(name))
                         } else {
                             return Err(self.err(format!("unterminated variable <{name}")));
                         }
@@ -208,7 +210,9 @@ impl<'a> Lexer<'a> {
                 Tok::Pred(Predicate::Eq)
             }
             b'-' => {
-                if self.peek2() == Some(b'-') && self.src.get(self.pos + 2).copied() == Some(b'>') {
+                if self.peek2() == Some(b'-')
+                    && self.src.as_bytes().get(self.pos + 2) == Some(&b'>')
+                {
                     self.bump();
                     self.bump();
                     self.bump();
@@ -235,12 +239,12 @@ impl<'a> Lexer<'a> {
                     Ok(n) => Tok::Int(n),
                     // Identifiers may start with a digit in OPS5 (rare);
                     // treat unparsable numerics as symbols.
-                    Err(_) => Tok::Sym(intern(&digits)),
+                    Err(_) => Tok::Sym(intern(digits)),
                 }
             }
             c if is_ident_char(c) => {
                 let name = self.ident();
-                Tok::Sym(intern(&name))
+                Tok::Sym(intern(name))
             }
             other => {
                 return Err(self.err(format!("unexpected character {:?}", other as char)));

@@ -1,10 +1,10 @@
 //! Productions, right-hand sides, and whole programs.
 
-use crate::cond::{ConditionElement, TestKind};
+use crate::cond::{Bindings, ConditionElement, TestKind};
 use crate::error::OpsError;
 use crate::symbol::Symbol;
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Index of a production within a [`Program`].
@@ -63,7 +63,7 @@ pub enum RhsValue {
 
 impl RhsValue {
     /// Evaluate under the instantiation's bindings.
-    pub fn eval(&self, bindings: &HashMap<Symbol, Value>) -> Result<Value, OpsError> {
+    pub fn eval(&self, bindings: &Bindings) -> Result<Value, OpsError> {
         match self {
             RhsValue::Const(v) => Ok(*v),
             RhsValue::Var(var) => bindings
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn rhs_value_eval() {
-        let mut b = HashMap::new();
+        let mut b = Bindings::default();
         b.insert(intern("x"), Value::Int(10));
         let expr = RhsValue::Compute(
             RhsOp::Add,
@@ -546,7 +546,7 @@ mod tests {
             Box::new(RhsValue::Const(Value::Int(5))),
             Box::new(RhsValue::Const(Value::Int(0))),
         );
-        assert!(expr.eval(&HashMap::new()).is_err());
+        assert!(expr.eval(&Bindings::default()).is_err());
     }
 
     #[test]
@@ -556,7 +556,7 @@ mod tests {
             Box::new(RhsValue::Const(Value::sym("a"))),
             Box::new(RhsValue::Const(Value::Int(1))),
         );
-        assert!(expr.eval(&HashMap::new()).is_err());
+        assert!(expr.eval(&Bindings::default()).is_err());
     }
 
     #[test]

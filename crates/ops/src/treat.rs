@@ -27,14 +27,14 @@
 //! against their memories *without* the new WME and positions after *k*
 //! with it, so every combination is generated at exactly one seed.
 
-use crate::cond::{ConditionElement, TestKind};
+use crate::cond::{Bindings, ConditionElement, TestKind};
+use crate::conflict::{ConflictSet, Strategy};
 use crate::matcher::{Instantiation, Matcher, WmeChange};
 use crate::production::{Production, ProductionId, Program};
 use crate::symbol::Symbol;
-use crate::value::Value;
 use crate::wme::{Sign, Wme, WmeId};
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Metric names emitted by the TREAT profiling hooks — the per-rule
@@ -76,13 +76,13 @@ struct NegatedCe {
 impl NegatedCe {
     /// Does `wme` violate this negation for an instantiation carrying
     /// `bindings`? Only the visible bindings participate in the test.
-    fn blocked_by(&self, wme: &Wme, bindings: &HashMap<Symbol, Value>) -> bool {
+    fn blocked_by(&self, wme: &Wme, bindings: &Bindings) -> bool {
         // Common case: every binding is visible — test directly without
         // building a restricted copy.
         if bindings.keys().all(|var| self.visible.contains(var)) {
             return self.ce.match_with_bindings(wme, bindings).is_some();
         }
-        let restricted: HashMap<Symbol, Value> = bindings
+        let restricted: Bindings = bindings
             .iter()
             .filter(|(var, _)| self.visible.contains(*var))
             .map(|(&var, &val)| (var, val))
@@ -127,8 +127,9 @@ pub struct TreatMatcher<M: MetricSink = NullMetrics> {
     productions: Vec<CompiledProduction>,
     /// `memories[p]` maps an LHS index to its alpha memory.
     memories: Vec<HashMap<usize, AlphaMemory>>,
-    /// The conflict set, kept in canonical order as it changes.
-    conflict: BTreeSet<Instantiation>,
+    /// The conflict set: one count per instantiation, never above 1 —
+    /// TREAT derives each instantiation once and drops it whole.
+    conflict: ConflictSet,
     metrics: M,
     sample_tick: u32,
 }
@@ -158,7 +159,7 @@ impl<M: MetricSink> TreatMatcher<M> {
         TreatMatcher {
             productions,
             memories,
-            conflict: BTreeSet::new(),
+            conflict: ConflictSet::default(),
             metrics,
             sample_tick: 0,
         }
@@ -188,7 +189,17 @@ impl<M: MetricSink> TreatMatcher<M> {
     ) {
         let mems = &self.memories[p];
         let mut chosen: Vec<WmeId> = Vec::with_capacity(self.productions[p].positive.len());
-        self.extend_positive(p, seed, id, wme, 0, &mut chosen, &HashMap::new(), mems, out);
+        self.extend_positive(
+            p,
+            seed,
+            id,
+            wme,
+            0,
+            &mut chosen,
+            &Bindings::default(),
+            mems,
+            out,
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -200,7 +211,7 @@ impl<M: MetricSink> TreatMatcher<M> {
         seed_wme: &Wme,
         pos: usize,
         chosen: &mut Vec<WmeId>,
-        bindings: &HashMap<Symbol, Value>,
+        bindings: &Bindings,
         mems: &HashMap<usize, AlphaMemory>,
         out: &mut Vec<Instantiation>,
     ) {
@@ -263,7 +274,7 @@ impl<M: MetricSink> TreatMatcher<M> {
 
     /// True when no WME in the negated memories matches under the bindings
     /// each negation is allowed to see (its visible-variable restriction).
-    fn negations_clear(&self, p: usize, bindings: &HashMap<Symbol, Value>) -> bool {
+    fn negations_clear(&self, p: usize, bindings: &Bindings) -> bool {
         let compiled = &self.productions[p];
         let mems = &self.memories[p];
         compiled.negative.iter().all(|neg| {
@@ -376,7 +387,11 @@ impl<M: MetricSink> TreatMatcher<M> {
                 self.metrics
                     .add(metric::RULE_ACTIVATIONS, p as u64, found.len() as u64);
             }
-            self.conflict.extend(found);
+            for inst in found {
+                // Every seeded instantiation holds the new WME: it is new.
+                let count = self.conflict.update(Sign::Plus, inst);
+                debug_assert_eq!(count, 1, "duplicate TREAT derivation");
+            }
             self.record_sample(p, timer);
         }
     }
@@ -412,7 +427,11 @@ impl<M: MetricSink> TreatMatcher<M> {
             // re-derive this production.
             if unblocked {
                 for inst in self.all_instantiations(p) {
-                    if self.conflict.insert(inst) && M::ENABLED {
+                    if self.conflict.contains(&inst) {
+                        continue;
+                    }
+                    self.conflict.update(Sign::Plus, inst);
+                    if M::ENABLED {
                         self.metrics.add(metric::RULE_ACTIVATIONS, p as u64, 1);
                     }
                 }
@@ -459,7 +478,16 @@ impl<M: MetricSink> Matcher for TreatMatcher<M> {
     }
 
     fn conflict_set(&self) -> Vec<Instantiation> {
-        self.conflict.iter().cloned().collect()
+        self.conflict.sorted()
+    }
+
+    fn select(
+        &self,
+        program: &Program,
+        strategy: Strategy,
+        refracted: &dyn Fn(&Instantiation) -> bool,
+    ) -> Option<Instantiation> {
+        self.conflict.select(program, strategy, refracted).cloned()
     }
 }
 

@@ -10,9 +10,11 @@ use crate::kernel::{self, metric, Kernel, RootWork, Work};
 use crate::memory::GlobalMemories;
 use crate::network::{NodeId, ReteNetwork, Side};
 use crate::trace::{ActKind, ActivationRecord, Trace, TraceCycle};
-use mpps_ops::{Instantiation, InstantiationKey, Matcher, ProductionId, Sign, WmeChange};
+use mpps_ops::{
+    ConflictSet, Instantiation, Matcher, ProductionId, Program, Sign, Strategy, WmeChange,
+};
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Engine configuration.
@@ -43,8 +45,8 @@ impl Default for EngineConfig {
 pub struct ReteMatcher<M: MetricSink = NullMetrics> {
     network: Arc<ReteNetwork>,
     kernel: Kernel<M>,
-    /// Derivation count per instantiation, in canonical conflict-set order.
-    conflict: BTreeMap<Instantiation, i64>,
+    /// Derivation count per instantiation.
+    conflict: ConflictSet,
     config: EngineConfig,
     trace: Option<Trace>,
     queue: VecDeque<(Work, Option<u32>)>,
@@ -94,7 +96,7 @@ impl<M: MetricSink> ReteMatcher<M> {
         ReteMatcher {
             kernel: Kernel::with_metrics(GlobalMemories::new(config.table_size), metrics),
             network,
-            conflict: BTreeMap::new(),
+            conflict: ConflictSet::default(),
             config,
             trace,
             queue: VecDeque::new(),
@@ -184,21 +186,16 @@ impl<M: MetricSink> ReteMatcher<M> {
                 let inst = self
                     .kernel
                     .instantiation(&self.network, node, production, token);
-                let count = self.conflict.entry(inst).or_insert(0);
-                *count += 1;
-                debug_assert!(*count <= 1, "duplicate instantiation derivation");
+                let count = self.conflict.update(Sign::Plus, inst);
+                debug_assert!(count == 1, "duplicate instantiation derivation");
             }
             Sign::Minus => {
                 // Probe by borrowed key: a retraction builds no record.
-                let key: &dyn InstantiationKey = &(production, self.kernel.wme_ids(token));
-                let (inst, count) = self
+                let count = self
                     .conflict
-                    .remove_entry(key)
+                    .retract(&(production, self.kernel.wme_ids(token)))
                     .expect("retracting unknown instantiation");
-                debug_assert!(count >= 1, "instantiation count underflow");
-                if count > 1 {
-                    self.conflict.insert(inst, count - 1);
-                }
+                debug_assert!(count >= 0, "instantiation count underflow");
             }
         }
     }
@@ -262,7 +259,16 @@ impl<M: MetricSink> Matcher for ReteMatcher<M> {
     }
 
     fn conflict_set(&self) -> Vec<Instantiation> {
-        self.conflict.keys().cloned().collect()
+        self.conflict.sorted()
+    }
+
+    fn select(
+        &self,
+        program: &Program,
+        strategy: Strategy,
+        refracted: &dyn Fn(&Instantiation) -> bool,
+    ) -> Option<Instantiation> {
+        self.conflict.select(program, strategy, refracted).cloned()
     }
 }
 

@@ -14,8 +14,8 @@
 //! CE prefixes — the *sharing* that §5.2.1's unsharing transform removes.
 
 use mpps_ops::{
-    ConditionElement, OpsError, Predicate, Production, ProductionId, Program, Symbol, TestKind,
-    Value, Wme,
+    ConditionElement, FxBuildHasher, FxHasher, OpsError, Predicate, Production, ProductionId,
+    Program, Symbol, TestKind, Value, Wme,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -520,52 +520,8 @@ struct BetaKey {
     spec: JoinSpec,
 }
 
-/// Multiply-xor hasher for the compiler's structural keys and scratch
-/// maps. The std `DefaultHasher` (SipHash) dominated sharing-probe cost
-/// on large programs; compile-time sharing needs no DoS resistance, so a
-/// two-instruction mix per word is the right trade.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, w: u64) {
-        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
-
-/// One [`FxHasher`] pass over a structural key. The sharing caches index
+/// One [`FxHasher`] pass over a structural key (the std SipHash dominated
+/// sharing-probe cost on large programs). The sharing caches index
 /// candidate nodes by this hash and confirm with a field-by-field compare
 /// against the existing node, so key contents are hashed exactly once and
 /// then *moved* into the created node — never cloned.

@@ -9,21 +9,24 @@
 //!   must pick what the definition picks: filter by refraction, then
 //!   `resolve`; and one `sort_by(compare)` must equal repeated winner
 //!   extraction.
-//! * Every matcher's `conflict_set()` comes back already in canonical
-//!   `(production, wme_ids)` order — the stores keep it incrementally —
-//!   and equal to the reference matcher's.
+//! * Every matcher's `conflict_set()` comes back in canonical
+//!   `(production, wme_ids)` order — sorted on demand — and equal to the
+//!   reference matcher's; and every matcher's `Matcher::select`, which
+//!   walks its store in place, picks what `select` picks over that sorted
+//!   snapshot, under LEX and MEA, with and without refraction.
 
 use mpps::core::ThreadedMatcher;
 use mpps::ops::{
-    compare, intern, resolve, select, Action, AttrTest, ConditionElement, Instantiation, Matcher,
-    NaiveMatcher, Production, ProductionId, Program, Strategy as CrStrategy, TestKind,
+    compare, intern, resolve, select, Action, AttrTest, Bindings, ConditionElement, Instantiation,
+    Matcher, NaiveMatcher, Production, ProductionId, Program, Strategy as CrStrategy, TestKind,
     TreatMatcher, Value, WmeChange, WmeId, WorkingMemory,
 };
 use mpps::rete::{ReteMatcher, ReteNetwork};
 use mpps_difftest::{generate_case, FuzzCase, GenConfig, ScheduleOp};
 use proptest::prelude::*;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 /// Three productions with specificities 1, 2, and 3, so the specificity
 /// tie-break is exercised alongside recency and the id-based final rung.
@@ -52,7 +55,7 @@ fn order_program() -> Program {
 fn arb_inst() -> impl Strategy<Value = Instantiation> {
     (0u32..3, proptest::collection::vec(1u64..7, 1..=3)).prop_map(|(p, ids)| {
         let ids: Vec<WmeId> = ids.into_iter().map(WmeId).collect();
-        Instantiation::new(ProductionId(p), &ids, HashMap::new())
+        Instantiation::new(ProductionId(p), &ids, Bindings::default())
     })
 }
 
@@ -69,14 +72,18 @@ fn arb_conflict_set() -> impl Strategy<Value = Vec<(Instantiation, bool)>> {
 /// Drive `matchers` (reference first) with the external WM ops of the
 /// difftest case `case`, one batch per schedule round, and check after
 /// every batch that each conflict set is strictly increasing in canonical
-/// order and equal to the reference's.
+/// order and equal to the reference's, and that each matcher's own
+/// `select` equals `select` over that set — under both strategies, with
+/// no refraction and with a refraction predicate seeded by the case and
+/// the round.
 fn assert_canonical_after_schedule(
     seed: u64,
     case: &FuzzCase,
+    program: &Program,
     matchers: &mut [(String, Box<dyn Matcher>)],
 ) {
     let mut wm = WorkingMemory::new();
-    for round in &case.schedule.rounds {
+    for (r, round) in case.schedule.rounds.iter().enumerate() {
         let mut batch = Vec::new();
         for op in round {
             match op {
@@ -110,6 +117,21 @@ fn assert_canonical_after_schedule(
             );
             let reference = reference.get_or_insert_with(|| cs.clone());
             assert_eq!(&cs, reference, "seed {seed}: {name} differs from naive");
+            for strategy in [CrStrategy::Lex, CrStrategy::Mea] {
+                for seeded in [false, true] {
+                    // Seeded: about a third of the keys count as fired.
+                    let refracted = |i: &Instantiation| {
+                        let mut h = DefaultHasher::new();
+                        (seed, r, i.key()).hash(&mut h);
+                        seeded && h.finish().is_multiple_of(3)
+                    };
+                    assert_eq!(
+                        m.select(program, strategy, &refracted),
+                        select(program, strategy, &cs, refracted).cloned(),
+                        "seed {seed} round {r}: {name} select, {strategy:?}, seeded {seeded}"
+                    );
+                }
+            }
         }
     }
 }
@@ -134,7 +156,7 @@ fn every_matcher_returns_its_conflict_set_in_canonical_order() {
                 Box::new(ThreadedMatcher::new(network, workers, 64)),
             ));
         }
-        assert_canonical_after_schedule(seed, &case, &mut matchers);
+        assert_canonical_after_schedule(seed, &case, &program, &mut matchers);
     }
 }
 
