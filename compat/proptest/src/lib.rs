@@ -214,7 +214,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Element-count bounds for [`vec`]; half-open like upstream.
+    /// Element-count bounds for [`vec()`]; half-open like upstream.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,

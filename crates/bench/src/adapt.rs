@@ -117,7 +117,7 @@ fn game_seeds(sc: &AdaptScenario) -> Vec<Wme> {
 
 /// The full scenario WM — tourney's round + teams plus the off-diagonal
 /// game seeds; the diagonal stays open, so the run still fires once per
-/// east team. This is the `suggest_plan` WME sample; [`drive`] ingests
+/// east team. This is the `suggest_plan` WME sample; `drive` ingests
 /// the two halves as separate cycles.
 pub fn initial_wm(sc: &AdaptScenario) -> Vec<Wme> {
     let mut wmes = tourney::initial(sc.east, sc.west);

@@ -50,12 +50,14 @@ pub enum MappingVariant {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RootDistribution {
     /// §3.2: broadcast the WME packet; every match processor duplicates
-    /// the constant tests and keeps what it owns.
+    /// the constant tests and keeps what it owns. The threaded executor
+    /// runs this scheme.
     #[default]
     BroadcastDuplicate,
-    /// Ablation (§3.1-style constant-test processors collapsed into the
-    /// control processor): the control evaluates constant tests once and
-    /// routes each root activation as an individual message.
+    /// Simulator-only ablation (§3.1-style constant-test processors
+    /// collapsed into the control processor): the control evaluates
+    /// constant tests once and routes each root activation as an
+    /// individual message.
     CentralRoute,
 }
 
@@ -222,7 +224,7 @@ struct CycleData<'a> {
     roots: &'a [u32],
 }
 
-/// Reusable buffers for the per-cycle index structures ([`CycleData`]).
+/// Reusable buffers for the per-cycle index structures (`CycleData`).
 ///
 /// A fresh scratch is allocated implicitly by [`simulate`] /
 /// [`simulate_per_cycle`]; hot loops that fan out over many simulation

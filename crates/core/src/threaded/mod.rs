@@ -22,16 +22,27 @@
 //! robin, seeded random, or the §5.2.2 offline greedy), shared verbatim
 //! with the trace-driven simulator, so the distribution experiments run on
 //! real threads. [`ThreadedMatcher::with_partition`] takes any partition;
-//! [`ThreadedMatcher::new`] defaults to round robin.
+//! [`ThreadedMatcher::new`] defaults to round robin. Only workers decide
+//! ownership, and only through the partition.
+//!
+//! **Broadcast roots.** As in §3.2 and the simulator's default
+//! [`crate::simexec::RootDistribution::BroadcastDuplicate`], the
+//! coordinator sends each worker the cycle's change packet, one shared
+//! copy. Every worker runs all the constant tests and keeps the root
+//! activations whose bucket it owns; the owner of bucket 0 completes
+//! single-CE productions. Roots then take the same path as the kernel's
+//! own output: an owned bucket's work stays local, a peer's left token is
+//! forwarded to it.
 //!
 //! **Termination detection.** The paper explicitly deferred this ("we do
 //! not simulate termination detection … the subject of future work"). A
 //! real executor cannot: the coordinator must know when a cycle's token
-//! cascade has drained. After draining a batch, a worker sends the
-//! coordinator one `Drained` report: the drain's instantiations, its
-//! statistics deltas, and the number of peer batches it is about to send.
-//! The coordinator's in-flight count starts at the number of root batches;
-//! each report does −1 + its batch count, and the cycle is over at zero.
+//! cascade has drained. After draining the packet or a peer batch, a
+//! worker sends the coordinator one `Drained` report: the drain's
+//! instantiations, its statistics deltas, and the number of peer batches it
+//! is about to send. The coordinator's in-flight count starts at the number
+//! of workers (one packet each); each report does −1 + its batch count, and
+//! the cycle is over at zero.
 //! The report is sent *before* the batches it counts, and all replies share
 //! one channel, so a peer's report can never overtake the report that
 //! announced its batch. A detector without a central counter would be
@@ -59,10 +70,10 @@
 use crate::partition::Partition;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mpps_ops::{
-    ConflictSet, Instantiation, MatchError, Matcher, OpsError, ProductionId, Program, Sign,
-    Strategy, Value, Wme, WmeChange, WmeId,
+    ConflictSet, Instantiation, MatchError, Matcher, OpsError, Program, Sign, Strategy, Wme,
+    WmeChange, WmeId,
 };
-use mpps_rete::kernel::{self, RootWork};
+use mpps_rete::kernel;
 use mpps_rete::{FlatToken, NodeId, ReteNetwork};
 use mpps_telemetry::recorder::THREADED_PID;
 use mpps_telemetry::{MetricSink, MetricsRegistry, NullMetrics, Recorder, TraceRecorder, Track};
@@ -99,19 +110,13 @@ pub mod metric {
     pub const WORKER_WAIT_NS: &str = "worker.wait-ns";
 }
 
-/// Cross-thread work: arena-agnostic form of [`Work`]. Tokens travel as
-/// seed values or [`FlatToken`]s and are adopted into the receiving
-/// worker's private arena.
-enum WireWork {
-    /// A root activation routed by the coordinator ([`RootWork::Right`]
-    /// or [`RootWork::Seed`]; `Prod` roots complete at the coordinator).
-    Root(RootWork),
-    Left {
-        node: NodeId,
-        sign: Sign,
-        flat: FlatToken,
-        key_hash: u64,
-    },
+/// A left token forwarded to the worker that owns its bucket: the
+/// arena-agnostic form of a `Work::Left`, re-interned by the receiver.
+struct WireWork {
+    node: NodeId,
+    sign: Sign,
+    flat: FlatToken,
+    key_hash: u64,
 }
 
 /// A stored memory entry moving to another worker during a barrier-time
@@ -135,8 +140,11 @@ enum MigratedEntry {
 }
 
 enum ToWorker {
-    /// Root activations from the coordinator or forwarded left tokens from
-    /// a peer: drained to completion, then reported.
+    /// The cycle's change packet, broadcast by the coordinator: run the
+    /// constant tests, keep the owned roots, drain, then report.
+    Changes(Arc<[WmeChange]>),
+    /// Left tokens forwarded by a peer: drained to completion, then
+    /// reported.
     Work(Vec<WireWork>),
     /// Ask the worker to export its metrics registry (between cycles).
     Report,
@@ -158,7 +166,7 @@ enum ToWorker {
 }
 
 enum ToCoordinator {
-    /// Everything one drained `Work` batch produced: its instantiations in
+    /// Everything one drain produced: its instantiations in
     /// generation order and its [`WorkerStats`] deltas. `stats.messages_sent`
     /// is the number of peer batches the worker sends right after this
     /// report, so the coordinator's in-flight count does −1 + that.
@@ -188,8 +196,6 @@ pub struct WorkerStats {
     pub tokens_forwarded: u64,
     /// Cross-thread `Work` messages sent (coalesced per peer per drain).
     pub messages_sent: u64,
-    /// Instantiations reported to the coordinator.
-    pub instantiations_sent: u64,
     /// Peak local work-queue depth observed.
     pub max_queue_depth: u64,
     /// Left-table entries examined by probes on this worker's buckets.
@@ -206,7 +212,6 @@ impl WorkerStats {
         tokens_processed: 0,
         tokens_forwarded: 0,
         messages_sent: 0,
-        instantiations_sent: 0,
         max_queue_depth: 0,
         left_probes: 0,
         right_probes: 0,
@@ -219,7 +224,6 @@ impl WorkerStats {
         self.tokens_processed += drain.tokens_processed;
         self.tokens_forwarded += drain.tokens_forwarded;
         self.messages_sent += drain.messages_sent;
-        self.instantiations_sent += drain.instantiations_sent;
         self.max_queue_depth = self.max_queue_depth.max(drain.max_queue_depth);
         self.left_probes += drain.left_probes;
         self.right_probes += drain.right_probes;
@@ -251,7 +255,6 @@ pub struct MigrationStats {
 
 /// The distributed hash-table matcher running on real threads.
 pub struct ThreadedMatcher {
-    network: Arc<ReteNetwork>,
     partition: Arc<Partition>,
     table_size: u64,
     workers: Vec<Sender<ToWorker>>,
@@ -367,7 +370,6 @@ impl ThreadedMatcher {
             trace.name_track(Track::match_worker(w), format!("match thread {w}"));
         }
         ThreadedMatcher {
-            network,
             partition,
             table_size,
             workers: senders,
@@ -462,12 +464,7 @@ impl ThreadedMatcher {
         if let Some(worker) = self.failed {
             return Err(MatchError::WorkerPanicked { worker });
         }
-        for (w, tx) in self.workers.iter().enumerate() {
-            if tx.send(ToWorker::Report).is_err() {
-                self.failed = Some(w);
-                return Err(MatchError::WorkerPanicked { worker: w });
-            }
-        }
+        self.broadcast(|| ToWorker::Report)?;
         let mut replies = 0;
         self.wait_for_workers(|this, reply| {
             let ToCoordinator::Metrics { registry } = reply else {
@@ -510,12 +507,7 @@ impl ThreadedMatcher {
             return Ok(MigrationStats::default());
         }
         let partition = Arc::new(partition);
-        for (w, tx) in self.workers.iter().enumerate() {
-            if tx.send(ToWorker::Migrate(partition.clone())).is_err() {
-                self.failed = Some(w);
-                return Err(MatchError::WorkerPanicked { worker: w });
-            }
-        }
+        self.broadcast(|| ToWorker::Migrate(partition.clone()))?;
         let mut adopt: Vec<Vec<MigratedEntry>> =
             (0..self.workers.len()).map(|_| Vec::new()).collect();
         let (mut moved_left, mut moved_right) = (0u64, 0u64);
@@ -567,35 +559,25 @@ impl ThreadedMatcher {
         dead
     }
 
-    /// Materialize the instantiation of a single-CE production satisfied
-    /// at the coordinator (root-level seed values).
-    fn root_instantiation(
-        &self,
-        node: NodeId,
-        production: ProductionId,
-        wme_id: WmeId,
-        vals: &[Value],
-    ) -> Instantiation {
-        Instantiation::new(
-            production,
-            &[wme_id],
-            self.network
-                .layout(node)
-                .vars
-                .iter()
-                .map(|&(s, r)| {
-                    debug_assert_eq!(r.level, 0, "root instantiation has one level");
-                    (s, vals[r.slot as usize])
-                })
-                .collect(),
-        )
+    /// Send every worker the message `msg` builds. A closed channel means
+    /// that worker died: the matcher is poisoned and the error returned.
+    fn broadcast(&mut self, msg: impl Fn() -> ToWorker) -> Result<(), MatchError> {
+        for (w, tx) in self.workers.iter().enumerate() {
+            if tx.send(msg()).is_err() {
+                self.failed = Some(w);
+                return Err(MatchError::WorkerPanicked { worker: w });
+            }
+        }
+        Ok(())
     }
 
     /// The fallible cycle driver behind both `Matcher::process` and
-    /// `Matcher::try_process`: route the roots, then fold drain reports
-    /// until no batch is in flight. When profiled, each worker's
+    /// `Matcher::try_process`. As in §3.2, the control processor broadcasts
+    /// the cycle's changes in one packet; every worker runs the constant
+    /// tests and keeps the roots it owns. The coordinator then folds drain
+    /// reports until no batch is in flight. When profiled, each worker's
     /// barrier-wait share is `cycle wall − that worker's reported drain
-    /// time`. Every drain of a cycle starts after its roots are sent and is
+    /// time`. Every drain of a cycle starts after the packet is sent and is
     /// reported before the cycle ends, so the split is exact.
     fn process_cycle(&mut self, changes: &[WmeChange]) -> Result<(), MatchError> {
         if let Some(worker) = self.failed {
@@ -603,44 +585,11 @@ impl ThreadedMatcher {
         }
         self.cycles += 1;
         let t0 = self.profiled.then(std::time::Instant::now);
-        // Constant tests run here (the coordinator plays the part of the
-        // broadcast + duplicated constant tests of §3.2); root activations
-        // are then routed to their bucket owners.
-        let mut batches: Vec<Vec<WireWork>> = (0..self.workers.len()).map(|_| Vec::new()).collect();
-        let mut roots: Vec<RootWork> = Vec::new();
-        for change in changes {
-            kernel::alpha_roots(&self.network, change, &mut roots);
-            for root in roots.drain(..) {
-                let key_hash = match &root {
-                    RootWork::Prod {
-                        node,
-                        production,
-                        sign,
-                        wme_id,
-                        vals,
-                    } => {
-                        // Single-CE productions complete at the control
-                        // processor without touching the hash table.
-                        let inst = self.root_instantiation(*node, *production, *wme_id, vals);
-                        self.conflict.update(*sign, inst);
-                        continue;
-                    }
-                    RootWork::Right { key_hash, .. } | RootWork::Seed { key_hash, .. } => *key_hash,
-                };
-                let owner = self.partition.owner(key_hash % self.table_size);
-                batches[owner].push(WireWork::Root(root));
-            }
-        }
         let mut in_flight = 0usize;
-        for (owner, batch) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            if self.workers[owner].send(ToWorker::Work(batch)).is_err() {
-                self.failed = Some(owner);
-                return Err(MatchError::WorkerPanicked { worker: owner });
-            }
-            in_flight += 1;
+        if !changes.is_empty() {
+            let packet: Arc<[WmeChange]> = changes.into();
+            self.broadcast(|| ToWorker::Changes(packet.clone()))?;
+            in_flight = self.workers.len();
         }
         let mut work_ns = vec![0u64; self.workers.len()];
         if in_flight > 0 {

@@ -33,6 +33,22 @@ fn blue_wmes() -> Vec<WmeChange> {
     ]
 }
 
+/// Every visible conflict-set entry was derived exactly once, as in the
+/// sequential engine: retracting one derivation settles it at zero. (A
+/// root completed by two workers would be added and retracted twice, so
+/// the visible set alone cannot show it.) Each entry is put back.
+fn assert_single_derivations(par: &mut ThreadedMatcher) {
+    for inst in par.conflict_set() {
+        let key = (inst.production(), inst.wme_ids());
+        assert_eq!(
+            par.conflict.retract(&key),
+            Some(0),
+            "{inst:?} derived twice"
+        );
+        par.conflict.update(Sign::Plus, inst);
+    }
+}
+
 fn agree(src: &str, batches: &[Vec<WmeChange>], workers: usize) {
     let prog = parse_program(src).unwrap();
     let mut seq = ReteMatcher::from_program(&prog).unwrap();
@@ -45,6 +61,7 @@ fn agree(src: &str, batches: &[Vec<WmeChange>], workers: usize) {
             par.conflict_set(),
             "diverged after a batch with {workers} workers"
         );
+        assert_single_derivations(&mut par);
     }
 }
 
@@ -66,6 +83,7 @@ fn agree_on_partition(src: &str, batches: &[Vec<WmeChange>], partition: Partitio
             par.conflict_set(),
             "diverged after a batch ({label})"
         );
+        assert_single_derivations(&mut par);
     }
 }
 
@@ -138,14 +156,29 @@ fn negation_behaves_under_parallelism() {
     agree(src, &batches, 4);
 }
 
+/// Every worker runs the constant tests, and only the owner of bucket 0
+/// completes a single-CE production: one owner per root, even when that
+/// owner is the last worker and another worker owns no bucket at all.
 #[test]
-fn single_ce_production_handled_at_coordinator() {
-    let src = "(p solo (alarm ^level <l>) --> (remove 1))";
+fn single_ce_production_completes_once_at_the_owner_of_bucket_zero() {
+    let src = r#"
+        (p solo (alarm ^level <l>) --> (remove 1))
+        (p acked (alarm ^level <l>) (ack ^level <l>) --> (remove 1))
+    "#;
+    let alarm = |v: i64| Wme::new("alarm", &[("level", v.into())]);
     let batches = vec![
-        vec![add(1, Wme::new("alarm", &[("level", 3.into())]))],
-        vec![del(1, Wme::new("alarm", &[("level", 3.into())]))],
+        vec![
+            add(1, alarm(3)),
+            add(2, alarm(4)),
+            add(3, Wme::new("ack", &[("level", 3.into())])),
+        ],
+        vec![del(1, alarm(3))],
     ];
     agree(src, &batches, 2);
+    // Even buckets, bucket 0 among them, go to the last worker; worker 1
+    // owns none.
+    let owners = (0..64).map(|b| if b % 2 == 0 { 2 } else { 0 }).collect();
+    agree_on_partition(src, &batches, Partition::from_owners(owners, 3));
 }
 
 #[test]
@@ -180,48 +213,6 @@ fn shutdown_is_clean() {
     let par = ThreadedMatcher::from_program(&prog, 4).unwrap();
     assert_eq!(par.worker_count(), 4);
     drop(par); // must not hang or panic
-}
-
-/// Regression pin for the retraction race: a `Minus` report reaching
-/// the coordinator before its matching `Plus` used to hit
-/// `expect("retracting unknown instantiation")`. Signed counts keep
-/// the entry latent at −1 until the `Plus` settles it at zero.
-#[test]
-fn minus_before_plus_settles_without_panicking() {
-    let prog = parse_program("(p solo (alarm ^level <l>) --> (remove 1))").unwrap();
-    let network = ReteNetwork::compile(&prog).unwrap();
-    let mut roots = Vec::new();
-    kernel::alpha_roots(
-        &network,
-        &WmeChange::add(WmeId(1), Wme::new("alarm", &[("level", 3.into())])),
-        &mut roots,
-    );
-    let RootWork::Prod {
-        node,
-        production,
-        wme_id,
-        vals,
-        ..
-    } = roots.into_iter().next().unwrap()
-    else {
-        panic!("single-CE production produces prod work");
-    };
-    let mut par = ThreadedMatcher::from_program(&prog, 2).unwrap();
-    let inst = par.root_instantiation(node, production, wme_id, &vals);
-
-    // Minus first: transiently negative, invisible, no panic.
-    par.conflict.update(Sign::Minus, inst.clone());
-    assert!(par.conflict_set().is_empty());
-    // The matching Plus settles the count at zero: entry dropped.
-    par.conflict.update(Sign::Plus, inst.clone());
-    assert!(par.conflict_set().is_empty());
-    assert_eq!(par.stats().conflict_entries, 0);
-
-    // And the normal order still works on the same key afterwards.
-    par.conflict.update(Sign::Plus, inst.clone());
-    assert_eq!(par.conflict_set().len(), 1);
-    par.conflict.update(Sign::Minus, inst);
-    assert!(par.conflict_set().is_empty());
 }
 
 fn stress_iterations() -> u64 {

@@ -2,15 +2,18 @@
 //!
 //! A worker matches through the shared kernel over a full-size
 //! [`GlobalMemories`] of its own and touches only the buckets its partition
-//! assigns it. It holds no state the coordinator reads: each `Work` batch
-//! is drained to completion, and then everything the drain produced goes out
-//! as messages — one `Drained` report to the coordinator, then one coalesced
-//! batch per peer.
+//! assigns it. Its input is the cycle's change packet, whose constant tests
+//! it runs in full keeping the roots it owns (§3.2), or a peer's batch of
+//! forwarded left tokens. It holds no state the coordinator reads: each
+//! input is drained to completion, and then everything the drain produced
+//! goes out as messages — one `Drained` report to the coordinator, then one
+//! coalesced batch per peer.
 
 use super::{metric, MigratedEntry, ToCoordinator, ToWorker, WireWork, WorkerStats};
 use crate::partition::Partition;
 use crossbeam::channel::{Receiver, Sender};
-use mpps_rete::kernel::{Kernel, RootWork, Work};
+use mpps_ops::{Instantiation, Sign};
+use mpps_rete::kernel::{Kernel, Work};
 use mpps_rete::{GlobalMemories, LeftEntry, ReteNetwork, RightEntry};
 use mpps_telemetry::{MetricSink, NullMetrics};
 use std::collections::VecDeque;
@@ -36,6 +39,11 @@ pub(super) struct Worker<M: MetricSink = NullMetrics> {
     outgoing: Vec<Vec<WireWork>>,
     /// Kernel output scratch.
     out: Vec<Work>,
+    /// The current drain's instantiations, in generation order.
+    prods: Vec<(Sign, Instantiation)>,
+    /// The current drain's forwarded-token count and peak queue depth.
+    forwarded: u64,
+    max_queue_depth: u64,
 }
 
 /// What every worker is wired to, whichever sink it is monomorphized over.
@@ -66,6 +74,9 @@ impl<M: MetricSink + Send + 'static> Worker<M> {
             coordinator,
             local: VecDeque::new(),
             out: Vec::new(),
+            prods: Vec::new(),
+            forwarded: 0,
+            max_queue_depth: 0,
         };
         std::thread::Builder::new()
             .name(format!("mpps-match-{me}"))
@@ -87,7 +98,30 @@ impl<M: MetricSink> Worker<M> {
     /// `Shutdown`, or once the coordinator or a peer it sends to is gone.
     fn handle(&mut self, msg: ToWorker) -> bool {
         match msg {
-            ToWorker::Work(batch) => self.drain(batch),
+            // The constant tests of §3.2 over the whole packet: the kernel
+            // keeps the roots this worker owns, so the owner of bucket 0
+            // completes single-CE productions.
+            ToWorker::Changes(changes) => self.drain(|w| {
+                for change in changes.iter() {
+                    w.kernel.roots(
+                        &w.network,
+                        change,
+                        |bucket| w.partition.owner(bucket) == w.me,
+                        &mut w.out,
+                    );
+                }
+            }),
+            ToWorker::Work(batch) => self.drain(|w| {
+                for t in batch {
+                    let token = w.kernel.arena.intern(&t.flat);
+                    w.out.push(Work::Left {
+                        node: t.node,
+                        sign: t.sign,
+                        token,
+                        key_hash: t.key_hash,
+                    });
+                }
+            }),
             ToWorker::Report => {
                 let registry = Box::new(self.kernel.metrics.export());
                 self.coordinator
@@ -108,79 +142,73 @@ impl<M: MetricSink> Worker<M> {
         }
     }
 
-    /// Drain one batch to completion, then send the coordinator its report
-    /// and each peer the tokens bound for it.
-    fn drain(&mut self, batch: Vec<WireWork>) -> bool {
-        let timer = M::ENABLED.then(Instant::now);
-        for w in batch {
-            let work = self.adopt(w);
-            self.local.push_back(work);
-        }
+    /// Route the kernel's output: instantiations into the report, work on
+    /// an owned bucket onto the local queue, and left tokens for another
+    /// worker's bucket into that peer's batch.
+    fn dispatch(&mut self) {
         let table_size = self.partition.table_size();
-        let mut prods = Vec::new();
-        let (mut processed, mut forwarded) = (0u64, 0u64);
-        let mut max_queue_depth = self.local.len() as u64;
+        for o in self.out.drain(..) {
+            match o {
+                Work::Prod {
+                    node,
+                    production,
+                    sign,
+                    token,
+                } => {
+                    let inst = self
+                        .kernel
+                        .instantiation(&self.network, node, production, token);
+                    self.kernel.arena.release(token);
+                    self.prods.push((sign, inst));
+                }
+                Work::Left {
+                    node,
+                    sign,
+                    token,
+                    key_hash,
+                } if self.partition.owner(key_hash % table_size) != self.me => {
+                    let to = self.partition.owner(key_hash % table_size);
+                    self.forwarded += 1;
+                    self.kernel
+                        .metrics
+                        .add(metric::PEER_FORWARDED, to as u64, 1);
+                    let flat = self.kernel.arena.extract(token);
+                    self.kernel.arena.release(token);
+                    self.outgoing[to].push(WireWork {
+                        node,
+                        sign,
+                        flat,
+                        key_hash,
+                    });
+                }
+                work => {
+                    self.local.push_back(work);
+                    self.max_queue_depth = self.max_queue_depth.max(self.local.len() as u64);
+                }
+            }
+        }
+    }
+
+    /// One drain: `input` puts the message's work in the kernel output
+    /// scratch, which is dispatched like any kernel output; the local queue
+    /// then runs to completion, and the coordinator gets the drain's report
+    /// and each peer the tokens bound for it. The report's `work_ns` covers
+    /// `input`, so a packet's constant tests count as match work.
+    fn drain(&mut self, input: impl FnOnce(&mut Self)) -> bool {
+        let timer = M::ENABLED.then(Instant::now);
+        input(self);
+        self.dispatch();
+        let table_size = self.partition.table_size();
+        let mut processed = 0u64;
         while let Some(item) = self.local.pop_front() {
-            debug_assert!(
-                !matches!(item, Work::Prod { .. }),
-                "prod work stays at the coordinator"
-            );
             debug_assert_eq!(
                 self.partition.owner(item.bucket(table_size)),
                 self.me,
-                "routed work must target an owned bucket"
+                "queued work must target an owned bucket"
             );
             self.kernel.activate(&self.network, item, &mut self.out);
             processed += 1;
-            for o in self.out.drain(..) {
-                match o {
-                    Work::Prod {
-                        node,
-                        production,
-                        sign,
-                        token,
-                    } => {
-                        let inst =
-                            self.kernel
-                                .instantiation(&self.network, node, production, token);
-                        self.kernel.arena.release(token);
-                        prods.push((sign, inst));
-                    }
-                    Work::Left {
-                        node,
-                        sign,
-                        token,
-                        key_hash,
-                    } => {
-                        let to = self.partition.owner(key_hash % table_size);
-                        if to == self.me {
-                            self.local.push_back(Work::Left {
-                                node,
-                                sign,
-                                token,
-                                key_hash,
-                            });
-                            max_queue_depth = max_queue_depth.max(self.local.len() as u64);
-                        } else {
-                            forwarded += 1;
-                            self.kernel
-                                .metrics
-                                .add(metric::PEER_FORWARDED, to as u64, 1);
-                            let flat = self.kernel.arena.extract(token);
-                            self.kernel.arena.release(token);
-                            self.outgoing[to].push(WireWork::Left {
-                                node,
-                                sign,
-                                flat,
-                                key_hash,
-                            });
-                        }
-                    }
-                    Work::Right { .. } => {
-                        unreachable!("two-input nodes only generate left activations")
-                    }
-                }
-            }
+            self.dispatch();
         }
         let work_ns = timer.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         self.kernel
@@ -190,10 +218,9 @@ impl<M: MetricSink> Worker<M> {
         let probes = std::mem::take(&mut self.kernel.stats);
         let stats = WorkerStats {
             tokens_processed: processed,
-            tokens_forwarded: forwarded,
+            tokens_forwarded: std::mem::take(&mut self.forwarded),
             messages_sent: self.outgoing.iter().filter(|b| !b.is_empty()).count() as u64,
-            instantiations_sent: prods.len() as u64,
-            max_queue_depth,
+            max_queue_depth: std::mem::take(&mut self.max_queue_depth),
             left_probes: probes.left_probes,
             right_probes: probes.right_probes,
             work_ns,
@@ -204,7 +231,7 @@ impl<M: MetricSink> Worker<M> {
         // in-flight count cannot reach zero while a batch is still out.
         let report = ToCoordinator::Drained {
             worker: self.me,
-            prods,
+            prods: std::mem::take(&mut self.prods),
             stats,
         };
         if self.coordinator.send(report).is_err() {
@@ -220,30 +247,6 @@ impl<M: MetricSink> Worker<M> {
             }
         }
         true
-    }
-
-    /// Adopt one wire item into this worker's arena.
-    fn adopt(&mut self, w: WireWork) -> Work {
-        match w {
-            WireWork::Root(root) => {
-                debug_assert!(
-                    !matches!(root, RootWork::Prod { .. }),
-                    "prod work stays at the coordinator"
-                );
-                self.kernel.adopt_root(root)
-            }
-            WireWork::Left {
-                node,
-                sign,
-                flat,
-                key_hash,
-            } => Work::Left {
-                node,
-                sign,
-                token: self.kernel.arena.intern(&flat),
-                key_hash,
-            },
-        }
     }
 
     /// Rebind this worker to a new partition (between cycles, so no tokens

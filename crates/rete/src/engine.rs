@@ -1,12 +1,12 @@
 //! The sequential Rete match engine over hashed memories.
 //!
 //! [`ReteMatcher`] implements [`mpps_ops::Matcher`] by draining a FIFO of
-//! [`kernel::Work`] items — the same unit of work the paper's mapping
+//! [`Work`] items — the same unit of work the paper's mapping
 //! distributes across processors — which makes the recorded [`Trace`] a
 //! faithful serial schedule of the parallel computation (parents always
 //! precede children).
 
-use crate::kernel::{self, metric, Kernel, RootWork, Work};
+use crate::kernel::{metric, Kernel, Work};
 use crate::memory::GlobalMemories;
 use crate::network::{NodeId, ReteNetwork, Side};
 use crate::trace::{ActKind, ActivationRecord, Trace, TraceCycle};
@@ -51,7 +51,6 @@ pub struct ReteMatcher<M: MetricSink = NullMetrics> {
     trace: Option<Trace>,
     queue: VecDeque<(Work, Option<u32>)>,
     out: Vec<Work>,
-    roots: Vec<RootWork>,
 }
 
 impl ReteMatcher {
@@ -101,7 +100,6 @@ impl<M: MetricSink> ReteMatcher<M> {
             trace,
             queue: VecDeque::new(),
             out: Vec::new(),
-            roots: Vec::new(),
         }
     }
 
@@ -216,13 +214,10 @@ impl<M: MetricSink> Matcher for ReteMatcher<M> {
         );
         debug_assert!(self.queue.is_empty());
         for change in changes {
-            self.roots.clear();
-            kernel::alpha_roots(&self.network, change, &mut self.roots);
-            for root in self.roots.drain(..) {
-                let work = self.kernel.adopt_root(root);
-                self.queue.push_back((work, None));
-            }
+            self.kernel
+                .roots(&self.network, change, |_| true, &mut self.out);
         }
+        self.queue.extend(self.out.drain(..).map(|w| (w, None)));
         while let Some((work, parent)) = self.queue.pop_front() {
             match work {
                 Work::Prod {

@@ -28,7 +28,7 @@ use crate::hashfn::{hash_init, hash_mix, token_hash};
 use crate::memory::{GlobalMemories, LeftEntry, RightEntry};
 use crate::network::{AlphaSucc, JoinSpec, NodeId, NodeKind, NodeLayout, ReteNetwork, Side, Succ};
 use crate::token::{TokenArena, TokenId};
-use mpps_ops::{Instantiation, ProductionId, Sign, Value, Wme, WmeChange, WmeId};
+use mpps_ops::{Instantiation, ProductionId, Sign, Symbol, Value, Wme, WmeChange, WmeId};
 use mpps_telemetry::{MetricSink, NullMetrics};
 use std::sync::Arc;
 
@@ -127,7 +127,7 @@ pub enum Work {
 impl Work {
     /// The hash bucket this work operates on, under `table_size` buckets.
     /// Production work has no bucket (instantiations go to the control
-    /// processor); it reports bucket 0.
+    /// processor); it reports bucket 0, whose owner keeps single-CE roots.
     pub fn bucket(&self, table_size: u64) -> u64 {
         match self {
             Work::Right { key_hash, .. } | Work::Left { key_hash, .. } => key_hash % table_size,
@@ -136,122 +136,9 @@ impl Work {
     }
 }
 
-/// A root activation produced by the constant-test phase — executor-agnostic
-/// (carries values, not arena ids, so any arena can adopt it).
-#[derive(Clone, Debug)]
-pub enum RootWork {
-    /// A WME entering a two-input node's right input.
-    Right {
-        /// Target node.
-        node: NodeId,
-        /// Polarity.
-        sign: Sign,
-        /// The WME's time tag.
-        wme_id: WmeId,
-        /// The WME.
-        wme: Arc<Wme>,
-        /// Precomputed key hash (node + equality-tested attribute values).
-        key_hash: u64,
-    },
-    /// A first-CE WME seeding a chain: becomes a level-0 token.
-    Seed {
-        /// Target node (left input).
-        node: NodeId,
-        /// Polarity.
-        sign: Sign,
-        /// The WME's time tag.
-        wme_id: WmeId,
-        /// Seed-bind values, in seed-bind (slot) order.
-        vals: Vec<Value>,
-        /// Precomputed key hash for the target node.
-        key_hash: u64,
-    },
-    /// A WME satisfying a single-positive-CE production outright.
-    Prod {
-        /// The production node.
-        node: NodeId,
-        /// The satisfied production.
-        production: ProductionId,
-        /// Polarity.
-        sign: Sign,
-        /// The WME's time tag.
-        wme_id: WmeId,
-        /// Seed-bind values, in seed-bind (slot) order.
-        vals: Vec<Value>,
-    },
-}
-
-/// The constant-test phase for one WME change: evaluate every alpha node of
-/// the WME's class and append the root activations (§3.2 step 2 — the work
-/// every match processor duplicates).
-pub fn alpha_roots(net: &ReteNetwork, change: &WmeChange, out: &mut Vec<RootWork>) {
-    let mut wme: Option<Arc<Wme>> = None;
-    for &alpha_id in net.alphas_for_class(change.wme.class()) {
-        let NodeKind::Alpha(alpha) = net.node(alpha_id) else {
-            unreachable!("class index points at alpha nodes");
-        };
-        if !alpha.matches(&change.wme) {
-            continue;
-        }
-        let wme = wme.get_or_insert_with(|| Arc::new(change.wme.clone()));
-        for succ in &alpha.successors {
-            match *succ {
-                AlphaSucc::TwoInput(node, Side::Right) => {
-                    let spec = &net.join(node).spec;
-                    out.push(RootWork::Right {
-                        node,
-                        sign: change.sign,
-                        wme_id: change.id,
-                        wme: wme.clone(),
-                        key_hash: token_hash(node, spec.right_hash_values(wme)),
-                    });
-                }
-                AlphaSucc::TwoInput(node, Side::Left) => {
-                    let seed_binds = net
-                        .join(node)
-                        .seed_binds
-                        .as_ref()
-                        .expect("alpha-fed join has seed binds");
-                    let vals = seed_vals(wme, seed_binds);
-                    let mut h = hash_init(node);
-                    for &r in &net.layout(node).left_key {
-                        debug_assert_eq!(r.level, 0, "seed-fed node tests only seed bindings");
-                        h = hash_mix(h, vals[r.slot as usize]);
-                    }
-                    out.push(RootWork::Seed {
-                        node,
-                        sign: change.sign,
-                        wme_id: change.id,
-                        vals,
-                        key_hash: h,
-                    });
-                }
-                AlphaSucc::Production(node) => {
-                    let NodeKind::Production(p) = net.node(node) else {
-                        unreachable!();
-                    };
-                    let seed_binds = p
-                        .seed_binds
-                        .as_ref()
-                        .expect("alpha-fed production node has seed binds");
-                    out.push(RootWork::Prod {
-                        node,
-                        production: p.production,
-                        sign: change.sign,
-                        wme_id: change.id,
-                        vals: seed_vals(wme, seed_binds),
-                    });
-                }
-            }
-        }
-    }
-}
-
-fn seed_vals(wme: &Wme, seed_binds: &[(mpps_ops::Symbol, mpps_ops::Symbol)]) -> Vec<Value> {
-    seed_binds
-        .iter()
-        .map(|&(_, attr)| wme.get(attr).expect("alpha guaranteed presence"))
-        .collect()
+/// The value a seed bind takes from the WME that seeds the chain.
+fn seed_value(wme: &Wme, (_, attr): (Symbol, Symbol)) -> Value {
+    wme.get(attr).expect("alpha guaranteed presence")
 }
 
 /// Per-kernel probe counters (the telemetry skew histograms read these).
@@ -340,58 +227,95 @@ impl<M: MetricSink> Kernel<M> {
         );
     }
 
-    /// Build a level-0 token from root-seed values (caller owns one ref).
-    pub fn seed(&mut self, wme_id: WmeId, vals: &[Value]) -> TokenId {
-        let t = self.arena.alloc(TokenId::NONE, wme_id);
-        for &v in vals {
-            self.arena.push_val(t, v);
+    /// The constant-test phase for one WME change (§3.2: the work every
+    /// match processor duplicates): evaluate every alpha node of the WME's
+    /// class and append each root activation whose bucket `owns` accepts —
+    /// `key_hash % table_size`, or 0 for a single-CE production, as
+    /// [`Work::bucket`]. A rejected root allocates nothing; a kept seed
+    /// becomes a level-0 token in this arena, owned by its work item.
+    pub fn roots(
+        &mut self,
+        net: &ReteNetwork,
+        change: &WmeChange,
+        owns: impl Fn(u64) -> bool,
+        out: &mut Vec<Work>,
+    ) {
+        let table_size = self.mem.table_size();
+        let (sign, wme_id) = (change.sign, change.id);
+        let mut shared: Option<Arc<Wme>> = None;
+        for &alpha_id in net.alphas_for_class(change.wme.class()) {
+            let NodeKind::Alpha(alpha) = net.node(alpha_id) else {
+                unreachable!("class index points at alpha nodes");
+            };
+            if !alpha.matches(&change.wme) {
+                continue;
+            }
+            for succ in &alpha.successors {
+                match *succ {
+                    AlphaSucc::TwoInput(node, Side::Right) => {
+                        let spec = &net.join(node).spec;
+                        let key_hash = token_hash(node, spec.right_hash_values(&change.wme));
+                        if !owns(key_hash % table_size) {
+                            continue;
+                        }
+                        let wme = shared.get_or_insert_with(|| Arc::new(change.wme.clone()));
+                        out.push(Work::Right {
+                            node,
+                            sign,
+                            wme_id,
+                            wme: wme.clone(),
+                            key_hash,
+                        });
+                    }
+                    AlphaSucc::TwoInput(node, Side::Left) => {
+                        let binds = net.join(node).seed_binds.as_deref();
+                        let binds = binds.expect("alpha-fed join has seed binds");
+                        let mut key_hash = hash_init(node);
+                        for &r in &net.layout(node).left_key {
+                            debug_assert_eq!(r.level, 0, "seed-fed node tests only seed bindings");
+                            key_hash =
+                                hash_mix(key_hash, seed_value(&change.wme, binds[r.slot as usize]));
+                        }
+                        if !owns(key_hash % table_size) {
+                            continue;
+                        }
+                        let token = self.seed(change, binds);
+                        out.push(Work::Left {
+                            node,
+                            sign,
+                            token,
+                            key_hash,
+                        });
+                    }
+                    AlphaSucc::Production(node) => {
+                        if !owns(0) {
+                            continue;
+                        }
+                        let NodeKind::Production(p) = net.node(node) else {
+                            unreachable!("alpha successor must be a production node");
+                        };
+                        let binds = p.seed_binds.as_deref();
+                        let binds = binds.expect("alpha-fed production node has seed binds");
+                        let token = self.seed(change, binds);
+                        out.push(Work::Prod {
+                            node,
+                            production: p.production,
+                            sign,
+                            token,
+                        });
+                    }
+                }
+            }
         }
-        t
     }
 
-    /// Adopt a root activation into this kernel's arena: seed roots become
-    /// level-0 tokens (the returned work owns their one reference).
-    #[inline]
-    pub fn adopt_root(&mut self, root: RootWork) -> Work {
-        match root {
-            RootWork::Right {
-                node,
-                sign,
-                wme_id,
-                wme,
-                key_hash,
-            } => Work::Right {
-                node,
-                sign,
-                wme_id,
-                wme,
-                key_hash,
-            },
-            RootWork::Seed {
-                node,
-                sign,
-                wme_id,
-                vals,
-                key_hash,
-            } => Work::Left {
-                node,
-                sign,
-                token: self.seed(wme_id, &vals),
-                key_hash,
-            },
-            RootWork::Prod {
-                node,
-                production,
-                sign,
-                wme_id,
-                vals,
-            } => Work::Prod {
-                node,
-                production,
-                sign,
-                token: self.seed(wme_id, &vals),
-            },
+    /// A level-0 token for `change`'s WME under `binds` (caller owns one ref).
+    fn seed(&mut self, change: &WmeChange, binds: &[(Symbol, Symbol)]) -> TokenId {
+        let t = self.arena.alloc(TokenId::NONE, change.id);
+        for &bind in binds {
+            self.arena.push_val(t, seed_value(&change.wme, bind));
         }
+        t
     }
 
     /// The matched WME ids of `token`, root first, in the kernel's scratch
@@ -815,92 +739,77 @@ mod tests {
     use crate::network::ReteNetwork;
     use mpps_ops::parse_program;
 
-    fn roots(net: &ReteNetwork, change: &WmeChange) -> Vec<RootWork> {
+    const TWO: &str = "(p two (a ^v <x>) (b ^v <x>) --> (remove 1))";
+    const SOLO: &str = "(p solo (alarm ^v <l>) --> (remove 1))";
+
+    fn compile(src: &str) -> ReteNetwork {
+        ReteNetwork::compile(&parse_program(src).unwrap()).unwrap()
+    }
+
+    fn add(id: u64, class: &str, v: i64) -> WmeChange {
+        WmeChange::add(WmeId(id), Wme::new(class, &[("v", v.into())]))
+    }
+
+    fn roots(k: &mut Kernel, net: &ReteNetwork, change: &WmeChange) -> Vec<Work> {
         let mut out = Vec::new();
-        alpha_roots(net, change, &mut out);
+        k.roots(net, change, |_| true, &mut out);
         out
     }
 
     #[test]
-    fn alpha_roots_produce_expected_sides() {
-        let prog = parse_program(
-            r#"
-            (p two (a ^v <x>) (b ^v <x>) --> (remove 1))
-            "#,
-        )
-        .unwrap();
-        let net = ReteNetwork::compile(&prog).unwrap();
-        let a = roots(
-            &net,
-            &WmeChange::add(WmeId(1), Wme::new("a", &[("v", 1.into())])),
-        );
+    fn roots_produce_expected_sides() {
+        let net = compile(TWO);
+        let mut k = Kernel::new(GlobalMemories::new(64));
+        let a = roots(&mut k, &net, &add(1, "a", 1));
         assert_eq!(a.len(), 1);
-        assert!(matches!(a[0], RootWork::Seed { .. }));
-        let b = roots(
-            &net,
-            &WmeChange::add(WmeId(2), Wme::new("b", &[("v", 1.into())])),
-        );
+        let Work::Left { token, .. } = a[0] else {
+            panic!("first-CE WME seeds a left token: {a:?}");
+        };
+        assert_eq!(k.arena.wme_ids(token), vec![WmeId(1)]);
+        let b = roots(&mut k, &net, &add(2, "b", 1));
         assert_eq!(b.len(), 1);
-        assert!(matches!(b[0], RootWork::Right { .. }));
+        assert!(matches!(b[0], Work::Right { .. }));
+        let solo = compile(SOLO);
+        let p = roots(&mut k, &solo, &add(3, "alarm", 3));
+        assert!(matches!(p[..], [Work::Prod { .. }]), "{p:?}");
+    }
+
+    #[test]
+    fn roots_skip_unowned_buckets_before_allocating() {
+        let net = compile(TWO);
+        let solo = compile(SOLO);
+        let mut k = Kernel::new(GlobalMemories::new(64));
+        let mut out = Vec::new();
+        for change in [add(1, "a", 1), add(2, "b", 1)] {
+            k.roots(&net, &change, |_| false, &mut out);
+        }
+        // A single-CE production's root is kept by the owner of bucket 0.
+        k.roots(&solo, &add(3, "alarm", 3), |b| b != 0, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(k.arena.allocs(), 0, "a rejected root allocates no token");
+        k.roots(&solo, &add(3, "alarm", 3), |b| b == 0, &mut out);
+        assert!(matches!(out[..], [Work::Prod { .. }]), "{out:?}");
+        // The owner test is asked about the bucket `Work::bucket` reports.
+        for change in [add(4, "a", 9), add(5, "b", 9)] {
+            let bucket = roots(&mut k, &net, &change)[0].bucket(64);
+            let mut kept = Vec::new();
+            k.roots(&net, &change, |b| b != bucket, &mut kept);
+            assert!(kept.is_empty(), "{kept:?}");
+            k.roots(&net, &change, |b| b == bucket, &mut kept);
+            assert_eq!(kept.len(), 1);
+        }
     }
 
     #[test]
     fn activate_join_generates_on_second_arrival() {
-        let prog = parse_program("(p two (a ^v <x>) (b ^v <x>) --> (remove 1))").unwrap();
-        let net = ReteNetwork::compile(&prog).unwrap();
+        let net = compile(TWO);
         let mut k = Kernel::new(GlobalMemories::new(64));
-        let left = roots(
-            &net,
-            &WmeChange::add(WmeId(1), Wme::new("a", &[("v", 5.into())])),
-        );
-        let RootWork::Seed {
-            node,
-            sign,
-            wme_id,
-            ref vals,
-            key_hash,
-        } = left[0]
-        else {
-            panic!("expected seed root");
-        };
-        let token = k.seed(wme_id, vals);
         let mut out = Vec::new();
-        let b1 = k.activate(
-            &net,
-            Work::Left {
-                node,
-                sign,
-                token,
-                key_hash,
-            },
-            &mut out,
-        );
+        let [left] = <[Work; 1]>::try_from(roots(&mut k, &net, &add(1, "a", 5))).unwrap();
+        let b1 = k.activate(&net, left, &mut out);
         assert!(out.is_empty(), "no partner yet");
-        let right = roots(
-            &net,
-            &WmeChange::add(WmeId(2), Wme::new("b", &[("v", 5.into())])),
-        );
-        let RootWork::Right {
-            node,
-            sign,
-            wme_id,
-            ref wme,
-            key_hash,
-        } = right[0]
-        else {
-            panic!("expected right root");
-        };
-        let b2 = k.activate(
-            &net,
-            Work::Right {
-                node,
-                sign,
-                wme_id,
-                wme: wme.clone(),
-                key_hash,
-            },
-            &mut out,
-        );
+        let [right] = <[Work; 1]>::try_from(roots(&mut k, &net, &add(2, "b", 5))).unwrap();
+        let b2 = k.activate(&net, right, &mut out);
         assert_eq!(b1, b2, "equal join values share a bucket index");
         assert_eq!(out.len(), 1);
         match out[0] {
@@ -913,23 +822,17 @@ mod tests {
 
     #[test]
     fn root_key_hash_matches_legacy_token_hash() {
-        // The precomputed seed key hash must equal the §3 hash over the
-        // node's equality-tested values (trace byte-identity depends on it).
-        let prog = parse_program("(p two (a ^v <x>) (b ^v <x>) --> (remove 1))").unwrap();
-        let net = ReteNetwork::compile(&prog).unwrap();
-        let left = roots(
-            &net,
-            &WmeChange::add(WmeId(1), Wme::new("a", &[("v", 9.into())])),
-        );
-        let RootWork::Seed { node, key_hash, .. } = left[0] else {
+        // The seed key hash must equal the §3 hash over the node's
+        // equality-tested values (trace byte-identity depends on it).
+        let net = compile(TWO);
+        let mut k = Kernel::new(GlobalMemories::new(64));
+        let left = roots(&mut k, &net, &add(1, "a", 9));
+        let Work::Left { node, key_hash, .. } = left[0] else {
             panic!("expected seed root");
         };
         assert_eq!(key_hash, token_hash(node, [Value::Int(9)]));
-        let right = roots(
-            &net,
-            &WmeChange::add(WmeId(2), Wme::new("b", &[("v", 9.into())])),
-        );
-        let RootWork::Right { key_hash: rh, .. } = right[0] else {
+        let right = roots(&mut k, &net, &add(2, "b", 9));
+        let Work::Right { key_hash: rh, .. } = right[0] else {
             panic!("expected right root");
         };
         assert_eq!(rh, key_hash, "left and right keys agree on equal values");
@@ -937,51 +840,18 @@ mod tests {
 
     #[test]
     fn activate_releases_match_state_on_retraction() {
-        let prog = parse_program("(p two (a ^v <x>) (b ^v <x>) --> (remove 1))").unwrap();
-        let net = ReteNetwork::compile(&prog).unwrap();
+        let net = compile(TWO);
         let mut k = Kernel::new(GlobalMemories::new(64));
         let mut queue: Vec<Work> = Vec::new();
         let mut out = Vec::new();
         let changes = [
-            WmeChange::add(WmeId(1), Wme::new("a", &[("v", 5.into())])),
-            WmeChange::add(WmeId(2), Wme::new("b", &[("v", 5.into())])),
+            add(1, "a", 5),
+            add(2, "b", 5),
             WmeChange::remove(WmeId(1), Wme::new("a", &[("v", 5.into())])),
             WmeChange::remove(WmeId(2), Wme::new("b", &[("v", 5.into())])),
         ];
         for c in &changes {
-            for r in roots(&net, c) {
-                match r {
-                    RootWork::Right {
-                        node,
-                        sign,
-                        wme_id,
-                        wme,
-                        key_hash,
-                    } => queue.push(Work::Right {
-                        node,
-                        sign,
-                        wme_id,
-                        wme,
-                        key_hash,
-                    }),
-                    RootWork::Seed {
-                        node,
-                        sign,
-                        wme_id,
-                        vals,
-                        key_hash,
-                    } => {
-                        let token = k.seed(wme_id, &vals);
-                        queue.push(Work::Left {
-                            node,
-                            sign,
-                            token,
-                            key_hash,
-                        });
-                    }
-                    RootWork::Prod { .. } => unreachable!("no single-CE production"),
-                }
-            }
+            k.roots(&net, c, |_| true, &mut queue);
             while let Some(w) = queue.pop() {
                 if let Work::Prod { token, .. } = w {
                     k.arena.release(token);

@@ -33,7 +33,7 @@ pub mod transform;
 
 pub use engine::{EngineConfig, ReteMatcher};
 pub use hashfn::{bucket_index, chain_extend, chain_seed, hash_init, hash_mix, token_hash};
-pub use kernel::{Kernel, KernelStats, RootWork, Work};
+pub use kernel::{Kernel, KernelStats, Work};
 pub use memory::{GlobalMemories, LeftEntry, RightEntry};
 pub use network::{
     AlphaNode, JoinNode, NetworkStats, NodeId, NodeKind, NodeLayout, ProductionNode, ReteNetwork,

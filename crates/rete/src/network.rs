@@ -446,7 +446,7 @@ impl ReteNetwork {
 
     /// The first production node of `pid`. A plan-split production has
     /// several nodes for one id (one per LHS variant); use
-    /// [`ReteNetwork::production_nodes`] to see them all.
+    /// `ReteNetwork::production_nodes` to see them all.
     pub fn production_node(&self, pid: ProductionId) -> NodeId {
         self.production_nodes_of(pid)
             .next()

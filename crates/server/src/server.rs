@@ -24,7 +24,7 @@
 //!
 //! ## Residency
 //!
-//! Each worker keeps its sessions in a [`crate::store::SessionTable`].
+//! Each worker keeps its sessions in a `SessionTable` (`crate::store`).
 //! With [`ServerConfig::resident_budget`] set, the table evicts
 //! least-recently-used sessions to snapshot files under
 //! [`ServerConfig::evict_dir`] and faults them back in transparently on

@@ -465,6 +465,7 @@ fn cmd_run(args: &Args) {
     let quiet = args.has("quiet");
     let profile_dir = args.get("profile");
     let adapt = args.has("adapt");
+    let table_size = args.get_positive("table-size", 2048u64);
     let matcher_name = args.get("matcher").unwrap_or("rete");
     if adapt && matcher_name != "threaded" {
         args.usage_error(
@@ -473,18 +474,18 @@ fn cmd_run(args: &Args) {
     }
     match matcher_name {
         "rete" => {
+            let network = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
+            let config = EngineConfig {
+                table_size,
+                record_trace: false,
+            };
             if let Some(dir) = profile_dir {
-                let network = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
-                let m = ReteMatcher::with_metrics(
-                    network,
-                    EngineConfig::default(),
-                    MetricsRegistry::new(),
-                );
+                let m = ReteMatcher::with_metrics(network, config, MetricsRegistry::new());
                 let mut interp = run_with(program, wmes, m, strategy, cycles, quiet);
                 let reg = interp.matcher_mut().profile();
                 write_profile(dir, "rete", 1, &reg);
             } else {
-                let m = ReteMatcher::from_program(&program).unwrap_or_else(|e| fail(e));
+                let m = ReteMatcher::new(network, config);
                 run_with(program, wmes, m, strategy, cycles, quiet);
             }
         }
@@ -507,7 +508,7 @@ fn cmd_run(args: &Args) {
                 run_with(program, wmes, m, strategy, cycles, quiet);
             }
         }
-        "threaded" => run_threaded(args, program, wmes, strategy, cycles),
+        "threaded" => run_threaded(args, program, wmes, strategy, cycles, table_size),
         other => args.usage_error(format!(
             "unknown --matcher {other:?} (rete|naive|treat|threaded)"
         )),
@@ -516,9 +517,15 @@ fn cmd_run(args: &Args) {
 
 /// `mpps run --matcher threaded`: the real thread pool, with its bucket
 /// placement, profile, stats and closed-skew-loop options.
-fn run_threaded(args: &Args, program: Program, wmes: Vec<Wme>, strategy: Strategy, cycles: usize) {
+fn run_threaded(
+    args: &Args,
+    program: Program,
+    wmes: Vec<Wme>,
+    strategy: Strategy,
+    cycles: usize,
+    table_size: u64,
+) {
     let workers = args.get_positive("workers", 4usize);
-    let table_size = args.get_positive("table-size", 2048u64);
     let placement = args.partition();
     let profile_dir = args.get("profile");
     let adapt = args.has("adapt");

@@ -773,6 +773,7 @@ fn malformed_flag_values_are_usage_errors() {
             "hash",
         ],
         &["run", "rubik", "--matcher", "threaded", "--workers", "many"],
+        &["run", "rubik", "--table-size", "0"],
         &["run"],
         &["trace", "no-such.ops", "--strategy", "fifo"],
         &["trace", "no-such.ops", "--table-size", "0"],
