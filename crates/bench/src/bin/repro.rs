@@ -60,7 +60,6 @@ const FIGURES: &[(&str, &str, Figure)] = &[
         termination_cost,
     ),
     ("era", "§1 motivation: first- vs new-generation MPCs", era),
-    ("adapt", "closed skew loop: split + online migration", adapt),
 ];
 
 fn curve_points(curve: &[SpeedupPoint]) -> Vec<(f64, f64)> {
@@ -428,53 +427,6 @@ fn era<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> {
                 ],
                 &rows,
             )
-        );
-    })
-}
-
-/// The closed skew loop, run live (no sweep points): profiled pre-run →
-/// `suggest_plan` copy-and-constraint → online migration, before/after
-/// on the Tourney cross-product. Stdout sticks to run-invariant facts
-/// (bucket-activation counts are order-invariant; exact per-worker probe
-/// loads shift by a few entries with thread interleaving, so the precise
-/// ratio goes to stderr to keep `--jobs` diffs byte-identical).
-fn adapt<'t>(_: &'t Sections, _: &mut SweepPlan<'t>) -> Print<'t> {
-    use mpps_bench::adapt::{measure, AdaptScenario};
-    Box::new(|_| {
-        let report = measure(&AdaptScenario::default());
-        println!(
-            "Closed skew loop: copy-and-constraint + online migration (Tourney cross-product, {} workers)\n",
-            report.workers
-        );
-        println!("  transform plan: {}", report.plan_summary);
-        match (report.static_bucket_skew, report.adaptive_bucket_skew) {
-            (Some(b), Some(a)) => println!("  bucket-activation skew factor: {b:.3} -> {a:.3}"),
-            _ => println!("  bucket-activation skew factor: unavailable"),
-        }
-        println!(
-            "  probe-load skew at least halved: {}",
-            if report.adaptive_skew() * 2.0 <= report.static_skew() {
-                "yes"
-            } else {
-                "NO"
-            }
-        );
-        println!(
-            "  online migration rebalanced the partition: {}",
-            if report.rebalances > 0 { "yes" } else { "NO" }
-        );
-        println!(
-            "  threaded == sequential: {} ({} firings)\n",
-            if report.equivalent { "yes" } else { "NO" },
-            report.firings
-        );
-        eprintln!(
-            "repro adapt: probe skew static {:.3} -> adaptive {:.3} ({:.2}x, {} rebalances, {} buckets moved)",
-            report.static_skew(),
-            report.adaptive_skew(),
-            report.reduction(),
-            report.rebalances,
-            report.moved_buckets
         );
     })
 }

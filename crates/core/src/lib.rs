@@ -34,9 +34,7 @@ pub use cost::{CostModel, OverheadSetting, NECTAR_LATENCY};
 pub use partition::{
     bucket_activity, cycle_bucket_activity, cycle_bucket_work, load_skew, Partition,
 };
-pub use profile::{
-    bucket_skew_factor, check_profile, greedy_partition, render_match_profile, PROFILE_SCHEMA,
-};
+pub use profile::{check_profile, greedy_partition, render_match_profile, PROFILE_SCHEMA};
 pub use sharedbus::{shared_bus_simulate, SharedBusConfig, SharedBusReport};
 pub use simexec::{
     name_machine_tracks, simulate, simulate_in, simulate_per_cycle, simulate_per_cycle_in,
@@ -47,6 +45,4 @@ pub use sweep::{
     speedup_curve, speedup_curve_jobs, PartitionSpec, PartitionStrategy, PointId, PointSpec,
     SpeedupPoint, SweepPlan, SweepResults, TraceId,
 };
-pub use threaded::{
-    AdaptOptions, MigrationStats, RebalanceEvent, ThreadedMatcher, ThreadedStats, WorkerStats,
-};
+pub use threaded::{ThreadedMatcher, ThreadedStats, WorkerStats};

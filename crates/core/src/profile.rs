@@ -147,15 +147,6 @@ fn bucket_skew(reg: &MetricsRegistry) -> Option<(u64, u64, f64, f64)> {
     Some((buckets.len() as u64, max, mean, factor))
 }
 
-/// The per-bucket activation skew factor: max/mean activation counts over
-/// every bucket that saw at least one activation. A factor of 1.0 is a
-/// perfectly even spread; the paper's §5.2 load-distribution analysis is
-/// all about how far real workloads sit above that. `None` when the run
-/// recorded no bucket activity (unprofiled matcher, or no match work).
-pub fn bucket_skew_factor(reg: &MetricsRegistry) -> Option<f64> {
-    bucket_skew(reg).map(|(.., factor)| factor)
-}
-
 /// The §5.2.2 offline-greedy partition from a profiled sequential run:
 /// LPT-pack the per-bucket activation counter — equal to the traced
 /// [`crate::bucket_activity`] (`tests/profiled_equivalence.rs`) — onto

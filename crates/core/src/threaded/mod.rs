@@ -23,7 +23,7 @@
 //! with the trace-driven simulator, so the distribution experiments run on
 //! real threads. [`ThreadedMatcher::with_partition`] takes any partition;
 //! [`ThreadedMatcher::new`] defaults to round robin. Only workers decide
-//! ownership, and only through the partition.
+//! ownership, and only through the partition, which is fixed at spawn.
 //!
 //! **Broadcast roots.** As in §3.2 and the simulator's default
 //! [`crate::simexec::RootDistribution::BroadcastDuplicate`], the
@@ -70,8 +70,7 @@
 use crate::partition::Partition;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mpps_ops::{
-    ConflictSet, Instantiation, MatchError, Matcher, OpsError, Program, Sign, Strategy, Wme,
-    WmeChange, WmeId,
+    ConflictSet, Instantiation, MatchError, Matcher, OpsError, Program, Sign, Strategy, WmeChange,
 };
 use mpps_rete::kernel;
 use mpps_rete::{FlatToken, NodeId, ReteNetwork};
@@ -81,13 +80,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-mod adapt;
 #[cfg(test)]
 mod tests;
 mod worker;
 
-use adapt::AdaptState;
-pub use adapt::{AdaptOptions, RebalanceEvent};
 use worker::Worker;
 
 /// How often the blocked coordinator checks worker liveness. Bounds the
@@ -119,26 +115,6 @@ struct WireWork {
     key_hash: u64,
 }
 
-/// A stored memory entry moving to another worker during a barrier-time
-/// bucket migration. Left tokens travel flat (self-contained value chain)
-/// and are re-interned by the adopting worker's arena; the stored
-/// `neg_count` moves verbatim because the right bucket it was derived from
-/// migrates in the same batch.
-enum MigratedEntry {
-    Left {
-        node: NodeId,
-        key_hash: u64,
-        flat: FlatToken,
-        neg_count: u32,
-    },
-    Right {
-        node: NodeId,
-        key_hash: u64,
-        wme_id: WmeId,
-        wme: Arc<Wme>,
-    },
-}
-
 enum ToWorker {
     /// The cycle's change packet, broadcast by the coordinator: run the
     /// constant tests, keep the owned roots, drain, then report.
@@ -148,14 +124,6 @@ enum ToWorker {
     Work(Vec<WireWork>),
     /// Ask the worker to export its metrics registry (between cycles).
     Report,
-    /// Rebind bucket ownership (between cycles): swap in the new partition,
-    /// keep still-owned buckets in place, and export the lost buckets'
-    /// entries to the coordinator for rerouting.
-    Migrate(Arc<Partition>),
-    /// Entries migrated from other workers, to be interned into buckets
-    /// this worker now owns. Channel FIFO guarantees this lands after the
-    /// worker's own `Migrate` and before any later `Work`.
-    Adopt(Vec<MigratedEntry>),
     Shutdown,
     /// Test-only: make the receiving worker panic on its *next* message,
     /// simulating a crash inside the match kernel. Arming the trap rather
@@ -177,13 +145,6 @@ enum ToCoordinator {
     },
     /// Reply to [`ToWorker::Report`]: the worker's exported metrics.
     Metrics { registry: Box<MetricsRegistry> },
-    /// Reply to [`ToWorker::Migrate`]: entries this worker no longer owns,
-    /// grouped by new owner. Routed through the coordinator — collecting
-    /// every reply before dispatching `Adopt` batches is the barrier that
-    /// keeps an export from racing ahead of its new owner's own `Migrate`.
-    Migrated {
-        exports: Vec<(usize, Vec<MigratedEntry>)>,
-    },
 }
 
 /// One worker's activity: per drain in its report, summed per worker by
@@ -242,21 +203,8 @@ pub struct ThreadedStats {
     pub conflict_entries: usize,
 }
 
-/// What a barrier-time migration moved (see [`ThreadedMatcher::migrate_to`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Buckets whose owner changed.
-    pub moved_buckets: u64,
-    /// Left (beta-token) entries shipped between workers.
-    pub moved_left: u64,
-    /// Right (WME) entries shipped between workers.
-    pub moved_right: u64,
-}
-
 /// The distributed hash-table matcher running on real threads.
 pub struct ThreadedMatcher {
-    partition: Arc<Partition>,
-    table_size: u64,
     workers: Vec<Sender<ToWorker>>,
     from_workers: Receiver<ToCoordinator>,
     conflict: ConflictSet,
@@ -274,8 +222,6 @@ pub struct ThreadedMatcher {
     trace: TraceRecorder,
     /// Where the next cycle starts on `trace`'s synthetic timeline.
     trace_end_ns: u64,
-    /// Online repartitioner state (profiled matchers only).
-    adapt: Option<AdaptState>,
 }
 
 /// Lay one finished cycle onto `rec` at `t`: each worker lane
@@ -335,8 +281,7 @@ impl ThreadedMatcher {
     }
 
     fn build(network: ReteNetwork, partition: Partition, profiled: bool) -> Self {
-        let table_size = partition.table_size();
-        assert!(table_size > 0, "need at least one bucket");
+        assert!(partition.table_size() > 0, "need at least one bucket");
         let workers = partition.processors();
         let network = Arc::new(network);
         let partition = Arc::new(partition);
@@ -370,8 +315,6 @@ impl ThreadedMatcher {
             trace.name_track(Track::match_worker(w), format!("match thread {w}"));
         }
         ThreadedMatcher {
-            partition,
-            table_size,
             workers: senders,
             from_workers,
             conflict: ConflictSet::default(),
@@ -382,7 +325,6 @@ impl ThreadedMatcher {
             profiled,
             trace,
             trace_end_ns: 0,
-            adapt: None,
         }
     }
 
@@ -403,11 +345,6 @@ impl ThreadedMatcher {
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The bucket-ownership partition this executor routes with.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
     }
 
     /// Snapshot of per-worker and coordinator activity since spawn.
@@ -475,74 +412,6 @@ impl ThreadedMatcher {
             replies == this.workers.len()
         })?;
         Ok(merged)
-    }
-
-    /// Re-own buckets according to `partition` at a cycle barrier.
-    ///
-    /// Must be called *between* cycles (the matcher is quiescent, so no
-    /// tokens are queued or buffered anywhere). Bucket pairs a worker keeps
-    /// stay in place; pairs it loses are taken out, flattened and routed —
-    /// via the coordinator, whose collect-all acts as the barrier — to
-    /// their new owners, which re-intern them before any later cycle's
-    /// work (channel FIFO). Works on unprofiled matchers
-    /// too; the partition must keep the same table size and worker count.
-    pub fn migrate_to(&mut self, partition: Partition) -> Result<MigrationStats, MatchError> {
-        assert_eq!(
-            partition.table_size(),
-            self.table_size,
-            "migration cannot resize the hash table"
-        );
-        assert_eq!(
-            partition.processors(),
-            self.workers.len(),
-            "migration cannot change the worker count"
-        );
-        if let Some(worker) = self.failed {
-            return Err(MatchError::WorkerPanicked { worker });
-        }
-        let moved_buckets = (0..self.table_size)
-            .filter(|&b| partition.owner(b) != self.partition.owner(b))
-            .count() as u64;
-        if moved_buckets == 0 {
-            return Ok(MigrationStats::default());
-        }
-        let partition = Arc::new(partition);
-        self.broadcast(|| ToWorker::Migrate(partition.clone()))?;
-        let mut adopt: Vec<Vec<MigratedEntry>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
-        let (mut moved_left, mut moved_right) = (0u64, 0u64);
-        let mut replies = 0;
-        self.wait_for_workers(|this, reply| {
-            let ToCoordinator::Migrated { exports } = reply else {
-                unreachable!("between cycles only the solicited replies arrive")
-            };
-            for (to, batch) in exports {
-                for e in &batch {
-                    match e {
-                        MigratedEntry::Left { .. } => moved_left += 1,
-                        MigratedEntry::Right { .. } => moved_right += 1,
-                    }
-                }
-                adopt[to].extend(batch);
-            }
-            replies += 1;
-            replies == this.workers.len()
-        })?;
-        for (to, batch) in adopt.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            if self.workers[to].send(ToWorker::Adopt(batch)).is_err() {
-                self.failed = Some(to);
-                return Err(MatchError::WorkerPanicked { worker: to });
-            }
-        }
-        self.partition = partition;
-        Ok(MigrationStats {
-            moved_buckets,
-            moved_left,
-            moved_right,
-        })
     }
 
     /// Returns the first dead (panicked) worker, if any, and poisons the
@@ -614,11 +483,6 @@ impl ThreadedMatcher {
         if let Some(t0) = t0 {
             let wall_ns = t0.elapsed().as_nanos() as u64;
             self.trace_end_ns = record_cycle(&mut self.trace, self.trace_end_ns, wall_ns, &work_ns);
-            if let Some(every) = self.adapt.as_ref().map(|s| s.options.every) {
-                if self.cycles.is_multiple_of(every) {
-                    self.maybe_rebalance()?;
-                }
-            }
         }
         Ok(())
     }

@@ -1,5 +1,5 @@
 use super::*;
-use mpps_ops::{parse_program, Wme};
+use mpps_ops::{parse_program, Wme, WmeId};
 use mpps_rete::ReteMatcher;
 
 fn add(id: u64, wme: Wme) -> WmeChange {
@@ -307,13 +307,15 @@ fn worker_death_surfaces_error_not_hang() {
     drop(par); // must not hang on join
 }
 
-/// The between-cycle wait sites obey the same failure model as a
-/// cycle. Worker 1 of a profiled matcher holding stored state dies
-/// either on receiving `request` (its send succeeded, so only the wait
-/// loop's liveness poll can notice) or before it (`dead_first`: the
-/// send itself fails). Both must give the typed error in bounded time,
-/// leave the matcher poisoned, and still drop cleanly.
-fn assert_worker_death_surfaces(request: impl Fn(&mut ThreadedMatcher) -> Option<MatchError>) {
+/// The between-cycle wait site obeys the same failure model as a cycle.
+/// Worker 1 of a profiled matcher holding stored state dies either on
+/// receiving the snapshot request (its send succeeded, so only the wait
+/// loop's liveness poll can notice) or before it (`dead_first`: the send
+/// itself fails). Both must give the typed error in bounded time, leave
+/// the matcher poisoned, and still drop cleanly.
+#[test]
+fn worker_death_surfaces_error_not_hang_in_profile_snapshot() {
+    let request = |par: &mut ThreadedMatcher| par.profile_snapshot().err();
     for dead_first in [false, true] {
         let prog = parse_program(BLUE).unwrap();
         let mut par = ThreadedMatcher::from_program_profiled(&prog, 2).unwrap();
@@ -337,16 +339,6 @@ fn assert_worker_death_surfaces(request: impl Fn(&mut ThreadedMatcher) -> Option
         assert_eq!(par.try_process(&blue_wmes()), Err(err));
         drop(par); // must not hang on join
     }
-}
-
-#[test]
-fn worker_death_surfaces_error_not_hang_in_profile_snapshot() {
-    assert_worker_death_surfaces(|par| par.profile_snapshot().err());
-}
-
-#[test]
-fn worker_death_surfaces_error_not_hang_in_migrate_to() {
-    assert_worker_death_surfaces(|par| par.migrate_to(Partition::random(2048, 2, 7)).err());
 }
 
 /// The infallible `Matcher::process` entry point panics with context
@@ -558,238 +550,4 @@ fn profiled_threaded_matches_identically_and_snapshots_metrics() {
             .map(|h| h.count()),
         Some(2)
     );
-}
-
-#[test]
-fn migrate_to_same_partition_is_a_noop() {
-    let prog = parse_program(BLUE).unwrap();
-    let network = ReteNetwork::compile(&prog).unwrap();
-    let partition = Partition::round_robin(64, 3);
-    let mut par = ThreadedMatcher::with_partition(network, partition.clone());
-    par.process(&blue_wmes());
-    let stats = par.migrate_to(partition).unwrap();
-    assert_eq!(stats, MigrationStats::default());
-    assert_eq!(par.conflict_set().len(), 1);
-}
-
-/// Migrating every bucket onto one worker and back must move the
-/// stored token state losslessly: retractions after the round trip
-/// still find every entry (a lost or duplicated token would panic the
-/// kernel or diverge the conflict set).
-#[test]
-fn migration_round_trip_preserves_stored_state() {
-    let src = r#"
-        (p pair (slot ^v <x>) (east ^v <x>) (west ^v <x>) --> (remove 1))
-        (p lonely (node ^id <n>) -(edge ^to <n>) --> (remove 1))
-    "#;
-    let prog = parse_program(src).unwrap();
-    let mut seq = ReteMatcher::from_program(&prog).unwrap();
-    let network = ReteNetwork::compile(&prog).unwrap();
-    let mut par = ThreadedMatcher::with_partition(network, Partition::round_robin(64, 4));
-
-    let mut adds = Vec::new();
-    let mut id = 0u64;
-    for v in 0..6i64 {
-        for class in ["slot", "east", "west"] {
-            id += 1;
-            adds.push(add(id, Wme::new(class, &[("v", v.into())])));
-        }
-        id += 1;
-        adds.push(add(id, Wme::new("node", &[("id", v.into())])));
-        id += 1;
-        adds.push(add(id, Wme::new("edge", &[("to", v.into())])));
-    }
-    seq.process(&adds);
-    par.process(&adds);
-    assert_eq!(seq.conflict_set(), par.conflict_set());
-
-    // Pile everything onto worker 0, then spread it back out. The
-    // negative-node counts must survive both hops.
-    let all_on_zero = Partition::from_owners(vec![0; 64], 4);
-    let onto = par.migrate_to(all_on_zero).unwrap();
-    assert!(onto.moved_buckets > 0);
-    assert!(
-        onto.moved_left + onto.moved_right > 0,
-        "stored entries must travel: {onto:?}"
-    );
-    let back = par.migrate_to(Partition::round_robin(64, 4)).unwrap();
-    assert!(back.moved_buckets > 0);
-
-    // Retract every WME: every migrated entry must be found again.
-    let removes: Vec<WmeChange> = adds
-        .iter()
-        .map(|c| WmeChange::remove(c.id, c.wme.clone()))
-        .collect();
-    seq.process(&removes);
-    par.process(&removes);
-    assert_eq!(seq.conflict_set(), par.conflict_set());
-    assert!(par.conflict_set().is_empty());
-}
-
-/// Negative-node counts co-migrate with their bucket pair: flipping a
-/// negation *after* a migration must produce exactly the sequential
-/// conflict set.
-#[test]
-fn negation_flips_correctly_after_migration() {
-    let src = "(p lonely (node ^id <n>) -(edge ^to <n>) --> (remove 1))";
-    let prog = parse_program(src).unwrap();
-    let mut seq = ReteMatcher::from_program(&prog).unwrap();
-    let network = ReteNetwork::compile(&prog).unwrap();
-    let mut par = ThreadedMatcher::with_partition(network, Partition::round_robin(64, 4));
-    let e7 = Wme::new("edge", &[("to", 7.into())]);
-    let first = vec![
-        add(1, Wme::new("node", &[("id", 7.into())])),
-        add(2, Wme::new("node", &[("id", 8.into())])),
-        add(3, e7.clone()),
-    ];
-    seq.process(&first);
-    par.process(&first);
-    assert_eq!(seq.conflict_set(), par.conflict_set());
-
-    par.migrate_to(Partition::from_owners(vec![3; 64], 4))
-        .unwrap();
-
-    // Deleting the edge flips the blocked token live; the migrated
-    // neg_count is what makes this transition fire exactly once.
-    let second = vec![del(3, e7)];
-    seq.process(&second);
-    par.process(&second);
-    assert_eq!(seq.conflict_set(), par.conflict_set());
-    assert_eq!(par.conflict_set().len(), 2);
-}
-
-/// Migration-under-load stress: a cross-product-heavy workload with
-/// racing adds/deletes, re-partitioned between *every* cycle through
-/// rotating strategies. The ownership map and stored tokens must stay
-/// consistent — any loss or double-count diverges from the sequential
-/// engine or panics a kernel assert.
-#[test]
-fn migration_under_load_stress() {
-    let src = r#"
-        (p pair (slot ^v <x>) (east ^v <x>) (west ^v <x>) --> (remove 1))
-        (p lonely (node ^id <n>) -(edge ^to <n>) --> (remove 1))
-    "#;
-    let prog = parse_program(src).unwrap();
-    for seed in 0..stress_iterations() {
-        let values = 3 + (seed % 4) as i64;
-        let mut seq = ReteMatcher::from_program(&prog).unwrap();
-        let network = ReteNetwork::compile(&prog).unwrap();
-        let mut par = ThreadedMatcher::with_partition(network, Partition::round_robin(64, 4));
-
-        let mut id = 0u64;
-        let mut first = Vec::new();
-        for v in 0..values {
-            for class in ["slot", "east", "west"] {
-                id += 1;
-                first.push(add(id, Wme::new(class, &[("v", v.into())])));
-            }
-            id += 1;
-            first.push(add(id, Wme::new("node", &[("id", v.into())])));
-            if v % 2 == 0 {
-                id += 1;
-                first.push(add(id, Wme::new("edge", &[("to", v.into())])));
-            }
-        }
-        // Racing batch: delete the even-value east/west WMEs and the
-        // edges, re-add fresh WMEs with the same join values.
-        let mut second = Vec::new();
-        for c in &first {
-            let class = c.wme.class();
-            let even = c
-                .wme
-                .get(mpps_ops::intern("v"))
-                .or_else(|| c.wme.get(mpps_ops::intern("to")))
-                .is_some_and(|v| matches!(v, mpps_ops::Value::Int(n) if n % 2 == 0));
-            if even
-                && (class == mpps_ops::intern("east")
-                    || class == mpps_ops::intern("west")
-                    || class == mpps_ops::intern("edge"))
-            {
-                second.push(WmeChange::remove(c.id, c.wme.clone()));
-            }
-        }
-        for v in (0..values).step_by(2) {
-            id += 1;
-            second.push(add(id, Wme::new("east", &[("v", v.into())])));
-            id += 1;
-            second.push(add(id, Wme::new("west", &[("v", v.into())])));
-        }
-        let partitions = [
-            Partition::random(64, 4, seed),
-            Partition::from_owners(vec![(seed % 4) as u32; 64], 4),
-            Partition::round_robin(64, 4),
-        ];
-        for (i, batch) in [&first, &second].into_iter().enumerate() {
-            seq.process(batch);
-            par.try_process(batch).expect("workers healthy");
-            assert_eq!(
-                seq.conflict_set(),
-                par.conflict_set(),
-                "diverged at seed {seed} batch {i}"
-            );
-            par.migrate_to(partitions[(seed as usize + i) % partitions.len()].clone())
-                .expect("migration at the barrier");
-            // Ownership changed but state didn't: still equivalent.
-            assert_eq!(
-                seq.conflict_set(),
-                par.conflict_set(),
-                "migration changed the conflict set at seed {seed} batch {i}"
-            );
-        }
-    }
-}
-
-/// The online repartitioner: starting from a deliberately terrible
-/// partition (every bucket on worker 0), the skew counters must
-/// trigger a greedy re-pack and migrate at the barrier, after which
-/// the matcher remains equivalent to the sequential engine.
-#[test]
-fn adaptive_repartitioner_rebalances_and_stays_equivalent() {
-    let src = "(p j3 (a ^v <x>) (b ^v <x>) (c ^v <x>) --> (remove 1))";
-    let prog = parse_program(src).unwrap();
-    let mut seq = ReteMatcher::from_program(&prog).unwrap();
-    let network = ReteNetwork::compile(&prog).unwrap();
-    let mut par =
-        ThreadedMatcher::with_partition_profiled(network, Partition::from_owners(vec![0; 64], 4));
-    par.enable_adaptation(AdaptOptions {
-        every: 1,
-        skew_threshold: 1.5,
-    });
-
-    let mut changes = Vec::new();
-    let mut id = 0u64;
-    for v in 0..32i64 {
-        for class in ["a", "b", "c"] {
-            id += 1;
-            changes.push(add(id, Wme::new(class, &[("v", v.into())])));
-        }
-    }
-    seq.process(&changes);
-    par.process(&changes);
-    assert_eq!(seq.conflict_set(), par.conflict_set());
-
-    let events = par.rebalance_events();
-    assert!(!events.is_empty(), "skewed start must trigger a rebalance");
-    let e = events[0];
-    assert!(
-        e.skew_after < e.skew_before,
-        "rebalance must project an improvement: {e:?}"
-    );
-    assert!(e.moved_buckets > 0);
-    assert!(e.hot_bucket_share > 0.0 && e.hot_bucket_share <= 1.0);
-
-    // Post-migration cycles stay equivalent (deletes probe migrated
-    // entries).
-    let removes: Vec<WmeChange> = changes
-        .iter()
-        .take(30)
-        .map(|c| WmeChange::remove(c.id, c.wme.clone()))
-        .collect();
-    seq.process(&removes);
-    par.process(&removes);
-    assert_eq!(seq.conflict_set(), par.conflict_set());
-
-    // A balanced partition should not keep re-triggering forever on
-    // the same workload shape: events stay bounded by cycles.
-    assert!(par.rebalance_events().len() as u64 <= par.stats().cycles);
 }

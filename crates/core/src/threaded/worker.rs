@@ -9,12 +9,12 @@
 //! goes out as messages — one `Drained` report to the coordinator, then one
 //! coalesced batch per peer.
 
-use super::{metric, MigratedEntry, ToCoordinator, ToWorker, WireWork, WorkerStats};
+use super::{metric, ToCoordinator, ToWorker, WireWork, WorkerStats};
 use crate::partition::Partition;
 use crossbeam::channel::{Receiver, Sender};
 use mpps_ops::{Instantiation, Sign};
 use mpps_rete::kernel::{Kernel, Work};
-use mpps_rete::{GlobalMemories, LeftEntry, ReteNetwork, RightEntry};
+use mpps_rete::{GlobalMemories, ReteNetwork};
 use mpps_telemetry::{MetricSink, NullMetrics};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -127,11 +127,6 @@ impl<M: MetricSink> Worker<M> {
                 self.coordinator
                     .send(ToCoordinator::Metrics { registry })
                     .is_ok()
-            }
-            ToWorker::Migrate(partition) => self.migrate(partition),
-            ToWorker::Adopt(batch) => {
-                self.adopt_migrated(batch);
-                true
             }
             ToWorker::Shutdown => false,
             #[cfg(test)]
@@ -247,97 +242,5 @@ impl<M: MetricSink> Worker<M> {
             }
         }
         true
-    }
-
-    /// Rebind this worker to a new partition (between cycles, so no tokens
-    /// are in flight). Buckets it keeps stay where they are; each pair it
-    /// loses is taken out, flattened and shipped to the coordinator for
-    /// rerouting. Returns `false` if the coordinator is gone.
-    fn migrate(&mut self, partition: Arc<Partition>) -> bool {
-        let mut exports: Vec<Vec<MigratedEntry>> =
-            (0..self.peers.len()).map(|_| Vec::new()).collect();
-        for bucket in 0..partition.table_size() {
-            let to = partition.owner(bucket);
-            if self.partition.owner(bucket) != self.me || to == self.me {
-                continue;
-            }
-            let (lefts, rights) = self.kernel.mem.take_bucket(bucket);
-            for e in lefts {
-                let flat = self.kernel.arena.extract(e.token);
-                self.kernel.arena.release(e.token);
-                exports[to].push(MigratedEntry::Left {
-                    node: e.node,
-                    key_hash: e.key_hash,
-                    flat,
-                    neg_count: e.neg_count,
-                });
-            }
-            for e in rights {
-                exports[to].push(MigratedEntry::Right {
-                    node: e.node,
-                    key_hash: e.key_hash,
-                    wme_id: e.wme_id,
-                    wme: e.wme,
-                });
-            }
-        }
-        self.partition = partition;
-        let exports: Vec<(usize, Vec<MigratedEntry>)> = exports
-            .into_iter()
-            .enumerate()
-            .filter(|(_, batch)| !batch.is_empty())
-            .collect();
-        self.coordinator
-            .send(ToCoordinator::Migrated { exports })
-            .is_ok()
-    }
-
-    /// Intern entries another worker exported for buckets this worker now
-    /// owns (its own `Migrate` has already rebound the partition).
-    fn adopt_migrated(&mut self, batch: Vec<MigratedEntry>) {
-        let table_size = self.partition.table_size();
-        for entry in batch {
-            match entry {
-                MigratedEntry::Left {
-                    node,
-                    key_hash,
-                    flat,
-                    neg_count,
-                } => {
-                    let bucket = key_hash % table_size;
-                    debug_assert_eq!(
-                        self.partition.owner(bucket),
-                        self.me,
-                        "adopted entry must target an owned bucket"
-                    );
-                    let token = self.kernel.arena.intern(&flat);
-                    self.kernel.mem.left_bucket_mut(bucket).push(LeftEntry {
-                        node,
-                        key_hash,
-                        token,
-                        neg_count,
-                    });
-                }
-                MigratedEntry::Right {
-                    node,
-                    key_hash,
-                    wme_id,
-                    wme,
-                } => {
-                    let bucket = key_hash % table_size;
-                    debug_assert_eq!(
-                        self.partition.owner(bucket),
-                        self.me,
-                        "adopted entry must target an owned bucket"
-                    );
-                    self.kernel.mem.right_bucket_mut(bucket).push(RightEntry {
-                        node,
-                        key_hash,
-                        wme_id,
-                        wme,
-                    });
-                }
-            }
-        }
     }
 }

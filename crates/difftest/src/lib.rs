@@ -5,9 +5,9 @@
 //! The workspace carries four matcher implementations that must agree on
 //! every program and every working-memory history: [`NaiveMatcher`] (the
 //! brute-force semantic reference), `ReteMatcher`, `TreatMatcher`, and the
-//! message-passing `ThreadedMatcher` — plus three derived configurations
-//! (transform-rewritten networks, and an adaptive threaded matcher that
-//! migrates bucket ownership after every change batch). Hand-written
+//! message-passing `ThreadedMatcher` — plus two derived configurations
+//! (sequential and threaded Rete over transform-rewritten networks, the
+//! threaded one on a non-round-robin partition). Hand-written
 //! equivalence tests cover the shapes we thought of; this crate covers the
 //! ones we didn't.
 //!
@@ -37,11 +37,8 @@ pub mod oracle;
 pub mod repro;
 pub mod shrink;
 
-use mpps_core::{AdaptOptions, Partition, ThreadedMatcher};
-use mpps_ops::{
-    Instantiation, MatchError, Matcher, NaiveMatcher, OpsError, Program, Strategy, TreatMatcher,
-    WmeChange,
-};
+use mpps_core::{Partition, ThreadedMatcher};
+use mpps_ops::{Matcher, NaiveMatcher, OpsError, Program, TreatMatcher};
 use mpps_rete::{EngineConfig, ReteMatcher, ReteNetwork, SplitSpec, TransformPlan};
 use std::fmt;
 use std::str::FromStr;
@@ -65,12 +62,10 @@ pub enum MatcherKind {
     /// Sequential Rete over a network rewritten with every applicable
     /// transform (per-production unsharing + copy-and-constraint splits).
     ReteTransformed,
-    /// Threaded Rete over the same transformed network.
+    /// Threaded Rete over the same transformed network, on a
+    /// non-round-robin partition that gives bucket 0 (and so every
+    /// single-CE production) to worker 1.
     ThreadedTransformed,
-    /// Profiled threaded Rete with the online repartitioner enabled *and*
-    /// a forced bucket migration after every change batch — the
-    /// migration-consistency torture lane.
-    ThreadedAdapt,
 }
 
 impl MatcherKind {
@@ -82,16 +77,15 @@ impl MatcherKind {
         MatcherKind::Threaded,
     ];
 
-    /// Every matcher configuration, including the transformed-network and
-    /// adaptive/migrating variants. This is what `"all"` parses to.
-    pub const EXTENDED: [MatcherKind; 7] = [
+    /// Every matcher configuration, including the transformed-network
+    /// variants. This is what `"all"` parses to.
+    pub const EXTENDED: [MatcherKind; 6] = [
         MatcherKind::Naive,
         MatcherKind::Rete,
         MatcherKind::Treat,
         MatcherKind::Threaded,
         MatcherKind::ReteTransformed,
         MatcherKind::ThreadedTransformed,
-        MatcherKind::ThreadedAdapt,
     ];
 
     /// CLI/display name.
@@ -103,7 +97,6 @@ impl MatcherKind {
             MatcherKind::Threaded => "threaded",
             MatcherKind::ReteTransformed => "rete-transformed",
             MatcherKind::ThreadedTransformed => "threaded-transformed",
-            MatcherKind::ThreadedAdapt => "threaded-adapt",
         }
     }
 
@@ -125,11 +118,13 @@ impl MatcherKind {
             }
             MatcherKind::ThreadedTransformed => {
                 let network = transformed_network(program)?;
-                Box::new(ThreadedMatcher::new(network, 2, 64))
-            }
-            MatcherKind::ThreadedAdapt => {
-                let network = ReteNetwork::compile(program)?;
-                Box::new(AdaptiveThreaded::build(network))
+                // Blocks of three buckets, alternating workers, starting on
+                // worker 1.
+                let owners = (0..64).map(|b| (b / 3 + 1) % 2).collect();
+                Box::new(ThreadedMatcher::with_partition(
+                    network,
+                    Partition::from_owners(owners, 2),
+                ))
             }
         })
     }
@@ -179,67 +174,6 @@ fn transformed_network(program: &Program) -> Result<ReteNetwork, OpsError> {
     ReteNetwork::compile_planned(program, &plan)
 }
 
-/// A profiled [`ThreadedMatcher`] with the online repartitioner armed at an
-/// aggressive threshold, plus a *forced* migration through a rotating set of
-/// partitions after every change batch. Every fuzz case thus exercises the
-/// barrier-time bucket-migration protocol under live token state.
-struct AdaptiveThreaded {
-    inner: ThreadedMatcher,
-    step: u64,
-}
-
-const ADAPT_WORKERS: usize = 2;
-const ADAPT_TABLE: u64 = 64;
-
-impl AdaptiveThreaded {
-    fn build(network: ReteNetwork) -> Self {
-        let mut inner = ThreadedMatcher::new_profiled(network, ADAPT_WORKERS, ADAPT_TABLE);
-        inner.enable_adaptation(AdaptOptions {
-            every: 1,
-            skew_threshold: 1.05,
-        });
-        AdaptiveThreaded { inner, step: 0 }
-    }
-
-    fn next_partition(&mut self) -> Partition {
-        self.step += 1;
-        match self.step % 3 {
-            0 => Partition::round_robin(ADAPT_TABLE, ADAPT_WORKERS),
-            1 => Partition::from_owners(
-                vec![(self.step % ADAPT_WORKERS as u64) as u32; ADAPT_TABLE as usize],
-                ADAPT_WORKERS,
-            ),
-            _ => Partition::random(ADAPT_TABLE, ADAPT_WORKERS, self.step),
-        }
-    }
-}
-
-impl Matcher for AdaptiveThreaded {
-    fn process(&mut self, changes: &[WmeChange]) {
-        self.try_process(changes)
-            .expect("adaptive threaded matcher failed");
-    }
-
-    fn try_process(&mut self, changes: &[WmeChange]) -> Result<(), MatchError> {
-        self.inner.try_process(changes)?;
-        let partition = self.next_partition();
-        self.inner.migrate_to(partition).map(|_| ())
-    }
-
-    fn conflict_set(&self) -> Vec<Instantiation> {
-        self.inner.conflict_set()
-    }
-
-    fn select(
-        &self,
-        program: &Program,
-        strategy: Strategy,
-        refracted: &dyn Fn(&Instantiation) -> bool,
-    ) -> Option<Instantiation> {
-        self.inner.select(program, strategy, refracted)
-    }
-}
-
 impl fmt::Display for MatcherKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -257,10 +191,9 @@ impl FromStr for MatcherKind {
             "threaded" => Ok(MatcherKind::Threaded),
             "rete-transformed" => Ok(MatcherKind::ReteTransformed),
             "threaded-transformed" => Ok(MatcherKind::ThreadedTransformed),
-            "threaded-adapt" => Ok(MatcherKind::ThreadedAdapt),
             other => Err(format!(
                 "unknown matcher {other:?} (naive|rete|treat|threaded|\
-                 rete-transformed|threaded-transformed|threaded-adapt|base|all)"
+                 rete-transformed|threaded-transformed|base|all)"
             )),
         }
     }
@@ -304,15 +237,15 @@ mod tests {
 
     #[test]
     fn parse_list_all_base_and_csv() {
-        assert_eq!(MatcherKind::parse_list("all").unwrap().len(), 7);
+        assert_eq!(MatcherKind::parse_list("all").unwrap().len(), 6);
         assert_eq!(MatcherKind::parse_list("base").unwrap().len(), 4);
         assert_eq!(
             MatcherKind::parse_list("rete, treat").unwrap(),
             vec![MatcherKind::Rete, MatcherKind::Treat]
         );
         assert_eq!(
-            MatcherKind::parse_list("threaded-adapt").unwrap(),
-            vec![MatcherKind::ThreadedAdapt]
+            MatcherKind::parse_list("threaded-transformed").unwrap(),
+            vec![MatcherKind::ThreadedTransformed]
         );
         assert!(MatcherKind::parse_list("bogus").is_err());
     }

@@ -41,7 +41,4 @@ pub use network::{
 };
 pub use token::{FlatToken, TokenArena, TokenId};
 pub use trace::{ActKind, ActivationId, ActivationRecord, Trace, TraceCycle, TraceStats};
-pub use transform::{
-    compile_suggested, split_fanout, suggest_plan, unshare, SplitFanoutOptions, SplitSpec,
-    TransformPlan,
-};
+pub use transform::{split_fanout, unshare, SplitFanoutOptions, SplitSpec, TransformPlan};

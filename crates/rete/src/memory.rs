@@ -94,18 +94,6 @@ impl GlobalMemories {
     pub fn right_bucket_mut(&mut self, bucket: u64) -> &mut Vec<RightEntry> {
         &mut self.right[bucket as usize]
     }
-
-    /// Remove and return the entire left/right bucket pair at `bucket`,
-    /// leaving empty vectors behind. Bucket-granular migration moves the
-    /// *pair* together: negative-node counts in the left bucket are derived
-    /// from the right bucket at the same index, so splitting the pair would
-    /// strand them.
-    pub fn take_bucket(&mut self, bucket: u64) -> (Vec<LeftEntry>, Vec<RightEntry>) {
-        (
-            std::mem::take(&mut self.left[bucket as usize]),
-            std::mem::take(&mut self.right[bucket as usize]),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -169,26 +157,5 @@ mod tests {
     #[should_panic(expected = "at least one bucket")]
     fn zero_buckets_rejected() {
         GlobalMemories::new(0);
-    }
-
-    #[test]
-    fn take_bucket_moves_the_pair_and_leaves_it_empty() {
-        let mut m = GlobalMemories::new(4);
-        m.left_bucket_mut(1).push(le(1, 7, 0));
-        m.right_bucket_mut(1).push(RightEntry {
-            node: NodeId(1),
-            key_hash: 7,
-            wme_id: WmeId(3),
-            wme: Arc::new(Wme::new("b", &[])),
-        });
-        m.left_bucket_mut(3).push(le(2, 8, 1));
-        let (lefts, rights) = m.take_bucket(1);
-        assert_eq!(lefts.len(), 1);
-        assert_eq!(rights.len(), 1);
-        assert_eq!(lefts[0].key_hash, 7);
-        assert!(m.left_bucket_mut(1).is_empty());
-        assert!(m.right_bucket_mut(1).is_empty());
-        // The other bucket is untouched.
-        assert_eq!(m.left_bucket_mut(3).len(), 1);
     }
 }

@@ -19,13 +19,12 @@
 //!    identity on every copy.
 
 use crate::hashfn::bucket_index;
-use crate::network::{NodeId, NodeKind, ReteNetwork, Side, Succ};
+use crate::network::{NodeId, ReteNetwork, Side};
 use crate::trace::{ActKind, ActivationRecord, Trace, TraceCycle};
 use mpps_ops::{
     intern, AttrTest, OpsError, Predicate, Production, ProductionId, Program, Symbol, TestKind,
-    Value, Wme,
+    Value,
 };
-use std::collections::BTreeMap;
 
 /// Compile `program` with two-input-node sharing disabled — the unsharing
 /// transform of §5.2.1.
@@ -259,11 +258,6 @@ impl TransformPlan {
         self
     }
 
-    /// True when the plan rewrites nothing.
-    pub fn is_empty(&self) -> bool {
-        self.unshare.is_empty() && self.splits.is_empty()
-    }
-
     /// Is `pid` marked for unsharing?
     pub fn unshares(&self, pid: ProductionId) -> bool {
         self.unshare.contains(&pid)
@@ -272,11 +266,6 @@ impl TransformPlan {
     /// The planned splits, in insertion order.
     pub fn splits(&self) -> &[(ProductionId, SplitSpec)] {
         &self.splits
-    }
-
-    /// The productions marked for unsharing, in insertion order.
-    pub fn unshared(&self) -> &[ProductionId] {
-        &self.unshare
     }
 
     /// Check every planned rewrite against `program`.
@@ -317,226 +306,6 @@ impl TransformPlan {
         let (_, spec) = self.splits.iter().find(|(p, _)| *p == pid)?;
         Some(spec.variants(production))
     }
-
-    /// One-line human summary, for logs and the CLI.
-    pub fn summary(&self, program: &Program) -> String {
-        if self.is_empty() {
-            return "no rewrites".into();
-        }
-        let mut parts = Vec::new();
-        for (pid, spec) in &self.splits {
-            parts.push(format!(
-                "split {} @ce{} ^{} into {}",
-                program.get(*pid).name,
-                spec.ce_index,
-                spec.attr,
-                spec.boundaries.len() + 1
-            ));
-        }
-        for pid in &self.unshare {
-            parts.push(format!("unshare {}", program.get(*pid).name));
-        }
-        parts.join("; ")
-    }
-}
-
-/// Target number of range copies per suggested split (the paper suggests
-/// 2–4).
-const SUGGEST_WAYS: usize = 4;
-
-/// Derive a [`TransformPlan`] from measured hot spots.
-///
-/// Candidate nodes are non-negative two-input nodes with an *empty hash
-/// signature* (`eq_checks` empty — a cross-product join): every token at
-/// such a node hashes to one bucket, so worker migration cannot spread
-/// its load and only a network rewrite helps. Candidates are ranked by
-/// `node_activations` (the `NODE_ACTIVATIONS` counter series, keyed by
-/// node id). For each production downstream of a hot node the CE feeding
-/// that node is split on the tested attribute whose values in `wmes` are
-/// most diverse, with boundaries at value quantiles; productions sharing
-/// a hot node are additionally marked for unsharing.
-pub fn suggest_plan(
-    net: &ReteNetwork,
-    program: &Program,
-    node_activations: &BTreeMap<u64, u64>,
-    wmes: &[Wme],
-) -> TransformPlan {
-    let acts = |id: NodeId| node_activations.get(&u64::from(id.0)).copied().unwrap_or(0);
-    let mut hot: Vec<NodeId> = net
-        .iter()
-        .filter_map(|(id, n)| match n {
-            NodeKind::TwoInput(j) if !j.negative && j.spec.eq_checks.is_empty() => Some(id),
-            _ => None,
-        })
-        .collect();
-    hot.sort_by_key(|&id| (std::cmp::Reverse(acts(id)), id.0));
-
-    let mut plan = TransformPlan::new();
-    for node in hot {
-        let shared = match net.node(node) {
-            NodeKind::TwoInput(j) => j.successors.len() > 1,
-            _ => false,
-        };
-        for pid in downstream_productions(net, node) {
-            if plan.splits.iter().any(|(p, _)| *p == pid) {
-                continue;
-            }
-            if shared {
-                plan = plan.with_unshare(pid);
-            }
-            let Some(ce_index) = ce_index_of_node(net, program, pid, node) else {
-                continue;
-            };
-            if let Some(spec) = propose_split(net, program, pid, ce_index, node, wmes) {
-                plan = plan.with_split(pid, spec);
-            }
-        }
-    }
-    plan
-}
-
-/// The static half of the closed skew loop in one call: compile
-/// `program`, derive the [`suggest_plan`] from the
-/// measured `node_activations` and the `wmes` sample, and recompile
-/// through it. Both inputs may be empty (nothing measured yet): every
-/// cross-product join then qualifies as hot. Returns the transformed
-/// network with the plan that shaped it.
-pub fn compile_suggested(
-    program: &Program,
-    node_activations: &BTreeMap<u64, u64>,
-    wmes: &[Wme],
-) -> Result<(ReteNetwork, TransformPlan), OpsError> {
-    let net = ReteNetwork::compile(program)?;
-    let plan = suggest_plan(&net, program, node_activations, wmes);
-    let transformed = ReteNetwork::compile_planned(program, &plan)?;
-    Ok((transformed, plan))
-}
-
-/// Every production reachable from `node` through successor edges.
-fn downstream_productions(net: &ReteNetwork, node: NodeId) -> Vec<ProductionId> {
-    let mut stack = vec![node];
-    let mut seen = vec![node];
-    let mut out = Vec::new();
-    while let Some(id) = stack.pop() {
-        let NodeKind::TwoInput(j) = net.node(id) else {
-            continue;
-        };
-        for succ in &j.successors {
-            match *succ {
-                Succ::TwoInput(t) => {
-                    if !seen.contains(&t) {
-                        seen.push(t);
-                        stack.push(t);
-                    }
-                }
-                Succ::Production(p) => {
-                    if let NodeKind::Production(pn) = net.node(p) {
-                        if !out.contains(&pn.production) {
-                            out.push(pn.production);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The LHS index of the CE whose right input feeds `node` within `pid`'s
-/// chain, reconstructed from the compiler's chain order (seed = first
-/// positive CE, then leading negations, then the rest in source order).
-fn ce_index_of_node(
-    net: &ReteNetwork,
-    program: &Program,
-    pid: ProductionId,
-    node: NodeId,
-) -> Option<usize> {
-    let prod = program.get(pid);
-    let pnode = net
-        .production_nodes_of(pid)
-        .next()
-        .expect("compiled production has a node");
-    // Bottom-up walk from the production node's feeding join.
-    let mut chain_rev = Vec::new();
-    let mut cur = net.iter().find_map(|(id, n)| match n {
-        NodeKind::TwoInput(j) if j.successors.contains(&Succ::Production(pnode)) => Some(id),
-        _ => None,
-    })?;
-    loop {
-        chain_rev.push(cur);
-        match net.join(cur).left_src {
-            crate::network::LeftSource::Beta(b) => cur = b,
-            crate::network::LeftSource::Alpha(_) => break,
-        }
-    }
-    let pos_in_chain = chain_rev.iter().rev().position(|&id| id == node)?;
-    // Chain order over LHS indices: seed CE first, then the rest.
-    let first_pos = prod.lhs.iter().position(|ce| !ce.negated)?;
-    let order: Vec<usize> = std::iter::once(first_pos)
-        .chain(0..first_pos)
-        .chain(first_pos + 1..prod.lhs.len())
-        .collect();
-    // Two-input node r (top-down) joins in the CE at order[r + 1].
-    order.get(pos_in_chain + 1).copied()
-}
-
-/// Pick the split attribute and boundaries for `pid`'s CE at `ce_index`:
-/// the tested attribute whose integer values across the WMEs accepted by
-/// the node's right alpha are most diverse, cut at quantiles into at most
-/// [`SUGGEST_WAYS`] ranges. `None` when no attribute has at least two distinct
-/// integer values (a split would not spread anything).
-fn propose_split(
-    net: &ReteNetwork,
-    program: &Program,
-    pid: ProductionId,
-    ce_index: usize,
-    node: NodeId,
-    wmes: &[Wme],
-) -> Option<SplitSpec> {
-    let ce = &program.get(pid).lhs[ce_index];
-    let alpha = match net.node(net.join(node).right_alpha) {
-        NodeKind::Alpha(a) => a,
-        _ => return None,
-    };
-    let mut tested: Vec<Symbol> = ce.tests.iter().map(|t| t.attr).collect();
-    tested.dedup();
-    let mut best: Option<(usize, Symbol, Vec<i64>)> = None;
-    for attr in tested {
-        let mut vals: Vec<i64> = wmes
-            .iter()
-            .filter(|w| alpha.matches(w))
-            .filter_map(|w| match w.get(attr) {
-                Some(Value::Int(i)) => Some(i),
-                _ => None,
-            })
-            .collect();
-        vals.sort_unstable();
-        vals.dedup();
-        if vals.len() < 2 {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(n, _, _)| vals.len() > *n) {
-            best = Some((vals.len(), attr, vals));
-        }
-    }
-    let (_, attr, distinct) = best?;
-    let ways = SUGGEST_WAYS.min(distinct.len());
-    // Quantile cut points: `ways - 1` boundaries from the distinct values,
-    // strictly increasing by construction (indices strictly increase and
-    // the values are deduped).
-    let boundaries: Vec<i64> = (1..ways)
-        .map(|i| distinct[i * distinct.len() / ways])
-        .collect();
-    if boundaries.is_empty() || boundaries.windows(2).any(|w| w[0] >= w[1]) {
-        return None;
-    }
-    let spec = SplitSpec {
-        ce_index,
-        attr,
-        boundaries,
-    };
-    spec.validate(program.get(pid)).ok()?;
-    Some(spec)
 }
 
 #[cfg(test)]
@@ -843,52 +612,5 @@ mod tests {
         assert!(double.validate(&prog).is_err());
         let bad = TransformPlan::new().with_unshare(ProductionId(9));
         assert!(bad.validate(&prog).is_err());
-    }
-
-    #[test]
-    fn suggest_plan_targets_the_cross_product_join() {
-        let prog = parse_program(
-            r#"
-            (p cross (lhs ^id <a>) (rhs ^id <b>) --> (remove 1))
-            (p plain (goal ^id <g>) (task ^goal <g>) --> (remove 1))
-            "#,
-        )
-        .unwrap();
-        let net = ReteNetwork::compile(&prog).unwrap();
-        let mut wmes = Vec::new();
-        for i in 0..16 {
-            wmes.push(Wme::new("rhs", &[("id", (i as i64).into())]));
-        }
-        let plan = suggest_plan(&net, &prog, &BTreeMap::new(), &wmes);
-        // Only the cross production is split, on the rhs CE's id attribute.
-        assert_eq!(plan.splits().len(), 1);
-        let (pid, spec) = &plan.splits()[0];
-        assert_eq!(*pid, ProductionId(0));
-        assert_eq!(spec.ce_index, 1);
-        assert_eq!(spec.attr, intern("id"));
-        assert_eq!(spec.boundaries.len(), 3);
-        assert!(plan.validate(&prog).is_ok());
-        // And the suggested plan preserves semantics.
-        let rewritten = ReteNetwork::compile_planned(&prog, &plan).unwrap();
-        let mut changes: Vec<WmeChange> = wmes
-            .iter()
-            .enumerate()
-            .map(|(i, w)| WmeChange::add(WmeId(i as u64 + 1), w.clone()))
-            .collect();
-        changes.push(WmeChange::add(
-            WmeId(500),
-            Wme::new("lhs", &[("id", 3.into())]),
-        ));
-        assert_identical_conflicts(&net, &rewritten, &[changes]);
-    }
-
-    #[test]
-    fn suggest_plan_skips_value_poor_attributes() {
-        let prog = parse_program("(p cross (lhs ^id <a>) (rhs ^id <b>) --> (remove 1))").unwrap();
-        let net = ReteNetwork::compile(&prog).unwrap();
-        // All rhs ids are the same symbol: no integer diversity, no split.
-        let wmes = vec![Wme::new("rhs", &[("id", "only".into())]); 8];
-        let plan = suggest_plan(&net, &prog, &BTreeMap::new(), &wmes);
-        assert!(plan.splits().is_empty());
     }
 }

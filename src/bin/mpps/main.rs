@@ -42,18 +42,13 @@
 //! the recorded metrics. Neither changes the summary output.
 //!
 //! With `--matcher threaded`, `--partition` picks the bucket-ownership
-//! strategy for the real thread pool (greedy does an offline profiled
-//! sequential pre-run to measure bucket activity, as in §5.2.2), and
-//! `--stats` prints per-worker activity counters to stderr.
-//!
-//! `mpps run --matcher threaded --adapt` closes the skew loop: a profiled
-//! sequential pre-run measures per-node activations and the per-bucket
-//! activation skew, `compile_suggested` derives copy-and-constraint splits
-//! (plus unsharing) for the hot cross-product nodes that bucket migration
-//! cannot spread, the transformed network runs under the threaded matcher
-//! with the online repartitioner enabled, and the before/after bucket
-//! skew factors plus every rebalance event are reported on stderr. The
-//! run's stdout is unchanged.
+//! strategy for the real thread pool, fixed for the whole run. Greedy does
+//! an offline profiled sequential pre-run to measure bucket activity, as
+//! in §5.2.2. `--stats` prints per-worker activity counters to stderr.
+//! `--workers`, `--partition`, `--seed` and `--stats` apply only to the
+//! threaded matcher, and `--table-size` only to the hashed ones (rete and
+//! threaded). Giving a flag to a matcher it does not apply to is a usage
+//! error.
 //!
 //! `mpps serve` runs the rule-engine-as-a-service layer: one compiled
 //! program multiplexed across many independent working-memory sessions on
@@ -73,9 +68,8 @@ mod format;
 
 use format::{stats_block, OutputFormat, SimulateSummary};
 use mpps::core::sweep::{baseline, speedup_curve_jobs, PartitionStrategy};
-use mpps::core::{bucket_skew_factor, render_match_profile};
 use mpps::core::{
-    greedy_partition, name_machine_tracks, simulate_recorded, AdaptOptions, MappingConfig,
+    greedy_partition, name_machine_tracks, render_match_profile, simulate_recorded, MappingConfig,
     OverheadSetting, Partition, SimScratch, ThreadedMatcher,
 };
 use mpps::difftest::{fuzz_one, replay, write_repro, FuzzCase, GenConfig, MatcherKind};
@@ -83,7 +77,7 @@ use mpps::ops::{
     parse_program, parse_wme, Interpreter, Matcher, NaiveMatcher, Program, Strategy, TreatMatcher,
     Wme,
 };
-use mpps::rete::{compile_suggested, kernel, EngineConfig, ReteMatcher, ReteNetwork, Trace};
+use mpps::rete::{EngineConfig, ReteMatcher, ReteNetwork, Trace};
 use mpps::server::{run_script, run_synthetic, ServerConfig, SyntheticSpec};
 use mpps::telemetry::{chrome::chrome_trace, MetricsRegistry, TraceRecorder};
 use mpps::workloads::{rubik, serve, tourney, weaver};
@@ -117,7 +111,6 @@ const COMMANDS: &[Command] = &[
             ("quiet", None),
             ("stats", None),
             ("profile", Some("DIR")),
-            ("adapt", None),
         ],
         run: cmd_run,
     },
@@ -388,10 +381,9 @@ fn run_with<M: Matcher>(
     interp
 }
 
-/// The sequential pre-run behind `--partition greedy` and `--adapt`: one
-/// profiled run of the whole program, whose kernel counters give both the
-/// per-bucket activity greedy placement packs (§5.2.2) and the per-node
-/// activations the transform plan is suggested from.
+/// The sequential pre-run behind `--partition greedy`: one profiled run of
+/// the whole program, whose kernel counters give the per-bucket activity
+/// greedy placement packs (§5.2.2).
 fn profiled_pre_run(
     program: &Program,
     wmes: &[Wme],
@@ -458,20 +450,28 @@ fn load_program(path: &str) -> (Program, Vec<Wme>) {
 }
 
 fn cmd_run(args: &Args) {
+    let matcher_name = args.choice(
+        "matcher",
+        &["rete", "naive", "treat", "threaded"].map(|name| (name, name)),
+    );
+    // A flag the chosen matcher would ignore is a caller mistake.
+    let ignored: &[&str] = match matcher_name {
+        "threaded" => &[],
+        "rete" => &["workers", "partition", "seed", "stats"],
+        _ => &["workers", "partition", "seed", "stats", "table-size"],
+    };
+    if let Some(flag) = ignored.iter().find(|flag| args.has(flag)) {
+        args.usage_error(format!(
+            "--{flag} does not apply to --matcher {matcher_name}"
+        ));
+    }
     let (program, mut wmes) = load_program(&args.positional[0]);
     wmes.extend(load_wmes(args.get("wm")));
     let cycles = args.get_parse("cycles", 10_000usize);
     let strategy = args.strategy();
     let quiet = args.has("quiet");
     let profile_dir = args.get("profile");
-    let adapt = args.has("adapt");
     let table_size = args.get_positive("table-size", 2048u64);
-    let matcher_name = args.get("matcher").unwrap_or("rete");
-    if adapt && matcher_name != "threaded" {
-        args.usage_error(
-            "--adapt requires --matcher threaded (it drives the online repartitioner)",
-        );
-    }
     match matcher_name {
         "rete" => {
             let network = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
@@ -508,15 +508,12 @@ fn cmd_run(args: &Args) {
                 run_with(program, wmes, m, strategy, cycles, quiet);
             }
         }
-        "threaded" => run_threaded(args, program, wmes, strategy, cycles, table_size),
-        other => args.usage_error(format!(
-            "unknown --matcher {other:?} (rete|naive|treat|threaded)"
-        )),
+        _ => run_threaded(args, program, wmes, strategy, cycles, table_size),
     }
 }
 
 /// `mpps run --matcher threaded`: the real thread pool, with its bucket
-/// placement, profile, stats and closed-skew-loop options.
+/// placement, profile and stats options.
 fn run_threaded(
     args: &Args,
     program: Program,
@@ -528,46 +525,20 @@ fn run_threaded(
     let workers = args.get_positive("workers", 4usize);
     let placement = args.partition();
     let profile_dir = args.get("profile");
-    let adapt = args.has("adapt");
-    let pre_run = (adapt || placement == PartitionStrategy::GreedyWholeTrace)
-        .then(|| profiled_pre_run(&program, &wmes, strategy, cycles, table_size));
     let partition = match placement {
         PartitionStrategy::RoundRobin => Partition::round_robin(table_size, workers),
         PartitionStrategy::Random(seed) => Partition::random(table_size, workers, seed),
         PartitionStrategy::GreedyWholeTrace => {
-            let measured = pre_run
-                .as_ref()
-                .expect("greedy placement implies the pre-run");
-            greedy_partition(measured, table_size, workers)
+            let measured = profiled_pre_run(&program, &wmes, strategy, cycles, table_size);
+            greedy_partition(&measured, table_size, workers)
         }
     };
-    // With --adapt the transformed network replaces the plain compile, and
-    // the matcher is always profiled: the skew report needs the per-bucket
-    // activation counters. Profiling never changes stdout, so quiet runs
-    // stay byte-identical.
-    let (network, plan_summary) = match &pre_run {
-        Some(reg) if adapt => {
-            let empty = std::collections::BTreeMap::new();
-            let activations = reg
-                .counter(kernel::metric::NODE_ACTIVATIONS)
-                .unwrap_or(&empty);
-            let (net, plan) =
-                compile_suggested(&program, activations, &wmes).unwrap_or_else(|e| fail(e));
-            (net, plan.summary(&program))
-        }
-        _ => {
-            let net = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
-            (net, String::new())
-        }
-    };
-    let mut m = if profile_dir.is_some() || adapt {
+    let network = ReteNetwork::compile(&program).unwrap_or_else(|e| fail(e));
+    let m = if profile_dir.is_some() {
         ThreadedMatcher::with_partition_profiled(network, partition)
     } else {
         ThreadedMatcher::with_partition(network, partition)
     };
-    if adapt {
-        m.enable_adaptation(AdaptOptions::default());
-    }
     let mut interp = run_with(program, wmes, m, strategy, cycles, args.has("quiet"));
     if args.has("stats") {
         let stats = interp.matcher().stats();
@@ -579,27 +550,6 @@ fn run_threaded(
                 w.tokens_processed, w.tokens_forwarded, w.messages_sent, w.max_queue_depth
             );
         }
-    }
-    if adapt {
-        let matcher = interp.matcher_mut();
-        let reg = matcher.profile_snapshot().unwrap_or_else(|e| fail(e));
-        let skew_before = pre_run.as_ref().and_then(bucket_skew_factor).unwrap_or(0.0);
-        let skew_after = bucket_skew_factor(&reg).unwrap_or(0.0);
-        let events = matcher.rebalance_events();
-        let moved: u64 = events.iter().map(|e| e.moved_buckets).sum();
-        eprintln!(
-            "adapt: plan {}",
-            if plan_summary.is_empty() {
-                "(empty)"
-            } else {
-                &plan_summary
-            }
-        );
-        eprintln!(
-            "adapt: bucket skew {skew_before:.3} -> {skew_after:.3}; \
-             {} rebalances moved {moved} buckets",
-            events.len()
-        );
     }
     if let Some(dir) = profile_dir {
         let matcher = interp.matcher_mut();

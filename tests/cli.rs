@@ -446,11 +446,14 @@ fn run_profile_keeps_stdout_identical_and_writes_schema_valid_profile() {
     let dir = std::env::temp_dir().join(format!("mpps-cli-profile-{}", std::process::id()));
     for section in ["rubik", "tourney", "weaver"] {
         for matcher in ["rete", "treat", "threaded"] {
-            let base = ["run", section, "--matcher", matcher, "--workers", "3"];
-            let plain = mpps().args(base).arg("--quiet").output().unwrap();
+            let mut base = vec!["run", section, "--matcher", matcher];
+            if matcher == "threaded" {
+                base.extend(["--workers", "3"]);
+            }
+            let plain = mpps().args(&base).arg("--quiet").output().unwrap();
             let prof_dir = dir.join(section).join(matcher);
             let profiled = mpps()
-                .args(base)
+                .args(&base)
                 .args(["--quiet", "--profile", prof_dir.to_str().unwrap()])
                 .output()
                 .expect("binary runs");
@@ -774,6 +777,16 @@ fn malformed_flag_values_are_usage_errors() {
         ],
         &["run", "rubik", "--matcher", "threaded", "--workers", "many"],
         &["run", "rubik", "--table-size", "0"],
+        // Flags the chosen matcher would ignore, and a deleted flag.
+        &["run", "rubik", "--matcher", "rete", "--workers", "4"],
+        &["run", "rubik", "--matcher", "rete", "--partition", "greedy"],
+        &["run", "rubik", "--matcher", "rete", "--seed", "3"],
+        &["run", "rubik", "--matcher", "rete", "--stats"],
+        &["run", "rubik", "--workers", "4"],
+        &["run", "rubik", "--matcher", "treat", "--stats"],
+        &["run", "rubik", "--matcher", "naive", "--table-size", "7"],
+        &["run", "rubik", "--matcher", "treat", "--table-size", "7"],
+        &["run", "rubik", "--matcher", "threaded", "--adapt"],
         &["run"],
         &["trace", "no-such.ops", "--strategy", "fifo"],
         &["trace", "no-such.ops", "--table-size", "0"],
@@ -801,8 +814,8 @@ fn malformed_flag_values_are_usage_errors() {
 }
 
 /// `mpps help` (and `--help`, `-h`) is not an error: the generated usage
-/// goes to stdout, exit 0, and names every subcommand. `--adapt` is a
-/// `run` flag only: `serve` rejects it like any flag it does not declare.
+/// goes to stdout, exit 0, and names every subcommand. `serve` rejects a
+/// flag it does not declare, here `--adapt`, which no subcommand has.
 #[test]
 fn help_prints_generated_usage_to_stdout() {
     for flag in ["help", "--help", "-h"] {

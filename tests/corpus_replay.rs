@@ -1,6 +1,6 @@
 //! Replay every checked-in reproducer in `tests/corpus/` through the
 //! differential oracle with every matcher configuration (the four base
-//! matchers plus the transformed-network and adaptive variants).
+//! matchers plus sequential and threaded Rete over transformed networks).
 //!
 //! Each corpus entry is a `<name>.ops` + `<name>.sched` pair that once
 //! exposed a real divergence (minimized by the fuzzer's shrinker or by
