@@ -3,11 +3,11 @@
 //! A worker matches through the shared kernel over a full-size
 //! [`GlobalMemories`] of its own and touches only the buckets its partition
 //! assigns it. Its input is the cycle's change packet, whose constant tests
-//! it runs in full keeping the roots it owns (§3.2), or a peer's batch of
-//! forwarded left tokens. It holds no state the coordinator reads: each
-//! input is drained to completion, and then everything the drain produced
-//! goes out as messages — one `Drained` report to the coordinator, then one
-//! coalesced batch per peer.
+//! it runs for every change, keeping the roots it owns (§3.2), or a peer's
+//! batch of forwarded left tokens. It holds no state the coordinator reads:
+//! each input is drained to completion, and then everything the drain
+//! produced goes out as messages — one `Drained` report to the coordinator,
+//! then one coalesced batch per peer.
 
 use super::{metric, ToCoordinator, ToWorker, WireWork, WorkerStats};
 use crate::partition::Partition;
@@ -205,6 +205,8 @@ impl<M: MetricSink> Worker<M> {
             processed += 1;
             self.dispatch();
         }
+        // Right work never leaves this worker, so none outlives the drain.
+        self.kernel.end_batch();
         let work_ns = timer.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         self.kernel
             .metrics

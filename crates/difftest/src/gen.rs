@@ -5,8 +5,9 @@
 //! integer values `0..=2` and two symbols — so that independently generated
 //! condition elements collide on the same WMEs and joins actually join.
 //! Productions share first CEs with earlier productions some of the time to
-//! exercise alpha/beta network sharing, and negated CEs appear anywhere in
-//! the LHS (including before the first positive CE).
+//! exercise alpha/beta network sharing, negated CEs appear anywhere in the
+//! LHS (including before the first positive CE), and constant tests are
+//! sometimes disjunctions `<< … >>`.
 //!
 //! Generation is validity-by-construction where cheap (RHS only references
 //! variables bound by positive CEs, `remove`/`modify` indices stay in
@@ -137,7 +138,13 @@ fn condition(rng: &mut StdRng, bound: &[&'static str], negated: bool) -> Conditi
                 TestKind::Variable(intern(v))
             }
             // Constant equality — the alpha-network workhorse.
-            0..=3 => TestKind::Constant(Predicate::Eq, value(rng)),
+            0..=3 if rng.gen_bool(0.8) => TestKind::Constant(Predicate::Eq, value(rng)),
+            // A disjunction `<< … >>`: no `=` constant, so an alpha testing
+            // only this is one the constant-test index cannot file by value.
+            0..=3 => {
+                let n = rng.gen_range(1..=3);
+                TestKind::disjunction((0..n).map(|_| value(rng)).collect())
+            }
             // Constant inequality.
             4 => TestKind::Constant(Predicate::Ne, value(rng)),
             // Predicate against a bound variable (falls back to a constant
@@ -258,6 +265,7 @@ fn wme_for_ce(rng: &mut StdRng, ce: &ConditionElement) -> Wme {
     for t in &ce.tests {
         match &t.kind {
             TestKind::Constant(Predicate::Eq, v) => w.set(t.attr, *v),
+            TestKind::Disjunction(vals) => w.set(t.attr, vals[rng.gen_range(0..vals.len())]),
             _ => w.set(t.attr, value(rng)),
         }
     }
@@ -349,6 +357,7 @@ mod tests {
     fn generation_covers_the_interesting_features() {
         let cfg = GenConfig::default();
         let (mut negated, mut mea, mut multi_ce, mut removes) = (false, false, false, false);
+        let mut disjunction_only = false;
         for seed in 0..300 {
             let case = generate_case(seed, &cfg);
             mea |= case.strategy == Strategy::Mea;
@@ -356,9 +365,18 @@ mod tests {
                 negated |= p.lhs.iter().any(|ce| ce.negated);
                 multi_ce |= p.lhs.len() > 1;
                 removes |= p.rhs.iter().any(|a| matches!(a, Action::Remove(_)));
+                // A CE whose only tests are disjunctions compiles to an alpha
+                // with no `=` constant.
+                disjunction_only |= p.lhs.iter().any(|ce| {
+                    !ce.tests.is_empty()
+                        && ce
+                            .tests
+                            .iter()
+                            .all(|t| matches!(t.kind, TestKind::Disjunction(_)))
+                });
             }
         }
-        assert!(negated && mea && multi_ce && removes);
+        assert!(negated && mea && multi_ce && removes && disjunction_only);
     }
 
     #[test]

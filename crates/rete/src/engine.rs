@@ -244,6 +244,7 @@ impl<M: MetricSink> Matcher for ReteMatcher<M> {
                 }
             }
         }
+        self.kernel.end_batch();
         if let Some(t0) = cycle_timer {
             let ns = t0.elapsed().as_nanos() as u64;
             // Sequential matching has no barrier: the whole cycle is work.

@@ -19,6 +19,9 @@
 //! to its token; `activate` consumes it (transferring it into a memory
 //! entry, handing it to a successor, or releasing it), so arena occupancy
 //! returns to exactly the stored-token population once all queues drain.
+//! A [`Work::Right`] owns nothing: it borrows its WME from the kernel's
+//! batch, which [`Kernel::roots`] fills and [`Kernel::end_batch`] empties
+//! once the queue has drained.
 //!
 //! Hash prefilters (`key_hash`, chain fingerprints) only *reject*; every
 //! accepted candidate is confirmed by exact value or chain comparison, so
@@ -39,6 +42,9 @@ use std::sync::Arc;
 pub mod metric {
     /// Two-input-node activations, keyed by node id.
     pub const NODE_ACTIVATIONS: &str = "node.activations";
+    /// Constant-test evaluations ([`AlphaNode::matches`](crate::AlphaNode::matches)),
+    /// keyed by alpha node id.
+    pub const ALPHA_TESTS: &str = "alpha.tests";
     /// Left-table entries examined, keyed by node id.
     pub const NODE_LEFT_PROBES: &str = "node.left-probes";
     /// Right-table entries examined, keyed by node id.
@@ -85,7 +91,9 @@ pub const SAMPLE_EVERY: u32 = 16;
 /// A unit of match work: one pending node activation.
 #[derive(Clone, Debug)]
 pub enum Work {
-    /// A WME arriving on a node's right input.
+    /// A WME arriving on a node's right input. Valid only on the kernel
+    /// that made it, until that kernel's [`Kernel::end_batch`]: it is never
+    /// sent to another worker.
     Right {
         /// Target two-input node.
         node: NodeId,
@@ -93,8 +101,8 @@ pub enum Work {
         sign: Sign,
         /// The WME's time tag.
         wme_id: WmeId,
-        /// The WME.
-        wme: Arc<Wme>,
+        /// The WME's index in the kernel's batch.
+        wme: u32,
         /// Full token hash of the node's equality-tested attribute values.
         key_hash: u64,
     },
@@ -175,6 +183,12 @@ pub struct Kernel<M = NullMetrics> {
     bind_vals: Vec<Value>,
     transitions: Vec<TokenId>,
     wme_ids: Vec<WmeId>,
+    alphas: Vec<NodeId>,
+    /// The WMEs the current batch's right work points into.
+    batch: Vec<Arc<Wme>>,
+    /// Right work issued from `batch` and not yet activated.
+    #[cfg(debug_assertions)]
+    right_live: usize,
 }
 
 impl Kernel {
@@ -198,6 +212,10 @@ impl<M: MetricSink> Kernel<M> {
             bind_vals: Vec::new(),
             transitions: Vec::new(),
             wme_ids: Vec::new(),
+            alphas: Vec::new(),
+            batch: Vec::new(),
+            #[cfg(debug_assertions)]
+            right_live: 0,
         }
     }
 
@@ -228,11 +246,13 @@ impl<M: MetricSink> Kernel<M> {
     }
 
     /// The constant-test phase for one WME change (§3.2: the work every
-    /// match processor duplicates): evaluate every alpha node of the WME's
-    /// class and append each root activation whose bucket `owns` accepts —
-    /// `key_hash % table_size`, or 0 for a single-CE production, as
-    /// [`Work::bucket`]. A rejected root allocates nothing; a kept seed
-    /// becomes a level-0 token in this arena, owned by its work item.
+    /// match processor duplicates): evaluate the alpha nodes the network's
+    /// index offers the WME, in id order, and append each root activation
+    /// whose bucket `owns` accepts — `key_hash % table_size`, or 0 for a
+    /// single-CE production, as [`Work::bucket`]. A rejected root allocates
+    /// nothing; a kept seed becomes a level-0 token in this arena, owned by
+    /// its work item, and kept right work shares one copy of the WME in
+    /// the batch.
     pub fn roots(
         &mut self,
         net: &ReteNetwork,
@@ -242,11 +262,16 @@ impl<M: MetricSink> Kernel<M> {
     ) {
         let table_size = self.mem.table_size();
         let (sign, wme_id) = (change.sign, change.id);
-        let mut shared: Option<Arc<Wme>> = None;
-        for &alpha_id in net.alphas_for_class(change.wme.class()) {
+        let mut shared: Option<u32> = None;
+        let mut alphas = std::mem::take(&mut self.alphas);
+        net.alpha_candidates(&change.wme, &mut alphas);
+        for &alpha_id in &alphas {
             let NodeKind::Alpha(alpha) = net.node(alpha_id) else {
-                unreachable!("class index points at alpha nodes");
+                unreachable!("the constant-test index points at alpha nodes");
             };
+            if M::ENABLED {
+                self.metrics.add(metric::ALPHA_TESTS, alpha_id.0 as u64, 1);
+            }
             if !alpha.matches(&change.wme) {
                 continue;
             }
@@ -258,12 +283,19 @@ impl<M: MetricSink> Kernel<M> {
                         if !owns(key_hash % table_size) {
                             continue;
                         }
-                        let wme = shared.get_or_insert_with(|| Arc::new(change.wme.clone()));
+                        let wme = *shared.get_or_insert_with(|| {
+                            self.batch.push(Arc::new(change.wme.clone()));
+                            (self.batch.len() - 1) as u32
+                        });
+                        #[cfg(debug_assertions)]
+                        {
+                            self.right_live += 1;
+                        }
                         out.push(Work::Right {
                             node,
                             sign,
                             wme_id,
-                            wme: wme.clone(),
+                            wme,
                             key_hash,
                         });
                     }
@@ -307,6 +339,15 @@ impl<M: MetricSink> Kernel<M> {
                 }
             }
         }
+        self.alphas = alphas;
+    }
+
+    /// Drop the batch's WMEs. Call only where the work queue has drained:
+    /// right work indexes the batch, so none may outlive it.
+    pub fn end_batch(&mut self) {
+        #[cfg(debug_assertions)]
+        assert_eq!(self.right_live, 0, "right work outlived its batch");
+        self.batch.clear();
     }
 
     /// A level-0 token for `change`'s WME under `binds` (caller owns one ref).
@@ -400,9 +441,14 @@ impl<M: MetricSink> Kernel<M> {
                 wme,
                 key_hash,
             } => {
+                #[cfg(debug_assertions)]
+                {
+                    self.right_live -= 1;
+                }
                 let join = net.join(node);
                 let lay = net.layout(node);
                 let bucket = key_hash % table_size;
+                let wme = &self.batch[wme as usize];
                 // Update the right table first (self-joins must see the WME).
                 {
                     let rb = self.mem.right_bucket_mut(bucket);
@@ -411,7 +457,7 @@ impl<M: MetricSink> Kernel<M> {
                             node,
                             key_hash,
                             wme_id,
-                            wme: wme.clone(),
+                            wme: Arc::clone(wme),
                         }),
                         Sign::Minus => {
                             let pos = rb.iter().position(|e| e.node == node && e.wme_id == wme_id);
@@ -860,6 +906,7 @@ mod tests {
                 k.activate(&net, w, &mut out);
                 queue.append(&mut out);
             }
+            k.end_batch();
         }
         assert_eq!(k.mem.left_len(), 0);
         assert_eq!(k.mem.right_len(), 0);

@@ -53,6 +53,12 @@ pub struct RightEntry {
     pub wme: Arc<Wme>,
 }
 
+/// The most buckets a table may have. Each bucket costs two empty `Vec`s
+/// up front, so this caps one engine's tables at 48 MiB; a configuration
+/// asking for more is refused where it enters, rather than aborting the
+/// process in the allocator.
+pub const MAX_TABLE_SIZE: u64 = 1 << 20;
+
 /// Both global tables, bucketed over a fixed index range.
 #[derive(Clone, Debug)]
 pub struct GlobalMemories {

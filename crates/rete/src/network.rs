@@ -12,6 +12,9 @@
 //! The compiler shares alpha nodes between identical condition elements and
 //! shares two-input nodes between productions with structurally identical
 //! CE prefixes — the *sharing* that §5.2.1's unsharing transform removes.
+//! It then files every alpha node in a constant-test index, so a WME is
+//! tested only against the alphas it can pass
+//! ([`ReteNetwork::alpha_candidates`]).
 
 use mpps_ops::{
     ConditionElement, FxBuildHasher, FxHasher, OpsError, Predicate, Production, ProductionId,
@@ -259,12 +262,53 @@ pub struct NodeLayout {
     pub vars: Vec<(Symbol, VarRef)>,
 }
 
+/// The constant-test index: where a WME finds the alpha nodes it can pass
+/// without testing the rest of its class.
+#[derive(Clone, Debug, Default)]
+struct AlphaIndex {
+    /// Alphas filed under their first `=` constant test.
+    by_const: HashMap<(Symbol, Symbol, Value), Vec<NodeId>, FxBuildHasher>,
+    /// Per class: the alphas with no `=` constant, and the attributes
+    /// `by_const` holds entries for.
+    classes: HashMap<Symbol, ClassAlphas, FxBuildHasher>,
+}
+
+#[derive(Clone, Debug, Default)]
+struct ClassAlphas {
+    unindexed: Vec<NodeId>,
+    attrs: Vec<Symbol>,
+}
+
+impl AlphaIndex {
+    /// File every alpha of `nodes`, in id order, so each list is sorted.
+    fn build(nodes: &[NodeKind]) -> Self {
+        let mut index = AlphaIndex::default();
+        for node in nodes {
+            let NodeKind::Alpha(a) = node else {
+                continue;
+            };
+            let class = index.classes.entry(a.class).or_default();
+            match a.const_tests.iter().find(|t| t.pred == Predicate::Eq) {
+                Some(t) => {
+                    if !class.attrs.contains(&t.attr) {
+                        class.attrs.push(t.attr);
+                    }
+                    let key = (a.class, t.attr, t.value);
+                    index.by_const.entry(key).or_default().push(a.id);
+                }
+                None => class.unindexed.push(a.id),
+            }
+        }
+        index
+    }
+}
+
 /// A compiled Rete network.
 #[derive(Clone, Debug)]
 pub struct ReteNetwork {
     nodes: Vec<NodeKind>,
     layouts: Vec<NodeLayout>,
-    alpha_by_class: HashMap<Symbol, Vec<NodeId>>,
+    alpha_index: AlphaIndex,
     production_nodes: Vec<NodeId>,
 }
 
@@ -289,7 +333,7 @@ impl ReteNetwork {
             net: ReteNetwork {
                 nodes: Vec::new(),
                 layouts: Vec::new(),
-                alpha_by_class: HashMap::new(),
+                alpha_index: AlphaIndex::default(),
                 production_nodes: Vec::new(),
             },
             alpha_cache: HashMap::default(),
@@ -308,6 +352,7 @@ impl ReteNetwork {
             }
         }
         c.net.compute_layouts();
+        c.net.alpha_index = AlphaIndex::build(&c.net.nodes);
         Ok(c.net)
     }
 
@@ -437,11 +482,24 @@ impl ReteNetwork {
         }
     }
 
-    /// The alpha nodes a WME of class `class` must be tested against.
-    pub fn alphas_for_class(&self, class: Symbol) -> &[NodeId] {
-        self.alpha_by_class
-            .get(&class)
-            .map_or(&[], |v| v.as_slice())
+    /// Fill `out` with the alpha nodes `wme` can pass, in id order: its
+    /// class's alphas without an `=` constant, plus one lookup per attribute
+    /// the class is indexed on. Every alpha `wme` passes is among them; the
+    /// caller still runs [`AlphaNode::matches`] on each.
+    pub fn alpha_candidates(&self, wme: &Wme, out: &mut Vec<NodeId>) {
+        out.clear();
+        let class = wme.class();
+        let Some(alphas) = self.alpha_index.classes.get(&class) else {
+            return;
+        };
+        out.extend_from_slice(&alphas.unindexed);
+        for &attr in &alphas.attrs {
+            let filed = wme
+                .get(attr)
+                .and_then(|v| self.alpha_index.by_const.get(&(class, attr, v)));
+            out.extend_from_slice(filed.map_or(&[], Vec::as_slice));
+        }
+        out.sort_unstable();
     }
 
     /// The first production node of `pid`. A plan-split production has
@@ -653,11 +711,6 @@ impl Compiler {
             }
         }
         let id = self.fresh_id();
-        self.net
-            .alpha_by_class
-            .entry(key.class)
-            .or_default()
-            .push(id);
         self.net.nodes.push(NodeKind::Alpha(AlphaNode {
             id,
             class: key.class,
@@ -998,18 +1051,56 @@ mod tests {
         assert!(!a.matches(&Wme::new("crate", &[("size", 9.into())])));
     }
 
+    /// The alpha node feeding single-CE production `pid`.
+    fn alpha_of(net: &ReteNetwork, pid: u32) -> NodeId {
+        let pnode = net.production_node(ProductionId(pid));
+        let fed = |a: &AlphaNode| a.successors.contains(&AlphaSucc::Production(pnode));
+        net.iter()
+            .find_map(|(id, n)| matches!(n, NodeKind::Alpha(a) if fed(a)).then_some(id))
+            .expect("single-CE production is fed by an alpha")
+    }
+
     #[test]
-    fn alphas_for_class_index() {
-        let net = compile(
-            r#"
-            (p a (block ^color blue) --> (remove 1))
-            (p b (block ^color red) --> (remove 1))
-            (p c (hand) --> (remove 1))
-            "#,
+    fn alpha_candidates_cover_every_kind_of_alpha() {
+        let src = r#"
+            (p eq (blk ^color red ^size <s>) --> (remove 1))
+            (p ne (blk ^color <> red) --> (remove 1))
+            (p lt (blk ^size < 3) --> (remove 1))
+            (p twice (blk ^size 1 ^size 2) --> (remove 1))
+            (p disj (blk ^shape << round square >>) --> (remove 1))
+            (p int (tag ^v 1) --> (remove 1))
+            (p sym (tag ^v one) --> (remove 1))
+        "#;
+        // `sym` tests the symbol spelled `1`, which the parser reads as an Int.
+        let mut prods: Vec<Production> = parse_program(src)
+            .unwrap()
+            .iter()
+            .map(|(_, p)| p.clone())
+            .collect();
+        prods[6].lhs[0].tests[0].kind = TestKind::Constant(Predicate::Eq, Value::sym("1"));
+        let net = ReteNetwork::compile(&Program::from_productions(prods).unwrap()).unwrap();
+        let [eq, ne, lt, twice, disj, int, sym] = [0, 1, 2, 3, 4, 5, 6].map(|p| alpha_of(&net, p));
+        let candidates = |wme: Wme| {
+            let mut out = vec![NodeId(u32::MAX)];
+            net.alpha_candidates(&wme, &mut out);
+            out
+        };
+        let blk = |pairs: &[(&str, Value)]| Wme::new("blk", pairs);
+        // Indexed and unindexed alphas of one class, in id order.
+        assert_eq!(
+            candidates(blk(&[("color", "red".into()), ("size", 1.into())])),
+            vec![eq, ne, lt, twice, disj]
         );
-        assert_eq!(net.alphas_for_class(mpps_ops::intern("block")).len(), 2);
-        assert_eq!(net.alphas_for_class(mpps_ops::intern("hand")).len(), 1);
-        assert_eq!(net.alphas_for_class(mpps_ops::intern("ghost")).len(), 0);
+        // `twice` is filed under its first `=` test only.
+        assert_eq!(candidates(blk(&[("size", 2.into())])), vec![ne, lt, disj]);
+        // Missing the indexed attributes: only the unindexed alphas.
+        assert_eq!(candidates(blk(&[])), vec![ne, lt, disj]);
+        // An Int and a Sym of the same spelling are different keys.
+        assert_eq!(candidates(Wme::new("tag", &[("v", 1.into())])), vec![int]);
+        assert_eq!(candidates(Wme::new("tag", &[("v", "1".into())])), vec![sym]);
+        assert_eq!(candidates(Wme::new("tag", &[("v", 2.into())])), vec![]);
+        // A class with no alphas.
+        assert_eq!(candidates(Wme::new("ghost", &[("v", 1.into())])), vec![]);
     }
 
     #[test]

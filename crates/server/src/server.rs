@@ -57,7 +57,7 @@ use crate::store::{Extracted, SessionEnv, SessionTable};
 use crate::ServerError;
 use crossbeam::channel::{self, Receiver, Sender};
 use mpps_ops::{Program, RunOutcome, Strategy, Wme, WmeId};
-use mpps_rete::{EngineConfig, ReteNetwork};
+use mpps_rete::{EngineConfig, ReteNetwork, MAX_TABLE_SIZE};
 use mpps_telemetry::{MetricSink, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
@@ -327,8 +327,9 @@ pub struct Server {
 impl Server {
     /// Validate `config`, compile `program` and spawn the worker pool.
     ///
-    /// Degenerate configurations (`workers == 0`, `queue_capacity == 0`)
-    /// are rejected with [`ServerError::Config`] — not silently clamped.
+    /// Degenerate configurations (`workers == 0`, `queue_capacity == 0`,
+    /// an engine table size of 0 or above [`MAX_TABLE_SIZE`]) are rejected
+    /// with [`ServerError::Config`] — not silently clamped.
     pub fn new(program: Program, config: ServerConfig) -> Result<Server, ServerError> {
         if config.workers == 0 {
             return Err(ServerError::Config("workers must be at least 1".into()));
@@ -337,6 +338,11 @@ impl Server {
             return Err(ServerError::Config(
                 "queue capacity must be at least 1".into(),
             ));
+        }
+        if !(1..=MAX_TABLE_SIZE).contains(&config.engine.table_size) {
+            return Err(ServerError::Config(format!(
+                "engine table size must be in 1..={MAX_TABLE_SIZE}"
+            )));
         }
         let network = ReteNetwork::compile(&program)
             .map(Arc::new)
@@ -1104,6 +1110,26 @@ mod tests {
                     ..ServerConfig::default()
                 },
                 "queue capacity",
+            ),
+            (
+                ServerConfig {
+                    engine: EngineConfig {
+                        table_size: 0,
+                        record_trace: false,
+                    },
+                    ..ServerConfig::default()
+                },
+                "table size",
+            ),
+            (
+                ServerConfig {
+                    engine: EngineConfig {
+                        table_size: MAX_TABLE_SIZE + 1,
+                        record_trace: false,
+                    },
+                    ..ServerConfig::default()
+                },
+                "table size",
             ),
         ] {
             match Server::new(program.clone(), config) {

@@ -62,7 +62,8 @@
 //! Exit status: 0 on success (and for `mpps help`), 1 for runtime
 //! failures (unreadable file, parse error, fuzz divergence), 2 for caller
 //! mistakes — an unknown subcommand or flag, a missing or malformed flag
-//! value — reported with the subcommand's usage line.
+//! value, a value above the flag's ceiling (`--table-size`, `--workers`) —
+//! reported with the subcommand's usage line.
 
 mod format;
 
@@ -77,7 +78,7 @@ use mpps::ops::{
     parse_program, parse_wme, Interpreter, Matcher, NaiveMatcher, Program, Strategy, TreatMatcher,
     Wme,
 };
-use mpps::rete::{EngineConfig, ReteMatcher, ReteNetwork, Trace};
+use mpps::rete::{EngineConfig, ReteMatcher, ReteNetwork, Trace, MAX_TABLE_SIZE};
 use mpps::server::{run_script, run_synthetic, ServerConfig, SyntheticSpec};
 use mpps::telemetry::{chrome::chrome_trace, MetricsRegistry, TraceRecorder};
 use mpps::workloads::{rubik, serve, tourney, weaver};
@@ -208,6 +209,11 @@ fn full_usage() -> String {
     format!("usage:\n{}\n  mpps help", blocks.join("\n"))
 }
 
+/// The largest value each bounded flag accepts. Past these the process
+/// would die allocating hash tables or spawning threads instead of
+/// reporting the mistake.
+const CEILINGS: &[(&str, u64)] = &[("table-size", MAX_TABLE_SIZE), ("workers", 256)];
+
 /// A runtime failure (exit 1): the command line was fine, the work was not.
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("mpps: {msg}");
@@ -277,13 +283,20 @@ impl Args {
         self.get(key).is_some()
     }
 
+    /// The flag's value, `default` when absent. A value above the flag's
+    /// entry in [`CEILINGS`] is a usage error.
     fn get_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| self.usage_error(format!("bad value for --{key}: {v:?}"))),
+        let Some(v) = self.get(key) else {
+            return default;
+        };
+        let ceiling = CEILINGS.iter().find(|(flag, _)| *flag == key);
+        if let Some(&(_, max)) = ceiling {
+            if v.parse::<u64>().is_ok_and(|n| n > max) {
+                self.usage_error(format!("--{key} must be at most {max}"));
+            }
         }
+        v.parse()
+            .unwrap_or_else(|_| self.usage_error(format!("bad value for --{key}: {v:?}")))
     }
 
     /// Like [`Args::get_parse`], for counts that must be at least 1.

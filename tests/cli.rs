@@ -777,6 +777,21 @@ fn malformed_flag_values_are_usage_errors() {
         ],
         &["run", "rubik", "--matcher", "threaded", "--workers", "many"],
         &["run", "rubik", "--table-size", "0"],
+        &["run", "rubik", "--table-size", "100000000000"],
+        &[
+            "run",
+            "rubik",
+            "--matcher",
+            "threaded",
+            "--workers",
+            "100000",
+        ],
+        &[
+            "trace",
+            "no-such.ops",
+            "--table-size",
+            "18446744073709551615",
+        ],
         // Flags the chosen matcher would ignore, and a deleted flag.
         &["run", "rubik", "--matcher", "rete", "--workers", "4"],
         &["run", "rubik", "--matcher", "rete", "--partition", "greedy"],
@@ -801,6 +816,19 @@ fn malformed_flag_values_are_usage_errors() {
         &["fuzz", "--max-productions", "0"],
         &["serve", "--synthetic", "--sessions", "-3"],
         &["serve", "--synthetic", "--strategy", "fifo"],
+        &[
+            "serve",
+            "--synthetic",
+            "--sessions",
+            "10",
+            "--rounds",
+            "1",
+            "--wmes",
+            "1",
+            "--table-size",
+            "100000000000",
+        ],
+        &["serve", "--synthetic", "--workers", "100000"],
     ] {
         let out = mpps().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -4,11 +4,12 @@
 //! sets on arbitrary programs and working-memory histories.
 
 use mpps::core::ThreadedMatcher;
+use mpps::difftest::{generate_case, GenConfig, ScheduleOp};
 use mpps::ops::{
     Action, ConditionElement, Matcher, NaiveMatcher, Production, Program, TestKind, TreatMatcher,
     Value, Wme, WmeChange, WmeId,
 };
-use mpps::rete::{EngineConfig, ReteMatcher, ReteNetwork};
+use mpps::rete::{EngineConfig, NodeKind, ReteMatcher, ReteNetwork};
 use proptest::prelude::*;
 
 const CLASSES: &[&str] = &["alpha", "beta", "gamma"];
@@ -146,6 +147,30 @@ fn materialize(history: Vec<(Vec<Wme>, Vec<prop::sample::Index>)>) -> Vec<Vec<Wm
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The constant-test index only prunes: over the fuzzer's programs and
+    /// its aimed and random WMEs, every alpha a WME passes is among the
+    /// candidates the index offers it, and the candidates come in strictly
+    /// increasing id order (the order roots, and so traces, depend on).
+    #[test]
+    fn alpha_candidates_are_sound(seed in 0u64..1_000_000) {
+        let case = generate_case(seed, &GenConfig::default());
+        let network = ReteNetwork::compile(&case.program().unwrap()).unwrap();
+        let wmes = case.schedule.rounds.iter().flatten().filter_map(|op| match op {
+            ScheduleOp::Make(w) => Some(w),
+            ScheduleOp::RemoveNth(_) => None,
+        });
+        let mut candidates = Vec::new();
+        for wme in wmes {
+            network.alpha_candidates(wme, &mut candidates);
+            prop_assert!(candidates.windows(2).all(|p| p[0] < p[1]), "{:?}", candidates);
+            for (id, node) in network.iter() {
+                if let NodeKind::Alpha(a) = node {
+                    prop_assert!(!a.matches(wme) || candidates.contains(&id), "{} passes {}", wme, id);
+                }
+            }
+        }
+    }
 
     /// Naive and Rete agree after every batch of every history.
     #[test]

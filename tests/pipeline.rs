@@ -99,6 +99,59 @@ fn captured_traces_roundtrip_through_text() {
     }
 }
 
+/// FNV-1a over every activation's `(node, side, sign, parent, kind)`, in
+/// trace order. Buckets are left out: a symbol's hash depends on the order
+/// symbols were interned, which differs between test processes.
+fn activation_digest(trace: &Trace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for cycle in &trace.cycles {
+        eat(b"|");
+        for a in &cycle.activations {
+            eat(&a.node.0.to_le_bytes());
+            eat(&[a.side as u8, a.sign as u8, a.kind as u8]);
+            eat(&a.parent.map_or(u32::MAX, |p| p).to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The order the constant tests visit alpha nodes is the order roots enter
+/// the queue, so it fixes every trace the simulator reads. These digests
+/// were recorded when the constant tests scanned each class's alphas in id
+/// order; a lookup that visits them in any other order changes them.
+#[test]
+fn captured_traces_keep_their_root_order() {
+    for (name, trace, digest) in [
+        (
+            "rubik",
+            rubik::section(4, 256).trace,
+            13_845_674_446_002_557_179,
+        ),
+        (
+            "tourney",
+            tourney::section(4, 4, 3, 256).trace,
+            15_347_466_455_054_504_685,
+        ),
+        (
+            "weaver",
+            weaver::section(4, 2, 15, 256).trace,
+            3_148_381_866_304_595_142,
+        ),
+    ] {
+        assert!(trace.stats().total() > 0, "{name}: vacuous");
+        assert_eq!(
+            activation_digest(&trace),
+            digest,
+            "{name}: root order moved"
+        );
+    }
+}
+
 #[test]
 fn captured_rubik_trace_matches_paper_mix() {
     // The organically captured cube trace lands close to Table 5-2's

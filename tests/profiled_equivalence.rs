@@ -7,7 +7,7 @@
 
 use mpps::core::{bucket_activity, threaded, ThreadedMatcher};
 use mpps::ops::{Interpreter, Matcher, Program, Strategy, Wme, WmeChange};
-use mpps::rete::{kernel, EngineConfig, ReteMatcher, ReteNetwork};
+use mpps::rete::{kernel, EngineConfig, NodeKind, ReteMatcher, ReteNetwork};
 use mpps::telemetry::{MetricsRegistry, TraceRecorder, Track};
 use mpps::workloads::{rubik, tourney, weaver};
 
@@ -199,6 +199,33 @@ fn threaded_trace_lanes_never_overlap() {
             "lane {w}: drew {drawn} ns of {exact} ns worked"
         );
     }
+}
+
+/// The constant tests look their alphas up: each rubik sticker change is
+/// tested against the one sticker alpha filed under its `pos`, not against
+/// all 24 of its class.
+#[test]
+fn each_sticker_change_runs_one_constant_test() {
+    let program = rubik::program();
+    let network = ReteNetwork::compile(&program).unwrap();
+    let sticker = mpps::ops::intern("sticker");
+    let alphas: Vec<u64> = network
+        .iter()
+        .filter(|(_, n)| matches!(n, NodeKind::Alpha(a) if a.class == sticker))
+        .map(|(id, _)| u64::from(id.0))
+        .collect();
+    assert_eq!(alphas.len(), 24, "one sticker alpha per position");
+    let mut m = ReteMatcher::with_metrics(network, EngineConfig::default(), MetricsRegistry::new());
+    let mut changes = 0u64;
+    for batch in batches(&program, rubik::initial(&rubik::alternating_moves(2)), 8) {
+        changes += batch.iter().filter(|c| c.wme.class() == sticker).count() as u64;
+        m.process(&batch);
+    }
+    let reg = m.profile();
+    let tests = reg.counter(kernel::metric::ALPHA_TESTS).unwrap();
+    let sticker_tests: u64 = alphas.iter().filter_map(|id| tests.get(id)).sum();
+    assert!(changes > 0, "vacuous");
+    assert_eq!(sticker_tests, changes, "constant tests per sticker change");
 }
 
 /// The kernel's `bucket.activations` counter and the activation trace's
