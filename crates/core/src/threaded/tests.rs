@@ -6,7 +6,7 @@ fn add(id: u64, wme: Wme) -> WmeChange {
     WmeChange::add(WmeId(id), wme)
 }
 
-fn del(id: u64, wme: Wme) -> WmeChange {
+fn del(id: u64, wme: impl Into<std::sync::Arc<Wme>>) -> WmeChange {
     WmeChange::remove(WmeId(id), wme)
 }
 

@@ -145,14 +145,12 @@ impl<M: MetricSink> Worker<M> {
         for o in self.out.drain(..) {
             match o {
                 Work::Prod {
-                    node,
                     production,
                     sign,
                     token,
+                    ..
                 } => {
-                    let inst = self
-                        .kernel
-                        .instantiation(&self.network, node, production, token);
+                    let inst = self.kernel.instantiation(production, token);
                     self.kernel.arena.release(token);
                     self.prods.push((sign, inst));
                 }

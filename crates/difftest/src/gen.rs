@@ -17,8 +17,8 @@
 //! its arguments.
 
 use mpps_ops::{
-    intern, Action, AttrTest, ConditionElement, OpsError, Predicate, Production, Program, RhsValue,
-    Strategy, TestKind, Value, Wme,
+    intern, Action, AttrTest, ConditionElement, OpsError, Predicate, Production, Program, RhsOp,
+    RhsValue, Strategy, TestKind, Value, Wme,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,10 +183,35 @@ fn bound_vars(lhs: &[ConditionElement]) -> Vec<&'static str> {
 
 fn rhs_value(rng: &mut StdRng, bound: &[&'static str]) -> RhsValue {
     if !bound.is_empty() && rng.gen_bool(0.4) {
-        RhsValue::Var(intern(bound[rng.gen_range(0..bound.len())]))
+        let var = RhsValue::Var(intern(bound[rng.gen_range(0..bound.len())]));
+        if rng.gen_bool(0.5) {
+            computed(rng, var)
+        } else {
+            var
+        }
     } else {
         RhsValue::Const(value(rng))
     }
+}
+
+/// `(mod (op <v> k) 3)`: arithmetic over a bound variable whose result
+/// stays in the colliding `0..=2` vocabulary, so computed values feed back
+/// into matching. Rarely `k` sits near `i64::MAX`, so that some bindings
+/// overflow and every lane must stop on the same arithmetic error (as it
+/// must when `<v>` holds a symbol).
+fn computed(rng: &mut StdRng, var: RhsValue) -> RhsValue {
+    let op = [RhsOp::Add, RhsOp::Sub, RhsOp::Mul][rng.gen_range(0..3)];
+    let k = if rng.gen_bool(0.2) {
+        i64::MAX - rng.gen_range(0i64..=2)
+    } else {
+        rng.gen_range(0i64..=2)
+    };
+    let inner = RhsValue::Compute(op, Box::new(var), Box::new(RhsValue::Const(Value::Int(k))));
+    RhsValue::Compute(
+        RhsOp::Mod,
+        Box::new(inner),
+        Box::new(RhsValue::Const(Value::Int(3))),
+    )
 }
 
 fn production(rng: &mut StdRng, index: usize, earlier: &[Production]) -> Production {
@@ -357,7 +382,7 @@ mod tests {
     fn generation_covers_the_interesting_features() {
         let cfg = GenConfig::default();
         let (mut negated, mut mea, mut multi_ce, mut removes) = (false, false, false, false);
-        let mut disjunction_only = false;
+        let (mut disjunction_only, mut computed, mut near_max) = (false, false, false);
         for seed in 0..300 {
             let case = generate_case(seed, &cfg);
             mea |= case.strategy == Strategy::Mea;
@@ -374,9 +399,26 @@ mod tests {
                             .iter()
                             .all(|t| matches!(t.kind, TestKind::Disjunction(_)))
                 });
+                for value in p.rhs.iter().flat_map(rhs_values) {
+                    computed |= matches!(value, RhsValue::Compute(..));
+                    near_max |= value.to_string().contains("922337203685477580");
+                }
             }
         }
         assert!(negated && mea && multi_ce && removes && disjunction_only);
+        assert!(
+            computed && near_max,
+            "no computed RHS value, or none near i64::MAX"
+        );
+    }
+
+    fn rhs_values(action: &Action) -> Vec<&RhsValue> {
+        match action {
+            Action::Make { attrs, .. } | Action::Modify { attrs, .. } => {
+                attrs.iter().map(|(_, v)| v).collect()
+            }
+            _ => Vec::new(),
+        }
     }
 
     #[test]

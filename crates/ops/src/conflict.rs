@@ -235,13 +235,13 @@ impl ConflictSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cond::{Bindings, ConditionElement};
+    use crate::cond::ConditionElement;
     use crate::production::{Action, Production, ProductionId};
     use crate::symbol::intern;
 
     fn inst(p: u32, ids: &[u64]) -> Instantiation {
         let ids: Vec<WmeId> = ids.iter().map(|&i| WmeId(i)).collect();
-        Instantiation::new(ProductionId(p), &ids, Bindings::default())
+        Instantiation::new(ProductionId(p), &ids)
     }
 
     /// A program with two productions: p0 with one CE (specificity 1),

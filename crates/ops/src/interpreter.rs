@@ -24,9 +24,8 @@ use crate::naive::NaiveMatcher;
 use crate::production::{Action, Production, ProductionId, Program};
 use crate::symbol::Symbol;
 use crate::value::Value;
-use crate::wme::{Wme, WmeId, WorkingMemory};
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use crate::wme::{Sign, Wme, WmeId, WorkingMemory};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// A record of one production firing.
@@ -116,10 +115,10 @@ pub struct InterpreterState {
 /// the keys that survived its last sweep, whichever is larger.
 const SWEEP_FLOOR: usize = 16;
 
-/// Refraction memory: the keys `(production, wme_ids)` of the
-/// instantiations that have fired. Keys only — holding the records would
-/// pin every fired instantiation's bindings — and shaped so that a probe
-/// borrows the candidate's `wme_ids`.
+/// Refraction memory: the instantiations that have fired. An
+/// instantiation is only its identity `(production, wme_ids)`, so holding
+/// one pins no bindings; an insert is a reference-count bump and a probe
+/// hashes the candidate's identity once.
 ///
 /// A key is *live* while every WME it names is in working memory. Time
 /// tags are never reused, so once one of them has left, no instantiation
@@ -129,9 +128,7 @@ const SWEEP_FLOOR: usize = 16;
 /// A key with no WMEs (an all-negated LHS) is always live.
 #[derive(Default)]
 struct Refraction {
-    keys: HashMap<ProductionId, HashSet<Box<[WmeId]>>>,
-    /// Keys held, live or dead.
-    len: usize,
+    keys: HashSet<Instantiation, FxBuildHasher>,
     /// Keys that survived the last sweep.
     survivors: usize,
 }
@@ -145,27 +142,20 @@ impl Refraction {
     /// Has `inst` fired before? Exact for every instantiation a matcher
     /// can report, since all of its WMEs are live.
     fn contains(&self, inst: &Instantiation) -> bool {
-        self.keys
-            .get(&inst.production())
-            .is_some_and(|keys| keys.contains(inst.wme_ids()))
+        self.keys.contains(inst)
     }
 
-    fn insert(&mut self, production: ProductionId, ids: &[WmeId]) {
-        if self.keys.entry(production).or_default().insert(ids.into()) {
-            self.len += 1;
-        }
+    fn insert(&mut self, inst: Instantiation) {
+        self.keys.insert(inst);
     }
 
     /// Drop the dead keys if the memory has doubled since the last sweep.
     fn sweep_if_due(&mut self, wm: &WorkingMemory) {
-        if self.len <= (2 * self.survivors).max(SWEEP_FLOOR) {
+        if self.keys.len() <= (2 * self.survivors).max(SWEEP_FLOOR) {
             return;
         }
-        for keys in self.keys.values_mut() {
-            keys.retain(|ids| live(wm, ids));
-        }
-        self.len = self.keys.values().map(HashSet::len).sum();
-        self.survivors = self.len;
+        self.keys.retain(|inst| live(wm, inst.wme_ids()));
+        self.survivors = self.keys.len();
     }
 
     /// The live keys, sorted (the canonical snapshot form).
@@ -173,9 +163,8 @@ impl Refraction {
         let mut keys: Vec<(ProductionId, Vec<WmeId>)> = self
             .keys
             .iter()
-            .flat_map(|(&p, keys)| keys.iter().map(move |ids| (p, ids)))
-            .filter(|(_, ids)| live(wm, ids))
-            .map(|(p, ids)| (p, ids.to_vec()))
+            .filter(|inst| live(wm, inst.wme_ids()))
+            .map(Instantiation::key)
             .collect();
         keys.sort();
         keys
@@ -189,8 +178,13 @@ pub struct Interpreter<M: Matcher = NaiveMatcher> {
     wm: WorkingMemory,
     matcher: M,
     fired_keys: Refraction,
-    /// WM changes produced since the last match phase.
+    /// WM changes produced since the last match phase, at most one per
+    /// time tag.
     pending: Vec<WmeChange>,
+    /// Every pending add has a time tag at or above this one: the first
+    /// tag handed out since the last match phase (or, after a restore, the
+    /// lowest pending add).
+    floor: WmeId,
     /// Per-cycle batches actually handed to the matcher.
     change_log: Vec<Vec<WmeChange>>,
     /// Values emitted by `(write ...)` actions.
@@ -224,10 +218,12 @@ impl<M: Matcher> Interpreter<M> {
     /// `Arc` keeps the per-session cost at a pointer instead of a clone of
     /// every production.
     pub fn with_shared_program(program: Arc<Program>, strategy: Strategy, matcher: M) -> Self {
+        let wm = WorkingMemory::new();
         Interpreter {
             program,
             strategy,
-            wm: WorkingMemory::new(),
+            floor: wm.next_id(),
+            wm,
             matcher,
             fired_keys: Refraction::default(),
             pending: Vec::new(),
@@ -267,8 +263,9 @@ impl<M: Matcher> Interpreter<M> {
     /// working memory as a single add batch: that is the live WM *minus*
     /// pending additions (the matcher never saw them) *plus* pending
     /// removals (the matcher still holds them). The pending queue is then
-    /// restored verbatim, so the next [`Interpreter::step`] hands the
-    /// matcher exactly the batch an uninterrupted run would have.
+    /// restored without its add-and-remove pairs, so the next
+    /// [`Interpreter::step`] hands the matcher exactly the batch an
+    /// uninterrupted run would have.
     pub fn with_matcher_state(
         program: Program,
         matcher: M,
@@ -283,22 +280,29 @@ impl<M: Matcher> Interpreter<M> {
         mut matcher: M,
         state: InterpreterState,
     ) -> Result<Self, OpsError> {
-        let mut visible: std::collections::BTreeMap<WmeId, Wme> =
-            state.wm.iter().cloned().collect();
+        let wm = WorkingMemory::from_parts(state.wm, state.next_id);
         // A pending add+remove *pair* of one id is a WME the matcher never
-        // saw (and never will: `take_batch` cancels the pair on the next
-        // step) — it must not leak into the replay batch via the Minus arm.
+        // saw and never will: both changes go, so it cannot leak into the
+        // replay batch via the Minus arm. A decoded state may repeat an id
+        // with one sign, too; any id that is not alone goes.
         let mut count: HashMap<WmeId, u32, FxBuildHasher> = HashMap::default();
         for c in &state.pending {
             *count.entry(c.id).or_insert(0) += 1;
         }
-        for change in state.pending.iter().filter(|c| count[&c.id] == 1) {
+        let pending: Vec<WmeChange> = state
+            .pending
+            .into_iter()
+            .filter(|c| count[&c.id] == 1)
+            .collect();
+        let mut visible: BTreeMap<WmeId, Arc<Wme>> =
+            wm.shared().map(|(id, w)| (id, Arc::clone(w))).collect();
+        for change in &pending {
             match change.sign {
-                crate::wme::Sign::Plus => {
+                Sign::Plus => {
                     visible.remove(&change.id);
                 }
-                crate::wme::Sign::Minus => {
-                    visible.insert(change.id, change.wme.clone());
+                Sign::Minus => {
+                    visible.insert(change.id, Arc::clone(&change.wme));
                 }
             }
         }
@@ -311,15 +315,22 @@ impl<M: Matcher> Interpreter<M> {
         // exports) restore too; the next sweep forgets them.
         let mut fired_keys = Refraction::default();
         for (production, ids) in &state.fired_keys {
-            fired_keys.insert(*production, ids);
+            fired_keys.insert(Instantiation::new(*production, ids));
         }
+        let floor = pending
+            .iter()
+            .filter(|c| c.sign == Sign::Plus)
+            .map(|c| c.id)
+            .min()
+            .unwrap_or(wm.next_id());
         Ok(Interpreter {
             program,
             strategy: state.strategy,
-            wm: WorkingMemory::from_parts(state.wm, state.next_id),
+            wm,
             matcher,
             fired_keys,
-            pending: state.pending,
+            pending,
+            floor,
             change_log: vec![batch],
             output: state.output,
             fired: Vec::new(),
@@ -345,52 +356,46 @@ impl<M: Matcher> Interpreter<M> {
         self.add_wme(Wme::new(class, attrs))
     }
 
-    /// Add a pre-built WME.
+    /// Add a pre-built WME. It is allocated once, here, and shared by
+    /// working memory, the change log and the matcher.
     pub fn add_wme(&mut self, wme: Wme) -> WmeId {
-        let id = self.wm.add(wme.clone());
+        let wme = Arc::new(wme);
+        let id = self.wm.add(Arc::clone(&wme));
         self.pending.push(WmeChange::add(id, wme));
         id
     }
 
     /// Remove a WME by id (takes effect at the next match phase).
+    ///
+    /// A WME added since the last match phase was never visible to any
+    /// matcher, so its removal deletes the pending add instead of queuing
+    /// a delete: a batch mentions each time tag at most once, the matcher
+    /// contract. (Found by the differential fuzzer: `add_wme` +
+    /// `remove_wme` of the same element before a `step` tripped the Rete
+    /// engine's batch assertion while the naive matcher shrugged it off.)
     pub fn remove_wme(&mut self, id: WmeId) -> Result<(), OpsError> {
         let wme = self
             .wm
             .remove(id)
             .ok_or_else(|| OpsError::StaleWme(format!("{id} is not in working memory")))?;
+        if id >= self.floor {
+            // A live WME has no pending delete, so a change of its tag is
+            // its add.
+            if let Some(at) = self.pending.iter().rposition(|c| c.id == id) {
+                self.pending.remove(at);
+                return Ok(());
+            }
+        }
         self.pending.push(WmeChange::remove(id, wme));
         Ok(())
-    }
-
-    /// Flush pending WM changes into a match batch, cancelling add/remove
-    /// pairs: a WME added *and* removed between two match phases was never
-    /// visible to any matcher, and handing both changes through would break
-    /// the matcher contract that a batch mentions each time tag at most
-    /// once. (Found by the differential fuzzer: `add_wme` + `remove_wme` of
-    /// the same element before a `step` tripped the Rete engine's batch
-    /// assertion while the naive matcher shrugged it off.) Time tags are
-    /// never reused, so an id occurring twice is always exactly one add
-    /// followed by one remove.
-    fn take_batch(&mut self) -> Vec<WmeChange> {
-        let batch = std::mem::take(&mut self.pending);
-        if batch.len() < 2 {
-            return batch;
-        }
-        let mut count: HashMap<WmeId, u32, FxBuildHasher> = HashMap::default();
-        for c in &batch {
-            *count.entry(c.id).or_insert(0) += 1;
-        }
-        if count.values().all(|&n| n == 1) {
-            return batch;
-        }
-        batch.into_iter().filter(|c| count[&c.id] == 1).collect()
     }
 
     /// Execute one MRA cycle. Flushes pending WM changes into the matcher,
     /// resolves, and fires at most one instantiation.
     pub fn step(&mut self) -> Result<StepOutcome, OpsError> {
         self.cycle += 1;
-        let batch = self.take_batch();
+        let batch = std::mem::take(&mut self.pending);
+        self.floor = self.wm.next_id();
         // Log first, match from the log: one owned batch, zero copies.
         self.change_log.push(batch);
         self.matcher
@@ -415,7 +420,7 @@ impl<M: Matcher> Interpreter<M> {
     /// Nothing an action can reach reads `self.program` (user functions
     /// only see the working memory).
     fn fire(&mut self, inst: &Instantiation) -> Result<FiredRecord, OpsError> {
-        self.fired_keys.insert(inst.production(), inst.wme_ids());
+        self.fired_keys.insert(inst.clone());
         let program = Arc::clone(&self.program);
         let production = program.get(inst.production());
         let record = FiredRecord {
@@ -435,9 +440,14 @@ impl<M: Matcher> Interpreter<M> {
         production: &Production,
         inst: &Instantiation,
     ) -> Result<(), OpsError> {
-        // `(bind …)` actions extend the bindings for later actions; a RHS
-        // without one evaluates against the instantiation's own map.
-        let mut bindings = Cow::Borrowed(inst.bindings());
+        // Derived once, for the winner alone: every WME it names is still
+        // live, since no action has run yet. `(bind …)` actions extend the
+        // map for later actions.
+        let mut bindings = production.bindings(inst.wme_ids().iter().map(|&id| {
+            self.wm
+                .get(id)
+                .expect("an instantiation's WMEs are live until it fires")
+        }));
         for action in &production.rhs {
             match action {
                 Action::Make { class, attrs } => {
@@ -457,6 +467,7 @@ impl<M: Matcher> Interpreter<M> {
                 }
                 Action::Modify { ce, attrs } => {
                     let id = inst.wme_ids()[*ce - 1];
+                    // The one copy a modify makes: the edited element.
                     let Some(old) = self.wm.get(id).cloned() else {
                         return Err(OpsError::StaleWme(format!(
                             "(modify {ce}) of {id}: element already removed this firing"
@@ -478,7 +489,7 @@ impl<M: Matcher> Interpreter<M> {
                 }
                 Action::Bind(var, expr) => {
                     let value = expr.eval(&bindings)?;
-                    bindings.to_mut().insert(*var, value);
+                    bindings.insert(*var, value);
                 }
                 Action::Call(name, args) => {
                     let values = args
@@ -707,8 +718,7 @@ mod tests {
         let mut peak = 0;
         for _ in 0..10_000 {
             assert!(matches!(interp.step().unwrap(), StepOutcome::Fired(_)));
-            let held: usize = interp.fired_keys.keys.values().map(HashSet::len).sum();
-            assert_eq!(held, interp.fired_keys.len);
+            let held = interp.fired_keys.keys.len();
             peak = peak.max(held);
         }
         assert!(

@@ -16,7 +16,6 @@
 //! Property tests and the `mpps-difftest` differential fuzzer assert all
 //! four produce identical conflict sets on the same change schedules.
 
-use crate::cond::Bindings;
 use crate::conflict::{self, Strategy};
 use crate::error::MatchError;
 use crate::production::{ProductionId, Program};
@@ -34,86 +33,81 @@ pub struct WmeChange {
     pub sign: Sign,
     /// The element's time tag.
     pub id: WmeId,
-    /// The element itself. Carried even on deletion so matchers don't need
-    /// to keep a WM mirror (though they may).
-    pub wme: Wme,
+    /// The element itself, shared with working memory and every matcher
+    /// memory that stores it. Carried even on deletion so matchers don't
+    /// need to keep a WM mirror (though they may).
+    pub wme: Arc<Wme>,
 }
 
 impl WmeChange {
     /// Convenience constructor for an addition.
-    pub fn add(id: WmeId, wme: Wme) -> Self {
+    pub fn add(id: WmeId, wme: impl Into<Arc<Wme>>) -> Self {
         WmeChange {
             sign: Sign::Plus,
             id,
-            wme,
+            wme: wme.into(),
         }
     }
 
     /// Convenience constructor for a deletion.
-    pub fn remove(id: WmeId, wme: Wme) -> Self {
+    pub fn remove(id: WmeId, wme: impl Into<Arc<Wme>>) -> Self {
         WmeChange {
             sign: Sign::Minus,
             id,
-            wme,
+            wme: wme.into(),
         }
     }
 }
 
-/// A production instantiation: the WMEs that conjunctively satisfy a
-/// production, plus the variable bindings they induce.
+/// A production instantiation: which production the WMEs satisfy, and the
+/// time tags of those WMEs. Nothing else — the variable bindings are
+/// derived only for the instantiation that fires ([`Production::bindings`]).
 ///
-/// An immutable shared record: `clone()` is a reference-count bump, so a
-/// conflict store can hand out the winner of a cycle, or a snapshot of the
-/// whole set, without copying a single id vector or binding map. Identity
-/// — `Eq`, `Hash` and `Ord` — is `(production, wme_ids)`; the `Ord` order
-/// is the canonical order [`Matcher::conflict_set`] returns.
+/// One immutable shared allocation: `clone()` is a reference-count bump, so
+/// a conflict store can hand out the winner of a cycle, or a snapshot of
+/// the whole set, and the refraction memory can keep what fired, without
+/// copying an id vector. Identity — `Eq`, `Hash` and `Ord` — is
+/// `(production, wme_ids)`; the `Ord` order is the canonical order
+/// [`Matcher::conflict_set`] returns.
+///
+/// [`Production::bindings`]: crate::Production::bindings
 #[derive(Clone, Debug)]
-pub struct Instantiation(Arc<Record>);
-
-#[derive(Debug)]
-struct Record {
-    production: ProductionId,
-    /// `wme_ids` followed by the same tags sorted descending (the LEX
-    /// recency vector), in one allocation; each half is `ids.len() / 2` long.
-    ids: Vec<WmeId>,
-    bindings: Bindings,
-}
+pub struct Instantiation(
+    /// The production id in the first slot, then `wme_ids`, then the same
+    /// tags sorted descending (the LEX recency vector); each half is
+    /// `(len - 1) / 2` long.
+    Arc<[WmeId]>,
+);
 
 impl Instantiation {
     /// Build the record for `production` satisfied by `wme_ids` (time tags
-    /// of the WMEs matching the non-negated CEs, in CE order) under
-    /// `bindings`. The recency vector is computed here, once.
-    pub fn new(production: ProductionId, wme_ids: &[WmeId], bindings: Bindings) -> Self {
+    /// of the WMEs matching the non-negated CEs, in CE order). The recency
+    /// vector is computed here, once.
+    pub fn new(production: ProductionId, wme_ids: &[WmeId]) -> Self {
         let n = wme_ids.len();
-        let mut ids = Vec::with_capacity(2 * n);
-        ids.extend_from_slice(wme_ids);
-        ids.extend_from_slice(wme_ids);
-        ids[n..].sort_unstable_by(|a, b| b.cmp(a));
-        Instantiation(Arc::new(Record {
-            production,
-            ids,
-            bindings,
-        }))
+        // An exact-size chain: `Arc<[_]>` collects it in one allocation.
+        let mut ids: Arc<[WmeId]> = std::iter::once(WmeId(u64::from(production.0)))
+            .chain(wme_ids.iter().copied())
+            .chain(wme_ids.iter().copied())
+            .collect();
+        let fresh = Arc::get_mut(&mut ids).expect("a fresh Arc is unique");
+        fresh[1 + n..].sort_unstable_by(|a, b| b.cmp(a));
+        Instantiation(ids)
     }
 
     /// Which production is satisfied.
     pub fn production(&self) -> ProductionId {
-        self.0.production
+        ProductionId(self.0[0].0 as u32)
     }
 
     /// Time tags of the WMEs matching the non-negated CEs, in CE order.
     pub fn wme_ids(&self) -> &[WmeId] {
-        &self.0.ids[..self.0.ids.len() / 2]
+        &self.0[1..1 + self.0.len() / 2]
     }
 
     /// The same time tags sorted descending — the LEX recency vector.
     pub fn recency(&self) -> &[WmeId] {
-        &self.0.ids[self.0.ids.len() / 2..]
-    }
-
-    /// Variable bindings induced by the match.
-    pub fn bindings(&self) -> &Bindings {
-        &self.0.bindings
+        &self.0[1 + self.0.len() / 2..]
     }
 
     /// Identity key for refraction and set comparison: a production fired
@@ -273,21 +267,20 @@ impl Matcher for Box<dyn Matcher> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     fn inst(p: u32, ids: &[u64]) -> Instantiation {
         let ids: Vec<WmeId> = ids.iter().map(|&i| WmeId(i)).collect();
-        Instantiation::new(ProductionId(p), &ids, Bindings::default())
+        Instantiation::new(ProductionId(p), &ids)
     }
 
     #[test]
-    fn equality_ignores_bindings() {
-        let a = Instantiation::new(
-            ProductionId(0),
-            &[WmeId(1), WmeId(2)],
-            Bindings::from_iter([(crate::intern("x"), Value::Int(1))]),
-        );
-        assert_eq!(a, inst(0, &[1, 2]));
+    fn production_and_ids_round_trip_at_the_limits() {
+        let i = Instantiation::new(ProductionId(u32::MAX), &[WmeId(u64::MAX)]);
+        assert_eq!(i.production(), ProductionId(u32::MAX));
+        assert_eq!(i.wme_ids(), [WmeId(u64::MAX)]);
+        let empty = Instantiation::new(ProductionId(3), &[]);
+        assert_eq!(empty.production(), ProductionId(3));
+        assert!(empty.wme_ids().is_empty() && empty.recency().is_empty());
     }
 
     #[test]
@@ -304,7 +297,7 @@ mod tests {
     #[test]
     fn clone_shares_the_record() {
         // Stores hand out winners and snapshots by cloning: a clone must
-        // stay a reference-count bump, never a copy of ids and bindings.
+        // stay a reference-count bump, never a copy of the ids.
         let a = inst(0, &[1, 2]);
         let b = a.clone();
         assert!(Arc::ptr_eq(&a.0, &b.0));

@@ -8,14 +8,15 @@
 
 use crate::cond::Bindings;
 use crate::matcher::{Instantiation, Matcher, WmeChange};
-use crate::production::{Production, Program};
+use crate::production::{Production, ProductionId, Program};
 use crate::wme::{Sign, Wme, WmeId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Brute-force matcher: the semantic oracle.
 pub struct NaiveMatcher {
     program: Program,
-    wm: BTreeMap<WmeId, Wme>,
+    wm: BTreeMap<WmeId, Arc<Wme>>,
     conflict_set: Vec<Instantiation>,
 }
 
@@ -31,19 +32,7 @@ impl NaiveMatcher {
 
     fn recompute(&mut self) {
         let mut out = Vec::new();
-        for (pid, prod) in self.program.iter() {
-            let mut partial = Vec::new();
-            Self::extend(
-                &self.wm,
-                prod,
-                0,
-                &mut partial,
-                &Bindings::default(),
-                &mut |wme_ids, bindings| {
-                    out.push(Instantiation::new(pid, wme_ids, bindings.clone()));
-                },
-            );
-        }
+        self.for_each_match(|pid, wme_ids, _| out.push(Instantiation::new(pid, wme_ids)));
         // The enumeration is unordered; the trait's contract is canonical
         // order, and `NaiveMatcher` pays for it once per rebuild.
         out.sort();
@@ -51,10 +40,29 @@ impl NaiveMatcher {
         self.conflict_set = out;
     }
 
+    /// Enumerate every match of every production over the current working
+    /// memory: `emit` receives the production, the WME ids matched by its
+    /// non-negated CEs (in CE order) and the bindings the match
+    /// accumulated. The conflict set keeps only the first two; the
+    /// bindings are there for checking [`Production::bindings`] against.
+    pub fn for_each_match(&self, mut emit: impl FnMut(ProductionId, &[WmeId], &Bindings)) {
+        let mut matched = Vec::new();
+        for (pid, prod) in self.program.iter() {
+            Self::extend(
+                &self.wm,
+                prod,
+                0,
+                &mut matched,
+                &Bindings::default(),
+                &mut |wme_ids, bindings| emit(pid, wme_ids, bindings),
+            );
+        }
+    }
+
     /// Depth-first enumeration over the CEs of `prod` starting at `ce_idx`,
     /// with `matched` holding the WME ids consumed by earlier positive CEs.
     fn extend(
-        wm: &BTreeMap<WmeId, Wme>,
+        wm: &BTreeMap<WmeId, Arc<Wme>>,
         prod: &Production,
         ce_idx: usize,
         matched: &mut Vec<WmeId>,
@@ -97,7 +105,7 @@ impl Matcher for NaiveMatcher {
         for c in changes {
             match c.sign {
                 Sign::Plus => {
-                    self.wm.insert(c.id, c.wme.clone());
+                    self.wm.insert(c.id, Arc::clone(&c.wme));
                 }
                 Sign::Minus => {
                     self.wm.remove(&c.id);
@@ -124,6 +132,21 @@ mod tests {
             .enumerate()
             .map(|(i, w)| WmeChange::add(WmeId(start + i as u64), w))
             .collect()
+    }
+
+    /// The bindings `inst` fires with, derived from its WMEs — checked
+    /// against the map the enumeration accumulated for it.
+    fn bindings_of(m: &NaiveMatcher, inst: &Instantiation) -> Bindings {
+        let prod = m.program.get(inst.production());
+        let derived = prod.bindings(inst.wme_ids().iter().map(|id| &*m.wm[id]));
+        let mut matched = None;
+        m.for_each_match(|p, ids, b| {
+            if (p, ids) == (inst.production(), inst.wme_ids()) {
+                matched = Some(b.clone());
+            }
+        });
+        assert_eq!(Some(&derived), matched.as_ref());
+        derived
     }
 
     fn blue_block_program() -> Program {
@@ -158,8 +181,9 @@ mod tests {
         let cs = m.conflict_set();
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].wme_ids(), [WmeId(1), WmeId(2), WmeId(3)]);
-        assert_eq!(cs[0].bindings()[&intern("b2")], Value::sym("b1"));
-        assert_eq!(cs[0].bindings()[&intern("b1")], Value::sym("table"));
+        let b = bindings_of(&m, &cs[0]);
+        assert_eq!(b[&intern("b2")], Value::sym("b1"));
+        assert_eq!(b[&intern("b1")], Value::sym("table"));
     }
 
     #[test]
@@ -240,7 +264,7 @@ mod tests {
         let cs = m.conflict_set();
         // Only the red block survives the negation.
         assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].bindings()[&intern("c")], Value::sym("red"));
+        assert_eq!(bindings_of(&m, &cs[0])[&intern("c")], Value::sym("red"));
     }
 
     #[test]

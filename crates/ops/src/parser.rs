@@ -221,12 +221,13 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     Tok::NegDash
                 } else if self.peek2().is_some_and(|d| d.is_ascii_digit()) {
-                    self.bump();
-                    let digits = self.ident();
-                    let n: i64 = digits
+                    // Sign and digits parse together, so `i64::MIN` (which
+                    // has no positive counterpart) reads back.
+                    let text = self.ident();
+                    let n: i64 = text
                         .parse()
-                        .map_err(|_| self.err(format!("bad integer -{digits}")))?;
-                    Tok::Int(-n)
+                        .map_err(|_| self.err(format!("bad integer {text}")))?;
+                    Tok::Int(n)
                 } else {
                     self.bump();
                     // Bare '-': the subtraction operator symbol.
@@ -649,6 +650,27 @@ mod tests {
         assert_eq!(
             p.lhs[0].tests[0].kind,
             TestKind::Constant(Predicate::Eq, Value::Int(-5))
+        );
+    }
+
+    #[test]
+    fn the_i64_limits_round_trip() {
+        for n in [i64::MIN, i64::MAX] {
+            let w = parse_wme(&format!("(a ^x {n})")).unwrap();
+            assert_eq!(w.get(intern("x")), Some(Value::Int(n)));
+            assert_eq!(parse_wme(&w.to_string()).unwrap(), w);
+            let p = parse_production(&format!("(p lim (a ^x {n}) --> (make b ^y {n}))")).unwrap();
+            assert_eq!(
+                p.lhs[0].tests[0].kind,
+                TestKind::Constant(Predicate::Eq, Value::Int(n))
+            );
+            let prog = parse_program(&p.to_string()).unwrap();
+            assert_eq!(prog.get(crate::ProductionId(0)), &p);
+        }
+        let e = parse_wme("(a ^x -9223372036854775809)").unwrap_err();
+        assert!(
+            e.to_string().contains("bad integer -9223372036854775809"),
+            "{e}"
         );
     }
 

@@ -4,6 +4,7 @@ use crate::cond::{Bindings, ConditionElement, TestKind};
 use crate::error::OpsError;
 use crate::symbol::Symbol;
 use crate::value::Value;
+use crate::wme::Wme;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -32,19 +33,29 @@ pub enum RhsOp {
 }
 
 impl RhsOp {
-    /// Apply the operator to integer operands.
+    /// Apply the operator to integer operands. A result outside `i64` is an
+    /// interpreter error, as is a modulo by zero: never a wrapped value.
     pub fn apply(self, a: i64, b: i64) -> Result<i64, OpsError> {
+        if self == RhsOp::Mod && b == 0 {
+            return Err(OpsError::Arithmetic("modulo by zero".into()));
+        }
+        let result = match self {
+            RhsOp::Add => a.checked_add(b),
+            RhsOp::Sub => a.checked_sub(b),
+            RhsOp::Mul => a.checked_mul(b),
+            RhsOp::Mod => a.checked_rem_euclid(b),
+        };
+        result
+            .ok_or_else(|| OpsError::Arithmetic(format!("overflow in ({} {a} {b})", self.symbol())))
+    }
+
+    /// The operator as written in a program.
+    fn symbol(self) -> &'static str {
         match self {
-            RhsOp::Add => Ok(a.wrapping_add(b)),
-            RhsOp::Sub => Ok(a.wrapping_sub(b)),
-            RhsOp::Mul => Ok(a.wrapping_mul(b)),
-            RhsOp::Mod => {
-                if b == 0 {
-                    Err(OpsError::Arithmetic("modulo by zero".into()))
-                } else {
-                    Ok(a.rem_euclid(b))
-                }
-            }
+            RhsOp::Add => "+",
+            RhsOp::Sub => "-",
+            RhsOp::Mul => "*",
+            RhsOp::Mod => "mod",
         }
     }
 }
@@ -109,15 +120,7 @@ impl fmt::Display for RhsValue {
         match self {
             RhsValue::Const(v) => write!(f, "{v}"),
             RhsValue::Var(v) => write!(f, "<{v}>"),
-            RhsValue::Compute(op, a, b) => {
-                let sym = match op {
-                    RhsOp::Add => "+",
-                    RhsOp::Sub => "-",
-                    RhsOp::Mul => "*",
-                    RhsOp::Mod => "mod",
-                };
-                write!(f, "({sym} {a} {b})")
-            }
+            RhsValue::Compute(op, a, b) => write!(f, "({} {a} {b})", op.symbol()),
         }
     }
 }
@@ -274,6 +277,24 @@ impl Production {
             }
         }
         Ok(())
+    }
+
+    /// The variable bindings of an instantiation whose non-negated CEs are
+    /// matched, in LHS order, by `wmes`: each variable takes its value at
+    /// its first equality occurrence — exactly the map
+    /// [`ConditionElement::match_with_bindings`] accumulates along the
+    /// match. Every matcher reports instantiations without bindings; the
+    /// interpreter derives them here for the one that fires.
+    pub fn bindings<'a>(&self, wmes: impl IntoIterator<Item = &'a Wme>) -> Bindings {
+        let mut out = Bindings::default();
+        for (ce, wme) in self.lhs.iter().filter(|ce| !ce.negated).zip(wmes) {
+            for t in &ce.tests {
+                if let (TestKind::Variable(var), Some(value)) = (&t.kind, wme.get(t.attr)) {
+                    out.entry(*var).or_insert(value);
+                }
+            }
+        }
+        out
     }
 
     /// Total number of LHS tests — the LEX specificity measure.
@@ -562,6 +583,60 @@ mod tests {
     #[test]
     fn mod_is_euclidean() {
         assert_eq!(RhsOp::Mod.apply(-1, 4).unwrap(), 3);
+    }
+
+    fn overflows(op: RhsOp, a: i64, b: i64) -> bool {
+        matches!(op.apply(a, b), Err(OpsError::Arithmetic(m)) if m.starts_with("overflow"))
+    }
+
+    #[test]
+    fn add_at_the_i64_limits() {
+        assert_eq!(RhsOp::Add.apply(i64::MAX, 0).unwrap(), i64::MAX);
+        assert_eq!(RhsOp::Add.apply(i64::MIN, i64::MAX).unwrap(), -1);
+        assert!(overflows(RhsOp::Add, i64::MAX, 1));
+        assert!(overflows(RhsOp::Add, i64::MIN, -1));
+    }
+
+    #[test]
+    fn sub_at_the_i64_limits() {
+        assert_eq!(RhsOp::Sub.apply(i64::MIN, 0).unwrap(), i64::MIN);
+        assert_eq!(RhsOp::Sub.apply(-1, i64::MAX).unwrap(), i64::MIN);
+        assert!(overflows(RhsOp::Sub, i64::MIN, 1));
+        assert!(overflows(RhsOp::Sub, 0, i64::MIN));
+    }
+
+    #[test]
+    fn mul_at_the_i64_limits() {
+        assert_eq!(RhsOp::Mul.apply(i64::MIN, 1).unwrap(), i64::MIN);
+        assert_eq!(RhsOp::Mul.apply(i64::MAX, -1).unwrap(), -i64::MAX);
+        assert!(overflows(RhsOp::Mul, i64::MIN, -1));
+        assert!(overflows(RhsOp::Mul, i64::MAX, 2));
+    }
+
+    #[test]
+    fn mod_at_the_i64_limits() {
+        assert_eq!(RhsOp::Mod.apply(i64::MIN, i64::MAX).unwrap(), i64::MAX - 1);
+        assert_eq!(RhsOp::Mod.apply(i64::MAX, i64::MIN).unwrap(), i64::MAX);
+        assert!(overflows(RhsOp::Mod, i64::MIN, -1));
+        assert!(RhsOp::Mod.apply(i64::MIN, 0).is_err());
+    }
+
+    #[test]
+    fn bindings_take_each_variable_at_its_first_occurrence() {
+        let prog = crate::parse_program(
+            "(p b (a ^x <v> ^y <w>) -(c ^x <u>) (d ^x <v> ^z <u>) --> (remove 1))",
+        )
+        .unwrap();
+        let p = prog.get(ProductionId(0));
+        let a = Wme::new("a", &[("x", 1.into()), ("y", 2.into())]);
+        let d = Wme::new("d", &[("x", 1.into()), ("z", 3.into())]);
+        let b = p.bindings([&a, &d]);
+        // The negated CE binds nothing; `<u>` first occurs in the third CE.
+        let want: Bindings = [("v", 1), ("w", 2), ("u", 3)]
+            .into_iter()
+            .map(|(v, i)| (intern(v), Value::Int(i)))
+            .collect();
+        assert_eq!(b, want);
     }
 
     #[test]

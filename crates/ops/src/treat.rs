@@ -29,6 +29,7 @@
 
 use crate::cond::{Bindings, ConditionElement, TestKind};
 use crate::conflict::{ConflictSet, Strategy};
+use crate::fxhash::FxBuildHasher;
 use crate::matcher::{Instantiation, Matcher, WmeChange};
 use crate::production::{Production, ProductionId, Program};
 use crate::symbol::Symbol;
@@ -71,9 +72,22 @@ struct NegatedCe {
     /// bindings this negation may observe. Everything else it mentions is
     /// an existential local.
     visible: HashSet<Symbol>,
+    /// `(attr, k, site)` for each equality test of this CE on a visible
+    /// variable: the variable's value is attribute `site` of the WME
+    /// matching positive CE `k`.
+    joins: Vec<(Symbol, usize, Symbol)>,
 }
 
 impl NegatedCe {
+    /// Can `wme` block the instantiation whose positive CE `k` matched
+    /// `at(k)`? A mismatch on an equality test of a visible variable
+    /// rules it out exactly, without deriving any bindings.
+    fn may_block<'a>(&self, wme: &Wme, at: impl Fn(usize) -> &'a Wme) -> bool {
+        self.joins
+            .iter()
+            .all(|&(attr, k, site)| wme.get(attr) == at(k).get(site))
+    }
+
     /// Does `wme` violate this negation for an instantiation carrying
     /// `bindings`? Only the visible bindings participate in the test.
     fn blocked_by(&self, wme: &Wme, bindings: &Bindings) -> bool {
@@ -93,6 +107,8 @@ impl NegatedCe {
 
 /// Per-production compiled view: positive and negated CEs in LHS order.
 struct CompiledProduction {
+    /// The rule itself, for deriving an instantiation's bindings.
+    rule: Production,
     /// `(lhs index, CE)` of positive condition elements, in order.
     positive: Vec<(usize, ConditionElement)>,
     /// Negated condition elements, each with its visible-variable set.
@@ -127,6 +143,9 @@ pub struct TreatMatcher<M: MetricSink = NullMetrics> {
     productions: Vec<CompiledProduction>,
     /// `memories[p]` maps an LHS index to its alpha memory.
     memories: Vec<HashMap<usize, AlphaMemory>>,
+    /// Every live WME by time tag: where a negation re-test finds the
+    /// WMEs to derive an instantiation's bindings from.
+    wmes: HashMap<WmeId, Arc<Wme>, FxBuildHasher>,
     /// The conflict set: one count per instantiation, never above 1 —
     /// TREAT derives each instantiation once and drops it whole.
     conflict: ConflictSet,
@@ -159,6 +178,7 @@ impl<M: MetricSink> TreatMatcher<M> {
         TreatMatcher {
             productions,
             memories,
+            wmes: HashMap::default(),
             conflict: ConflictSet::default(),
             metrics,
             sample_tick: 0,
@@ -219,11 +239,7 @@ impl<M: MetricSink> TreatMatcher<M> {
         if pos == compiled.positive.len() {
             // All positive CEs satisfied; check the negated ones.
             if self.negations_clear(p, bindings) {
-                out.push(Instantiation::new(
-                    ProductionId(p as u32),
-                    chosen,
-                    bindings.clone(),
-                ));
+                out.push(Instantiation::new(ProductionId(p as u32), chosen));
             }
             return;
         }
@@ -324,6 +340,7 @@ impl<M: MetricSink> TreatMatcher<M> {
     }
 
     fn handle_add(&mut self, id: WmeId, wme: &Arc<Wme>) {
+        self.wmes.insert(id, Arc::clone(wme));
         for p in 0..self.productions.len() {
             let timer = self.sample_timer();
             // Update this production's memories first (a WME may match
@@ -352,15 +369,25 @@ impl<M: MetricSink> TreatMatcher<M> {
             }
             // Retractions: the new WME may violate negated CEs of existing
             // instantiations — testing each negation only against the
-            // bindings it can see.
+            // bindings it can see, derived from the instantiation's WMEs
+            // once no equality test rules the pair out.
             if !neg_hits.is_empty() {
-                let negative = &self.productions[p].negative;
+                let compiled = &self.productions[p];
+                let wmes = &self.wmes;
                 let metrics = &mut self.metrics;
                 self.conflict.retain(|inst| {
-                    let keep = inst.production().0 as usize != p
-                        || !neg_hits
-                            .iter()
-                            .any(|&k| negative[k].blocked_by(wme, inst.bindings()));
+                    if inst.production().0 as usize != p {
+                        return true;
+                    }
+                    let ids = inst.wme_ids();
+                    let keep = !neg_hits.iter().any(|&k| {
+                        let neg = &compiled.negative[k];
+                        neg.may_block(wme, |pos| &wmes[&ids[pos]])
+                            && neg.blocked_by(
+                                wme,
+                                &compiled.rule.bindings(ids.iter().map(|id| &*wmes[id])),
+                            )
+                    });
                     if M::ENABLED && !keep {
                         metrics.add(metric::RULE_RETRACTIONS, p as u64, 1);
                     }
@@ -397,6 +424,7 @@ impl<M: MetricSink> TreatMatcher<M> {
     }
 
     fn handle_delete(&mut self, id: WmeId) {
+        self.wmes.remove(&id);
         // Drop every instantiation containing the WME: TREAT's cheap path.
         {
             let metrics = &mut self.metrics;
@@ -444,34 +472,52 @@ impl<M: MetricSink> TreatMatcher<M> {
 fn compile(prod: &Production) -> CompiledProduction {
     let mut positive = Vec::new();
     let mut negative = Vec::new();
-    // Variables bound by the positive CEs seen so far, in LHS order.
-    let mut bound: HashSet<Symbol> = HashSet::new();
+    // Variables bound by the positive CEs seen so far, in LHS order, each
+    // with the positive CE and attribute of its first occurrence.
+    let mut bound: Vec<(Symbol, usize, Symbol)> = Vec::new();
     for (i, ce) in prod.lhs.iter().enumerate() {
         if ce.negated {
+            let joins = ce
+                .tests
+                .iter()
+                .filter_map(|t| match t.kind {
+                    TestKind::Variable(v) => bound
+                        .iter()
+                        .find(|b| b.0 == v)
+                        .map(|&(_, k, site)| (t.attr, k, site)),
+                    _ => None,
+                })
+                .collect();
             negative.push(NegatedCe {
                 lhs_idx: i,
                 ce: ce.clone(),
-                visible: bound.clone(),
+                visible: bound.iter().map(|b| b.0).collect(),
+                joins,
             });
         } else {
             for t in &ce.tests {
                 if let TestKind::Variable(v) = t.kind {
-                    bound.insert(v);
+                    if bound.iter().all(|b| b.0 != v) {
+                        bound.push((v, positive.len(), t.attr));
+                    }
                 }
             }
             positive.push((i, ce.clone()));
         }
     }
-    CompiledProduction { positive, negative }
+    CompiledProduction {
+        rule: prod.clone(),
+        positive,
+        negative,
+    }
 }
 
 impl<M: MetricSink> Matcher for TreatMatcher<M> {
     fn process(&mut self, changes: &[WmeChange]) {
         for c in changes {
             match c.sign {
-                // One clone per change to share the WME across all the
-                // alpha memories it lands in.
-                Sign::Plus => self.handle_add(c.id, &Arc::new(c.wme.clone())),
+                // The change's own `Arc` is what the alpha memories share.
+                Sign::Plus => self.handle_add(c.id, &c.wme),
                 Sign::Minus => self.handle_delete(c.id),
             }
         }

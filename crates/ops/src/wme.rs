@@ -9,6 +9,7 @@ use crate::symbol::{intern, Symbol};
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Attribute pairs are kept sorted by [`Symbol::index`] — the copyable
 /// interning-order key — so lookups are a `u32` binary search and equality
@@ -149,9 +150,13 @@ impl fmt::Display for Wme {
 }
 
 /// The working memory: the set of live WMEs plus the time-tag counter.
+///
+/// Each element is one shared allocation: the [`WmeChange`](crate::WmeChange)
+/// that announces it and the matcher memories that hold it point at the
+/// same `Arc`, so adding a WME copies no attributes.
 #[derive(Clone, Debug, Default)]
 pub struct WorkingMemory {
-    elements: BTreeMap<WmeId, Wme>,
+    elements: BTreeMap<WmeId, Arc<Wme>>,
     next_id: u64,
 }
 
@@ -168,7 +173,10 @@ impl WorkingMemory {
     /// time tag to hand out — the restore half of session snapshotting.
     /// `next_id` must be beyond every live id so time tags stay unique.
     pub fn from_parts(elements: impl IntoIterator<Item = (WmeId, Wme)>, next_id: u64) -> Self {
-        let elements: BTreeMap<WmeId, Wme> = elements.into_iter().collect();
+        let elements: BTreeMap<WmeId, Arc<Wme>> = elements
+            .into_iter()
+            .map(|(id, wme)| (id, Arc::new(wme)))
+            .collect();
         assert!(
             elements
                 .keys()
@@ -180,21 +188,26 @@ impl WorkingMemory {
     }
 
     /// Insert a WME, assigning it a fresh time tag.
-    pub fn add(&mut self, wme: Wme) -> WmeId {
+    pub fn add(&mut self, wme: impl Into<Arc<Wme>>) -> WmeId {
         let id = WmeId(self.next_id);
         self.next_id += 1;
-        self.elements.insert(id, wme);
+        self.elements.insert(id, wme.into());
         id
     }
 
     /// Remove the WME with the given id, returning it if present.
-    pub fn remove(&mut self, id: WmeId) -> Option<Wme> {
+    pub fn remove(&mut self, id: WmeId) -> Option<Arc<Wme>> {
         self.elements.remove(&id)
     }
 
     /// Look up a live WME.
     pub fn get(&self, id: WmeId) -> Option<&Wme> {
-        self.elements.get(&id)
+        self.elements.get(&id).map(|w| &**w)
+    }
+
+    /// Iterate `(id, shared wme)` pairs in time-tag order.
+    pub(crate) fn shared(&self) -> impl Iterator<Item = (WmeId, &Arc<Wme>)> {
+        self.elements.iter().map(|(id, w)| (*id, w))
     }
 
     /// Number of live WMEs.
@@ -209,7 +222,7 @@ impl WorkingMemory {
 
     /// Iterate `(id, wme)` pairs in time-tag order.
     pub fn iter(&self) -> impl Iterator<Item = (WmeId, &Wme)> {
-        self.elements.iter().map(|(id, w)| (*id, w))
+        self.elements.iter().map(|(id, w)| (*id, &**w))
     }
 
     /// The time tag that the *next* added WME will receive.

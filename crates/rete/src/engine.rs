@@ -174,16 +174,13 @@ impl<M: MetricSink> ReteMatcher<M> {
     /// token's arena reference — the caller does).
     fn apply_production(
         &mut self,
-        node: NodeId,
         production: ProductionId,
         sign: Sign,
         token: crate::token::TokenId,
     ) {
         match sign {
             Sign::Plus => {
-                let inst = self
-                    .kernel
-                    .instantiation(&self.network, node, production, token);
+                let inst = self.kernel.instantiation(production, token);
                 let count = self.conflict.update(Sign::Plus, inst);
                 debug_assert!(count == 1, "duplicate instantiation derivation");
             }
@@ -227,7 +224,7 @@ impl<M: MetricSink> Matcher for ReteMatcher<M> {
                     token,
                 } => {
                     self.record(node, Side::Left, sign, 0, parent, ActKind::Production);
-                    self.apply_production(node, production, sign, token);
+                    self.apply_production(production, sign, token);
                     self.kernel.arena.release(token);
                 }
                 w @ (Work::Left { .. } | Work::Right { .. }) => {
@@ -278,7 +275,7 @@ mod tests {
         WmeChange::add(WmeId(id), wme)
     }
 
-    fn del(id: u64, wme: Wme) -> WmeChange {
+    fn del(id: u64, wme: impl Into<Arc<Wme>>) -> WmeChange {
         WmeChange::remove(WmeId(id), wme)
     }
 
@@ -327,10 +324,12 @@ mod tests {
         let cs = m.conflict_set();
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].wme_ids(), [WmeId(1), WmeId(2), WmeId(3)]);
-        assert_eq!(
-            cs[0].bindings()[&mpps_ops::intern("b1")],
-            Value::sym("table")
-        );
+        let prog = parse_program(BLUE).unwrap();
+        let wmes = blue_wmes();
+        let bindings = prog
+            .get(cs[0].production())
+            .bindings(wmes.iter().map(|c| &*c.wme));
+        assert_eq!(bindings[&mpps_ops::intern("b1")], Value::sym("table"));
     }
 
     #[test]

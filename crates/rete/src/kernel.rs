@@ -251,8 +251,9 @@ impl<M: MetricSink> Kernel<M> {
     /// whose bucket `owns` accepts — `key_hash % table_size`, or 0 for a
     /// single-CE production, as [`Work::bucket`]. A rejected root allocates
     /// nothing; a kept seed becomes a level-0 token in this arena, owned by
-    /// its work item, and kept right work shares one copy of the WME in
-    /// the batch.
+    /// its work item, and kept right work shares the change's `Arc` through
+    /// the batch: the right memories store the element working memory
+    /// holds, never a copy.
     pub fn roots(
         &mut self,
         net: &ReteNetwork,
@@ -284,7 +285,7 @@ impl<M: MetricSink> Kernel<M> {
                             continue;
                         }
                         let wme = *shared.get_or_insert_with(|| {
-                            self.batch.push(Arc::new(change.wme.clone()));
+                            self.batch.push(Arc::clone(&change.wme));
                             (self.batch.len() - 1) as u32
                         });
                         #[cfg(debug_assertions)]
@@ -367,25 +368,10 @@ impl<M: MetricSink> Kernel<M> {
         &self.wme_ids
     }
 
-    /// Materialize the instantiation for a complete token at production
-    /// node `node` (does not consume the token's reference).
-    pub fn instantiation(
-        &mut self,
-        net: &ReteNetwork,
-        node: NodeId,
-        production: ProductionId,
-        token: TokenId,
-    ) -> Instantiation {
-        let lay = net.layout(node);
-        self.arena.wme_ids_into(token, &mut self.wme_ids);
-        Instantiation::new(
-            production,
-            &self.wme_ids,
-            lay.vars
-                .iter()
-                .map(|&(v, r)| (v, self.arena.value(token, r)))
-                .collect(),
-        )
+    /// Materialize the instantiation for a complete token of `production`
+    /// (does not consume the token's reference).
+    pub fn instantiation(&mut self, production: ProductionId, token: TokenId) -> Instantiation {
+        Instantiation::new(production, self.wme_ids(token))
     }
 
     /// Process one activation: update the owned bucket, probe the opposite

@@ -249,17 +249,11 @@ pub struct VarRef {
 /// resolves variables by `(level, slot)` arithmetic instead of name lookup.
 #[derive(Clone, Debug, Default)]
 pub struct NodeLayout {
-    /// Chain depth (number of levels) of tokens arriving on the left input
-    /// (for production nodes: of complete tokens). 0 for alpha nodes.
-    pub depth: u16,
     /// Site of each `JoinSpec::eq_checks` variable in the left token, in
     /// hash-signature order.
     pub left_key: Vec<VarRef>,
     /// Site of each `JoinSpec::pred_checks` variable in the left token.
     pub left_preds: Vec<VarRef>,
-    /// Production nodes only: every visible variable and its site, for
-    /// materializing instantiation bindings.
-    pub vars: Vec<(Symbol, VarRef)>,
 }
 
 /// The constant-test index: where a WME finds the alpha nodes it can pass
@@ -356,7 +350,7 @@ impl ReteNetwork {
         Ok(c.net)
     }
 
-    /// The precomputed variable layout of a two-input or production node.
+    /// The precomputed variable layout of a two-input node.
     pub fn layout(&self, id: NodeId) -> &NodeLayout {
         &self.layouts[id.0 as usize]
     }
@@ -408,7 +402,6 @@ impl ReteNetwork {
                     .expect("left source compiled before its consumer"),
             };
             let lay = &mut layouts[i];
-            lay.depth = depth_in;
             lay.left_key = j
                 .spec
                 .eq_checks
@@ -436,35 +429,7 @@ impl ReteNetwork {
                 }
                 (depth_in + 1, env)
             };
-            for succ in &j.successors {
-                if let Succ::Production(p) = *succ {
-                    layouts[p.0 as usize].depth = depth_out;
-                    layouts[p.0 as usize].vars = env_out.clone();
-                }
-            }
             outs[i] = Some((depth_out, env_out));
-        }
-        // Single-CE productions fed directly by an alpha node.
-        for (node, lay) in self.nodes.iter().zip(layouts.iter_mut()) {
-            let NodeKind::Production(p) = node else {
-                continue;
-            };
-            if let Some(seeds) = &p.seed_binds {
-                lay.depth = 1;
-                lay.vars = seeds
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &(v, _))| {
-                        (
-                            v,
-                            VarRef {
-                                level: 0,
-                                slot: s as u16,
-                            },
-                        )
-                    })
-                    .collect();
-            }
         }
         self.layouts = layouts;
     }
@@ -1141,27 +1106,20 @@ mod tests {
             .collect();
         // First join tests <x>, bound by the seed CE (level 0, slot 0).
         let l0 = net.layout(joins[0].id);
-        assert_eq!(l0.depth, 1);
         assert_eq!(l0.left_key, vec![VarRef { level: 0, slot: 0 }]);
         // Second join tests <y>, introduced by the first join (level 1).
         let l1 = net.layout(joins[1].id);
-        assert_eq!(l1.depth, 2);
         assert_eq!(l1.left_key, vec![VarRef { level: 1, slot: 0 }]);
-        // The production node sees both variables over a 3-level chain.
-        let pnode = net.production_node(ProductionId(0));
-        let lp = net.layout(pnode);
-        assert_eq!(lp.depth, 3);
-        assert_eq!(lp.vars.len(), 2);
     }
 
     #[test]
-    fn single_ce_production_layout_uses_seed_slots() {
+    fn single_ce_production_node_seeds_its_bindings() {
         let net = compile("(p solo (alarm ^level <l>) --> (remove 1))");
-        let lp = net.layout(net.production_node(ProductionId(0)));
-        assert_eq!(lp.depth, 1);
-        assert_eq!(
-            lp.vars,
-            vec![(mpps_ops::intern("l"), VarRef { level: 0, slot: 0 })]
-        );
+        let pnode = net.production_node(ProductionId(0));
+        let NodeKind::Production(p) = net.node(pnode) else {
+            panic!("{pnode} is not a production node");
+        };
+        let want = [(mpps_ops::intern("l"), mpps_ops::intern("level"))];
+        assert_eq!(p.seed_binds.as_deref(), Some(&want[..]));
     }
 }

@@ -874,3 +874,63 @@ fn bad_input_fails_cleanly() {
     let out = mpps().output().unwrap();
     assert!(!out.status.success());
 }
+
+/// RHS arithmetic that leaves `i64` is a typed runtime error: `run` exits
+/// 1 with the message (never a panic's 101, never a wrapped value), and a
+/// served session reports it on its own line without losing its worker.
+#[test]
+fn rhs_integer_overflow_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("mpps-cli-overflow-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let program = dir.join("overflow.ops");
+    std::fs::write(
+        &program,
+        "(p a (x ^v <v>) --> (make y ^w (+ <v> 9223372036854775807)) (remove 1))\n\
+         (p b (y ^w <w>) --> (make z ^m (mod <w> -1)) (remove 1))\n",
+    )
+    .unwrap();
+    // `(x ^v 1)` overflows the add; `i64::MIN` (which must parse from a
+    // `.wm` line) overflows the remainder.
+    for (wm, message) in [
+        ("(x ^v 1)", "overflow in (+ 1 9223372036854775807)"),
+        (
+            "(y ^w -9223372036854775808)",
+            "overflow in (mod -9223372036854775808 -1)",
+        ),
+    ] {
+        let wm_file = dir.join("overflow.wm");
+        std::fs::write(&wm_file, wm).unwrap();
+        let out = mpps()
+            .args([
+                "run",
+                program.to_str().unwrap(),
+                "--wm",
+                wm_file.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{wm}: {stderr}");
+        assert!(stderr.contains(message), "{wm}: {stderr}");
+    }
+    let script = dir.join("overflow.script");
+    std::fs::write(&script, "session a\nmake a (x ^v 1)\nmake a (x ^v 2)\n").unwrap();
+    let out = mpps()
+        .args([
+            "serve",
+            "--script",
+            script.to_str().unwrap(),
+            "--program",
+            program.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let errors = stdout
+        .lines()
+        .filter(|l| l.contains("overflow in (+"))
+        .count();
+    assert_eq!(errors, 2, "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}

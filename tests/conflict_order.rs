@@ -17,8 +17,8 @@
 
 use mpps::core::ThreadedMatcher;
 use mpps::ops::{
-    compare, intern, resolve, select, Action, AttrTest, Bindings, ConditionElement, Instantiation,
-    Matcher, NaiveMatcher, Production, ProductionId, Program, Strategy as CrStrategy, TestKind,
+    compare, intern, resolve, select, Action, AttrTest, ConditionElement, Instantiation, Matcher,
+    NaiveMatcher, Production, ProductionId, Program, Strategy as CrStrategy, TestKind,
     TreatMatcher, Value, WmeChange, WmeId, WorkingMemory,
 };
 use mpps::rete::{ReteMatcher, ReteNetwork};
@@ -55,7 +55,7 @@ fn order_program() -> Program {
 fn arb_inst() -> impl Strategy<Value = Instantiation> {
     (0u32..3, proptest::collection::vec(1u64..7, 1..=3)).prop_map(|(p, ids)| {
         let ids: Vec<WmeId> = ids.into_iter().map(WmeId).collect();
-        Instantiation::new(ProductionId(p), &ids, Bindings::default())
+        Instantiation::new(ProductionId(p), &ids)
     })
 }
 
