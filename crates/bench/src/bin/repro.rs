@@ -56,7 +56,7 @@ const FIGURES: &[(&str, &str, Figure)] = &[
     ("shared-bus", "§5.2 MPC vs shared-bus mapping", shared_bus),
     (
         "termination-cost",
-        "cost of ring-token detection",
+        "cost of drain-report termination detection",
         termination_cost,
     ),
     ("era", "§1 motivation: first- vs new-generation MPCs", era),
@@ -380,12 +380,12 @@ fn termination_cost<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> 
         for (name, rows) in data(r) {
             let table: Vec<Vec<String>> = rows
                 .iter()
-                .map(|&(p, omniscient, ring)| {
+                .map(|&(p, omniscient, reports)| {
                     vec![
                         format!("{p}"),
                         format!("{omniscient:.2}"),
-                        format!("{ring:.2}"),
-                        format!("{:.0}%", (1.0 - ring / omniscient) * 100.0),
+                        format!("{reports:.2}"),
+                        format!("{:.0}%", (1.0 - reports / omniscient) * 100.0),
                     ]
                 })
                 .collect();
@@ -393,9 +393,9 @@ fn termination_cost<'t>(s: &'t Sections, plan: &mut SweepPlan<'t>) -> Print<'t> 
                 "{}",
                 render_table(
                     &format!(
-                        "Termination detection cost ({name}): omniscient vs ring-token, 8us overheads"
+                        "Termination detection cost ({name}): omniscient vs drain reports, 8us overheads"
                     ),
-                    &["P", "Omniscient", "Ring token", "Loss"],
+                    &["P", "Omniscient", "Drain reports", "Loss"],
                     &table,
                 )
             );

@@ -16,7 +16,7 @@ use mpps_core::sweep::{
 use mpps_core::{
     cycle_bucket_work, CostModel, MappingConfig, OverheadSetting, Partition, TerminationModel,
 };
-use mpps_mpcsim::{NetworkModel, SimTime, Topology};
+use mpps_mpcsim::{NetworkModel, SimTime};
 use mpps_rete::{split_fanout, SplitFanoutOptions, Trace};
 use mpps_workloads::synth;
 
@@ -449,20 +449,20 @@ pub fn shared_bus<'t>(
     }
 }
 
-/// Termination-detection cost: omniscient vs ring-token cycle boundaries
-/// at each processor count under the 8 µs overhead row — small cycles pay
-/// proportionally more.
+/// Termination-detection cost: omniscient cycle boundaries vs the
+/// executor's drain reports ([`TerminationModel::Reports`]) at each
+/// processor count under the 8 µs overhead row.
 pub fn termination_cost<'t>(
     s: &'t Sections,
     plan: &mut SweepPlan<'t>,
 ) -> impl FnOnce(&SweepResults) -> ComparisonRows + 't {
     let sections = per_section(s, plan, |plan, t| {
         let rows = PROCS.iter().map(|&p| {
-            let ring = MappingConfig {
-                termination: TerminationModel::RingToken,
+            let reports = MappingConfig {
+                termination: TerminationModel::Reports,
                 ..nectar(p)
             };
-            (p, point(plan, t, nectar(p)), point(plan, t, ring))
+            (p, point(plan, t, nectar(p)), point(plan, t, reports))
         });
         (t, rows.collect::<Vec<_>>())
     });
@@ -471,7 +471,7 @@ pub fn termination_cost<'t>(
             let speedup = |id| r.report(id).speedup_vs(r.baseline(*t));
             let rows = rows
                 .iter()
-                .map(|&(p, omni, ring)| (p, speedup(omni), speedup(ring)));
+                .map(|&(p, omni, reports)| (p, speedup(omni), speedup(reports)));
             (*name, rows.collect())
         });
         compared.collect()
@@ -487,9 +487,8 @@ fn first_gen_config(p: usize) -> MappingConfig {
             send: SimTime::from_us(150),
             recv: SimTime::from_us(150),
         },
-        network: NetworkModel::PerHop {
+        network: NetworkModel::Hypercube {
             per_hop: SimTime::from_us(500),
-            topology: Topology::Hypercube,
         },
         ..MappingConfig::standard(p, OverheadSetting::ZERO)
     }

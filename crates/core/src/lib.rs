@@ -38,8 +38,7 @@ pub use profile::{check_profile, greedy_partition, render_match_profile, PROFILE
 pub use sharedbus::{shared_bus_simulate, SharedBusConfig, SharedBusReport};
 pub use simexec::{
     name_machine_tracks, simulate, simulate_in, simulate_per_cycle, simulate_per_cycle_in,
-    simulate_recorded, CycleReport, MappingConfig, MappingReport, MappingVariant, RootDistribution,
-    SimScratch, TerminationModel,
+    simulate_recorded, CycleReport, MappingConfig, MappingReport, SimScratch, TerminationModel,
 };
 pub use sweep::{
     speedup_curve, speedup_curve_jobs, PartitionSpec, PartitionStrategy, PointId, PointSpec,

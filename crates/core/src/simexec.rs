@@ -15,16 +15,12 @@
 //!    their destination bucket;
 //! 4. complete instantiations are sent to the control processor;
 //! 5. the cycle ends when all activations have been processed; the next
-//!    cycle then begins (the paper does not simulate termination
-//!    detection, and neither does this executor).
+//!    cycle then begins. The paper does not simulate termination
+//!    detection; [`TerminationModel::Reports`] prices the detector the
+//!    threaded executor runs.
 //!
-//! Two mapping variants are provided: the **combined** form used for the
-//! paper's simulations (§3.2 — both buckets of an index on one processor)
-//! and the **processor-pair** form of the base mapping (§3.1 — left/right
-//! buckets on two processors, with the store and the opposite-memory
-//! comparison proceeding in parallel). Root distribution can also be
-//! switched from broadcast-plus-duplicate-constant-tests to central
-//! routing for ablation.
+//! This is the **combined** mapping of §3.2 (both buckets of an index on
+//! one match processor), which all of the paper's simulations use.
 
 use crate::cost::{CostModel, OverheadSetting, NECTAR_LATENCY};
 use crate::partition::Partition;
@@ -33,80 +29,33 @@ use mpps_rete::trace::{ActKind, ActivationRecord};
 use mpps_rete::{Side, Trace};
 use mpps_telemetry::{NullMetrics, OffsetRecorder, Recorder, TraceRecorder, Track};
 
-/// How left/right buckets of an index map onto processors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MappingVariant {
-    /// §3.2: both buckets of an index on one match processor (used for all
-    /// of the paper's simulations).
-    #[default]
-    Combined,
-    /// §3.1: a processor *pair* per index partition — tokens arrive at the
-    /// left processor, which forwards them to the right processor; the
-    /// store and the opposite-memory comparison then proceed in parallel.
-    ProcessorPairs,
-}
-
-/// How root activations reach their owners.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RootDistribution {
-    /// §3.2: broadcast the WME packet; every match processor duplicates
-    /// the constant tests and keeps what it owns. The threaded executor
-    /// runs this scheme.
-    #[default]
-    BroadcastDuplicate,
-    /// Simulator-only ablation (§3.1-style constant-test processors
-    /// collapsed into the control processor): the control evaluates
-    /// constant tests once and routes each root activation as an
-    /// individual message.
-    CentralRoute,
-}
-
 /// How the end of a cycle's token cascade is detected.
 ///
 /// The paper's simulator is omniscient ("we do not simulate termination
-/// detection"); a real implementation must pay for it every cycle. The
-/// ring model below prices a Safra-style probe (Dijkstra, EWD 998): after
-/// the last activation drains, a token circles the match processors twice,
-/// each hop costing a send overhead, the network latency, and a receive
-/// overhead.
+/// detection"); a real implementation must pay for it every cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TerminationModel {
     /// Omniscient cycle boundary (the paper's assumption).
     #[default]
     Omniscient,
-    /// Two token-ring rounds over the match processors appended to every
-    /// cycle.
-    RingToken,
-}
-
-impl TerminationModel {
-    /// Extra time appended to each cycle's makespan.
-    pub fn cycle_overhead(self, config: &MappingConfig) -> SimTime {
-        match self {
-            TerminationModel::Omniscient => SimTime::ZERO,
-            TerminationModel::RingToken => {
-                let p = config.match_processors as u64;
-                // Worst-case neighbour latency in the configured network.
-                let machine = match config.variant {
-                    MappingVariant::Combined => config.match_processors + 1,
-                    MappingVariant::ProcessorPairs => 2 * config.match_processors + 1,
-                };
-                let latency = (1..machine)
-                    .map(|m| config.network.latency(machine, m, (m % (machine - 1)) + 1))
-                    .max()
-                    .unwrap_or(SimTime::ZERO);
-                let hop = config.overhead.send + latency + config.overhead.recv;
-                hop * (2 * p)
-            }
-        }
-    }
+    /// The threaded executor's detector (`crate::threaded`, §Termination
+    /// detection): a worker sends the coordinator one `Drained` report per
+    /// inbound packet or peer batch, and the coordinator counts them down.
+    /// Here, at the simulator's granularity of one message per routed
+    /// token, a match processor sends the control processor one report
+    /// after each message that came from another processor: the WME packet
+    /// or a routed token. A report costs a send overhead, the latency and
+    /// a receive overhead at the control processor, and nothing else. The
+    /// cycle still ends at quiescence, so the last report falls inside the
+    /// makespan.
+    Reports,
 }
 
 /// Full configuration of one simulated mapping run.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct MappingConfig {
-    /// Number of match processors (pairs count as one here; the machine
-    /// uses two CPUs per pair under [`MappingVariant::ProcessorPairs`]).
+    /// Number of match processors (the machine adds one control
+    /// processor).
     pub match_processors: usize,
     /// Match micro-task costs.
     pub cost: CostModel,
@@ -114,25 +63,20 @@ pub struct MappingConfig {
     pub overhead: OverheadSetting,
     /// Interconnect model.
     pub network: NetworkModel,
-    /// Bucket-to-processor mapping variant.
-    pub variant: MappingVariant,
-    /// Root-activation distribution scheme.
-    pub roots: RootDistribution,
     /// Cycle-boundary detection cost model.
     pub termination: TerminationModel,
 }
 
 impl MappingConfig {
     /// The paper's standard configuration: combined mapping, broadcast
-    /// roots, Nectar latency (0.5 µs), chosen overhead row.
+    /// roots, omniscient termination, Nectar latency (0.5 µs), chosen
+    /// overhead row.
     pub fn standard(match_processors: usize, overhead: OverheadSetting) -> Self {
         MappingConfig {
             match_processors,
             cost: CostModel::default(),
             overhead,
             network: NetworkModel::Constant(NECTAR_LATENCY),
-            variant: MappingVariant::Combined,
-            roots: RootDistribution::BroadcastDuplicate,
             termination: TerminationModel::Omniscient,
         }
     }
@@ -146,8 +90,6 @@ impl MappingConfig {
             cost: CostModel::default(),
             overhead: OverheadSetting::ZERO,
             network: NetworkModel::Constant(SimTime::ZERO),
-            variant: MappingVariant::Combined,
-            roots: RootDistribution::BroadcastDuplicate,
             termination: TerminationModel::Omniscient,
         }
     }
@@ -219,7 +161,7 @@ struct CycleData<'a> {
     acts: &'a [ActivationRecord],
     children: &'a [Vec<u32>],
     /// Machine processor that handles each activation (control = 0 for
-    /// instantiations; left processor of the pair under `ProcessorPairs`).
+    /// instantiations).
     dest: &'a [ProcId],
     roots: &'a [u32],
 }
@@ -249,7 +191,6 @@ impl SimScratch {
         &'a mut self,
         acts: &'a [ActivationRecord],
         partition: &Partition,
-        variant: MappingVariant,
     ) -> CycleData<'a> {
         // `clear` on a Vec<u32> is O(1), so wiping every previously-used
         // entry (not just the first `acts.len()`) costs nothing and keeps
@@ -270,7 +211,7 @@ impl SimScratch {
         }
         self.dest.extend(acts.iter().map(|a| match a.kind {
             ActKind::Production => 0,
-            ActKind::TwoInput => MapNode::left_proc(variant, partition.owner(a.bucket)),
+            ActKind::TwoInput => MapNode::proc(partition.owner(a.bucket)),
         }));
         CycleData {
             acts,
@@ -283,90 +224,54 @@ impl SimScratch {
 
 #[derive(Clone)]
 enum Msg {
-    /// Cycle kickoff (broadcast or self-start).
+    /// Cycle kickoff (injected at the control processor, then broadcast as
+    /// the WME packet).
     Start,
     /// Process activation `i` (arriving at its destination processor).
     Act(u32),
-    /// Pair variant: the right processor's half of activation `i`.
-    Half(u32),
+    /// A match processor has handled a message from another processor
+    /// ([`TerminationModel::Reports`]).
+    Report,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Role {
     Control,
-    /// A match processor (combined) or the left half of a pair.
-    Match {
-        index: usize,
-    },
-    /// The right half of a pair.
-    RightHalf,
+    Match,
 }
 
 struct MapNode<'a> {
     role: Role,
     data: &'a CycleData<'a>,
     cost: CostModel,
-    variant: MappingVariant,
-    roots: RootDistribution,
+    /// [`TerminationModel::Reports`], decided once per node.
+    reports: bool,
     left_acts: u64,
     right_acts: u64,
     instantiations: u64,
 }
 
 impl MapNode<'_> {
-    /// Machine processor owning the *left* role of match processor `m`.
-    fn left_proc(variant: MappingVariant, m: usize) -> ProcId {
-        match variant {
-            MappingVariant::Combined => 1 + m,
-            MappingVariant::ProcessorPairs => 1 + 2 * m,
-        }
+    /// Machine processor of match processor `m`.
+    fn proc(m: usize) -> ProcId {
+        1 + m
     }
 
-    fn partner(&self, ctx: &Ctx<'_, Msg>) -> ProcId {
-        debug_assert!(matches!(self.variant, MappingVariant::ProcessorPairs));
-        ctx.me() + 1
-    }
-
-    /// Handle one activation at its (left) owner.
+    /// Handle one activation at its owner: store, then compare/generate.
+    /// Each successor costs `per_successor` and departs as soon as it is
+    /// produced (successors stream out, in recorded order; they do not
+    /// wait for the whole comparison to finish).
     fn process_act(&mut self, ctx: &mut Ctx<'_, Msg>, i: u32) {
-        let act = &self.data.acts[i as usize];
+        let data = self.data;
+        let act = &data.acts[i as usize];
         debug_assert_eq!(act.kind, ActKind::TwoInput);
-        let is_left = act.side == Side::Left;
-        if is_left {
+        if act.side == Side::Left {
             self.left_acts += 1;
+            ctx.compute(self.cost.left_token);
         } else {
             self.right_acts += 1;
+            ctx.compute(self.cost.right_token);
         }
-        match self.variant {
-            MappingVariant::Combined => {
-                // Store, then compare/generate: each successor costs
-                // `per_successor` and departs as soon as it is produced
-                // (successors stream out; they do not wait for the whole
-                // comparison to finish).
-                ctx.compute(if is_left {
-                    self.cost.left_token
-                } else {
-                    self.cost.right_token
-                });
-                self.send_children(ctx, i);
-            }
-            MappingVariant::ProcessorPairs => {
-                // Forward to the partner (who compares and generates) and
-                // store locally; the two halves overlap in time.
-                ctx.send(self.partner(ctx), Msg::Half(i));
-                ctx.compute(if is_left {
-                    self.cost.left_token
-                } else {
-                    self.cost.right_token
-                });
-            }
-        }
-    }
-
-    /// Generate activation `i`'s successors: `per_successor` compute each,
-    /// departing as soon as produced (streamed, in recorded order).
-    fn send_children(&self, ctx: &mut Ctx<'_, Msg>, i: u32) {
-        let data = self.data;
         for &c in &data.children[i as usize] {
             ctx.compute(self.cost.per_successor);
             ctx.send(data.dest[c as usize], Msg::Act(c));
@@ -377,37 +282,26 @@ impl MapNode<'_> {
 impl Node for MapNode<'_> {
     type Msg = Msg;
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ProcId, msg: Msg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcId, msg: Msg) {
         match (self.role, msg) {
-            (Role::Control, Msg::Start) => match self.roots {
-                RootDistribution::BroadcastDuplicate => {
-                    // §3.2 step 1: broadcast one packet with all the
-                    // cycle's WMEs (one send overhead, hardware broadcast).
-                    ctx.broadcast(Msg::Start);
-                }
-                RootDistribution::CentralRoute => {
-                    // Ablation: evaluate constant tests once, centrally,
-                    // and route every root activation individually.
-                    ctx.compute(self.cost.constant_tests);
-                    let data = self.data;
-                    for &r in data.roots {
-                        ctx.send(data.dest[r as usize], Msg::Act(r));
-                    }
-                }
-            },
+            (Role::Control, Msg::Start) => {
+                // §3.2 step 1: broadcast one packet with all the cycle's
+                // WMEs (one send overhead, hardware broadcast).
+                ctx.broadcast(Msg::Start);
+            }
             (Role::Control, Msg::Act(i)) => {
                 // An instantiation arriving from the match processors.
                 debug_assert_eq!(self.data.acts[i as usize].kind, ActKind::Production);
                 self.instantiations += 1;
                 ctx.compute(self.cost.instantiation);
             }
-            (Role::Match { index }, Msg::Start) => {
+            // The receive overhead is the report's whole cost here.
+            (Role::Control, Msg::Report) => {}
+            (Role::Match, Msg::Start) => {
                 // §3.2 step 2: duplicate all constant tests, then process
                 // the owned roots as one unit (coarse granularity).
-                debug_assert!(matches!(self.roots, RootDistribution::BroadcastDuplicate));
                 ctx.compute(self.cost.constant_tests);
-                let me = Self::left_proc(self.variant, index);
-                debug_assert_eq!(me, ctx.me());
+                let me = ctx.me();
                 // `data` is a plain shared reference (Copy), so iterating
                 // the roots does not hold a borrow of `self` across the
                 // `&mut self` call — no intermediate Vec needed.
@@ -417,52 +311,37 @@ impl Node for MapNode<'_> {
                         self.process_act(ctx, r);
                     }
                 }
+                if self.reports {
+                    ctx.send(0, Msg::Report);
+                }
             }
-            (Role::Match { .. }, Msg::Act(i)) => {
+            (Role::Match, Msg::Act(i)) => {
                 // Fine granularity: each routed token is its own unit.
                 self.process_act(ctx, i);
+                if self.reports && from != ctx.me() {
+                    ctx.send(0, Msg::Report);
+                }
             }
-            (Role::RightHalf, Msg::Half(i)) => {
-                // The pair's comparison/generation micro-task (streamed).
-                self.send_children(ctx, i);
-            }
-            (Role::RightHalf, Msg::Start) => {
-                // Pairs' right halves also receive the broadcast and
-                // duplicate the constant tests (they hold no buckets).
-                ctx.compute(self.cost.constant_tests);
-            }
-            (role, _) => {
-                let which = match role {
-                    Role::Control => "control",
-                    Role::Match { .. } => "match",
-                    Role::RightHalf => "right-half",
-                };
-                unreachable!("unexpected message at {which} processor");
-            }
+            (Role::Match, Msg::Report) => unreachable!("report at a match processor"),
         }
     }
 
     /// Phase labels for the telemetry spans (§3.2's steps): the WME
-    /// broadcast/constant tests, left/right token processing, the pairs'
-    /// comparison half, and the conflict-set report at the control
-    /// processor.
+    /// broadcast/constant tests, left/right token processing, and the
+    /// conflict-set and drain reports at the control processor.
     fn describe(&self, msg: &Msg) -> &'static str {
         match (self.role, msg) {
-            (Role::Control, Msg::Start) => match self.roots {
-                RootDistribution::BroadcastDuplicate => "broadcast-wmes",
-                RootDistribution::CentralRoute => "constant-tests",
-            },
+            (Role::Control, Msg::Start) => "broadcast-wmes",
             (Role::Control, Msg::Act(_)) => "conflict-set-report",
-            (Role::Match { .. } | Role::RightHalf, Msg::Start) => "constant-tests",
-            (Role::Match { .. }, Msg::Act(i)) => {
+            (_, Msg::Report) => "drain-report",
+            (Role::Match, Msg::Start) => "constant-tests",
+            (Role::Match, Msg::Act(i)) => {
                 if self.data.acts[*i as usize].side == Side::Left {
                     "left-token"
                 } else {
                     "right-token"
                 }
             }
-            (Role::RightHalf, Msg::Half(_)) => "compare-generate",
-            _ => "message",
         }
     }
 }
@@ -532,15 +411,7 @@ pub fn name_machine_tracks(rec: &mut TraceRecorder, config: &MappingConfig) {
     rec.name_process(mpps_telemetry::recorder::SIM_PID, "simulated machine");
     rec.name_track(Track::sim_proc(0), "control");
     for m in 0..config.match_processors {
-        match config.variant {
-            MappingVariant::Combined => {
-                rec.name_track(Track::sim_proc(1 + m), format!("match {m}"));
-            }
-            MappingVariant::ProcessorPairs => {
-                rec.name_track(Track::sim_proc(1 + 2 * m), format!("match {m} (left)"));
-                rec.name_track(Track::sim_proc(2 + 2 * m), format!("match {m} (right)"));
-            }
-        }
+        rec.name_track(Track::sim_proc(MapNode::proc(m)), format!("match {m}"));
     }
     rec.name_track(Track::sim_cycles(), "cycles");
 }
@@ -609,14 +480,13 @@ fn simulate_with<R: Recorder>(
         );
         // Each cycle's discrete-event simulation restarts at t = 0; the
         // offset re-bases its events onto the continuous run timeline.
-        let mut report = run_one_cycle(
+        let report = run_one_cycle(
             &cycle.activations,
             config,
             partition,
             scratch,
             OffsetRecorder::new(&mut *recorder, total.as_ns()),
         );
-        report.makespan += config.termination.cycle_overhead(config);
         if R::ENABLED {
             let end = total + report.makespan;
             recorder.span(Track::sim_cycles(), "cycle", total.as_ns(), end.as_ns());
@@ -649,49 +519,34 @@ fn run_one_cycle<R: Recorder>(
     recorder: R,
 ) -> CycleReport {
     let p = config.match_processors;
-    let data = scratch.prepare(acts, partition, config.variant);
-    let machine_procs = match config.variant {
-        MappingVariant::Combined => 1 + p,
-        MappingVariant::ProcessorPairs => 1 + 2 * p,
-    };
+    let data = scratch.prepare(acts, partition);
     let cfg = MachineConfig {
-        processors: machine_procs,
+        processors: 1 + p,
         send_overhead: config.overhead.send,
         recv_overhead: config.overhead.recv,
         network: config.network,
     };
+    let reports = config.termination == TerminationModel::Reports;
     let mk_node = |role: Role| MapNode {
         role,
         data: &data,
         cost: config.cost,
-        variant: config.variant,
-        roots: config.roots,
+        reports,
         left_acts: 0,
         right_acts: 0,
         instantiations: 0,
     };
-    let mut nodes = Vec::with_capacity(machine_procs);
-    nodes.push(mk_node(Role::Control));
-    for m in 0..p {
-        nodes.push(mk_node(Role::Match { index: m }));
-        if config.variant == MappingVariant::ProcessorPairs {
-            nodes.push(mk_node(Role::RightHalf));
-        }
-    }
+    let nodes = std::iter::once(mk_node(Role::Control))
+        .chain((0..p).map(|_| mk_node(Role::Match)))
+        .collect();
     let mut sim = Simulator::with_recorder(cfg, nodes, recorder);
-    // Kick the control processor; its Start handler either broadcasts the
-    // WME packet (§3.2) or routes roots centrally (ablation).
+    // Kick the control processor; its Start handler broadcasts the WME
+    // packet (§3.2).
     sim.inject(SimTime::ZERO, 0, Msg::Start);
-    let run = sim.run_injected();
-    let mut left_acts = vec![0u64; p];
-    let mut right_acts = vec![0u64; p];
-    let mut instantiations = 0;
-    for m in 0..p {
-        let proc = MapNode::left_proc(config.variant, m);
-        left_acts[m] = sim.node(proc).left_acts;
-        right_acts[m] = sim.node(proc).right_acts;
-    }
-    instantiations += sim.node(0).instantiations;
+    let run = sim.run();
+    let match_nodes = (0..p).map(|m| sim.node(MapNode::proc(m)));
+    let (left_acts, right_acts) = match_nodes.map(|n| (n.left_acts, n.right_acts)).unzip();
+    let instantiations = sim.node(0).instantiations;
     CycleReport {
         makespan: run.makespan,
         proc_busy: run
@@ -808,50 +663,6 @@ mod tests {
         let t = trace_of(vec![vec![rec(1, Side::Right, 0, None, ActKind::TwoInput)]]);
         let base = simulate(&t, &MappingConfig::baseline(), &Partition::single(8));
         assert!((base.speedup_vs(&base) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn processor_pairs_overlap_store_and_generate() {
-        // One left root with 2 successors (both productions).
-        // Combined: 30 + (32 + 2*16) = 94.
-        // Pairs:    30 + max(store 32, compare 2*16=32) = 62 (zero comm).
-        let acts = vec![
-            rec(1, Side::Left, 0, None, ActKind::TwoInput),
-            rec(8, Side::Left, 0, Some(0), ActKind::Production),
-            rec(9, Side::Left, 0, Some(0), ActKind::Production),
-        ];
-        let t = trace_of(vec![acts]);
-        let combined = simulate(&t, &zero_comm(1), &Partition::single(8));
-        let mut pair_cfg = zero_comm(1);
-        pair_cfg.variant = MappingVariant::ProcessorPairs;
-        let pairs = simulate(&t, &pair_cfg, &Partition::single(8));
-        assert_eq!(combined.total, SimTime::from_us(94));
-        assert_eq!(pairs.total, SimTime::from_us(62));
-    }
-
-    #[test]
-    fn central_route_pays_messages_for_roots() {
-        // Two right roots on different processors; central routing sends
-        // each as a message instead of broadcasting + duplicating.
-        let t = trace_of(vec![vec![
-            rec(1, Side::Right, 0, None, ActKind::TwoInput),
-            rec(1, Side::Right, 1, None, ActKind::TwoInput),
-        ]]);
-        let mut cfg = zero_comm(2);
-        cfg.roots = RootDistribution::CentralRoute;
-        let r = simulate(&t, &cfg, &Partition::round_robin(8, 2));
-        // Control: 30 constant tests, then two (free) sends; matchers do 16
-        // each in parallel.
-        assert_eq!(r.total, SimTime::from_us(46));
-        // With overheads the roots now cost per-message overhead:
-        let row8 = OverheadSetting::table_5_1()[1];
-        let mut cfg8 = MappingConfig::standard(2, row8);
-        cfg8.roots = RootDistribution::CentralRoute;
-        let r8 = simulate(&t, &cfg8, &Partition::round_robin(8, 2));
-        // Control: 30 + 5 + 5; first message departs 35, arrives 35.5,
-        // handler 35.5 + 3 + 16 = 54.5; second departs 40, arrives 40.5,
-        // handler ends 59.5.
-        assert_eq!(r8.total, SimTime::from_ns(59_500));
     }
 
     #[test]
@@ -987,36 +798,33 @@ mod tests {
     }
 
     #[test]
-    fn termination_model_adds_per_cycle_cost() {
-        let t = trace_of(vec![
-            vec![rec(1, Side::Right, 0, None, ActKind::TwoInput)],
-            vec![rec(1, Side::Right, 1, None, ActKind::TwoInput)],
-        ]);
+    fn drain_reports_price_one_message_per_inbound_message() {
+        // The trace of `overheads_lengthen_the_critical_path` (omniscient:
+        // 111us, 3 messages). Under drain reports each match processor
+        // reports the packet, and processor 1 reports the routed token:
+        //   match 0: packet handled 5.5..70.5 (recv 3 + constant 30 + root
+        //     32), token sent 75.5, report sent 80.5 -> control 81..84;
+        //   match 1: packet handled 5.5..38.5, report sent 43.5 -> control
+        //     44..47; token arrives 76, handled until 111, report sent 116
+        //     -> control 116.5..119.5.
+        let t = trace_of(vec![vec![
+            rec(1, Side::Right, 0, None, ActKind::TwoInput),
+            rec(2, Side::Left, 1, Some(0), ActKind::TwoInput),
+        ]]);
         let row8 = OverheadSetting::table_5_1()[1];
-        let base_cfg = config(4, row8);
-        let ring_cfg = MappingConfig {
-            termination: TerminationModel::RingToken,
-            ..base_cfg
+        let cfg = MappingConfig {
+            termination: TerminationModel::Reports,
+            ..config(2, row8)
         };
-        let part = Partition::round_robin(8, 4);
-        let plain = simulate(&t, &base_cfg, &part);
-        let ring = simulate(&t, &ring_cfg, &part);
-        // 2 rounds x 4 procs x (5 + 0.5 + 3)us = 68us per cycle, 2 cycles.
-        let expected = SimTime::from_ns(2 * 2 * 4 * 8_500);
-        assert_eq!(ring.total, plain.total + expected);
-        assert_eq!(
-            ring.cycles[0].makespan,
-            plain.cycles[0].makespan + expected / 2
-        );
-    }
-
-    #[test]
-    fn omniscient_termination_is_free() {
-        let cfg = config(8, OverheadSetting::ZERO);
-        assert_eq!(
-            TerminationModel::Omniscient.cycle_overhead(&cfg),
-            SimTime::ZERO
-        );
+        let part = Partition::round_robin(8, 2);
+        let r = simulate(&t, &cfg, &part);
+        assert_eq!(r.total, SimTime::from_ns(119_500));
+        assert_eq!(r.cycles[0].network_messages, 3 + 3);
+        // Control busy: broadcast send 5 + three report receives of 3.
+        assert_eq!(r.cycles[0].proc_busy[0], SimTime::from_us(5 + 3 * 3));
+        // A token routed to its own processor is a self-send: no report.
+        let local = simulate(&t, &cfg, &Partition::from_owners(vec![0; 8], 2));
+        assert_eq!(local.cycles[0].network_messages, 2 + 2);
     }
 
     #[test]

@@ -25,10 +25,9 @@
 //! [`ThreadedMatcher::new`] defaults to round robin. Only workers decide
 //! ownership, and only through the partition, which is fixed at spawn.
 //!
-//! **Broadcast roots.** As in §3.2 and the simulator's default
-//! [`crate::simexec::RootDistribution::BroadcastDuplicate`], the
-//! coordinator sends each worker the cycle's change packet, one shared
-//! copy. Every worker runs all the constant tests and keeps the root
+//! **Broadcast roots.** As in §3.2 and the simulator
+//! ([`crate::simexec`]), the coordinator sends each worker the cycle's
+//! change packet, one shared copy. Every worker runs all the constant tests and keeps the root
 //! activations whose bucket it owns; the owner of bucket 0 completes
 //! single-CE productions. Roots then take the same path as the kernel's
 //! own output: an owned bucket's work stays local, a peer's left token is
@@ -45,9 +44,9 @@
 //! the cycle is over at zero.
 //! The report is sent *before* the batches it counts, and all replies share
 //! one channel, so a peer's report can never overtake the report that
-//! announced its batch. A detector without a central counter would be
-//! Safra's algorithm (Dijkstra, EWD 998); the simulator prices one as
-//! [`crate::simexec::TerminationModel::RingToken`].
+//! announced its batch. The simulator prices this detector as
+//! [`crate::simexec::TerminationModel::Reports`], at its granularity of
+//! one message per routed token rather than one per peer batch.
 //!
 //! **Failure model.** A worker thread that panics never sends its report,
 //! so the in-flight count would never reach zero; the coordinator

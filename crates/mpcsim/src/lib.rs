@@ -29,7 +29,7 @@ pub mod time;
 pub use event::EventQueue;
 pub use machine::{Ctx, MachineConfig, Node, ProcId, RunReport, Simulator};
 pub use metrics::{idle_fraction, MachineMetrics, ProcessorMetrics};
-pub use network::{NetworkModel, Topology};
+pub use network::NetworkModel;
 pub use time::SimTime;
 
 // Re-exported so downstream crates can name recorder types without a

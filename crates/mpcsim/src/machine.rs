@@ -53,9 +53,6 @@ pub trait Node {
     /// Message type exchanged between nodes.
     type Msg: Clone;
 
-    /// Called once at time zero, in processor-id order.
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
-
     /// Called for each delivered message.
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, from: ProcId, msg: Self::Msg);
 
@@ -229,7 +226,7 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
     }
 
     /// Inject an external message (delivered like a self-send: no
-    /// overheads). Useful for driving tests and cycle restarts.
+    /// overheads). This is how a run gets its first message.
     pub fn inject(&mut self, time: SimTime, to: ProcId, msg: N::Msg) {
         assert!(to < self.cfg.processors, "inject to unknown processor");
         self.queue.push(
@@ -277,7 +274,7 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
         let outgoing = ctx.outgoing;
         for out in outgoing {
             if out.remote {
-                let latency = self.cfg.network.latency(self.cfg.processors, proc, out.to);
+                let latency = self.cfg.network.latency(proc, out.to);
                 let arrival = out.departure + latency;
                 self.usage.record(out.departure, arrival);
                 self.proc_metrics[proc].messages_sent += 1;
@@ -358,25 +355,9 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
         });
     }
 
-    /// Run to quiescence: `on_start` on every node at time zero, then
-    /// process events until none remain.
+    /// Process the injected messages and everything they cause until no
+    /// event remains.
     pub fn run(&mut self) -> RunReport {
-        for proc in 0..self.cfg.processors {
-            let start = self.free_at[proc];
-            self.execute(proc, start, "start", |node, ctx| node.on_start(ctx));
-        }
-        self.drain();
-        self.report()
-    }
-
-    /// Process queued events until quiescence without calling `on_start`
-    /// (for multi-phase simulations driven by `inject`).
-    pub fn run_injected(&mut self) -> RunReport {
-        self.drain();
-        self.report()
-    }
-
-    fn drain(&mut self) {
         let mut events: u64 = 0;
         while let Some((time, ev)) = self.queue.pop() {
             events += 1;
@@ -421,9 +402,6 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
                 }
             }
         }
-    }
-
-    fn report(&self) -> RunReport {
         let makespan = self.free_at.iter().copied().max().unwrap_or(SimTime::ZERO);
         RunReport {
             makespan,
@@ -441,7 +419,7 @@ mod tests {
     use super::*;
 
     /// Relays a counter around the ring `hops` times, spending `work` per
-    /// hop.
+    /// hop. An injected `None` at processor 0 sends the first hop.
     struct Relay {
         work: SimTime,
         hops: u32,
@@ -449,18 +427,17 @@ mod tests {
     }
 
     impl Node for Relay {
-        type Msg = u32;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            if ctx.me() == 0 {
-                ctx.send(1 % ctx.processors(), self.hops);
-            }
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _from: ProcId, remaining: u32) {
+        type Msg = Option<u32>;
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Option<u32>>, _from: ProcId, msg: Option<u32>) {
+            let Some(remaining) = msg else {
+                ctx.send(1 % ctx.processors(), Some(self.hops));
+                return;
+            };
             self.received += 1;
             ctx.compute(self.work);
             if remaining > 0 {
                 let next = (ctx.me() + 1) % ctx.processors();
-                ctx.send(next, remaining - 1);
+                ctx.send(next, Some(remaining - 1));
             }
         }
     }
@@ -486,7 +463,9 @@ mod tests {
                 received: 0,
             })
             .collect();
-        Simulator::new(cfg, nodes)
+        let mut sim = Simulator::new(cfg, nodes);
+        sim.inject(SimTime::ZERO, 0, None);
+        sim
     }
 
     #[test]
@@ -518,19 +497,21 @@ mod tests {
 
     #[test]
     fn self_send_skips_overheads_but_queues() {
+        /// An injected `true` does 4us of work and sends itself two jobs.
         struct SelfLoop {
             left: u32,
         }
         impl Node for SelfLoop {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                ctx.compute(SimTime::from_us(4));
-                ctx.send(ctx.me(), ());
-                ctx.send(ctx.me(), ());
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, _f: ProcId, _m: ()) {
-                self.left -= 1;
-                ctx.compute(SimTime::from_us(10));
+            type Msg = bool;
+            fn on_message(&mut self, ctx: &mut Ctx<'_, bool>, _f: ProcId, kick: bool) {
+                if kick {
+                    ctx.compute(SimTime::from_us(4));
+                    ctx.send(ctx.me(), false);
+                    ctx.send(ctx.me(), false);
+                } else {
+                    self.left -= 1;
+                    ctx.compute(SimTime::from_us(10));
+                }
             }
         }
         let cfg = MachineConfig {
@@ -540,6 +521,7 @@ mod tests {
             network: NetworkModel::Constant(SimTime::from_us(99)),
         };
         let mut sim = Simulator::new(cfg, vec![SelfLoop { left: 2 }]);
+        sim.inject(SimTime::ZERO, 0, true);
         let report = sim.run();
         // No send/recv overhead, no latency: 4 + 10 + 10.
         assert_eq!(report.makespan, SimTime::from_us(24));
@@ -549,23 +531,21 @@ mod tests {
 
     #[test]
     fn busy_processor_queues_messages_fifo() {
-        /// Node 0 sends three jobs to node 1 back-to-back; node 1 records
-        /// processing order.
+        /// An injected `None` makes node 0 send three jobs to node 1
+        /// back-to-back; node 1 records processing order.
         struct Sink {
             order: Vec<u32>,
         }
         impl Node for Sink {
-            type Msg = u32;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                if ctx.me() == 0 {
-                    for k in 0..3 {
-                        ctx.send(1, k);
+            type Msg = Option<u32>;
+            fn on_message(&mut self, ctx: &mut Ctx<'_, Option<u32>>, _f: ProcId, m: Option<u32>) {
+                match m {
+                    None => (0..3).for_each(|k| ctx.send(1, Some(k))),
+                    Some(k) => {
+                        self.order.push(k);
+                        ctx.compute(SimTime::from_us(50));
                     }
                 }
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _f: ProcId, k: u32) {
-                self.order.push(k);
-                ctx.compute(SimTime::from_us(50));
             }
         }
         let cfg = MachineConfig {
@@ -575,6 +555,7 @@ mod tests {
             network: NetworkModel::Constant(SimTime::from_ns(500)),
         };
         let mut sim = Simulator::new(cfg, vec![Sink { order: vec![] }, Sink { order: vec![] }]);
+        sim.inject(SimTime::ZERO, 0, None);
         let report = sim.run();
         assert_eq!(sim.node(1).order, vec![0, 1, 2]);
         // p0: 3 sends = 3us. p1: three handlers of 51us each, first starts
@@ -585,19 +566,19 @@ mod tests {
 
     #[test]
     fn broadcast_costs_one_send() {
+        /// An injected `true` makes node 0 broadcast.
         struct Bcast {
             got: bool,
         }
         impl Node for Bcast {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                if ctx.me() == 0 {
-                    ctx.broadcast(());
+            type Msg = bool;
+            fn on_message(&mut self, ctx: &mut Ctx<'_, bool>, _f: ProcId, kick: bool) {
+                if kick {
+                    ctx.broadcast(false);
+                } else {
+                    self.got = true;
+                    ctx.compute(SimTime::from_us(7));
                 }
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, _f: ProcId, _m: ()) {
-                self.got = true;
-                ctx.compute(SimTime::from_us(7));
             }
         }
         let cfg = MachineConfig {
@@ -607,6 +588,7 @@ mod tests {
             network: NetworkModel::Constant(SimTime::from_us(1)),
         };
         let mut sim = Simulator::new(cfg, (0..5).map(|_| Bcast { got: false }).collect());
+        sim.inject(SimTime::ZERO, 0, true);
         let report = sim.run();
         assert!((1..5).all(|i| sim.node(i).got));
         assert!(!sim.node(0).got);
@@ -616,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn inject_and_run_injected() {
+    fn injected_message_starts_at_its_time() {
         struct Echo {
             count: u32,
         }
@@ -632,7 +614,7 @@ mod tests {
             vec![Echo { count: 0 }, Echo { count: 0 }],
         );
         sim.inject(SimTime::from_us(10), 1, ());
-        let report = sim.run_injected();
+        let report = sim.run();
         assert_eq!(sim.node(1).count, 1);
         assert_eq!(report.makespan, SimTime::from_us(13));
     }
@@ -659,6 +641,7 @@ mod tests {
             })
             .collect();
         let mut sim = Simulator::with_recorder(cfg, nodes, TraceRecorder::new());
+        sim.inject(SimTime::ZERO, 0, None);
         let traced = sim.run();
         assert_eq!(traced.makespan, plain.makespan);
         assert_eq!(traced.metrics, plain.metrics);
@@ -698,15 +681,13 @@ mod tests {
         struct Forever;
         impl Node for Forever {
             type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                ctx.send(ctx.me(), ());
-            }
             fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, _f: ProcId, _m: ()) {
                 ctx.send(ctx.me(), ());
             }
         }
         let mut sim = Simulator::new(MachineConfig::ideal(1), vec![Forever]);
         sim.set_max_events(1000);
+        sim.inject(SimTime::ZERO, 0, ());
         sim.run();
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The paper's simulations use a constant point-to-point latency (0.5 µs,
 //! the Nectar figure) and find the network 97–98% idle. [`NetworkModel`]
-//! also offers hop-based latencies over classic first-generation MPC
-//! topologies ([`Topology`]) so the benches can ablate what a slower,
-//! store-and-forward era interconnect would have done.
+//! also offers a per-hop latency over a binary hypercube, the
+//! first-generation MPC interconnect, so `repro era` can show what a
+//! slower, store-and-forward interconnect would have done.
 //!
 //! Utilization is accounted as the union of transfer intervals (the wire is
 //! "busy" whenever at least one message is in flight), which is what the
@@ -13,71 +13,30 @@
 use crate::machine::ProcId;
 use crate::time::SimTime;
 
-/// Processor-to-processor interconnect topologies for hop-count latency.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Topology {
-    /// Single shared link: every distinct pair is one hop.
-    Bus,
-    /// Bidirectional ring.
-    Ring,
-    /// 2-D mesh of the given width (height implied by processor count).
-    Mesh {
-        /// Columns in the mesh; processor `i` sits at `(i % width, i / width)`.
-        width: usize,
-    },
-    /// Binary hypercube (hop count = Hamming distance).
-    Hypercube,
-}
-
-impl Topology {
-    /// Number of hops between two processors among `n`.
-    pub fn hops(self, n: usize, from: ProcId, to: ProcId) -> u64 {
-        assert!(from < n && to < n, "processor id out of range");
-        if from == to {
-            return 0;
-        }
-        match self {
-            Topology::Bus => 1,
-            Topology::Ring => {
-                let d = from.abs_diff(to);
-                d.min(n - d) as u64
-            }
-            Topology::Mesh { width } => {
-                assert!(width > 0, "mesh width must be positive");
-                let (fx, fy) = (from % width, from / width);
-                let (tx, ty) = (to % width, to / width);
-                (fx.abs_diff(tx) + fy.abs_diff(ty)) as u64
-            }
-            Topology::Hypercube => u64::from((from ^ to).count_ones()),
-        }
-    }
-}
-
 /// How long a message spends on the wire.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NetworkModel {
     /// Fixed latency between any two distinct processors (worm-hole routing
     /// with negligible per-hop cost — the Nectar/new-generation model).
     Constant(SimTime),
-    /// Per-hop latency over a topology (the first-generation
+    /// Per-hop latency over a binary hypercube, where the hop count is
+    /// the Hamming distance of the processor ids (the first-generation
     /// store-and-forward model).
-    PerHop {
+    Hypercube {
         /// Latency contributed by each hop.
         per_hop: SimTime,
-        /// The interconnect shape.
-        topology: Topology,
     },
 }
 
 impl NetworkModel {
-    /// Wire time from `from` to `to` among `n` processors.
-    pub fn latency(self, n: usize, from: ProcId, to: ProcId) -> SimTime {
+    /// Wire time from `from` to `to`.
+    pub fn latency(self, from: ProcId, to: ProcId) -> SimTime {
         if from == to {
             return SimTime::ZERO;
         }
         match self {
             NetworkModel::Constant(l) => l,
-            NetworkModel::PerHop { per_hop, topology } => per_hop * topology.hops(n, from, to),
+            NetworkModel::Hypercube { per_hop } => per_hop * u64::from((from ^ to).count_ones()),
         }
     }
 }
@@ -149,40 +108,19 @@ mod tests {
     #[test]
     fn constant_latency_is_symmetric_and_zero_local() {
         let m = NetworkModel::Constant(SimTime::from_ns(500));
-        assert_eq!(m.latency(8, 1, 2), SimTime::from_ns(500));
-        assert_eq!(m.latency(8, 2, 1), SimTime::from_ns(500));
-        assert_eq!(m.latency(8, 3, 3), SimTime::ZERO);
+        assert_eq!(m.latency(1, 2), SimTime::from_ns(500));
+        assert_eq!(m.latency(2, 1), SimTime::from_ns(500));
+        assert_eq!(m.latency(3, 3), SimTime::ZERO);
     }
 
     #[test]
-    fn ring_hops_wrap_around() {
-        assert_eq!(Topology::Ring.hops(8, 0, 1), 1);
-        assert_eq!(Topology::Ring.hops(8, 0, 7), 1);
-        assert_eq!(Topology::Ring.hops(8, 0, 4), 4);
-        assert_eq!(Topology::Ring.hops(8, 2, 6), 4);
-    }
-
-    #[test]
-    fn mesh_hops_manhattan() {
-        let t = Topology::Mesh { width: 4 };
-        // Processor 0 = (0,0); processor 7 = (3,1).
-        assert_eq!(t.hops(16, 0, 7), 4);
-        assert_eq!(t.hops(16, 5, 6), 1);
-    }
-
-    #[test]
-    fn hypercube_hops_hamming() {
-        assert_eq!(Topology::Hypercube.hops(8, 0b000, 0b111), 3);
-        assert_eq!(Topology::Hypercube.hops(8, 0b101, 0b100), 1);
-    }
-
-    #[test]
-    fn per_hop_latency_scales() {
-        let m = NetworkModel::PerHop {
+    fn hypercube_latency_scales_with_hamming_distance() {
+        let m = NetworkModel::Hypercube {
             per_hop: SimTime::from_us(2),
-            topology: Topology::Hypercube,
         };
-        assert_eq!(m.latency(8, 0, 7), SimTime::from_us(6));
+        assert_eq!(m.latency(0b000, 0b111), SimTime::from_us(6));
+        assert_eq!(m.latency(0b101, 0b100), SimTime::from_us(2));
+        assert_eq!(m.latency(5, 5), SimTime::ZERO);
     }
 
     #[test]
@@ -203,12 +141,6 @@ mod tests {
         assert_eq!(u.busy_time(), SimTime::ZERO);
         assert_eq!(u.idle_fraction(SimTime::from_us(5)), 1.0);
         assert_eq!(u.idle_fraction(SimTime::ZERO), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn hops_rejects_bad_proc() {
-        Topology::Bus.hops(4, 0, 9);
     }
 
     /// The historical sort-everything-on-query implementation, kept as a

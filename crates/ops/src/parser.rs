@@ -19,7 +19,17 @@
 //!
 //! Variables are written `<name>`. A bare constant after `^attr` means an
 //! equality test; a predicate token before the operand makes it relational,
-//! e.g. `^size > 4` or `^size > <s>`.
+//! e.g. `^size > 4` or `^size > <s>`. RHS computations nest at most
+//! [`MAX_RHS_NESTING`] deep.
+//!
+//! The parser reads client input (`mpps run`, `mpps serve`), so malformed
+//! input is a `ParseError`, and the module denies `unwrap`, `expect` and
+//! `panic!` outside tests.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::cond::{AttrTest, ConditionElement, Predicate, TestKind};
 use crate::error::{OpsError, ParseError};
@@ -27,6 +37,13 @@ use crate::production::{Action, Production, Program, RhsOp, RhsValue};
 use crate::symbol::{intern, Symbol};
 use crate::value::Value;
 use crate::wme::Wme;
+
+/// How deep `(op a b)` computations may nest in one RHS value. A value is
+/// built, validated, evaluated, printed and dropped by recursion, so this
+/// one limit bounds the stack all of those use. The deepest value in this
+/// repository nests 2 (the fuzz generator's `(mod (op <v> k) 3)`); a debug
+/// build still serves 1024 levels on a 2 MiB thread stack.
+pub const MAX_RHS_NESTING: usize = 256;
 
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Tok {
@@ -429,7 +446,7 @@ impl Parser {
             "write" => {
                 let mut vals = Vec::new();
                 while self.peek() != Some(&Tok::RParen) {
-                    vals.push(self.rhs_value()?);
+                    vals.push(self.rhs_value(0)?);
                 }
                 Action::Write(vals)
             }
@@ -442,13 +459,13 @@ impl Parser {
                         )
                     }
                 };
-                Action::Bind(var, self.rhs_value()?)
+                Action::Bind(var, self.rhs_value(0)?)
             }
             "call" => {
                 let name = self.expect_sym("function name")?;
                 let mut args = Vec::new();
                 while self.peek() != Some(&Tok::RParen) {
-                    args.push(self.rhs_value()?);
+                    args.push(self.rhs_value(0)?);
                 }
                 Action::Call(name, args)
             }
@@ -472,16 +489,20 @@ impl Parser {
     /// `^attr rhsval` pairs until the closing paren (not consumed).
     fn attr_values(&mut self) -> Result<Vec<(Symbol, RhsValue)>, ParseError> {
         let mut out = Vec::new();
-        while let Some(Tok::Attr(_)) = self.peek() {
-            let Some(Tok::Attr(attr)) = self.next() else {
-                unreachable!()
-            };
-            out.push((attr, self.rhs_value()?));
+        while let Some(&Tok::Attr(attr)) = self.peek() {
+            self.next();
+            out.push((attr, self.rhs_value(0)?));
         }
         Ok(out)
     }
 
-    fn rhs_value(&mut self) -> Result<RhsValue, ParseError> {
+    /// An RHS value inside `depth` enclosing computations.
+    fn rhs_value(&mut self, depth: usize) -> Result<RhsValue, ParseError> {
+        if depth == MAX_RHS_NESTING && self.peek() == Some(&Tok::LParen) {
+            return Err(self.err_at(format!(
+                "RHS computation nested deeper than {MAX_RHS_NESTING}"
+            )));
+        }
         match self.next() {
             Some(Tok::Sym(s)) => Ok(RhsValue::Const(Value::Sym(s))),
             Some(Tok::Int(i)) => Ok(RhsValue::Const(Value::Int(i))),
@@ -497,8 +518,8 @@ impl Parser {
                     },
                     other => return Err(self.err_at(format!("expected operator, found {other:?}"))),
                 };
-                let a = self.rhs_value()?;
-                let b = self.rhs_value()?;
+                let a = self.rhs_value(depth + 1)?;
+                let b = self.rhs_value(depth + 1)?;
                 self.expect(&Tok::RParen, "')' closing computation")?;
                 Ok(RhsValue::Compute(op, Box::new(a), Box::new(b)))
             }
@@ -672,6 +693,35 @@ mod tests {
             e.to_string().contains("bad integer -9223372036854775809"),
             "{e}"
         );
+    }
+
+    /// `(p a (x ^v <v>) --> (make y ^w (+ (+ … 1) 1)) (remove 1))` with
+    /// `depth` nested additions.
+    fn nested_program(depth: usize) -> String {
+        format!(
+            "(p a (x ^v <v>) --> (make y ^w {}1{}) (remove 1))",
+            "(+ ".repeat(depth),
+            " 1)".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn rhs_nesting_at_the_limit_parses_and_one_deeper_is_an_error() {
+        let p = parse_production(&nested_program(MAX_RHS_NESTING)).unwrap();
+        assert_eq!(parse_production(&p.to_string()).unwrap(), p);
+        let Action::Make { attrs, .. } = &p.rhs[0] else {
+            panic!("expected make")
+        };
+        let sum = attrs[0].1.eval(&crate::Bindings::default()).unwrap();
+        assert_eq!(sum, Value::Int(MAX_RHS_NESTING as i64 + 1));
+        let e = parse_program(&nested_program(MAX_RHS_NESTING + 1)).unwrap_err();
+        let OpsError::Parse(pe) = e else {
+            panic!("expected a parse error, got {e:?}")
+        };
+        // The offending token is the innermost `(`.
+        let col = "(p a (x ^v <v>) --> (make y ^w ".len() + 3 * MAX_RHS_NESTING + 1;
+        assert_eq!((pe.line, pe.col), (1, col), "{pe}");
+        assert!(pe.message.contains("nested deeper than"), "{pe}");
     }
 
     #[test]

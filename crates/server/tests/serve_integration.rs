@@ -374,3 +374,31 @@ fn remove_through_the_server_equals_the_bare_interpreter() {
         bare.matcher().conflict_set()
     );
 }
+
+/// A program at the parser's RHS nesting limit is built, evaluated and
+/// dropped on a server worker thread's default stack without exhausting it.
+#[test]
+fn rhs_at_the_nesting_limit_serves_on_a_worker_thread() {
+    let depth = mpps_ops::parser::MAX_RHS_NESTING;
+    let src = format!(
+        "(p a (x ^v <v>) --> (make y ^w {}<v>{}) (remove 1))",
+        "(+ ".repeat(depth),
+        " 1)".repeat(depth)
+    );
+    let mut server = Server::new(mpps_ops::parse_program(&src).unwrap(), config(1)).unwrap();
+    let (id, _) = server.create_session(Vec::new()).unwrap();
+    let x = mpps_ops::parse_wme("(x ^v 1)").unwrap();
+    let request = server.submit(id, vec![x]).unwrap();
+    let Reply::Cycles { fired, .. } = server.wait_for(request, TIMEOUT).unwrap() else {
+        panic!("expected a cycles reply");
+    };
+    assert_eq!(fired, 1);
+    let request = server.snapshot(id).unwrap();
+    let Reply::SnapshotBytes { bytes, .. } = server.wait_for(request, TIMEOUT).unwrap() else {
+        panic!("expected snapshot bytes");
+    };
+    let wm = mpps_server::Session::decode_state(&bytes, server.fingerprint()).unwrap();
+    assert_eq!(wm.len(), 1);
+    let w = wm[0].1.get(mpps_ops::intern("w"));
+    assert_eq!(w, Some(mpps_ops::Value::Int(1 + depth as i64)));
+}

@@ -270,6 +270,30 @@ fn simulate_rejects_out_of_range_bucket_without_panicking() {
 }
 
 #[test]
+fn simulate_rejects_oversized_table_without_aborting() {
+    let dir = std::env::temp_dir().join(format!("mpps-cli-bigtable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("big.trace");
+    // 2^42 buckets: one owner per bucket would not fit in memory.
+    std::fs::write(
+        &trace_path,
+        "mpps-trace v1 table_size=4398046511104\ncycle\nJ n1 R + b0 .\n",
+    )
+    .unwrap();
+    let out = mpps()
+        .args(["simulate", trace_path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 1: bad table_size: 4398046511104 exceeds 1048576"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn simulate_format_json_emits_parseable_summary() {
     let (dir, trace_path) = make_trace("json");
     let out = mpps()
@@ -878,6 +902,41 @@ fn bad_input_fails_cleanly() {
 /// RHS arithmetic that leaves `i64` is a typed runtime error: `run` exits
 /// 1 with the message (never a panic's 101, never a wrapped value), and a
 /// served session reports it on its own line without losing its worker.
+#[test]
+fn deeply_nested_rhs_is_a_parse_error_not_a_stack_overflow() {
+    let dir = std::env::temp_dir().join(format!("mpps-cli-nesting-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let program = dir.join("deep.ops");
+    let depth = 50_000;
+    std::fs::write(
+        &program,
+        format!(
+            "(p a (x ^v <v>) --> (make y ^w {}1{}) (remove 1))\n",
+            "(+ ".repeat(depth),
+            " 1)".repeat(depth)
+        ),
+    )
+    .unwrap();
+    let wm = dir.join("deep.wm");
+    std::fs::write(&wm, "(x ^v 1)\n").unwrap();
+    let out = mpps()
+        .args([
+            "run",
+            program.to_str().unwrap(),
+            "--wm",
+            wm.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("parse error at 1:") && stderr.contains("nested deeper than 256"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn rhs_integer_overflow_is_an_error_not_a_panic() {
     let dir = std::env::temp_dir().join(format!("mpps-cli-overflow-{}", std::process::id()));

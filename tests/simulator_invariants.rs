@@ -2,7 +2,7 @@
 //! must hold for every trace, processor count, and overhead setting.
 
 use mpps::core::sweep::baseline;
-use mpps::core::{simulate, MappingConfig, OverheadSetting, Partition};
+use mpps::core::{simulate, MappingConfig, OverheadSetting, Partition, TerminationModel};
 use mpps::mpcsim::SimTime;
 use mpps::ops::Sign;
 use mpps::rete::trace::{ActKind, ActivationRecord, TraceCycle};
@@ -152,28 +152,38 @@ proptest! {
         prop_assert_eq!(right as usize, expected.right);
     }
 
-    /// The processor-pair variant is at least as fast as combined when
-    /// communication is free (it strictly adds overlap), and never
-    /// processes a different activation count.
+    /// Drain reports add exactly one message per match processor per
+    /// cycle (the packet's report) plus one per token routed to another
+    /// match processor, and change nothing else the trace decides.
     #[test]
-    fn pairs_no_slower_with_free_messages(trace in arb_trace(), p in 1usize..5) {
-        let zero = MappingConfig {
-            network: mpps::mpcsim::NetworkModel::Constant(SimTime::ZERO),
-            ..MappingConfig::standard(p, OverheadSetting::ZERO)
+    fn drain_reports_add_one_message_per_inbound_message(
+        trace in arb_trace(),
+        seed in 0u64..4,
+        p in 1usize..9,
+        row in 0usize..4,
+    ) {
+        let omniscient = MappingConfig::standard(p, OverheadSetting::table_5_1()[row]);
+        let reports = MappingConfig {
+            termination: TerminationModel::Reports,
+            ..omniscient
         };
-        let pairs = MappingConfig {
-            variant: mpps::core::MappingVariant::ProcessorPairs,
-            ..zero
-        };
-        let partition = Partition::round_robin(TABLE, p);
-        let combined_report = simulate(&trace, &zero, &partition);
-        let pairs_report = simulate(&trace, &pairs, &partition);
-        prop_assert!(
-            pairs_report.total <= combined_report.total,
-            "pairs {} > combined {}",
-            pairs_report.total,
-            combined_report.total
-        );
+        let partition = Partition::random(TABLE, p, seed);
+        let base = simulate(&trace, &omniscient, &partition);
+        let priced = simulate(&trace, &reports, &partition);
+        for (c, cycle) in trace.cycles.iter().enumerate() {
+            let acts = &cycle.activations;
+            let routed = acts
+                .iter()
+                .filter(|a| a.kind == ActKind::TwoInput)
+                .filter_map(|a| a.parent.map(|parent| (a, &acts[parent as usize])))
+                .filter(|(a, parent)| partition.owner(a.bucket) != partition.owner(parent.bucket))
+                .count() as u64;
+            let (b, r) = (&base.cycles[c], &priced.cycles[c]);
+            prop_assert_eq!(r.network_messages, b.network_messages + p as u64 + routed);
+            prop_assert_eq!(&r.left_acts, &b.left_acts);
+            prop_assert_eq!(&r.right_acts, &b.right_acts);
+            prop_assert_eq!(r.instantiations, b.instantiations);
+        }
     }
 }
 
@@ -207,6 +217,48 @@ proptest! {
                 first.stats().total() + rest.stats().total(),
                 full.total()
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Hostile trace text: a valid trace's text with one byte replaced, a
+    /// line deleted or duplicated, or the tail cut off either parses or is
+    /// an error, never a panic; a mutant that parses simulates.
+    #[test]
+    fn mutated_trace_text_never_panics(
+        trace in arb_trace(),
+        mutation in 0u8..4,
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let text = trace.to_text();
+        let mut lines: Vec<&str> = text.lines().collect();
+        let mutant = match mutation {
+            0 => {
+                let mut bytes = text.clone().into_bytes();
+                // Mostly digits: numbers are what the parser must range-check.
+                let alphabet = b"0123456789 .<\n";
+                let i = at.index(bytes.len());
+                bytes[i] = alphabet[usize::from(byte) % alphabet.len()];
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            1 => {
+                lines.remove(at.index(lines.len()));
+                lines.join("\n")
+            }
+            2 => {
+                let i = at.index(lines.len());
+                lines.insert(i, lines[i]);
+                lines.join("\n")
+            }
+            _ => text[..at.index(text.len())].to_owned(),
+        };
+        if let Ok(parsed) = Trace::from_text(&mutant) {
+            let config = MappingConfig::standard(2, OverheadSetting::table_5_1()[1]);
+            simulate(&parsed, &config, &Partition::round_robin(parsed.table_size, 2));
         }
     }
 }
