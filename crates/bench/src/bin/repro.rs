@@ -176,8 +176,8 @@ fn fig5_3<'t>(_: &'t Sections, _: &mut SweepPlan<'t>) -> Print<'t> {
     use mpps_rete::{transform::unshare, ReteNetwork};
     Box::new(|_| {
         let src = r#"
-        (p o1 (i1 ^k <k>) (i2 ^k <k> ^tag a) --> (remove 1))
-        (p o2 (i1 ^k <k>) (i2 ^k <k> ^tag b) --> (remove 1))
+        (p o1 (i1 ^k <k>) (i2 ^k <k>) (i3 ^tag a) --> (remove 1))
+        (p o2 (i1 ^k <k>) (i2 ^k <k>) (i3 ^tag b) --> (remove 1))
     "#;
         let program = parse_program(src).unwrap();
         let shared = ReteNetwork::compile(&program).unwrap();

@@ -14,7 +14,7 @@ const DIGESTS: &[(&str, u64)] = &[
     ("table5-1", 0x15ea_0cde_3185_1476),
     ("fig5-2", 0x79cd_26d9_17f9_6f37),
     ("table5-2", 0xa5f4_f5ae_c8cf_4a6d),
-    ("fig5-3", 0x33eb_a8ce_60cf_6ee1),
+    ("fig5-3", 0x6bba_9569_8548_cec1),
     ("fig5-4", 0x40ff_efb5_2fba_8ed1),
     ("fig5-5", 0xe497_81c8_c212_0a2c),
     ("fig5-6", 0x0453_a14c_c664_ce4d),

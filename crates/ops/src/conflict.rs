@@ -223,6 +223,13 @@ impl ConflictSet {
         select(program, strategy, self.iter(), refracted)
     }
 
+    /// Free the map's spare capacity (all of it when the set is empty).
+    /// Entries and counts stay; only the iteration order may change,
+    /// which nothing depends on.
+    pub fn shrink_to_fit(&mut self) {
+        self.counts.shrink_to_fit();
+    }
+
     /// The visible entries in canonical order: the snapshot
     /// [`crate::Matcher::conflict_set`] returns.
     pub fn sorted(&self) -> Vec<Instantiation> {

@@ -151,9 +151,13 @@ impl Refraction {
 
     /// Drop the dead keys if the memory has doubled since the last sweep.
     fn sweep_if_due(&mut self, wm: &WorkingMemory) {
-        if self.keys.len() <= (2 * self.survivors).max(SWEEP_FLOOR) {
-            return;
+        if self.keys.len() > (2 * self.survivors).max(SWEEP_FLOOR) {
+            self.sweep(wm);
         }
+    }
+
+    /// Drop every dead key now.
+    fn sweep(&mut self, wm: &WorkingMemory) {
         self.keys.retain(|inst| live(wm, inst.wme_ids()));
         self.survivors = self.keys.len();
     }
@@ -607,6 +611,17 @@ impl<M: Matcher> Interpreter<M> {
     /// recorded trace between runs).
     pub fn matcher_mut(&mut self) -> &mut M {
         &mut self.matcher
+    }
+
+    /// Free what the interpreter holds beyond its live state between
+    /// runs: the dead refraction keys, swept now instead of when the next
+    /// sweep falls due, and the refraction memory's spare capacity. Exact
+    /// at any time: a dead key can never block a firing again. The
+    /// matcher is not touched; a caller that keeps many idle interpreters
+    /// shrinks it through [`Interpreter::matcher_mut`].
+    pub fn shrink_to_live(&mut self) {
+        self.fired_keys.sweep(&self.wm);
+        self.fired_keys.keys.shrink_to_fit();
     }
 
     /// True once a `(halt)` has executed.

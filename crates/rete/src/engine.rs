@@ -148,6 +148,19 @@ impl<M: MetricSink> ReteMatcher<M> {
         self.config
     }
 
+    /// Free what the matcher holds beyond its live match state: the work
+    /// queue and output buffer, the kernel's spare capacity
+    /// ([`Kernel::shrink_to_live`]) and the conflict set's. For a caller
+    /// that keeps many idle matchers, such as a server's sessions, between
+    /// batches; [`Matcher::process`] never calls it. It changes no match
+    /// result and no trace: only empty buckets are freed.
+    pub fn shrink_to_live(&mut self) {
+        self.queue = VecDeque::new();
+        self.out = Vec::new();
+        self.kernel.shrink_to_live();
+        self.conflict.shrink_to_fit();
+    }
+
     fn record(
         &mut self,
         node: NodeId,

@@ -351,6 +351,25 @@ impl<M: MetricSink> Kernel<M> {
         self.batch.clear();
     }
 
+    /// Free what the kernel holds beyond its live state: the empty
+    /// buckets of both tables ([`GlobalMemories::shrink_to_live`]), the
+    /// arena's spare records ([`TokenArena::shrink_to_live`]), the scratch
+    /// vectors and the batch. Call only between batches, after
+    /// [`Kernel::end_batch`]. Match results do not change: no stored entry
+    /// moves.
+    pub fn shrink_to_live(&mut self) {
+        debug_assert!(self.batch.is_empty(), "shrinking inside a batch");
+        self.mem.shrink_to_live();
+        self.arena.shrink_to_live();
+        self.eq_vals = Vec::new();
+        self.pred_vals = Vec::new();
+        self.bind_vals = Vec::new();
+        self.transitions = Vec::new();
+        self.wme_ids = Vec::new();
+        self.alphas = Vec::new();
+        self.batch = Vec::new();
+    }
+
     /// A level-0 token for `change`'s WME under `binds` (caller owns one ref).
     fn seed(&mut self, change: &WmeChange, binds: &[(Symbol, Symbol)]) -> TokenId {
         let t = self.arena.alloc(TokenId::NONE, change.id);

@@ -100,6 +100,19 @@ impl GlobalMemories {
     pub fn right_bucket_mut(&mut self, bucket: u64) -> &mut Vec<RightEntry> {
         &mut self.right[bucket as usize]
     }
+
+    /// Free the capacity of every empty bucket, leaving only its header.
+    /// A non-empty bucket keeps its `Vec` as it is, so no entry moves and
+    /// every later probe sees the same entries in the same order.
+    pub fn shrink_to_live(&mut self) {
+        fn free_empty<T>(buckets: &mut [Vec<T>]) {
+            for b in buckets.iter_mut().filter(|b| b.is_empty()) {
+                *b = Vec::new();
+            }
+        }
+        free_empty(&mut self.left);
+        free_empty(&mut self.right);
+    }
 }
 
 #[cfg(test)]
@@ -157,6 +170,20 @@ mod tests {
         let pos = b.iter().position(|e| e.wme_id == WmeId(10)).unwrap();
         b.swap_remove(pos);
         assert_eq!(m.right_len(), 1);
+    }
+
+    #[test]
+    fn shrink_frees_only_empty_buckets() {
+        let mut m = GlobalMemories::new(4);
+        m.left_bucket_mut(0).push(le(1, 1, 0));
+        m.left_bucket_mut(0).push(le(1, 2, 1));
+        m.left_bucket_mut(1).push(le(2, 3, 2));
+        m.left_bucket_mut(1).clear();
+        m.shrink_to_live();
+        assert_eq!(m.left[1].capacity(), 0, "an empty bucket keeps no capacity");
+        let kept: Vec<u64> = m.left[0].iter().map(|e| e.key_hash).collect();
+        assert_eq!(kept, [1, 2], "a non-empty bucket is untouched");
+        assert!(m.left[0].capacity() >= 2);
     }
 
     #[test]

@@ -103,9 +103,24 @@ impl TokenArena {
         self.free_high_water
     }
 
-    /// Number of record slots ever created (live + free).
+    /// Number of record slots held (live + free).
     pub fn capacity(&self) -> usize {
         self.recs.len()
+    }
+
+    /// Free what the arena holds beyond its live records: every record
+    /// when no token is live, otherwise the value buffers of the free
+    /// records. The counters (allocs, frees, both high-water marks) stay
+    /// as they are.
+    pub fn shrink_to_live(&mut self) {
+        if self.live == 0 {
+            self.recs = Vec::new();
+            self.free = Vec::new();
+            return;
+        }
+        for &id in &self.free {
+            self.recs[id.0 as usize].vals = Vec::new();
+        }
     }
 
     /// Allocate a record extending `parent` (or a seed when `parent` is
@@ -358,6 +373,41 @@ mod tests {
         assert_eq!(a.capacity(), 2);
         assert_eq!(a.high_water(), 2, "peak occupancy is sticky");
         a.release(again);
+    }
+
+    #[test]
+    fn shrink_keeps_live_chains_and_counters() {
+        let mut a = TokenArena::new();
+        let seed = a.alloc(TokenId::NONE, WmeId(1));
+        a.push_val(seed, Value::Int(10));
+        let dead = a.alloc(TokenId::NONE, WmeId(2));
+        a.push_val(dead, Value::Int(20));
+        let top = a.alloc(seed, WmeId(3));
+        a.release(seed);
+        a.release(dead);
+        a.shrink_to_live();
+        assert_eq!(a.capacity(), 3, "live records keep their slots");
+        assert_eq!(a.recs[dead.0 as usize].vals.capacity(), 0);
+        assert_eq!(a.value(top, VarRef { level: 0, slot: 0 }), Value::Int(10));
+        assert_eq!(a.wme_ids(top), vec![WmeId(1), WmeId(3)]);
+        // A free record whose buffer went is reused like any other.
+        let again = a.alloc(TokenId::NONE, WmeId(4));
+        a.push_val(again, Value::Int(40));
+        assert_eq!(again, dead);
+        assert_eq!(a.value(again, VarRef { level: 0, slot: 0 }), Value::Int(40));
+        a.release(again);
+        a.release(top);
+        assert_eq!(a.live(), 0);
+        let counters = (a.allocs(), a.frees(), a.high_water(), a.free_high_water());
+        a.shrink_to_live();
+        assert_eq!(a.capacity(), 0, "an arena with no live token holds nothing");
+        assert_eq!(
+            (a.allocs(), a.frees(), a.high_water(), a.free_high_water()),
+            counters
+        );
+        let fresh = a.alloc(TokenId::NONE, WmeId(5));
+        assert_eq!(fresh, TokenId(0));
+        assert_eq!(a.live(), 1);
     }
 
     #[test]

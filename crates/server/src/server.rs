@@ -86,9 +86,11 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Conflict-resolution strategy sessions run under.
     pub strategy: Strategy,
-    /// Per-session match-engine configuration. The default table size is
-    /// deliberately small (16): global-memory buckets cost space per
-    /// *session* here, not per server, and serving WMs are tiny.
+    /// Per-session match-engine configuration. Every session has its own
+    /// pair of global tables, so the default table size (16) is sized to
+    /// serving working memories, which are tiny. A bucket left empty costs
+    /// only its header (24 B) once its session settles: `Session::run`
+    /// frees the capacity of every empty bucket after each run.
     pub engine: EngineConfig,
     /// Cycle budget per ingestion batch (guards runaway rule loops).
     pub max_cycles_per_batch: usize,
