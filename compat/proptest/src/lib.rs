@@ -429,7 +429,13 @@ pub mod test_runner {
         }
 
         pub fn rng_for_case(&self, case: u32) -> TestRng {
-            TestRng::from_seed(self.base_seed ^ ((case as u64) << 32 | 0x5DEECE66D))
+            TestRng::from_seed(self.case_seed(case))
+        }
+
+        /// The seed of `case`'s stream: distinct for every case, because
+        /// the case number is XORed into bits the constant leaves to it.
+        pub(crate) fn case_seed(&self, case: u32) -> u64 {
+            self.base_seed ^ ((case as u64) << 32) ^ 0x5DEECE66D
         }
     }
 }
@@ -539,6 +545,14 @@ mod tests {
         fn index_maps_into_range(idx in any::<prop::sample::Index>()) {
             prop_assert!(idx.index(7) < 7);
         }
+    }
+
+    #[test]
+    fn every_case_gets_its_own_seed() {
+        let runner = crate::test_runner::TestRunner::new(ProptestConfig::with_cases(256), "seeds");
+        let seeds: std::collections::HashSet<u64> =
+            (0..runner.cases()).map(|c| runner.case_seed(c)).collect();
+        assert_eq!(seeds.len(), 256);
     }
 
     #[test]

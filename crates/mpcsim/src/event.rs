@@ -67,8 +67,24 @@ impl<E> EventQueue<E> {
 
     /// Schedule `payload` at `time`.
     pub fn push(&mut self, time: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.push_at(time, seq, payload);
+    }
+
+    /// Take the sequence number the next [`push`](Self::push) would have
+    /// used, without scheduling anything: an event held outside the queue
+    /// keeps its place among same-time events for a later
+    /// [`push_at`](Self::push_at).
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `payload` at `time` under a sequence number from
+    /// [`reserve_seq`](Self::reserve_seq).
+    pub fn push_at(&mut self, time: SimTime, seq: u64, payload: E) {
+        debug_assert!(seq < self.next_seq, "push_at with an unreserved seq");
         self.heap.push(Entry { time, seq, payload });
     }
 
@@ -129,6 +145,18 @@ mod tests {
         q.push(SimTime::from_us(5), "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
+    }
+
+    #[test]
+    fn reserved_seq_keeps_its_place() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_us(3);
+        q.push(t, "first");
+        let held = q.reserve_seq();
+        q.push(t, "third");
+        q.push_at(t, held, "second");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, ["first", "second", "third"]);
     }
 
     #[test]

@@ -155,8 +155,25 @@ enum Event<M> {
         msg: M,
         remote: bool,
     },
-    /// `proc` may have finished its current work; check its queue.
+    /// `proc` is free and has queued work: start the next message.
     Wakeup { proc: ProcId },
+}
+
+/// A processor's one queued [`Event::Wakeup`] and the requests held behind
+/// it.
+///
+/// Every request reserves its sequence number, as a push would, so all
+/// other events keep their order. A request for the time of the queued
+/// wakeup is held instead of queued: a handler that costs nothing leaves
+/// the processor free at that time, and the next message must then start
+/// at the lowest held `(time, seq)` (see `Simulator::release_held_wakeup`).
+#[derive(Default)]
+struct WakeSlot {
+    /// Time of the processor's wakeup in the event queue (or being
+    /// handled); `None` when it has none.
+    time: Option<SimTime>,
+    /// Sequence numbers of the requests held for `time`, ascending.
+    held: VecDeque<u64>,
 }
 
 /// Outcome of a [`Simulator::run`].
@@ -181,6 +198,9 @@ pub struct Simulator<N: Node, R: Recorder = NullMetrics> {
     nodes: Vec<N>,
     queue: EventQueue<Event<N::Msg>>,
     pending: Vec<VecDeque<(ProcId, N::Msg, bool)>>,
+    wakes: Vec<WakeSlot>,
+    /// A handler's sends, kept between handlers so a run allocates it once.
+    outgoing: Vec<Outgoing<N::Msg>>,
     free_at: Vec<SimTime>,
     proc_metrics: Vec<ProcessorMetrics>,
     usage: NetworkUsage,
@@ -206,6 +226,8 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
         assert!(cfg.processors > 0, "need at least one processor");
         Simulator {
             pending: (0..cfg.processors).map(|_| VecDeque::new()).collect(),
+            wakes: (0..cfg.processors).map(|_| WakeSlot::default()).collect(),
+            outgoing: Vec::new(),
             free_at: vec![SimTime::ZERO; cfg.processors],
             proc_metrics: vec![ProcessorMetrics::default(); cfg.processors],
             nodes,
@@ -267,12 +289,12 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
             start,
             elapsed: SimTime::ZERO,
             cfg: &self.cfg,
-            outgoing: Vec::new(),
+            outgoing: std::mem::take(&mut self.outgoing),
         };
         f(&mut self.nodes[proc], &mut ctx);
         let elapsed = ctx.elapsed;
-        let outgoing = ctx.outgoing;
-        for out in outgoing {
+        let mut outgoing = ctx.outgoing;
+        for out in outgoing.drain(..) {
             if out.remote {
                 let latency = self.cfg.network.latency(proc, out.to);
                 let arrival = out.departure + latency;
@@ -302,6 +324,7 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
                 );
             }
         }
+        self.outgoing = outgoing;
         let end = start + elapsed;
         if R::ENABLED && elapsed > SimTime::ZERO {
             self.recorder
@@ -310,7 +333,46 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
         self.free_at[proc] = end;
         self.proc_metrics[proc].busy_time += elapsed;
         if !self.pending[proc].is_empty() {
-            self.queue.push(end, Event::Wakeup { proc });
+            self.request_wakeup(proc, end);
+        }
+    }
+
+    /// Ask for a wakeup of `proc` at `at`, which is its free time. Only one
+    /// per processor per time is queued; the rest are held.
+    fn request_wakeup(&mut self, proc: ProcId, at: SimTime) {
+        let seq = self.queue.reserve_seq();
+        let slot = &mut self.wakes[proc];
+        if slot.time == Some(at) {
+            slot.held.push_back(seq);
+        } else {
+            // A request for another time comes only while the wakeup at
+            // the old time is being handled and its message keeps the
+            // processor busy past it: the held requests would find it busy.
+            slot.held.clear();
+            slot.time = Some(at);
+            self.queue.push_at(at, seq, Event::Wakeup { proc });
+        }
+    }
+
+    /// After `proc`'s wakeup at `time` has started its message: if that
+    /// cost nothing and work is left, the next message starts where the
+    /// lowest held request for `time` stands, so queue it under its own
+    /// sequence number. Otherwise every held request would find the
+    /// processor busy or its queue empty: drop them.
+    fn release_held_wakeup(&mut self, proc: ProcId, time: SimTime) {
+        let slot = &mut self.wakes[proc];
+        if slot.time != Some(time) {
+            // The message keeps `proc` busy and left work: a request for
+            // its end already replaced the held ones.
+            return;
+        }
+        let free = self.free_at[proc] <= time && !self.pending[proc].is_empty();
+        match slot.held.pop_front() {
+            Some(seq) if free => self.queue.push_at(time, seq, Event::Wakeup { proc }),
+            _ => {
+                slot.held.clear();
+                slot.time = None;
+            }
         }
     }
 
@@ -386,19 +448,19 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
                             );
                             self.recorder.observe("queue-depth", depth);
                         }
-                        // Guarantee a wakeup no earlier than both now and
-                        // the processor's current busy horizon. Redundant
-                        // wakeups are harmless: they re-check the queue.
                         let wake = self.free_at[to].max(time);
-                        self.queue.push(wake, Event::Wakeup { proc: to });
+                        self.request_wakeup(to, wake);
                     }
                 }
                 Event::Wakeup { proc } => {
+                    debug_assert!(
+                        self.free_at[proc] <= time && !self.pending[proc].is_empty(),
+                        "a wakeup that starts no message"
+                    );
                     if self.free_at[proc] <= time {
                         self.run_next_pending(proc, time);
                     }
-                    // If still busy, the active handler's completion will
-                    // schedule another wakeup.
+                    self.release_held_wakeup(proc, time);
                 }
             }
         }
@@ -562,6 +624,64 @@ mod tests {
         // at 1.5us => ends 154.5us.
         assert_eq!(report.makespan, SimTime::from_ns(154_500));
         assert_eq!(report.metrics.processors[1].messages_handled, 3);
+    }
+
+    #[test]
+    fn zero_cost_handlers_start_in_event_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// Logs `(time, proc, msg)` as each message starts. `w` and `x`
+        /// keep their processor busy 10 µs, `B` 5 µs, the rest cost nothing.
+        struct Script {
+            log: Rc<RefCell<Vec<(u64, ProcId, char)>>>,
+        }
+        impl Node for Script {
+            type Msg = char;
+            fn on_message(&mut self, ctx: &mut Ctx<'_, char>, _f: ProcId, m: char) {
+                self.log.borrow_mut().push((ctx.now().as_ns(), ctx.me(), m));
+                match m {
+                    'w' => ctx.compute(SimTime::from_us(10)),
+                    'k' => {
+                        "ABCD".chars().for_each(|c| ctx.send(1, c));
+                        ctx.send(2, 'x');
+                    }
+                    'x' => {
+                        ctx.compute(SimTime::from_us(10));
+                        ctx.send(3, 'X');
+                    }
+                    'X' => ctx.send(1, 'Y'),
+                    'B' => ctx.compute(SimTime::from_us(5)),
+                    _ => {}
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let nodes = (0..4).map(|_| Script { log: log.clone() }).collect();
+        let mut sim = Simulator::new(MachineConfig::ideal(4), nodes);
+        sim.inject(SimTime::ZERO, 1, 'w');
+        sim.inject(SimTime::ZERO, 0, 'k');
+        let report = sim.run();
+        // A..D arrive at 0 while processor 1 is busy until 10. At 10, A costs
+        // nothing, so B starts at once, before X (queued at 0 by x, after
+        // the requests for A..D); B then holds processor 1 until 15, so
+        // C, D and Y (sent at 10 by X) start there.
+        let us = |t: u64| t * 1_000;
+        assert_eq!(
+            *log.borrow(),
+            [
+                (0, 1, 'w'),
+                (0, 0, 'k'),
+                (0, 2, 'x'),
+                (us(10), 1, 'A'),
+                (us(10), 1, 'B'),
+                (us(10), 3, 'X'),
+                (us(15), 1, 'C'),
+                (us(15), 1, 'D'),
+                (us(15), 1, 'Y'),
+            ]
+        );
+        assert_eq!(report.makespan, SimTime::from_us(15));
     }
 
     #[test]

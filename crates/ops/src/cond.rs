@@ -43,17 +43,18 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// Apply the predicate to two values using OPS5's total order.
+    /// Apply the predicate to two values using OPS5's total order. `=` and
+    /// `<>` compare identities only: ordering two symbols reads their
+    /// names from the interner.
     pub fn eval(self, lhs: Value, rhs: Value) -> bool {
         use std::cmp::Ordering::*;
-        let ord = lhs.ops_cmp(rhs);
         match self {
             Predicate::Eq => lhs == rhs,
             Predicate::Ne => lhs != rhs,
-            Predicate::Lt => ord == Less,
-            Predicate::Le => ord != Greater,
-            Predicate::Gt => ord == Greater,
-            Predicate::Ge => ord != Less,
+            Predicate::Lt => lhs.ops_cmp(rhs) == Less,
+            Predicate::Le => lhs.ops_cmp(rhs) != Greater,
+            Predicate::Gt => lhs.ops_cmp(rhs) == Greater,
+            Predicate::Ge => lhs.ops_cmp(rhs) != Less,
         }
     }
 }

@@ -40,6 +40,13 @@
 //! so the mismatch is an error, not a warning. They also reject a state
 //! the restore path could not replay, and reserve no more memory than
 //! the input could fill: the bytes may come from a damaged spill file.
+//! Decoding reads disk and client bytes, so the module denies `unwrap`,
+//! `expect` and `panic!` outside tests.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use mpps_ops::{
     intern, InterpreterState, ProductionId, Program, Sign, Strategy, Value, Wme, WmeChange, WmeId,
@@ -206,7 +213,7 @@ pub fn encode(state: &InterpreterState, fingerprint: u64) -> Result<Vec<u8>, Sna
 /// fingerprint.
 pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<InterpreterState, SnapshotError> {
     let mut r = Reader { bytes, at: 0 };
-    if r.take(4)? != SNAPSHOT_MAGIC {
+    if r.take::<4>()? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u16()?;
@@ -391,7 +398,7 @@ impl<'a> Reader<'a> {
         Vec::with_capacity(len.min((self.bytes.len() - self.at) / min_bytes))
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.at.checked_add(n).ok_or(SnapshotError::Truncated)?;
         if end > self.bytes.len() {
             return Err(SnapshotError::Truncated);
@@ -401,25 +408,31 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        self.bytes(N)?
+            .try_into()
+            .map_err(|_| SnapshotError::Truncated)
+    }
+
     fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+        Ok(self.take::<1>()?[0])
     }
 
     fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take()?))
     }
 
     fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
     fn str(&mut self) -> Result<&'a str, SnapshotError> {
         let n = self.u16()? as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|_| SnapshotError::Corrupt("non-UTF-8 string"))
+        std::str::from_utf8(self.bytes(n)?).map_err(|_| SnapshotError::Corrupt("non-UTF-8 string"))
     }
 
     fn value(&mut self) -> Result<Value, SnapshotError> {

@@ -65,14 +65,25 @@ fn observe(i: &Interpreter<ReteMatcher>) -> Observation {
 }
 
 /// Step both interpreters once and compare everything observable.
-/// Returns true when both went quiescent.
+/// Returns true when both went quiescent or failed with the same error (a
+/// generated RHS may, say, modify an element it already removed; the
+/// error ends the run on both sides alike).
 fn lockstep(
     oracle: &mut Interpreter<ReteMatcher>,
     subject: &mut Interpreter<ReteMatcher>,
     at: &str,
 ) -> bool {
-    let a = oracle.step().expect("oracle step");
-    let b = subject.step().expect("subject step");
+    let (a, b) = match (oracle.step(), subject.step()) {
+        (Ok(a), Ok(b)) => (a, b),
+        (a, b) => {
+            assert_eq!(
+                a.err(),
+                b.err(),
+                "{at}: one side failed, or they failed differently"
+            );
+            return true;
+        }
+    };
     match (&a, &b) {
         (StepOutcome::Fired(x), StepOutcome::Fired(y)) => {
             assert_eq!(x.production, y.production, "{at}: fired different rules");
