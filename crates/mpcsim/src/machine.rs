@@ -204,6 +204,8 @@ pub struct Simulator<N: Node, R: Recorder = NullMetrics> {
     free_at: Vec<SimTime>,
     proc_metrics: Vec<ProcessorMetrics>,
     usage: NetworkUsage,
+    /// Events a run may take before it panics as a livelock: unlimited,
+    /// except where a test lowers it.
     max_events: u64,
     recorder: R,
 }
@@ -240,11 +242,6 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
             max_events: u64::MAX,
             recorder,
         }
-    }
-
-    /// Safety valve: abort after this many events (default unlimited).
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
     }
 
     /// Inject an external message (delivered like a self-send: no
@@ -479,6 +476,15 @@ impl<N: Node, R: Recorder> Simulator<N, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<N: Node, R: Recorder> Simulator<N, R> {
+        /// Safety valve: abort after this many events (default
+        /// unlimited). The guard in [`Simulator::run`] stays in every
+        /// build; only tests lower it.
+        fn set_max_events(&mut self, max: u64) {
+            self.max_events = max;
+        }
+    }
 
     /// Relays a counter around the ring `hops` times, spending `work` per
     /// hop. An injected `None` at processor 0 sends the first hop.

@@ -88,12 +88,6 @@ impl NetworkUsage {
         self.intervals.truncate(kept);
         self.intervals.iter().map(|&(s, e)| e - s).sum()
     }
-
-    /// Fraction of `[0, makespan)` during which the network was idle.
-    /// Delegates to the canonical [`crate::metrics::idle_fraction`].
-    pub fn idle_fraction(&mut self, makespan: SimTime) -> f64 {
-        crate::metrics::idle_fraction(self.busy_time(), makespan)
-    }
 }
 
 #[cfg(test)]
@@ -126,16 +120,18 @@ mod tests {
         u.record(SimTime::from_us(10), SimTime::from_us(11));
         assert_eq!(u.busy_time(), SimTime::from_us(4));
         assert_eq!(u.messages, 3);
-        let idle = u.idle_fraction(SimTime::from_us(100));
+        let idle = crate::metrics::idle_fraction(u.busy_time(), SimTime::from_us(100));
         assert!((idle - 0.96).abs() < 1e-9);
     }
 
     #[test]
     fn usage_empty_is_fully_idle() {
         let mut u = NetworkUsage::default();
-        assert_eq!(u.busy_time(), SimTime::ZERO);
-        assert_eq!(u.idle_fraction(SimTime::from_us(5)), 1.0);
-        assert_eq!(u.idle_fraction(SimTime::ZERO), 1.0);
+        let busy = u.busy_time();
+        assert_eq!(busy, SimTime::ZERO);
+        let idle = |span| crate::metrics::idle_fraction(busy, span);
+        assert_eq!(idle(SimTime::from_us(5)), 1.0);
+        assert_eq!(idle(SimTime::ZERO), 1.0);
     }
 
     /// A standalone sort-and-sweep over every recorded transfer: the

@@ -1,4 +1,12 @@
 //! Productions, right-hand sides, and whole programs.
+//!
+//! Programs are built from client text, so the module denies `unwrap`,
+//! `expect` and `panic!` outside tests.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::cond::{Bindings, ConditionElement, TestKind};
 use crate::error::OpsError;
@@ -379,7 +387,9 @@ impl Program {
         if self.productions.iter().any(|p| p.name == production.name) {
             return Err(OpsError::DuplicateProduction(production.name.to_string()));
         }
-        let id = ProductionId(u32::try_from(self.productions.len()).expect("program too large"));
+        let id = ProductionId(u32::try_from(self.productions.len()).map_err(|_| {
+            OpsError::InvalidProduction(production.name.to_string(), "program too large".into())
+        })?);
         self.productions.push(production);
         Ok(id)
     }

@@ -153,7 +153,8 @@ impl<M: MetricSink> ReteMatcher<M> {
     /// ([`Kernel::shrink_to_live`]) and the conflict set's. For a caller
     /// that keeps many idle matchers, such as a server's sessions, between
     /// batches; [`Matcher::process`] never calls it. It changes no match
-    /// result and no trace: only empty buckets are freed.
+    /// result and no trace: no stored entry changes its bucket or its
+    /// place in it, and every live token keeps its id.
     pub fn shrink_to_live(&mut self) {
         self.queue = VecDeque::new();
         self.out = Vec::new();

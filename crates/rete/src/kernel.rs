@@ -351,12 +351,13 @@ impl<M: MetricSink> Kernel<M> {
         self.batch.clear();
     }
 
-    /// Free what the kernel holds beyond its live state: the empty
-    /// buckets of both tables ([`GlobalMemories::shrink_to_live`]), the
-    /// arena's spare records ([`TokenArena::shrink_to_live`]), the scratch
-    /// vectors and the batch. Call only between batches, after
-    /// [`Kernel::end_batch`]. Match results do not change: no stored entry
-    /// moves.
+    /// Free what the kernel holds beyond its live state: the spare
+    /// capacity of every bucket of both tables
+    /// ([`GlobalMemories::shrink_to_live`]), the arena's spare records
+    /// ([`TokenArena::shrink_to_live`]), the scratch vectors and the
+    /// batch. Call only between batches, after [`Kernel::end_batch`].
+    /// Match results do not change: no stored entry moves to another
+    /// bucket or place, and every live token keeps its id.
     pub fn shrink_to_live(&mut self) {
         debug_assert!(self.batch.is_empty(), "shrinking inside a batch");
         self.mem.shrink_to_live();
@@ -677,12 +678,11 @@ impl<M: MetricSink> Kernel<M> {
                         if !wme_passes(&e.wme, &join.spec, &self.eq_vals, &self.pred_vals) {
                             continue;
                         }
-                        let (e_wme_id, e_wme) = (e.wme_id, e.wme.clone());
-                        let child = self.arena.alloc(token, e_wme_id);
+                        let child = self.arena.alloc(token, e.wme_id);
                         for &(_, attr) in &join.spec.binds {
                             self.arena.push_val(
                                 child,
-                                e_wme.get(attr).expect("alpha guaranteed presence"),
+                                e.wme.get(attr).expect("alpha guaranteed presence"),
                             );
                         }
                         fan_out(net, &mut self.arena, node, child, sign, out);

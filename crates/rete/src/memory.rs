@@ -101,17 +101,16 @@ impl GlobalMemories {
         &mut self.right[bucket as usize]
     }
 
-    /// Free the capacity of every empty bucket, leaving only its header.
-    /// A non-empty bucket keeps its `Vec` as it is, so no entry moves and
-    /// every later probe sees the same entries in the same order.
+    /// Shrink every bucket to its entries: an empty bucket keeps only its
+    /// header. A non-empty bucket keeps its order, so every later probe
+    /// sees the same entries in the same order.
     pub fn shrink_to_live(&mut self) {
-        fn free_empty<T>(buckets: &mut [Vec<T>]) {
-            for b in buckets.iter_mut().filter(|b| b.is_empty()) {
-                *b = Vec::new();
-            }
+        for b in &mut self.left {
+            b.shrink_to_fit();
         }
-        free_empty(&mut self.left);
-        free_empty(&mut self.right);
+        for b in &mut self.right {
+            b.shrink_to_fit();
+        }
     }
 }
 
@@ -173,17 +172,23 @@ mod tests {
     }
 
     #[test]
-    fn shrink_frees_only_empty_buckets() {
+    fn shrink_fits_buckets_and_keeps_their_order() {
         let mut m = GlobalMemories::new(4);
-        m.left_bucket_mut(0).push(le(1, 1, 0));
-        m.left_bucket_mut(0).push(le(1, 2, 1));
+        for (i, h) in [3, 1, 2].into_iter().enumerate() {
+            m.left_bucket_mut(0).push(le(1, h, i as u32));
+        }
+        m.left_bucket_mut(0).swap_remove(0);
         m.left_bucket_mut(1).push(le(2, 3, 2));
         m.left_bucket_mut(1).clear();
         m.shrink_to_live();
         assert_eq!(m.left[1].capacity(), 0, "an empty bucket keeps no capacity");
         let kept: Vec<u64> = m.left[0].iter().map(|e| e.key_hash).collect();
-        assert_eq!(kept, [1, 2], "a non-empty bucket is untouched");
-        assert!(m.left[0].capacity() >= 2);
+        assert_eq!(kept, [2, 1], "a non-empty bucket keeps its order");
+        assert_eq!(
+            m.left[0].capacity(),
+            2,
+            "a non-empty bucket fits its entries"
+        );
     }
 
     #[test]

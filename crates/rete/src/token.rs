@@ -108,19 +108,26 @@ impl TokenArena {
         self.recs.len()
     }
 
-    /// Free what the arena holds beyond its live records: every record
-    /// when no token is live, otherwise the value buffers of the free
-    /// records. The counters (allocs, frees, both high-water marks) stay
-    /// as they are.
+    /// Free what the arena holds beyond its live records: the free
+    /// records after the last live one (every record when no token is
+    /// live), the value buffers of the free records that stay, and the
+    /// spare capacity of both vectors. A free record is exactly one whose
+    /// `rc` is 0, so every live id stays valid; the free list keeps its
+    /// order. The counters (allocs, frees, both high-water marks) stay as
+    /// they are.
     pub fn shrink_to_live(&mut self) {
-        if self.live == 0 {
-            self.recs = Vec::new();
-            self.free = Vec::new();
-            return;
-        }
+        let keep = self
+            .recs
+            .iter()
+            .rposition(|r| r.rc > 0)
+            .map_or(0, |i| i + 1);
+        self.recs.truncate(keep);
+        self.free.retain(|id| (id.0 as usize) < keep);
         for &id in &self.free {
             self.recs[id.0 as usize].vals = Vec::new();
         }
+        self.recs.shrink_to_fit();
+        self.free.shrink_to_fit();
     }
 
     /// Allocate a record extending `parent` (or a seed when `parent` is
@@ -408,6 +415,44 @@ mod tests {
         let fresh = a.alloc(TokenId::NONE, WmeId(5));
         assert_eq!(fresh, TokenId(0));
         assert_eq!(a.live(), 1);
+    }
+
+    #[test]
+    fn shrink_trims_the_free_tail_and_keeps_live_ids() {
+        let mut a = TokenArena::new();
+        let seed = a.alloc(TokenId::NONE, WmeId(1));
+        a.push_val(seed, Value::Int(10));
+        let early = a.alloc(TokenId::NONE, WmeId(2));
+        let top = a.alloc(seed, WmeId(3));
+        let tail = [
+            a.alloc(TokenId::NONE, WmeId(4)),
+            a.alloc(TokenId::NONE, WmeId(5)),
+        ];
+        a.release(seed); // `top` still holds it
+        a.release(tail[0]);
+        a.release(early);
+        a.release(tail[1]);
+        assert_eq!(a.capacity(), 5);
+        a.shrink_to_live();
+        assert_eq!(
+            a.capacity(),
+            3,
+            "the free records after the last live one go"
+        );
+        assert_eq!(
+            a.free,
+            [early],
+            "the free list keeps only ids below the new length"
+        );
+        assert_eq!(a.live(), 2);
+        assert_eq!(a.value(top, VarRef { level: 0, slot: 0 }), Value::Int(10));
+        assert_eq!(a.wme_ids(top), vec![WmeId(1), WmeId(3)]);
+        assert_eq!(
+            a.alloc(TokenId::NONE, WmeId(6)),
+            early,
+            "a kept free slot first"
+        );
+        assert_eq!(a.alloc(TokenId::NONE, WmeId(7)), TokenId(3), "then a push");
     }
 
     #[test]

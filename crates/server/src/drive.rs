@@ -1,5 +1,12 @@
 //! Drivers behind `mpps serve`: a synthetic many-session load generator
-//! and a deterministic line-oriented script interpreter.
+//! and a deterministic line-oriented script interpreter. A script is
+//! client text, so the module denies `unwrap`, `expect` and `panic!`
+//! outside tests.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::server::{Reply, Server, ServerConfig};
 use crate::session::SessionId;
@@ -148,7 +155,11 @@ pub fn run_synthetic(
             for &id in &ids {
                 live[server.worker_of(id)?] += 1;
             }
-            let spread = live.iter().max().unwrap() - live.iter().min().unwrap();
+            let spread = live
+                .iter()
+                .max()
+                .zip(live.iter().min())
+                .map_or(0, |(hi, lo)| hi - lo);
             if spread > 1 {
                 return Err(ServerError::Engine(format!(
                     "rebalance left the pool uneven: {live:?} live sessions per worker"

@@ -87,10 +87,13 @@ pub struct ServerConfig {
     /// Conflict-resolution strategy sessions run under.
     pub strategy: Strategy,
     /// Per-session match-engine configuration. Every session has its own
-    /// pair of global tables, so the default table size (16) is sized to
-    /// serving working memories, which are tiny. A bucket left empty costs
-    /// only its header (24 B) once its session settles: `Session::run`
-    /// frees the capacity of every empty bucket after each run.
+    /// pair of global tables and runs on one worker, so there is nothing
+    /// for buckets to partition: the default table size is 1, one flat
+    /// bucket a side, and probes go through the kernel's `(node,
+    /// key_hash)` prefilter. `Session::run` shrinks every bucket to its
+    /// entries after each run. A program whose sessions hold large
+    /// working memories can ask for more buckets (`mpps serve
+    /// --table-size N`).
     pub engine: EngineConfig,
     /// Cycle budget per ingestion batch (guards runaway rule loops).
     pub max_cycles_per_batch: usize,
@@ -112,7 +115,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             strategy: Strategy::Lex,
             engine: EngineConfig {
-                table_size: 16,
+                table_size: 1,
                 record_trace: false,
             },
             max_cycles_per_batch: 4096,

@@ -101,11 +101,12 @@ impl Session {
     /// Run the MRA cycle until quiescence, halt or `max_cycles`, then
     /// drain the per-cycle change log and the firing log, so a session
     /// keeps no per-request history, and free what the run left beyond
-    /// the session's live state: dead refraction keys, empty buckets,
-    /// spare token records, queue and scratch capacity. A session at rest
-    /// holds its live state, not its high-water mark. Returns the run
-    /// summary plus the number of WME changes the matcher processed — the
-    /// unit the server's throughput metrics count.
+    /// the session's live state: dead refraction keys, bucket capacity,
+    /// the token records after the last live one, queue and scratch
+    /// capacity. A session at rest holds its live state, not its
+    /// high-water mark. Returns the run summary plus the number of WME
+    /// changes the matcher processed — the unit the server's throughput
+    /// metrics count.
     pub fn run(&mut self, max_cycles: usize) -> Result<(RunResult, usize), OpsError> {
         let result = self.interp.run(max_cycles)?;
         let changes: usize = self.interp.drain_change_log().iter().map(Vec::len).sum();

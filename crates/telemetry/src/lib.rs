@@ -46,5 +46,5 @@ pub mod metrics;
 pub mod recorder;
 
 pub use hist::{Histogram, HistogramSummary};
-pub use metrics::{available_cpus, MetricSink, MetricsRegistry, NullMetrics};
+pub use metrics::{available_cpus, peak_rss_kib, MetricSink, MetricsRegistry, NullMetrics};
 pub use recorder::{OffsetRecorder, Recorder, TraceRecorder, Track};

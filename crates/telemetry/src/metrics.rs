@@ -245,6 +245,19 @@ pub fn available_cpus() -> usize {
     advertised.max(counted).max(1)
 }
 
+/// This process's peak resident set in KiB: `VmHWM` from
+/// `/proc/self/status`. `None` where the file or the line is missing, so
+/// a report can leave the figure out rather than print 0.
+pub fn peak_rss_kib() -> Option<u64> {
+    vm_hwm_kib(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM:` line of a `/proc/<pid>/status` text, in KiB.
+fn vm_hwm_kib(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,5 +335,16 @@ mod tests {
     #[test]
     fn available_cpus_is_at_least_one() {
         assert!(available_cpus() >= 1);
+    }
+
+    #[test]
+    fn peak_rss_reads_vm_hwm_or_nothing() {
+        let status = "Name:\tmpps\nVmPeak:\t  20000 kB\nVmHWM:\t    1234 kB\nVmRSS:\t 1000 kB\n";
+        assert_eq!(vm_hwm_kib(status), Some(1234));
+        assert_eq!(vm_hwm_kib("Name:\tmpps\nVmRSS:\t 1000 kB\n"), None);
+        assert_eq!(vm_hwm_kib("VmHWM:\tmany kB\n"), None);
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(peak_rss_kib().is_some_and(|kib| kib > 0));
+        }
     }
 }

@@ -54,8 +54,9 @@
 //! program multiplexed across many independent working-memory sessions on
 //! a bounded-queue worker pool. `--synthetic` drives the built-in
 //! ticket-triage load (`--sessions`/`--rounds`/`--wmes`) and prints
-//! sustained WME-changes/sec plus cycle-latency percentiles;
-//! `--script FILE` replays a deterministic session script
+//! sustained WME-changes/sec plus cycle-latency percentiles (`--stats`
+//! adds per-worker request counts and the process's peak resident memory
+//! on stderr); `--script FILE` replays a deterministic session script
 //! (`session`/`make`/`run`/`snapshot`/`restore`/`destroy`, one command
 //! per line) and prints one log line per command.
 //!
@@ -63,7 +64,14 @@
 //! failures (unreadable file, parse error, fuzz divergence), 2 for caller
 //! mistakes — an unknown subcommand or flag, a missing or malformed flag
 //! value, a value above the flag's ceiling (`--table-size`, `--workers`) —
-//! reported with the subcommand's usage line.
+//! reported with the subcommand's usage line. The binary denies
+//! `unwrap`, `expect` and `panic!` outside tests: a failure is a message
+//! and an exit status, never an abort.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod format;
 
@@ -187,15 +195,16 @@ impl Command {
             None => format!("[--{flag}]"),
         });
         let positional = self.positional.split_whitespace().map(str::to_owned);
-        let mut lines = vec![format!("mpps {}", self.name)];
+        let mut lines = Vec::new();
+        let mut line = format!("mpps {}", self.name);
         for word in positional.chain(flags) {
-            let line = lines.last_mut().expect("starts non-empty");
             if line.len() + 1 + word.len() > 78 {
-                lines.push(format!("          {word}"));
+                lines.push(std::mem::replace(&mut line, format!("          {word}")));
             } else {
-                *line = format!("{line} {word}");
+                line = format!("{line} {word}");
             }
         }
+        lines.push(line);
         lines.join("\n")
     }
 }
@@ -673,7 +682,7 @@ fn cmd_trace(args: &Args) {
     let trace = interp
         .matcher_mut()
         .take_trace()
-        .expect("tracing was enabled");
+        .unwrap_or_else(|| fail("tracing was enabled but no trace was recorded"));
     let stats = trace.stats();
     eprintln!(
         "{:?}: {} cycles, {} firings; activations: {}",
@@ -855,6 +864,12 @@ fn cmd_serve(args: &Args) {
             .enumerate()
         {
             eprintln!("  worker {i}: {requests} requests, peak queue depth {high}");
+        }
+        if let Some(kib) = mpps::telemetry::peak_rss_kib() {
+            eprintln!(
+                "  peak resident memory {kib} KiB ({:.1} MiB)",
+                kib as f64 / 1024.0
+            );
         }
     }
 }

@@ -609,6 +609,10 @@ fn serve_synthetic_prints_throughput_summary() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("worker 0:"), "{stderr}");
     assert!(stderr.contains("worker 1:"), "{stderr}");
+    // The peak is read from /proc; where that is missing, so is the line.
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(stderr.contains("peak resident memory "), "{stderr}");
+    }
 }
 
 #[test]
