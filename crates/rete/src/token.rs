@@ -224,16 +224,30 @@ impl TokenArena {
             if y.parent == TokenId::NONE {
                 return false;
             }
-            x = &self.recs[x.parent.0 as usize];
-            y = &self.recs[y.parent.0 as usize];
+            x = self.up(x);
+            y = self.up(y);
         }
+    }
+
+    /// The record `rec` extends. Each step up a chain drops exactly one
+    /// level, so a corrupt arena (a parent cycle) fails this check in a
+    /// debug build instead of walking forever; release builds pay nothing.
+    #[inline]
+    fn up(&self, rec: &TokenRecord) -> &TokenRecord {
+        let parent = &self.recs[rec.parent.0 as usize];
+        debug_assert_eq!(
+            rec.level.checked_sub(1),
+            Some(parent.level),
+            "token parent is not one level up (corrupt arena)"
+        );
+        parent
     }
 
     /// The value bound at compile-time-resolved position `r` of chain `t`.
     pub fn value(&self, t: TokenId, r: VarRef) -> Value {
         let mut rec = &self.recs[t.0 as usize];
         while rec.level > r.level {
-            rec = &self.recs[rec.parent.0 as usize];
+            rec = self.up(rec);
         }
         debug_assert_eq!(rec.level, r.level, "VarRef level above token depth");
         rec.vals[r.slot as usize]
@@ -257,7 +271,7 @@ impl TokenArena {
             if rec.parent == TokenId::NONE {
                 return;
             }
-            rec = &self.recs[rec.parent.0 as usize];
+            rec = self.up(rec);
         }
     }
 
@@ -281,7 +295,7 @@ impl TokenArena {
             if rec.parent == TokenId::NONE {
                 break;
             }
-            rec = &self.recs[rec.parent.0 as usize];
+            rec = self.up(rec);
         }
         let mut at = 0;
         for (i, len) in f.lens.iter().enumerate() {
@@ -296,7 +310,7 @@ impl TokenArena {
             if rec.parent == TokenId::NONE {
                 return f;
             }
-            rec = &self.recs[rec.parent.0 as usize];
+            rec = self.up(rec);
         }
     }
 
@@ -468,6 +482,18 @@ mod tests {
         assert!(!a.chain_eq(t1, t3));
         assert!(!a.chain_eq(t1, s1), "different depth");
         assert_eq!(a.chain_hash(t1), a.chain_hash(t2));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not one level up")]
+    fn a_parent_cycle_is_caught_not_walked_forever() {
+        let mut a = TokenArena::new();
+        let seed = a.alloc(TokenId::NONE, WmeId(1));
+        let top = a.alloc(seed, WmeId(2));
+        // Corrupt the arena: the seed now points back at its child.
+        a.recs[seed.0 as usize].parent = top;
+        a.wme_ids(top);
     }
 
     #[test]

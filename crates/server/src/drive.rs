@@ -30,11 +30,6 @@ pub struct SyntheticSpec {
     pub rounds: u64,
     /// Request WMEs per round per session.
     pub wmes_per_round: usize,
-    /// After every round, displace every 16th session to its neighbour
-    /// worker with [`Server::migrate`] and let [`Server::rebalance`] even
-    /// the pool out again (exercises the migration path under load; the
-    /// run fails if the pool is left uneven).
-    pub migrate: bool,
 }
 
 impl Default for SyntheticSpec {
@@ -43,7 +38,6 @@ impl Default for SyntheticSpec {
             sessions: 1000,
             rounds: 3,
             wmes_per_round: 4,
-            migrate: false,
         }
     }
 }
@@ -73,8 +67,6 @@ pub struct SyntheticReport {
     /// Evicted sessions transparently faulted back in on their next
     /// request.
     pub faultins: u64,
-    /// Sessions live-migrated between workers by rebalancing.
-    pub migrations: u64,
     /// The per-worker resident budget the run was under (`None` = all
     /// resident).
     pub resident_budget: Option<usize>,
@@ -142,30 +134,6 @@ pub fn run_synthetic(
                 }
             }
         }
-        if spec.migrate && worker_count > 1 {
-            // Quiesce, then skew the pool — balanced admission leaves
-            // rebalance nothing to do — and have rebalance repair it.
-            server.drain(REPLY_TIMEOUT, |reply| tally.absorb(reply))?;
-            for &id in ids.iter().step_by(16) {
-                let neighbour = (server.worker_of(id)? + 1) % worker_count;
-                server.migrate(id, neighbour, REPLY_TIMEOUT)?;
-            }
-            server.rebalance(REPLY_TIMEOUT)?;
-            let mut live = vec![0usize; worker_count];
-            for &id in &ids {
-                live[server.worker_of(id)?] += 1;
-            }
-            let spread = live
-                .iter()
-                .max()
-                .zip(live.iter().min())
-                .map_or(0, |(hi, lo)| hi - lo);
-            if spread > 1 {
-                return Err(ServerError::Engine(format!(
-                    "rebalance left the pool uneven: {live:?} live sessions per worker"
-                )));
-            }
-        }
     }
 
     server.drain(REPLY_TIMEOUT, |reply| tally.absorb(reply))?;
@@ -202,7 +170,6 @@ pub fn run_synthetic(
         overloads,
         evictions: metrics.counter_total("serve.evictions"),
         faultins: metrics.counter_total("serve.faultins"),
-        migrations: metrics.counter_total("serve.migrations"),
         resident_budget,
         elapsed,
         changes_per_sec: metrics.counter_total("serve.wme_changes") as f64 / secs,

@@ -13,9 +13,9 @@
 //!   the compiled network (`Arc<ReteNetwork>`) and program
 //!   (`Arc<Program>`) with every other session.
 //! * [`Server`] — the worker pool. A new session is pinned to the worker
-//!   with the fewest live sessions (sessions are unit-weight, so that is
-//!   all the balancing there is to do; [`Server::rebalance`] evens the
-//!   pool out again after destroys). Each worker has a **bounded**
+//!   with the fewest live sessions for its lifetime (sessions are
+//!   unit-weight, so admission is all the balancing there is to do, and
+//!   ownership never moves). Each worker has a **bounded**
 //!   submission queue: when a worker's queue is full, [`Server::submit`]
 //!   returns [`ServerError::Overloaded`] immediately instead of buffering
 //!   without bound — backpressure is part of the API, not an afterthought.
@@ -43,7 +43,7 @@ pub mod snapshot;
 mod store;
 
 pub use drive::{run_script, run_synthetic, ScriptReport, SyntheticReport, SyntheticSpec};
-pub use server::{RebalanceReport, Reply, RequestId, Server, ServerConfig};
+pub use server::{Reply, RequestId, Server, ServerConfig};
 pub use session::{Session, SessionId};
 pub use slab::{RouteError, RouteSlab};
 pub use snapshot::{program_fingerprint, SnapshotError, SNAPSHOT_VERSION};

@@ -4,17 +4,19 @@
 //! pins every admitted session to one worker for its lifetime (sessions
 //! are not `Send` across workers and never need to be — all operations on
 //! a session execute on its home worker, so no session ever sees
-//! concurrent mutation). The only way a session changes workers is
-//! [`Server::migrate`], which moves its *snapshot bytes* through the
-//! server at a quiescent point — the live object never crosses a thread.
+//! concurrent mutation). Like the paper's static split of the hash range
+//! (§3), ownership never moves: a session leaves its worker only as
+//! snapshot bytes ([`Server::snapshot`]) restored as a new session
+//! ([`Server::restore`]), on this server or another.
 //!
 //! ## Placement
 //!
 //! Sessions are unit-weight, so balancing them needs no partition: a new
 //! session goes to the worker with the fewest live sessions (lowest
-//! index on ties), and [`Server::rebalance`] moves sessions from the
-//! fullest worker to the emptiest until no two workers differ by more
-//! than one. The per-worker live counts live in the routing table itself
+//! index on ties). Admission is the one placement rule; under create /
+//! destroy churn it keeps the workers within one session of each other
+//! (EXPERIMENTS.md, "Live session migration: measured, then deleted").
+//! The per-worker live counts live in the routing table itself
 //! ([`crate::slab::RouteSlab::live_on`]), next to the routes they count.
 //!
 //! Routing is a [`crate::slab::RouteSlab`]: ids are slab slots with a
@@ -49,11 +51,20 @@
 //! the [`mpps_telemetry::MetricSink`] machinery. [`Server::metrics`]
 //! flushes every worker and merges the registries with the server-side
 //! admission counters.
+//!
+//! A failure here — a worker that cannot be spawned, a session handle
+//! that no longer routes — is a typed [`ServerError`], so the module
+//! denies `unwrap`, `expect` and `panic!` outside tests.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::session::{Session, SessionId};
 use crate::slab::{RouteError, RouteSlab};
 use crate::snapshot::program_fingerprint;
-use crate::store::{Extracted, SessionEnv, SessionTable};
+use crate::store::{SessionEnv, SessionTable};
 use crate::ServerError;
 use crossbeam::channel::{self, Receiver, Sender};
 use mpps_ops::{Program, RunOutcome, Strategy, Wme, WmeId};
@@ -135,29 +146,12 @@ enum Op {
     },
     Destroy,
     Snapshot,
-    /// Rebuild a session from snapshot bytes under the envelope's id: a
-    /// restore (fresh id) or, when `adopting`, the arrival half of a
-    /// migration (the session's original id).
-    Restore {
-        bytes: Vec<u8>,
-        adopting: bool,
-    },
-    /// Migration departure: extract the session and ship its snapshot
-    /// bytes back (evicted sessions ship their spill file unread).
-    Evacuate,
+    /// Rebuild a session from snapshot bytes under the envelope's (fresh)
+    /// id.
+    Restore(Vec<u8>),
     /// Force the session to disk now (tests and operational tooling; the
     /// budget sweep is the steady-state eviction path).
     Evict,
-}
-
-impl Op {
-    /// Whether the op is subject to the queue bound (and so moves the
-    /// depth counter). An adoption is not: it is sent by the server
-    /// itself after a successful evacuation, when the bytes are already
-    /// off the source worker and must not be stranded by a full queue.
-    fn counted(&self) -> bool {
-        !matches!(self, Op::Restore { adopting: true, .. })
-    }
 }
 
 /// One request to one session, as shipped to its worker.
@@ -178,8 +172,7 @@ enum ToWorker {
 /// exactly one reply.
 #[derive(Clone, Debug)]
 pub enum Reply {
-    /// A session was created (or restored, or adopted after migration)
-    /// and settled to quiescence.
+    /// A session was created (or restored) and settled to quiescence.
     Ready {
         /// The session now live.
         session: SessionId,
@@ -225,18 +218,6 @@ pub enum Reply {
         /// The request this answers.
         request: RequestId,
     },
-    /// A session left its worker for migration; these are its snapshot
-    /// bytes.
-    Evacuated {
-        /// The session that departed.
-        session: SessionId,
-        /// The request this answers.
-        request: RequestId,
-        /// Worker it departed from.
-        worker: usize,
-        /// Its state, in the versioned snapshot codec.
-        bytes: Vec<u8>,
-    },
     /// A session was forced to disk by [`Server::evict`].
     Evicted {
         /// The session now on disk.
@@ -277,7 +258,6 @@ impl Reply {
             | Reply::Cycles { request, .. }
             | Reply::SnapshotBytes { request, .. }
             | Reply::Destroyed { request, .. }
-            | Reply::Evacuated { request, .. }
             | Reply::Evicted { request, .. }
             | Reply::Metrics { request, .. }
             | Reply::Failed { request, .. } => *request,
@@ -291,17 +271,6 @@ struct WorkerHandle {
     join: JoinHandle<()>,
 }
 
-/// What one [`Server::rebalance`] pass did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RebalanceReport {
-    /// Live sessions when the pass started.
-    pub examined: usize,
-    /// Sessions migrated from a fuller worker to an emptier one.
-    pub moved: usize,
-    /// Moves skipped because a worker queue was saturated (retryable).
-    pub skipped: usize,
-}
-
 /// The rule-engine server: one compiled program, many sessions, a worker
 /// pool with bounded queues. See the [module docs](self) for the design.
 pub struct Server {
@@ -313,19 +282,13 @@ pub struct Server {
     reply_rx: Receiver<Reply>,
     buffered: VecDeque<Reply>,
     routes: RouteSlab,
-    /// Create/Restore/adoption requests whose `Ready` has not arrived
-    /// yet: if the worker reports failure instead, the session never
-    /// materialized there and its route is withdrawn.
+    /// Create/Restore requests whose `Ready` has not arrived yet: if the
+    /// worker reports failure instead, the session never materialized
+    /// there and its route is withdrawn.
     pending_admissions: HashMap<RequestId, SessionId>,
-    /// Evacuations whose bytes have not come back yet: evacuate request →
-    /// (target worker, request id reserved for the adoption). Whoever
-    /// receives the `Evacuated` reply completes the hand-off, so a
-    /// migration whose caller stopped waiting still lands.
-    evacuating: HashMap<RequestId, (usize, RequestId)>,
     next_request: u64,
     in_flight: usize,
     overloaded: u64,
-    migrations: u64,
     admitted_per_worker: Vec<u64>,
 }
 
@@ -382,10 +345,12 @@ impl Server {
                 reply_tx: reply_tx.clone(),
                 epoch,
             };
+            // On failure the handles built so far are dropped with their
+            // senders, so those workers see a closed queue and exit.
             let join = std::thread::Builder::new()
                 .name(format!("mpps-serve-{index}"))
                 .spawn(move || worker_loop(ctx, rx))
-                .expect("spawn server worker");
+                .map_err(|_| ServerError::Shutdown)?;
             handles.push(WorkerHandle { tx, depth, join });
         }
         Ok(Server {
@@ -398,10 +363,8 @@ impl Server {
             buffered: VecDeque::new(),
             routes: RouteSlab::new(),
             pending_admissions: HashMap::new(),
-            evacuating: HashMap::new(),
             next_request: 0,
             overloaded: 0,
-            migrations: 0,
             in_flight: 0,
             admitted_per_worker: vec![0; workers],
         })
@@ -435,10 +398,7 @@ impl Server {
 
     /// The worker a live session is currently pinned to.
     pub fn worker_of(&self, session: SessionId) -> Result<usize, ServerError> {
-        self.routes.get(session).map_err(|e| match e {
-            RouteError::Stale(id) => ServerError::StaleSession(id),
-            RouteError::Unknown(id) => ServerError::UnknownSession(id),
-        })
+        self.routes.get(session).map_err(route_error)
     }
 
     /// Accepted requests whose replies have not been received yet.
@@ -449,11 +409,6 @@ impl Server {
     /// Submissions rejected with [`ServerError::Overloaded`] so far.
     pub fn overload_rejections(&self) -> u64 {
         self.overloaded
-    }
-
-    /// Sessions moved between workers by [`Server::migrate`] so far.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
     }
 
     /// Instantaneous submission-queue depth per worker.
@@ -475,10 +430,7 @@ impl Server {
 
     /// Restore a snapshot as a **new** session on this server.
     pub fn restore(&mut self, bytes: Vec<u8>) -> Result<(SessionId, RequestId), ServerError> {
-        self.admit(Op::Restore {
-            bytes,
-            adopting: false,
-        })
+        self.admit(Op::Restore(bytes))
     }
 
     /// Submit a batch of WMEs to a session. The worker ingests the batch
@@ -521,101 +473,8 @@ impl Server {
     /// still answered.
     pub fn destroy_session(&mut self, session: SessionId) -> Result<RequestId, ServerError> {
         let request = self.dispatch(session, Op::Destroy)?;
-        self.routes
-            .remove(session)
-            .expect("dispatch routed the session, so it is live");
+        self.routes.remove(session).map_err(route_error)?;
         Ok(request)
-    }
-
-    /// Move a live session to a different worker through the snapshot
-    /// codec, at a quiescent point: the source worker evacuates the
-    /// session (snapshot bytes; an evicted session ships its spill file
-    /// unread), and once those bytes are back on the server the target
-    /// worker adopts them under the **same** [`SessionId`]. Because this
-    /// method holds `&mut self`, no new request for the session can be
-    /// queued between evacuation and adoption, and per-worker FIFO order
-    /// guarantees requests accepted before the migration complete first.
-    ///
-    /// Returns the adoption's request id; its [`Reply::Ready`] confirms
-    /// the session is live on `to`. Fails without state change if `to`
-    /// is out of range, equals the current worker, or the source worker's
-    /// queue is saturated.
-    ///
-    /// [`ServerError::Timeout`] does **not** cancel the move: the
-    /// evacuation is already queued, and whichever receive call picks up
-    /// its [`Reply::Evacuated`] hands the bytes to `to`. Until then the
-    /// session is in transit — let the replies drain before submitting to
-    /// it again.
-    pub fn migrate(
-        &mut self,
-        session: SessionId,
-        to: usize,
-        timeout: Duration,
-    ) -> Result<RequestId, ServerError> {
-        let from = self.worker_of(session)?;
-        if to >= self.workers.len() {
-            return Err(ServerError::Config(format!(
-                "cannot migrate {session} to worker {to}: only {} workers",
-                self.workers.len()
-            )));
-        }
-        if to == from {
-            return Err(ServerError::Config(format!(
-                "session {session} is already on worker {to}"
-            )));
-        }
-        let evac = self.dispatch(session, Op::Evacuate)?;
-        let adopt = self.next_request();
-        self.evacuating.insert(evac, (to, adopt));
-        match self.wait_for(evac, timeout)? {
-            // account() sent the adoption when it saw this reply.
-            Reply::Evacuated { .. } => Ok(adopt),
-            Reply::Failed { error, .. } => Err(ServerError::Engine(error)),
-            other => Err(ServerError::Engine(format!(
-                "evacuation answered by unexpected reply {other:?}"
-            ))),
-        }
-    }
-
-    /// Even out the live sessions: move one from the fullest worker to
-    /// the emptiest until no two workers differ by more than one — the
-    /// fewest migrations that get there, and none at all on a pool that
-    /// is already even. Admission keeps a pool even by itself; destroys
-    /// and manual [`Server::migrate`] calls are what skew it. Saturated
-    /// workers cause moves to be skipped (and reported), not failed.
-    pub fn rebalance(&mut self, timeout: Duration) -> Result<RebalanceReport, ServerError> {
-        let workers = self.workers.len();
-        let mut live: Vec<usize> = (0..workers).map(|w| self.routes.live_on(w)).collect();
-        // Plan on the counts first: `leaving[w]` lists the targets of the
-        // sessions worker `w` gives up.
-        let mut leaving = vec![Vec::new(); workers];
-        loop {
-            let from = (0..workers).rev().max_by_key(|&w| live[w]).unwrap_or(0);
-            let to = (0..workers).min_by_key(|&w| live[w]).unwrap_or(0);
-            if live[from] - live[to] <= 1 {
-                break;
-            }
-            live[from] -= 1;
-            live[to] += 1;
-            leaving[from].push(to);
-        }
-        let moves: Vec<(SessionId, usize)> = self
-            .routes
-            .iter_live()
-            .filter_map(|(id, worker)| Some((id, leaving[worker].pop()?)))
-            .collect();
-        let mut report = RebalanceReport {
-            examined: self.routes.len(),
-            ..RebalanceReport::default()
-        };
-        for (session, to) in moves {
-            match self.migrate(session, to, timeout) {
-                Ok(_) => report.moved += 1,
-                Err(ServerError::Overloaded { .. }) => report.skipped += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(report)
     }
 
     /// Receive the next reply, waiting up to `timeout`.
@@ -651,8 +510,9 @@ impl Server {
         request: RequestId,
         timeout: Duration,
     ) -> Result<Reply, ServerError> {
-        if let Some(at) = self.buffered.iter().position(|r| r.request() == request) {
-            return Ok(self.buffered.remove(at).expect("position is in range"));
+        let at = self.buffered.iter().position(|r| r.request() == request);
+        if let Some(reply) = at.and_then(|at| self.buffered.remove(at)) {
+            return Ok(reply);
         }
         let deadline = Instant::now() + timeout;
         loop {
@@ -695,9 +555,8 @@ impl Server {
     }
 
     /// Flush every worker's metrics and merge them with the server-side
-    /// counters: `serve.admitted` (sessions placed on each worker, by
-    /// admission or migration), `serve.overloaded` (rejected
-    /// submissions), `serve.migrations` (sessions moved between workers).
+    /// counters: `serve.admitted` (sessions placed on each worker) and
+    /// `serve.overloaded` (rejected submissions).
     pub fn metrics(&mut self, timeout: Duration) -> Result<MetricsRegistry, ServerError> {
         let mut merged = MetricsRegistry::new();
         for worker in 0..self.workers.len() {
@@ -722,25 +581,25 @@ impl Server {
         if self.overloaded > 0 {
             merged.add("serve.overloaded", 0, self.overloaded);
         }
-        if self.migrations > 0 {
-            merged.add("serve.migrations", 0, self.migrations);
-        }
         Ok(merged)
     }
 
     /// Place a new session on the worker with the fewest live sessions
     /// (lowest index on ties) and send it `op`. A saturated worker
-    /// rejects before anything is recorded: the id is not consumed.
+    /// rejects before anything is recorded: the id is not consumed. Until
+    /// its `Ready` arrives the admission is pending: a `Failed` answer
+    /// withdraws it (see [`Server::account`]).
     fn admit(&mut self, op: Op) -> Result<(SessionId, RequestId), ServerError> {
         let worker = (0..self.workers.len())
             .min_by_key(|&w| self.routes.live_on(w))
-            .expect("Server::new rejects an empty pool");
+            .ok_or_else(|| ServerError::Config("the worker pool is empty".into()))?;
         let session = self.routes.peek_next();
         let request = self.next_request();
         self.send(worker, request, session, op)?;
         let issued = self.routes.insert(worker);
         debug_assert_eq!(issued, session, "peeked id must be the issued id");
-        self.placed(request, session, worker);
+        self.pending_admissions.insert(request, session);
+        self.admitted_per_worker[worker] += 1;
         Ok((session, request))
     }
 
@@ -751,22 +610,13 @@ impl Server {
         self.send(worker, request, session, op)
     }
 
-    /// Record that `request` is installing `session` on `worker`; a
-    /// `Failed` answer withdraws the placement (see [`Server::account`]).
-    fn placed(&mut self, request: RequestId, session: SessionId, worker: usize) {
-        self.pending_admissions.insert(request, session);
-        self.admitted_per_worker[worker] += 1;
-    }
-
     fn next_request(&mut self) -> RequestId {
         self.next_request += 1;
         self.next_request
     }
 
-    /// Enqueue `op` for `session` on `worker` as request `request`. A
-    /// counted op must claim a slot in the worker's bounded queue first;
-    /// an uncounted one bypasses the bound (the worker will not move the
-    /// depth counter for it) but is still answered by exactly one reply.
+    /// Enqueue `op` for `session` on `worker` as request `request`,
+    /// claiming a slot in the worker's bounded queue first.
     fn send(
         &mut self,
         worker: usize,
@@ -775,11 +625,10 @@ impl Server {
         op: Op,
     ) -> Result<RequestId, ServerError> {
         let handle = &self.workers[worker];
-        let counted = op.counted();
         // Optimistically claim a slot; undo if over capacity. The counter
         // is the *only* admission gate, so claim-then-check is race-free
         // even with a future multi-submitter front end.
-        if counted && handle.depth.fetch_add(1, Ordering::AcqRel) >= self.config.queue_capacity {
+        if handle.depth.fetch_add(1, Ordering::AcqRel) >= self.config.queue_capacity {
             handle.depth.fetch_sub(1, Ordering::AcqRel);
             self.overloaded += 1;
             return Err(ServerError::Overloaded {
@@ -794,9 +643,7 @@ impl Server {
             op,
         };
         if handle.tx.send(ToWorker::Session(envelope)).is_err() {
-            if counted {
-                handle.depth.fetch_sub(1, Ordering::AcqRel);
-            }
+            handle.depth.fetch_sub(1, Ordering::AcqRel);
             return Err(ServerError::Shutdown);
         }
         self.in_flight += 1;
@@ -811,51 +658,33 @@ impl Server {
             self.in_flight = self.in_flight.saturating_sub(1);
         }
         match reply {
-            // Admission (or adoption) confirmed: the session exists on
-            // its worker.
+            // Admission confirmed: the session exists on its worker.
             Reply::Ready { request, .. } => {
                 self.pending_admissions.remove(request);
             }
-            // A failed Create/Restore/adoption never materialized the
+            // A failed Create/Restore never materialized the
             // session on the worker: withdraw its route so the live
             // counts placement reads don't go stale. A session destroyed
             // mid-flight has no route left to withdraw (and the id may
             // not be reissued yet: the generation check makes this a
             // no-op rather than a second decrement).
             Reply::Failed { request, .. } => {
-                self.evacuating.remove(request);
                 if let Some(session) = self.pending_admissions.remove(request) {
                     if let Ok(worker) = self.routes.remove(session) {
                         self.admitted_per_worker[worker] -= 1;
                     }
                 }
             }
-            // The session now exists only as these bytes: hand them to
-            // the target worker, whether or not migrate() is still
-            // waiting. A session destroyed while in transit stays gone.
-            Reply::Evacuated {
-                request,
-                session,
-                bytes,
-                ..
-            } => {
-                let Some((to, adopt)) = self.evacuating.remove(request) else {
-                    return;
-                };
-                if self.routes.set_worker(*session, to).is_err() {
-                    return;
-                }
-                let op = Op::Restore {
-                    bytes: bytes.clone(),
-                    adopting: true,
-                };
-                if self.send(to, adopt, *session, op).is_ok() {
-                    self.placed(adopt, *session, to);
-                    self.migrations += 1;
-                }
-            }
             _ => {}
         }
+    }
+}
+
+/// A routing failure as the server reports it.
+fn route_error(e: RouteError) -> ServerError {
+    match e {
+        RouteError::Stale(id) => ServerError::StaleSession(id),
+        RouteError::Unknown(id) => ServerError::UnknownSession(id),
     }
 }
 
@@ -915,7 +744,6 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<ToWorker>) {
                 session,
                 op,
             }) => {
-                let counted = op.counted();
                 let reply = perform(&ctx, &mut table, &mut metrics, request, session, op);
                 // Whatever the op did to residency (admission, fault-in),
                 // bring the table back within its budget.
@@ -927,9 +755,7 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<ToWorker>) {
                         metrics.add("serve.evict_failed", wid, sweep.failed);
                     }
                 }
-                if counted {
-                    ctx.depth.fetch_sub(1, Ordering::AcqRel);
-                }
+                ctx.depth.fetch_sub(1, Ordering::AcqRel);
                 reply.unwrap_or_else(|e| Reply::Failed {
                     session: Some(session),
                     request,
@@ -977,7 +803,7 @@ fn perform(
             metrics.add("serve.sessions_created", wid, 1);
             ready
         }
-        Op::Restore { bytes, adopting } => {
+        Op::Restore(bytes) => {
             let s = Session::restore(
                 Arc::clone(&env.program),
                 Arc::clone(&env.network),
@@ -986,11 +812,7 @@ fn perform(
                 &bytes,
             )?;
             table.insert(session, s)?;
-            let counter = match adopting {
-                true => "serve.sessions_adopted",
-                false => "serve.sessions_restored",
-            };
-            metrics.add(counter, wid, 1);
+            metrics.add("serve.sessions_restored", wid, 1);
             ready
         }
         Op::Ingest { remove, wmes } => {
@@ -1009,27 +831,6 @@ fn perform(
             Reply::SnapshotBytes {
                 session,
                 request,
-                bytes,
-            }
-        }
-        Op::Evacuate => {
-            let bytes = match table.extract(session)? {
-                Extracted::Evicted(bytes) => bytes,
-                Extracted::Resident(s) => match s.snapshot() {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        // The session must not be lost to a refused
-                        // snapshot: put it back and fail the migration.
-                        let _ = table.insert(session, *s);
-                        return Err(e.into());
-                    }
-                },
-            };
-            metrics.add("serve.evacuations", wid, 1);
-            Reply::Evacuated {
-                session,
-                request,
-                worker,
                 bytes,
             }
         }
@@ -1093,11 +894,6 @@ mod tests {
 
     const TIMEOUT: Duration = Duration::from_secs(30);
 
-    fn tiny_server(config: ServerConfig) -> Server {
-        let program = mpps_ops::parse_program("(p noop (never ^seen t) --> (halt))").unwrap();
-        Server::new(program, config).unwrap()
-    }
-
     #[test]
     fn degenerate_configs_are_typed_errors_not_clamps() {
         let program = mpps_ops::parse_program("(p noop (never ^seen t) --> (halt))").unwrap();
@@ -1147,26 +943,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn migrating_to_a_bad_target_is_rejected_without_state_change() {
-        let mut server = tiny_server(ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        });
-        let (session, request) = server.create_session(Vec::new()).unwrap();
-        server.wait_for(request, TIMEOUT).unwrap();
-        let home = server.worker_of(session).unwrap();
-        assert!(matches!(
-            server.migrate(session, 99, Duration::from_secs(1)),
-            Err(ServerError::Config(_))
-        ));
-        assert!(matches!(
-            server.migrate(session, home, Duration::from_secs(1)),
-            Err(ServerError::Config(_))
-        ));
-        assert_eq!(server.worker_of(session).unwrap(), home);
-    }
-
     const WORKERS: usize = 3;
 
     fn live_counts(server: &Server) -> [usize; WORKERS] {
@@ -1178,7 +954,6 @@ mod tests {
     /// the test's own model.
     fn assert_ledger(server: &Server, live: &[SessionId], step: usize) {
         assert_eq!(server.sessions(), live.len(), "step {step}");
-        assert_eq!(server.routes.iter_live().count(), live.len(), "step {step}");
         let counted: usize = live_counts(server).iter().sum();
         assert_eq!(counted, live.len(), "step {step}: counts drifted");
     }
@@ -1215,7 +990,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Create / destroy / failed-restore / restore / migrate churn.
+        /// Create / destroy / failed-restore / restore churn.
         /// Every admission goes to a least-loaded worker, and a failed
         /// Create/Restore must not leave a phantom session routed and
         /// counted — nor may unwinding one that a racing destroy already
@@ -1262,13 +1037,6 @@ mod tests {
                         let request = server.destroy_session(live.swap_remove(pick)).unwrap();
                         let reply = server.wait_for(request, TIMEOUT).unwrap();
                         prop_assert!(matches!(reply, Reply::Destroyed { .. }));
-                    }
-                    4 if !live.is_empty() => {
-                        let id = live[pick];
-                        let to = (server.worker_of(id).unwrap() + 1) % WORKERS;
-                        let request = server.migrate(id, to, TIMEOUT).unwrap();
-                        expect_ready(&mut server, request);
-                        prop_assert_eq!(server.worker_of(id), Ok(to));
                     }
                     _ => {
                         let (id, request) = admit_checked(&mut server, |s| {

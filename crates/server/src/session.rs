@@ -1,4 +1,12 @@
 //! One user's production-system state over the shared compiled network.
+//!
+//! A session restores from client and disk bytes, so the module denies
+//! `unwrap`, `expect` and `panic!` outside tests.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::snapshot;
 use crate::{ServerError, SnapshotError};

@@ -15,9 +15,17 @@
 //! wire-visible id sequence only diverges once slots are actually reused.
 //!
 //! The slab also keeps the live-session count per worker
-//! ([`RouteSlab::live_on`]) — the number placement and rebalancing read.
-//! It is maintained by the same `insert` / `set_worker` / `remove` that
-//! change a route, so there is no second ledger that could drift from it.
+//! ([`RouteSlab::live_on`]) — the number placement reads. It is
+//! maintained by the same `insert` / `remove` that change a route, so
+//! there is no second ledger that could drift from it.
+//!
+//! A lookup failure is a typed [`RouteError`], so the module denies
+//! `unwrap`, `expect` and `panic!` outside tests.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::session::SessionId;
 
@@ -140,15 +148,6 @@ impl RouteSlab {
         Ok(entry.worker as usize)
     }
 
-    /// Repin a live session to a different worker (migration).
-    pub fn set_worker(&mut self, id: SessionId, worker: usize) -> Result<(), RouteError> {
-        let from = self.get(id)?;
-        self.slots[id.slot() as usize].worker = worker as u32;
-        self.live_per_worker[from] -= 1;
-        *self.live_on_mut(worker) += 1;
-        Ok(())
-    }
-
     /// Free a live session's slot, bumping its generation so the freed id
     /// is detectably stale from now on.
     pub fn remove(&mut self, id: SessionId) -> Result<usize, RouteError> {
@@ -160,20 +159,6 @@ impl RouteSlab {
         self.live -= 1;
         self.live_per_worker[worker] -= 1;
         Ok(worker)
-    }
-
-    /// Iterate live sessions as `(id, worker)` in slot order.
-    pub fn iter_live(&self) -> impl Iterator<Item = (SessionId, usize)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.live)
-            .map(|(slot, e)| {
-                (
-                    SessionId::pack(slot as u32, e.generation),
-                    e.worker as usize,
-                )
-            })
     }
 }
 
@@ -228,16 +213,15 @@ mod tests {
     }
 
     #[test]
-    fn iter_live_tracks_membership_and_migration() {
+    fn membership_follows_insert_and_remove() {
         let mut slab = RouteSlab::new();
         let a = slab.insert(0);
         let b = slab.insert(1);
         let c = slab.insert(0);
         slab.remove(b).unwrap();
-        slab.set_worker(c, 3).unwrap();
-        let live: Vec<_> = slab.iter_live().collect();
-        assert_eq!(live, vec![(a, 0), (c, 3)]);
-        assert_eq!(slab.set_worker(b, 0), Err(RouteError::Stale(b)));
+        assert_eq!(slab.len(), 2);
+        assert_eq!([a, c].map(|id| slab.get(id)), [Ok(0), Ok(0)]);
+        assert_eq!(slab.get(b), Err(RouteError::Stale(b)));
     }
 
     #[test]
@@ -249,15 +233,10 @@ mod tests {
         let b = slab.insert(2);
         let c = slab.insert(2);
         assert_eq!(counts(&slab), [1, 0, 2, 0]);
-        slab.set_worker(b, 1).unwrap();
-        assert_eq!(counts(&slab), [1, 1, 1, 0]);
-        slab.set_worker(b, 1).unwrap(); // repinning in place is a no-op
-        assert_eq!(counts(&slab), [1, 1, 1, 0]);
-        assert_eq!(slab.remove(b), Ok(1));
+        assert_eq!(slab.remove(b), Ok(2));
         assert_eq!(counts(&slab), [1, 0, 1, 0]);
-        // Failed operations on the stale handle change nothing.
+        // A failed remove of the stale handle changes nothing.
         assert!(slab.remove(b).is_err());
-        assert!(slab.set_worker(b, 0).is_err());
         assert_eq!(counts(&slab), [1, 0, 1, 0]);
         // The reused slot counts for its new worker, not its old one.
         let d = slab.insert(3);

@@ -122,15 +122,6 @@ impl TableSlot {
     }
 }
 
-/// A session extracted from the table (for destroy or migration).
-pub(crate) enum Extracted {
-    /// The session was resident; the live object is returned.
-    Resident(Box<Session>),
-    /// The session was evicted; its snapshot bytes are returned and the
-    /// spill file has been deleted.
-    Evicted(Vec<u8>),
-}
-
 /// What `enforce_budget` did.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub(crate) struct EvictionSweep {
@@ -260,7 +251,7 @@ impl SessionTable {
 
     // ---- public operations --------------------------------------------
 
-    /// Install a freshly created/restored/adopted session under `id`.
+    /// Install a freshly created or restored session under `id`.
     pub fn insert(&mut self, id: SessionId, session: Session) -> Result<(), StoreError> {
         let at = id.slot() as usize;
         if at >= self.slots.len() {
@@ -332,31 +323,6 @@ impl SessionTable {
                 Ok(bytes)
             }
             Residency::Evicted(info) => Self::read_spill(&info.path),
-            Residency::Vacant => unreachable!("slot_checked rejects vacant slots"),
-        }
-    }
-
-    /// Remove `id` from the table entirely (destroy or migration
-    /// departure), returning what was held.
-    pub fn extract(&mut self, id: SessionId) -> Result<Extracted, StoreError> {
-        let at = self.slot_checked(id)?;
-        match std::mem::replace(&mut self.slots[at].residency, Residency::Vacant) {
-            Residency::Resident(session) => {
-                self.unlink(at);
-                self.resident -= 1;
-                Ok(Extracted::Resident(session))
-            }
-            Residency::Evicted(info) => match Self::read_spill(&info.path) {
-                Ok(bytes) => {
-                    let _ = std::fs::remove_file(&info.path);
-                    self.evicted -= 1;
-                    Ok(Extracted::Evicted(bytes))
-                }
-                Err(e) => {
-                    self.slots[at].residency = Residency::Evicted(info);
-                    Err(e)
-                }
-            },
             Residency::Vacant => unreachable!("slot_checked rejects vacant slots"),
         }
     }
@@ -542,28 +508,6 @@ mod tests {
             table.insert(new, session(&env, 3)).unwrap_err(),
             StoreError::Occupied(new)
         );
-        table.cleanup();
-    }
-
-    #[test]
-    fn extract_returns_bytes_for_evicted_sessions_and_deletes_the_spill() {
-        let env = env();
-        let mut table = SessionTable::new(Some(0), tmp("extract"));
-        let id = SessionId::pack(0, 0);
-        let s = session(&env, 9);
-        let expect = s.snapshot().unwrap();
-        table.insert(id, s).unwrap();
-        let sweep = table.enforce_budget();
-        assert_eq!(sweep.evicted, 1);
-        match table.extract(id).unwrap() {
-            Extracted::Evicted(bytes) => assert_eq!(bytes, expect),
-            Extracted::Resident(_) => panic!("session should have been evicted"),
-        }
-        assert_eq!(table.len(), 0);
-        match table.extract(id) {
-            Err(e) => assert_eq!(e, StoreError::Unknown(id), "extraction empties the slot"),
-            Ok(_) => panic!("extraction should have emptied the slot"),
-        }
         table.cleanup();
     }
 }

@@ -1,8 +1,6 @@
 //! The 1M-session scale machinery: slab generation checks on reused
-//! slots, transparent idle eviction (snapshot → evict → fault-in →
-//! continue must be byte-equal to an uninterrupted resident run), and
-//! live migration proven byte-equal against the cross-server snapshot
-//! oracle from PR 8.
+//! slots and transparent idle eviction (snapshot → evict → fault-in →
+//! continue must be byte-equal to an uninterrupted resident run).
 
 use mpps_server::{Reply, RequestId, Server, ServerConfig, ServerError, SessionId};
 use mpps_workloads::serve;
@@ -71,10 +69,6 @@ fn freed_slots_are_reused_with_a_bumped_generation() {
         Err(ServerError::StaleSession(_))
     ));
     assert!(matches!(
-        server.migrate(old, 1, TIMEOUT),
-        Err(ServerError::StaleSession(_))
-    ));
-    assert!(matches!(
         server.destroy_session(old),
         Err(ServerError::StaleSession(_))
     ));
@@ -92,188 +86,6 @@ fn freed_slots_are_reused_with_a_bumped_generation() {
         Err(ServerError::UnknownSession(future))
     );
     assert_eq!(server.sessions(), 1);
-}
-
-/// Live migration through `Server::migrate` must land the session on the
-/// target worker with state byte-equal to the PR-8 cross-server oracle
-/// (snapshot → restore on a fresh server → identical continuation). An
-/// evicted session migrates too, by shipping its spill file.
-#[test]
-fn live_migration_is_byte_equal_to_the_cross_server_oracle() {
-    let mut server = Server::new(serve::program(), config(2)).unwrap();
-    let (id, request) = server.create_session(serve::initial()).unwrap();
-    ready(&mut server, request);
-    for round in 0..2 {
-        server.submit(id, serve::round(id.0, round, 3)).unwrap();
-    }
-    server.drain(TIMEOUT, |_| {}).unwrap();
-
-    // Oracle: the snapshot-migration path the existing integration test
-    // proves correct — restore the same bytes on a fresh server.
-    let bytes = snapshot_bytes(&mut server, id);
-    let mut oracle = Server::new(serve::program(), config(2)).unwrap();
-    let (twin, request) = oracle.restore(bytes).unwrap();
-    ready(&mut oracle, request);
-
-    // Subject: migrate the live session to the other worker in place.
-    let from = server.worker_of(id).unwrap();
-    let to = 1 - from;
-    let request = server.migrate(id, to, TIMEOUT).unwrap();
-    ready(&mut server, request);
-    assert_eq!(server.worker_of(id).unwrap(), to, "route did not move");
-    assert_eq!(server.migrations(), 1);
-
-    // Identical continuations must stay byte-equal.
-    for round in 2..4 {
-        server.submit(id, serve::round(id.0, round, 3)).unwrap();
-        oracle.submit(twin, serve::round(id.0, round, 3)).unwrap();
-    }
-    server.drain(TIMEOUT, |_| {}).unwrap();
-    oracle.drain(TIMEOUT, |_| {}).unwrap();
-    assert_eq!(
-        snapshot_bytes(&mut server, id),
-        snapshot_bytes(&mut oracle, twin),
-        "live migration diverged from the cross-server oracle"
-    );
-
-    // Evict the session to disk, then migrate it back: the spill bytes
-    // ship unread and the session faults in on the new worker.
-    let request = server.evict(id).unwrap();
-    assert!(matches!(
-        server.wait_for(request, TIMEOUT).unwrap(),
-        Reply::Evicted { .. }
-    ));
-    let request = server.migrate(id, from, TIMEOUT).unwrap();
-    ready(&mut server, request);
-    assert_eq!(server.worker_of(id).unwrap(), from);
-
-    server.submit(id, serve::round(id.0, 4, 3)).unwrap();
-    oracle.submit(twin, serve::round(id.0, 4, 3)).unwrap();
-    server.drain(TIMEOUT, |_| {}).unwrap();
-    oracle.drain(TIMEOUT, |_| {}).unwrap();
-    assert_eq!(
-        snapshot_bytes(&mut server, id),
-        snapshot_bytes(&mut oracle, twin),
-        "migrating an evicted session corrupted its state"
-    );
-    let metrics = server.metrics(TIMEOUT).unwrap();
-    assert_eq!(metrics.counter_total("serve.migrations"), 2);
-}
-
-/// A migration whose caller stops waiting must still land: the
-/// evacuation is already queued, so abandoning the hand-off would leave
-/// the session extracted from its old worker, adopted by nobody, and
-/// every later request answered "unknown session".
-#[test]
-fn an_abandoned_migration_still_lands_byte_equal() {
-    let mut server = Server::new(serve::program(), config(2)).unwrap();
-    let mut twin = Server::new(serve::program(), config(2)).unwrap();
-    let (id, request) = server.create_session(serve::initial()).unwrap();
-    ready(&mut server, request);
-    let (same, request) = twin.create_session(serve::initial()).unwrap();
-    ready(&mut twin, request);
-    assert_eq!(id, same);
-    // A heavy batch keeps the worker busy, so the evacuation queued
-    // behind it cannot be answered within a zero timeout.
-    server.submit(id, serve::round(id.0, 0, 200)).unwrap();
-    twin.submit(id, serve::round(id.0, 0, 200)).unwrap();
-    let to = 1 - server.worker_of(id).unwrap();
-    assert_eq!(
-        server.migrate(id, to, Duration::ZERO),
-        Err(ServerError::Timeout)
-    );
-
-    let mut failures = 0;
-    let count = |reply: &Reply| failures += matches!(reply, Reply::Failed { .. }) as usize;
-    server.drain(TIMEOUT, count).unwrap();
-    assert_eq!(failures, 0);
-    assert_eq!(server.worker_of(id).unwrap(), to, "the hand-off was lost");
-    assert_eq!(server.migrations(), 1);
-
-    let request = server.submit(id, serve::round(id.0, 1, 3)).unwrap();
-    assert!(matches!(
-        server.wait_for(request, TIMEOUT).unwrap(),
-        Reply::Cycles { worker, .. } if worker == to
-    ));
-    twin.submit(id, serve::round(id.0, 1, 3)).unwrap();
-    twin.drain(TIMEOUT, |_| {}).unwrap();
-    assert_eq!(
-        snapshot_bytes(&mut server, id),
-        snapshot_bytes(&mut twin, id),
-        "the late adoption changed the session"
-    );
-}
-
-/// Live sessions per worker, read back through the public routing API.
-fn live_per_worker(server: &Server, ids: &[SessionId], workers: usize) -> Vec<usize> {
-    let mut live = vec![0; workers];
-    for &id in ids {
-        live[server.worker_of(id).unwrap()] += 1;
-    }
-    live
-}
-
-/// `rebalance` converges in the fewest moves: after one worker is
-/// emptied by destroys, the first pass migrates exactly the surplus over
-/// an even split, the second pass finds nothing to do, and the sessions
-/// compute exactly what an unbalanced twin server computes.
-#[test]
-fn rebalance_is_a_byte_preserving_fixed_point() {
-    const SESSIONS: usize = 17;
-    const WORKERS: usize = 3;
-    let mut server = Server::new(serve::program(), config(WORKERS)).unwrap();
-    let mut twin = Server::new(serve::program(), config(WORKERS)).unwrap();
-    let mut ids = Vec::new();
-    for _ in 0..SESSIONS {
-        let (a, request) = server.create_session(serve::initial()).unwrap();
-        ready(&mut server, request);
-        let (b, request) = twin.create_session(serve::initial()).unwrap();
-        ready(&mut twin, request);
-        assert_eq!(a, b, "the two servers must allocate identical ids");
-        ids.push(a);
-    }
-    assert_eq!(live_per_worker(&server, &ids, WORKERS), [6, 6, 5]);
-    for &id in &ids {
-        server.submit(id, serve::round(id.0, 0, 2)).unwrap();
-        twin.submit(id, serve::round(id.0, 0, 2)).unwrap();
-    }
-    // Empty worker 1 on both servers; only `server` is rebalanced.
-    let (gone, ids): (Vec<_>, Vec<_>) = ids
-        .into_iter()
-        .partition(|&id| server.worker_of(id).unwrap() == 1);
-    for id in gone {
-        server.destroy_session(id).unwrap();
-        twin.destroy_session(id).unwrap();
-    }
-    server.drain(TIMEOUT, |_| {}).unwrap();
-    assert_eq!(live_per_worker(&server, &ids, WORKERS), [6, 0, 5]);
-
-    // 11 sessions split 4 + 4 + 3; keeping the larger shares where the
-    // sessions already are, workers 0 and 2 give up 2 + 1 = 3 sessions.
-    // Anything less leaves a spread above one.
-    let first = server.rebalance(TIMEOUT).unwrap();
-    assert_eq!(first.examined, ids.len());
-    assert_eq!(first.skipped, 0, "idle workers should not be saturated");
-    assert_eq!(first.moved, 3, "not the minimum number of migrations");
-    assert_eq!(server.migrations(), 3);
-    assert_eq!(live_per_worker(&server, &ids, WORKERS), [4, 3, 4]);
-    let second = server.rebalance(TIMEOUT).unwrap();
-    assert_eq!(second.moved, 0, "rebalance is not a fixed point");
-    assert_eq!(server.sessions(), ids.len());
-
-    for &id in &ids {
-        server.submit(id, serve::round(id.0, 1, 2)).unwrap();
-        twin.submit(id, serve::round(id.0, 1, 2)).unwrap();
-    }
-    server.drain(TIMEOUT, |_| {}).unwrap();
-    twin.drain(TIMEOUT, |_| {}).unwrap();
-    for &id in &ids {
-        assert_eq!(
-            snapshot_bytes(&mut server, id),
-            snapshot_bytes(&mut twin, id),
-            "session {id} diverged across rebalance"
-        );
-    }
 }
 
 proptest! {

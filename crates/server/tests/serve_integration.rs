@@ -1,5 +1,5 @@
 //! End-to-end serving: many sessions multiplexed over the pool, session
-//! isolation, snapshot migration onto a fresh server, metrics accounting,
+//! isolation, snapshot restore onto a fresh server, metrics accounting,
 //! and both `mpps serve` drivers.
 
 use mpps_server::{
@@ -76,7 +76,7 @@ fn sessions_are_isolated_across_workers() {
 /// A session snapshotted on one server continues identically on a fresh
 /// server: the remaining rounds produce byte-identical final snapshots.
 #[test]
-fn snapshot_migrates_to_fresh_server() {
+fn snapshot_restores_on_a_fresh_server() {
     let mut origin = Server::new(serve::program(), config(2)).unwrap();
     let (id, _) = origin.create_session(serve::initial()).unwrap();
     for round in 0..2 {
@@ -117,7 +117,7 @@ fn snapshot_migrates_to_fresh_server() {
     let Reply::SnapshotBytes { bytes: b2, .. } = fresh.wait_for(r2, TIMEOUT).unwrap() else {
         panic!()
     };
-    assert_eq!(b1, b2, "continuations diverged after migration");
+    assert_eq!(b1, b2, "continuations diverged after the restore");
 }
 
 /// Restoring under the wrong program is refused, not silently wrong.
@@ -147,7 +147,6 @@ fn synthetic_driver_reports_sane_numbers() {
         sessions: 40,
         rounds: 2,
         wmes_per_round: 2,
-        migrate: false,
     };
     let report = run_synthetic(config(2), &spec).unwrap();
     assert_eq!(report.sessions, 40);

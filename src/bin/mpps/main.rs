@@ -30,7 +30,8 @@
 //! matchers in lockstep with the naive matcher as ground truth. Diverging
 //! cases are (optionally `--shrink`-minimized and) written to `--out` as
 //! runnable `.ops` + `.sched` reproducer pairs; the exit status is 1 when
-//! any divergence was found.
+//! any divergence was found. Each case is timed, and stderr names the
+//! slowest one (`slowest case: seed N, T ms`).
 //!
 //! `.ops` files hold productions in the textual syntax; `.wm` files hold
 //! one WME per line, e.g. `(block ^name b1 ^color blue)`. Lines starting
@@ -181,7 +182,6 @@ const COMMANDS: &[Command] = &[
             ("stats", None),
             ("resident-budget", Some("N")),
             ("evict-dir", Some("DIR")),
-            ("migrate", None),
         ],
         run: cmd_serve,
     },
@@ -624,9 +624,17 @@ fn cmd_fuzz(args: &Args) {
     let mut profile: Option<MetricsRegistry> = args.get("profile").map(|_| MetricsRegistry::new());
 
     let mut divergences = 0u64;
+    // (time, seed) of the slowest case, so a runaway one is named by the
+    // tool rather than found with a stopwatch.
+    let mut slowest: Option<(std::time::Duration, u64)> = None;
     for i in 0..iters {
         let case_seed = seed + i;
+        let started = std::time::Instant::now();
         let (case, divergence) = fuzz_one(case_seed, &cfg, &matchers, do_shrink);
+        let took = started.elapsed();
+        if slowest.is_none_or(|(worst, _)| took > worst) {
+            slowest = Some((took, case_seed));
+        }
         if let Some(merged) = profile.as_mut() {
             replay_profiled(&case, merged);
         }
@@ -648,6 +656,12 @@ fn cmd_fuzz(args: &Args) {
     }
     if let (Some(merged), Some(dir)) = (profile.as_ref(), args.get("profile")) {
         write_profile(dir, "fuzz-replay", 2, merged);
+    }
+    if let Some((took, case_seed)) = slowest {
+        eprintln!(
+            "slowest case: seed {case_seed}, {:.1} ms",
+            took.as_secs_f64() * 1e3
+        );
     }
     let names: Vec<&str> = matchers.iter().map(|m| m.name()).collect();
     println!(
@@ -780,10 +794,6 @@ fn cmd_serve(args: &Args) {
     if evict_dir.is_some() && resident_budget.is_none() {
         args.usage_error("--evict-dir needs --resident-budget (nothing is evicted without one)");
     }
-    let migrate = args.has("migrate");
-    if migrate && script.is_some() {
-        args.usage_error("--migrate only applies to --synthetic (scripts are deterministic)");
-    }
     let config = ServerConfig {
         workers,
         queue_capacity: args.get_positive("queue", defaults.queue_capacity),
@@ -819,7 +829,6 @@ fn cmd_serve(args: &Args) {
         sessions: args.get_positive("sessions", 1000usize),
         rounds: args.get_parse("rounds", 3u64),
         wmes_per_round: args.get_parse("wmes", 4usize),
-        migrate,
     };
     let report = run_synthetic(config, &spec).unwrap_or_else(|e| fail(e));
     println!(
@@ -845,15 +854,12 @@ fn cmd_serve(args: &Args) {
         "  cycle latency p50 {} ns, p95 {} ns; batch p95 {} ns",
         report.p50_cycle_ns, report.p95_cycle_ns, report.p95_batch_ns
     );
-    // Only emitted when eviction or migration is on, so the default
-    // output stays byte-stable for existing smoke tests.
-    if report.resident_budget.is_some() || spec.migrate {
-        let budget = report
-            .resident_budget
-            .map_or("unbounded".to_string(), |b| b.to_string());
+    // Only emitted when eviction is on, so the default output stays
+    // byte-stable for existing smoke tests.
+    if let Some(budget) = report.resident_budget {
         println!(
-            "  resident budget {budget}/worker: {} evictions, {} fault-ins, {} migrations",
-            report.evictions, report.faultins, report.migrations
+            "  resident budget {budget}/worker: {} evictions, {} fault-ins",
+            report.evictions, report.faultins
         );
     }
     if args.has("stats") {
